@@ -1,26 +1,16 @@
-"""SQL benchmark: join plans and the compiled columnar engine vs baselines.
+"""SQL benchmark: compiled expression closures vs reference closures.
 
-Two families of cases, both written to ``BENCH_sql.json`` in the schema
-described in ``docs/benchmarks.md``:
-
-* **Join cases** — the optimised default (index-backed hash join, single-side
-  WHERE pushdown) against the pre-overhaul plan (nested-loop join, no
-  pushdown, selected via ``Executor.hash_join`` / ``Executor.predicate_pushdown``).
-  Joins always run on the row-dict engine, so these cases also guard the
-  columnar PR against join regressions.
-* **Compiled cases** — single-table scan+WHERE, GROUP BY aggregate and
-  window+QUALIFY queries at 10k/100k rows on the compiled columnar engine
-  (``Executor(compiled=True)``) against the row-dict interpreter
-  (``compiled=False``).  Outputs must be identical cell-for-cell.
+Single-table scan+WHERE, GROUP BY aggregate and window+QUALIFY queries at
+10k/100k rows run through the executor's one stage pipeline twice: with
+specialised compiled closures (``Executor(compiled=True)``, the default)
+and with every expression compiled to its reference-interpreter closure
+(``compiled=False``).  Outputs must be identical cell-for-cell.  Results go
+to ``BENCH_sql.json`` in the schema described in ``docs/benchmarks.md``.
 
 Run it from the repo root::
 
-    PYTHONPATH=src python benchmarks/bench_sql.py             # full, minutes
+    PYTHONPATH=src python benchmarks/bench_sql.py             # full, ~a minute
     PYTHONPATH=src python benchmarks/bench_sql.py --smoke     # seconds, CI
-
-The full run is slow *by design*: the nested-loop baseline on the 10k x 10k
-equi-join is the quadratic behaviour PR 2 removed, and the 100k-row
-interpreter runs are the per-row dispatch the columnar engine removes.
 """
 
 from __future__ import annotations
@@ -40,7 +30,7 @@ from repro.sql import Database
 
 
 def make_table(name: str, rows: int, rng: random.Random, key_space: int) -> Table:
-    """A synthetic fact table: integer join key plus two payload columns."""
+    """A synthetic fact table: integer key plus two payload columns."""
     return Table.from_dict(
         name,
         {
@@ -51,73 +41,17 @@ def make_table(name: str, rows: int, rng: random.Random, key_space: int) -> Tabl
     )
 
 
-def run_query(tables, query: str, optimised: bool) -> Table:
-    db = Database()
-    for table in tables:
-        db.register(table)
-    db.executor.hash_join = optimised
-    db.executor.predicate_pushdown = optimised
-    return db.sql(query)
-
-
-def run_compiled_query(tables, query: str, compiled: bool) -> Table:
+def run_query(tables, query: str, compiled: bool) -> Table:
     db = Database(compiled=compiled)
     for table in tables:
         db.register(table)
     return db.sql(query)
 
 
-# (name, left_rows, right_rows, query, baseline_repeats_full)
+# (name, rows, query, reference_repeats_full) — the baseline compiles every
+# expression to its reference-interpreter closure; the optimised side uses
+# the specialised compiled closures.
 CASES = [
-    (
-        "inner_equi_join",
-        1000,
-        1000,
-        "SELECT l.k, l.val, r.val AS rval FROM lhs l JOIN rhs r ON l.k = r.k",
-        3,
-    ),
-    (
-        "inner_equi_join",
-        5000,
-        5000,
-        "SELECT l.k, l.val, r.val AS rval FROM lhs l JOIN rhs r ON l.k = r.k",
-        1,
-    ),
-    (
-        "inner_equi_join",
-        10000,
-        10000,
-        "SELECT l.k, l.val, r.val AS rval FROM lhs l JOIN rhs r ON l.k = r.k",
-        1,
-    ),
-    (
-        "left_equi_join_small_build",
-        10000,
-        100,
-        "SELECT l.k, r.val AS rval FROM lhs l LEFT JOIN rhs r ON l.k = r.k",
-        3,
-    ),
-    (
-        "equi_join_residual_predicate",
-        5000,
-        5000,
-        "SELECT l.k FROM lhs l JOIN rhs r ON l.k = r.k AND l.val < r.val",
-        1,
-    ),
-    (
-        "where_pushdown_both_sides",
-        5000,
-        5000,
-        "SELECT l.k, r.val AS rval FROM lhs l JOIN rhs r ON l.k = r.k "
-        "WHERE l.grp = 'a' AND r.grp = 'b'",
-        1,
-    ),
-]
-
-# (name, rows, query, interpreter_repeats_full) — single-table queries where
-# the baseline is the row-dict interpreter and the optimised side is the
-# compiled columnar engine.
-COMPILED_CASES = [
     (
         "scan_filter",
         10000,
@@ -175,68 +109,29 @@ def main(argv=None) -> int:
 
     cases = []
     ok = True
-    for name, left_rows, right_rows, query, baseline_repeats in CASES:
-        if args.smoke:
-            left_rows = min(left_rows, SMOKE_ROWS)
-            right_rows = min(right_rows, SMOKE_ROWS)
-            baseline_repeats = 1
-        rng = random.Random(args.seed)
-        # ~1 expected match per probe: the regime cleaning joins run in.
-        key_space = max(left_rows, right_rows)
-        tables = [
-            make_table("lhs", left_rows, rng, key_space),
-            make_table("rhs", right_rows, rng, key_space),
-        ]
-
-        optimised_result = run_query(tables, query, optimised=True)
-        baseline_result = run_query(tables, query, optimised=False)
-        parity = optimised_result.to_dict() == baseline_result.to_dict()
-        ok = ok and parity
-
-        optimised_seconds = benchlib.measure(
-            lambda: run_query(tables, query, optimised=True), args.repeats
-        )
-        baseline_seconds = benchlib.measure(
-            lambda: run_query(tables, query, optimised=False), baseline_repeats
-        )
-        cases.append(
-            benchlib.case_result(
-                f"{name}_{left_rows}x{right_rows}",
-                {
-                    "left_rows": left_rows,
-                    "right_rows": right_rows,
-                    "query": query,
-                },
-                baseline_seconds,
-                optimised_seconds,
-                output_rows=optimised_result.num_rows,
-                parity=parity,
-            )
-        )
-
-    for name, rows, query, interpreter_repeats in COMPILED_CASES:
+    for name, rows, query, reference_repeats in CASES:
         if args.smoke:
             rows = min(rows, SMOKE_ROWS)
-            interpreter_repeats = 1
+            reference_repeats = 1
         rng = random.Random(args.seed)
         tables = [make_table("t", rows, rng, key_space=rows)]
 
-        compiled_result = run_compiled_query(tables, query, compiled=True)
-        interpreted_result = run_compiled_query(tables, query, compiled=False)
-        parity = compiled_result.to_dict() == interpreted_result.to_dict()
+        compiled_result = run_query(tables, query, compiled=True)
+        reference_result = run_query(tables, query, compiled=False)
+        parity = compiled_result.to_dict() == reference_result.to_dict()
         ok = ok and parity
 
         compiled_seconds = benchlib.measure(
-            lambda: run_compiled_query(tables, query, compiled=True), args.repeats
+            lambda: run_query(tables, query, compiled=True), args.repeats
         )
-        interpreted_seconds = benchlib.measure(
-            lambda: run_compiled_query(tables, query, compiled=False), interpreter_repeats
+        reference_seconds = benchlib.measure(
+            lambda: run_query(tables, query, compiled=False), reference_repeats
         )
         cases.append(
             benchlib.case_result(
                 f"{name}_{rows}",
                 {"rows": rows, "query": query},
-                interpreted_seconds,
+                reference_seconds,
                 compiled_seconds,
                 output_rows=compiled_result.num_rows,
                 parity=parity,
@@ -245,13 +140,13 @@ def main(argv=None) -> int:
 
     report = benchlib.write_report(
         args.out,
-        "sql_join",
+        "sql_compiled",
         {"smoke": args.smoke, "repeats": args.repeats, "seed": args.seed},
         cases,
     )
     benchlib.print_cases(report)
     if not ok:
-        print("ERROR: optimised and baseline engines disagreed", file=sys.stderr)
+        print("ERROR: compiled and reference closures disagreed", file=sys.stderr)
         return 1
     return 0
 

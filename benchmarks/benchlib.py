@@ -4,8 +4,7 @@ Unlike the pytest-benchmark modules (``bench_table1.py`` etc.), the scripts
 built on this helper are plain CLIs: they time a *baseline* implementation
 against an *optimised* one on synthetic inputs and write a ``BENCH_*.json``
 report in the schema documented in ``docs/benchmarks.md``.  The committed
-``BENCH_sql.json`` / ``BENCH_fd.json`` files at the repo root are produced by
-these scripts and seed the cross-PR performance trajectory.
+``BENCH_*.json`` files at the repo root are produced by these scripts.
 """
 
 from __future__ import annotations

@@ -3,27 +3,27 @@
 The paper's system executes all of its error detection and cleaning through
 SQL against a database (DuckDB in the authors' experiments) so the result is
 "scalable, interpretable, and reusable".  This package is the reproduction's
-database substrate: a from-scratch SQL engine covering the surface that the
-Cocoon pipeline emits and the profiler issues —
+database substrate: a from-scratch SQL engine covering exactly the surface
+that the Cocoon pipeline emits and the profiler issues —
 
-* ``SELECT`` lists with arbitrary expressions, aliases and ``DISTINCT``
-* ``CASE WHEN … THEN … ELSE … END``
-* ``CAST(expr AS type)``
+* single-table ``SELECT``: one named table or derived subquery in ``FROM``,
+  or no ``FROM`` at all (``JOIN`` is rejected at parse time)
+* select lists with arbitrary expressions, aliases and ``DISTINCT``
+* ``CASE WHEN … THEN … ELSE … END`` and ``CAST(expr AS type)``
+* ``IN`` / ``BETWEEN`` / ``IS NULL`` / ``LIKE … ESCAPE``
 * scalar functions (``UPPER``/``LOWER``/``TRIM``/``REGEXP_MATCHES``/
   ``REGEXP_REPLACE``/``COALESCE``/``NULLIF`` …)
 * aggregates with ``GROUP BY`` / ``HAVING``
-* window function ``ROW_NUMBER() OVER (PARTITION BY … ORDER BY …)``
-* ``INNER``/``LEFT`` joins — planned as index-backed hash joins whenever the
-  ``ON`` condition contains an equality between the two sides (with residual
-  predicates checked on probe hits), falling back to a nested loop for pure
-  non-equi conditions; single-side ``WHERE`` conjuncts are pushed below joins
-* ``WHERE``, ``ORDER BY``, ``LIMIT``, derived tables in ``FROM``
-* ``CREATE [OR REPLACE] TABLE/VIEW … AS SELECT`` and ``DROP TABLE``
+* window functions (``ROW_NUMBER``/``RANK``/``DENSE_RANK`` and aggregates
+  ``OVER (PARTITION BY … ORDER BY …)``) with ``QUALIFY``
+* ``WHERE``, ``ORDER BY``, ``LIMIT``/``OFFSET``
+* ``CREATE [OR REPLACE] TABLE/VIEW … AS SELECT`` and ``DROP TABLE/VIEW``
 
 The entry point is :class:`repro.sql.database.Database`; the layers beneath
 it are :mod:`repro.sql.tokenizer` → :mod:`repro.sql.parser` (AST in
-:mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.executor` over a
-:mod:`repro.sql.catalog`.  ``docs/architecture.md`` places the package in
+:mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.planner` →
+:mod:`repro.sql.executor` (expressions compiled by
+:mod:`repro.sql.compiler`) over a :mod:`repro.sql.catalog`.  ``docs/architecture.md`` places the package in
 the full system; ``docs/benchmarks.md`` tracks executor performance.
 """
 

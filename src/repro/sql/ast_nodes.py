@@ -142,17 +142,9 @@ class TableRef:
 
 
 @dataclass
-class Join:
-    kind: str                 # 'INNER' or 'LEFT'
-    table: TableRef
-    condition: Expression
-
-
-@dataclass
 class Select:
     items: List[SelectItem]
     from_table: Optional[TableRef] = None
-    joins: List[Join] = field(default_factory=list)
     where: Optional[Expression] = None
     group_by: List[Expression] = field(default_factory=list)
     having: Optional[Expression] = None

@@ -2,8 +2,8 @@
 
 A :class:`Catalog` is the single source of truth for which
 :class:`~repro.dataframe.table.Table` objects a query can see.  The
-:class:`~repro.sql.executor.Executor` resolves every ``FROM``/``JOIN`` name
-through it, ``CREATE TABLE … AS`` registers into it, and ``DROP TABLE``
+:class:`~repro.sql.executor.Executor` resolves every ``FROM`` name through
+it, ``CREATE TABLE … AS`` registers into it, and ``DROP TABLE``
 removes from it.  Each :class:`~repro.sql.database.Database` owns exactly one
 catalog; nothing here is shared across databases.
 """

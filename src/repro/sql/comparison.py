@@ -1,8 +1,8 @@
 """Value comparison semantics shared across the SQL engine.
 
 One definition of "equal", "less than" and "sorts before" serves the whole
-engine: ``=`` / ``<`` / ORDER BY in :mod:`repro.sql.executor`, hash-join
-bucket membership, and the MIN/MAX aggregates in
+engine: ``=`` / ``<`` / ``BETWEEN`` / ORDER BY in :mod:`repro.sql.executor`
+and its compiled closures, and the MIN/MAX aggregates in
 :mod:`repro.sql.functions`.  Before this module existed the aggregates
 compared with raw ``<`` / ``>``, so a mixed ``str``/``int`` column raised
 ``TypeError`` and a NaN that arrived first stuck forever (every
@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from typing import Any, Optional, Tuple
+
+from repro.dataframe.schema import is_null
 
 
 def to_num(v: Any) -> Optional[float]:
@@ -107,3 +109,20 @@ def compare_values(left: Any, right: Any) -> Optional[int]:
     if a > b:
         return 1
     return 0
+
+
+def sql_between(value: Any, low: Any, high: Any, negated: bool = False) -> Optional[bool]:
+    """SQL ``value [NOT] BETWEEN low AND high``; NULL when any operand is NULL.
+
+    Operands Python can order keep their native answer (exact int/float
+    comparison, textual str/str).  A pair Python cannot order, such as
+    ``5 BETWEEN 1 AND '10'``, compares under :func:`compare_values`, the rule
+    ``<=`` and ``>=`` use, instead of raising ``TypeError``.
+    """
+    if is_null(value) or is_null(low) or is_null(high):
+        return None
+    try:
+        inside = low <= value <= high
+    except TypeError:
+        inside = compare_values(low, value) <= 0 and compare_values(value, high) <= 0
+    return (not inside) if negated else inside

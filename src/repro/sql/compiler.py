@@ -1,4 +1,4 @@
-"""Expression compilation for the columnar execution engine.
+"""Expression compilation for the executor's stage pipeline.
 
 :class:`ColumnarBinding` binds a set of column vectors (parallel value
 lists, one per column) and compiles AST expressions into closures evaluated
@@ -15,12 +15,12 @@ literal branches become a dictionary built at compile time, and LIKE
 patterns hit the module-level regex LRU.  Per-row work reduces to closure
 calls over pre-bound vectors.
 
-Parity with the row-dict interpreter (``Executor._eval``) is the contract,
+Parity with the reference interpreter (``Executor._eval``) is the contract,
 not speed at any cost:
 
 * every null/short-circuit/error behaviour is mirrored node for node, using
   the *same* helper functions (``_apply_binary``, ``_like_match``,
-  ``sql_equal``, ``compare_values``, ``coerce_value``);
+  ``sql_equal``, ``compare_values``, ``sql_between``, ``coerce_value``);
 * errors stay **eval-time**: an unknown column, a misused aggregate or a
   window function outside its context compiles into a *raising closure*, so
   a query over an empty table raises exactly when the interpreter would
@@ -28,6 +28,10 @@ not speed at any cost:
 * any expression node the compiler does not recognise falls back to a
   closure that calls ``Executor._eval`` on a row dict materialised for that
   row only — behavioural parity is the gate, not coverage.
+
+With ``Executor(compiled=False)`` every scalar expression compiles to that
+fallback closure, which is how the compiled differential holds the
+specialised closures to the interpreter over the one pipeline.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from repro.sql.ast_nodes import (
     UnaryOp,
     WindowFunction,
 )
-from repro.sql.comparison import compare_values, parse_num, sql_equal
+from repro.sql.comparison import compare_values, parse_num, sql_between, sql_equal
 from repro.sql.errors import ExecutionError
 from repro.sql.functions import AGGREGATE_NAMES, call_scalar, make_aggregate
 
@@ -102,6 +106,9 @@ class ColumnarBinding:
             _like_match,
             _truthy,
         )
+
+        if not self.executor.compiled:
+            return self._fallback(expr, windows)
 
         if isinstance(expr, Literal):
             value = expr.value
@@ -267,13 +274,7 @@ class ColumnarBinding:
             negated = expr.negated
 
             def between_fn(i: int) -> Any:
-                value = operand_fn(i)
-                low = low_fn(i)
-                high = high_fn(i)
-                if is_null(value) or is_null(low) or is_null(high):
-                    return None
-                inside = low <= value <= high
-                return (not inside) if negated else inside
+                return sql_between(operand_fn(i), low_fn(i), high_fn(i), negated)
 
             return between_fn
 
@@ -305,7 +306,7 @@ class ColumnarBinding:
             arg_fns = [self.compile(a, windows) for a in expr.args]
             return lambda i: call_scalar(name, [fn(i) for fn in arg_fns])
 
-        # Unknown node: fall back to the row-dict interpreter for this row.
+        # Unknown node: fall back to the reference interpreter for this row.
         return self._fallback(expr, windows)
 
     def _compile_case(self, expr: CaseWhen, windows: WindowValues) -> ScalarFn:
@@ -361,10 +362,10 @@ class ColumnarBinding:
     def compile_aggregate(self, expr: Expression) -> AggregateFn:
         """Compile ``expr`` to ``fn(indices) -> value`` over groups of rows.
 
-        Mirrors ``Executor._eval_aggregate_expr`` node for node: aggregate
-        calls fold their argument over the group, scalar operators combine
-        aggregate sub-results, and any other expression evaluates on the
-        group's first row (it is a grouping expression, constant per group).
+        Aggregate calls fold their argument over the group, scalar operators
+        combine aggregate sub-results, and any other expression evaluates on
+        the group's first row (it is a grouping expression, constant per
+        group).
         """
         from repro.sql.executor import _apply_binary, _apply_unary, _like_match
 

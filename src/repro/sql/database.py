@@ -94,7 +94,7 @@ class Database:
         timings in an ``EXPLAIN ANALYZE``-style rendering.
 
         Works regardless of whether tracing is globally enabled: the root span
-        is forced, and the executor's stage spans (scan, join, filter,
+        is forced, and the executor's stage spans (scan, filter,
         aggregate, window, project, qualify, distinct, sort) nest beneath it.
         Returns ``(result_table, report_text)``.
         """

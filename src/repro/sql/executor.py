@@ -1,56 +1,33 @@
 """Query executor: evaluates parsed statements against the catalog.
 
-The executor walks the AST produced by :mod:`repro.sql.parser` and evaluates
-it against the tables registered in a :class:`repro.sql.catalog.Catalog`.
-Rows travel through the pipeline as plain dicts (column name -> value, plus
-``alias.column`` qualified keys whenever a join needs disambiguation).
+The executor runs the AST produced by :mod:`repro.sql.parser` against the
+tables registered in a :class:`repro.sql.catalog.Catalog`.  Every statement
+reads at most one ``FROM`` item (a named table or a derived subquery); the
+parser rejects joins.
 
-Join strategy
--------------
-``JOIN ... ON`` conditions are planned per join:
-
-* Equality predicates linking one side to the other (``l.k = r.k``) are
-  extracted from the ``ON`` conjunction and drive an **index-backed hash
-  join**: the smaller input becomes the build side, the other side probes,
-  and any remaining conjuncts (non-equi predicates, or further equalities
-  beyond the hash key) are evaluated only on probe hits.  Hash keys use the
-  same implicit numeric/string coercion as ``=`` so results are identical to
-  the nested loop's.
-* Joins whose condition contains no extractable equality fall back to the
-  original nested loop.
-
-``WHERE`` conjuncts that reference columns of exactly one join input are
-pushed below the join (left-side conjuncts below any join, right-side
-conjuncts below ``INNER`` joins only, since filtering the right input of a
-``LEFT`` join would change its null-padding).  Both behaviours can be
-disabled per :class:`Executor` via ``hash_join`` / ``predicate_pushdown`` —
-the benchmarks use this to measure the nested-loop baseline.
-
-Execution engines
------------------
+One stage pipeline
+------------------
 Every SELECT is first **planned** (:func:`repro.sql.planner.plan_select`)
-into an explicit stage pipeline, then dispatched to one of two engines:
+into an explicit stage pipeline, then run over column vectors: scan →
+filter → group | (window → project → qualify) → distinct → order → limit.
+Each expression is compiled *once per query* into a closure by
+:mod:`repro.sql.compiler`, filters gather vectors by index, projection
+reuses source vectors where it can, and rows exist as dicts only inside the
+reference interpreter.  A SELECT without ``FROM`` runs the same pipeline
+over one zero-column row.
 
-* the **columnar engine** runs single-table queries over column vectors:
-  every predicate/expression is compiled *once per query* into a closure by
-  :mod:`repro.sql.compiler`, filters gather vectors by index, projection
-  reuses source vectors where it can, and per-row dict materialisation
-  disappears from the hot path entirely;
-* the **row-dict engine** is the original interpreter (rows as dicts with
-  ``alias.column`` qualified keys) and still runs every join query, SELECTs
-  without FROM, and everything when ``compiled=False``.
-
-Both engines produce cell-identical tables and emit the same observability
-spans; the differential suites run every query through both.
+:meth:`Executor._eval` is that reference interpreter: the compiler falls
+back to it for any node it does not specialise, and ``compiled=False``
+compiles *every* expression to its ``_eval`` fallback closure, so the
+compiled differential pins expression semantics over the one pipeline.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dataframe.column import Column
 from repro.dataframe.schema import coerce_value, is_null
@@ -67,12 +44,9 @@ from repro.sql.ast_nodes import (
     FunctionCall,
     InList,
     IsNull,
-    Join,
     Like,
     Literal,
-    OrderItem,
     Select,
-    SelectItem,
     Star,
     Statement,
     TableRef,
@@ -81,17 +55,15 @@ from repro.sql.ast_nodes import (
 )
 from repro.obs import span as obs_span
 from repro.sql.catalog import Catalog
-from repro.sql.comparison import compare_values, numeric_pair, sql_equal
+from repro.sql.comparison import compare_values, sql_between, sql_equal
 from repro.sql.compiler import ColumnarBinding
 from repro.sql.errors import ExecutionError
 from repro.sql.functions import AGGREGATE_NAMES, call_scalar, make_aggregate
-from repro.sql.planner import SelectPlan, plan_select
+from repro.sql.planner import plan_select
 
 # Comparison semantics live in repro.sql.comparison so the aggregates in
 # repro.sql.functions can share them without importing this module; the old
-# private names stay importable here for existing callers and tests.
-_numeric_pair = numeric_pair
-_sql_equal = sql_equal
+# private name stays importable here for existing tests.
 _compare = compare_values
 
 Row = Dict[str, Any]
@@ -104,40 +76,21 @@ class Executor:
     ----------
     catalog:
         The table registry queries resolve names against.
-    hash_join:
-        When True (default), joins with extractable equality predicates run
-        as hash joins; when False every join uses the nested loop.
-    predicate_pushdown:
-        When True (default), single-side ``WHERE`` conjuncts are evaluated
-        below the join instead of on the joined rows.
     compiled:
-        When True (default), eligible single-table SELECTs run on the
-        columnar engine with once-per-query expression compilation; when
-        False every query runs on the row-dict interpreter.  ``None`` reads
-        the ``REPRO_SQL_COMPILED`` environment variable (any value other
-        than ``"0"`` enables), so differential CI jobs can force the
-        interpreter without touching call sites.
-
-    All flags are plain attributes and may be toggled between queries; the
-    benchmark harness relies on this to time the pre-optimisation plan.
-    ``last_execution_mode`` records which engine ran the outermost SELECT of
-    the most recent query (``"columnar"`` or ``"rowdict"``), for tests.
+        When True (default), each expression compiles to a specialised
+        closure; when False every expression compiles to the closure that
+        calls the reference interpreter (:meth:`_eval`), inside the same
+        stage pipeline.  ``None`` reads the ``REPRO_SQL_COMPILED``
+        environment variable (any value other than ``"0"`` enables), so
+        differential CI jobs can select the reference closures without
+        touching call sites.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        hash_join: bool = True,
-        predicate_pushdown: bool = True,
-        compiled: Optional[bool] = None,
-    ):
+    def __init__(self, catalog: Catalog, compiled: Optional[bool] = None):
         self.catalog = catalog
-        self.hash_join = hash_join
-        self.predicate_pushdown = predicate_pushdown
         if compiled is None:
             compiled = os.environ.get("REPRO_SQL_COMPILED", "1") != "0"
         self.compiled = compiled
-        self.last_execution_mode: Optional[str] = None
 
     # -- public API -----------------------------------------------------------
     def execute(self, statement: Statement) -> Optional[Table]:
@@ -154,98 +107,13 @@ class Executor:
 
     # -- SELECT pipeline --------------------------------------------------------
     def _execute_select(self, select: Select, result_name: str) -> Table:
-        plan = plan_select(select)
-        use_columnar = self.compiled and plan.columnar_eligible
-        if use_columnar:
-            table = self._execute_columnar(plan, result_name)
-        else:
-            table = self._execute_rowdict(plan, result_name)
-        # Set after subqueries so the outermost SELECT's engine wins.
-        self.last_execution_mode = "columnar" if use_columnar else "rowdict"
-        return table
+        """Run one planned SELECT over column vectors.
 
-    # -- row-dict engine --------------------------------------------------------
-    def _execute_rowdict(self, plan: SelectPlan, result_name: str) -> Table:
-        select = plan.select
-        rows, source_columns, where = self._resolve_from(select)
-        if where is not None:
-            with obs_span("sql.filter", rows_in=len(rows)) as sp:
-                rows = [r for r in rows if _truthy(self._eval(where, r))]
-                sp.annotate(rows_out=len(rows))
-
-        source_rows: Optional[List[Row]] = None
-        if plan.group is not None:
-            with obs_span(
-                "sql.aggregate", rows_in=len(rows), group_keys=len(select.group_by)
-            ) as sp:
-                out_names, out_rows = self._execute_grouped(select, rows)
-                sp.annotate(rows_out=len(out_rows))
-        else:
-            window_values = self._compute_windows(plan.windows, rows)
-            with obs_span("sql.project", rows_in=len(rows)) as sp:
-                out_names, out_rows = self._project(select, rows, window_values, source_columns)
-                sp.annotate(columns=len(out_names))
-            source_rows = list(rows)
-            if select.qualify is not None:
-                with obs_span("sql.qualify", rows_in=len(rows)) as sp:
-                    keep = []
-                    for i, row in enumerate(rows):
-                        value = self._eval(select.qualify, row, window_values=window_values, row_index=i)
-                        if _truthy(value):
-                            keep.append(i)
-                    out_rows = [out_rows[i] for i in keep]
-                    source_rows = [source_rows[i] for i in keep]
-                    sp.annotate(rows_out=len(out_rows))
-
-        if select.distinct:
-            with obs_span("sql.distinct", rows_in=len(out_rows)) as sp:
-                source_rows = None
-                seen = set()
-                deduped = []
-                for row in out_rows:
-                    key = tuple("\0null" if is_null(v) else str(v) for v in row)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    deduped.append(row)
-                out_rows = deduped
-                sp.annotate(rows_out=len(out_rows))
-
-        if select.order_by:
-            with obs_span("sql.sort", rows_in=len(out_rows), keys=len(select.order_by)):
-                out_rows = self._order_output(select, out_names, out_rows, source_rows)
-
-        if select.offset is not None:
-            out_rows = out_rows[select.offset:]
-        if select.limit is not None:
-            out_rows = out_rows[: select.limit]
-
-        return Table.from_rows(result_name, out_names, out_rows)
-
-    # -- columnar engine --------------------------------------------------------
-    def _execute_columnar(self, plan: SelectPlan, result_name: str) -> Table:
-        """Run a planned single-table SELECT over column vectors.
-
-        Expressions are compiled once per query (see
-        :class:`repro.sql.compiler.ColumnarBinding`); rows are represented
-        as an index into parallel vectors until the very end.  Every stage
-        emits the same observability span the row-dict engine does, and the
-        output is cell-identical by construction — the differential suites
-        hold both engines to that.
+        Rows are represented as an index into parallel vectors until the
+        very end; every stage emits its observability span.
         """
-        select = plan.select
-        ref = plan.scan.ref
-        with obs_span("sql.scan", source=ref.name or (ref.alias or "subquery")) as sp:
-            if ref.subquery is not None:
-                table = self._execute_select(ref.subquery, result_name=ref.alias or "subquery")
-            else:
-                table = self.catalog.get(ref.name)
-            names = list(table.column_names)
-            vectors: List[List[Any]] = [c.values for c in table.columns]
-            # A zero-column table has no rows to scan, matching the row-dict
-            # engine (which materialises no dicts without column names).
-            n = len(vectors[0]) if vectors else 0
-            sp.annotate(rows_out=n)
+        plan = plan_select(select)
+        names, vectors, n = self._scan(select.from_table)
 
         if plan.filter is not None:
             predicate = ColumnarBinding(self, names, vectors).compile(plan.filter.predicate)
@@ -260,7 +128,7 @@ class Executor:
 
         if plan.group is not None:
             with obs_span("sql.aggregate", rows_in=n, group_keys=len(select.group_by)) as sp:
-                out_names, out_rows = self._columnar_grouped(select, binding, n)
+                out_names, out_rows = self._grouped(select, binding, n)
                 sp.annotate(rows_out=len(out_rows))
             return self._finish_rows(select, result_name, out_names, out_rows, binding, positions=None)
 
@@ -268,7 +136,7 @@ class Executor:
         if plan.windows:
             with obs_span("sql.window", functions=len(plan.windows), rows_in=n):
                 for node in plan.windows:
-                    window_values[id(node)] = self._columnar_window(node, binding, n)
+                    window_values[id(node)] = self._window(node, binding, n)
 
         with obs_span("sql.project", rows_in=n) as sp:
             out_names = self._output_names(select, names)
@@ -309,6 +177,24 @@ class Executor:
             out_vectors = [vec[: select.limit] for vec in out_vectors]
         return Table(result_name, [Column(name, vec) for name, vec in zip(out_names, out_vectors)])
 
+    def _scan(self, ref: Optional[TableRef]) -> Tuple[List[str], List[List[Any]], int]:
+        """The FROM item as ``(column names, column vectors, row count)``.
+
+        Without a FROM item the query reads one zero-column row.
+        """
+        if ref is None:
+            return [], [], 1
+        with obs_span("sql.scan", source=ref.name or (ref.alias or "subquery")) as sp:
+            if ref.subquery is not None:
+                table = self._execute_select(ref.subquery, result_name=ref.alias or "subquery")
+            else:
+                table = self.catalog.get(ref.name)
+            vectors: List[List[Any]] = [c.values for c in table.columns]
+            # A zero-column table has no rows to scan.
+            n = len(vectors[0]) if vectors else 0
+            sp.annotate(rows_out=n)
+        return list(table.column_names), vectors, n
+
     def _finish_rows(
         self,
         select: Select,
@@ -318,7 +204,7 @@ class Executor:
         binding: ColumnarBinding,
         positions: Optional[List[int]],
     ) -> Table:
-        """Row-major tail of the columnar engine: DISTINCT, ORDER BY, LIMIT."""
+        """Row-major tail of the pipeline: DISTINCT, ORDER BY, LIMIT."""
         if select.distinct:
             with obs_span("sql.distinct", rows_in=len(out_rows)) as sp:
                 positions = None
@@ -335,7 +221,7 @@ class Executor:
 
         if select.order_by:
             with obs_span("sql.sort", rows_in=len(out_rows), keys=len(select.order_by)):
-                out_rows = self._columnar_order(select, out_names, out_rows, binding, positions)
+                out_rows = self._sort_rows(select, out_names, out_rows, binding, positions)
 
         if select.offset is not None:
             out_rows = out_rows[select.offset:]
@@ -343,7 +229,7 @@ class Executor:
             out_rows = out_rows[: select.limit]
         return Table.from_rows(result_name, out_names, out_rows)
 
-    def _columnar_order(
+    def _sort_rows(
         self,
         select: Select,
         names: List[str],
@@ -351,13 +237,12 @@ class Executor:
         binding: ColumnarBinding,
         positions: Optional[List[int]],
     ) -> List[List[Any]]:
-        """ORDER BY over columnar output, mirroring :meth:`_order_output`.
+        """ORDER BY over the output rows.
 
         Each key resolves once per query: projected columns and ordinal
         positions read the output row; other expressions compile against
-        the source vectors (without window context, like the interpreter)
-        when source positions survive, else evaluate on a dict of the
-        output row (post-DISTINCT).
+        the source vectors (without window context) when source positions
+        survive, else evaluate on a dict of the output row (post-DISTINCT).
         """
         name_index = {name: i for i, name in enumerate(names)}
         resolvers: List[Tuple[str, Any]] = []
@@ -388,7 +273,7 @@ class Executor:
         order = sorted(range(len(out_rows)), key=key)
         return [out_rows[i] for i in order]
 
-    def _columnar_grouped(
+    def _grouped(
         self, select: Select, binding: ColumnarBinding, n: int
     ) -> Tuple[List[str], List[List[Any]]]:
         """GROUP BY over vectors: groups hold row indices, aggregates fold them."""
@@ -417,8 +302,8 @@ class Executor:
             out_rows.append([fn(indices) for fn in item_fns])
         return names, out_rows
 
-    def _columnar_window(self, node: WindowFunction, binding: ColumnarBinding, n: int) -> List[Any]:
-        """One window function over vectors, mirroring :meth:`_evaluate_window`."""
+    def _window(self, node: WindowFunction, binding: ColumnarBinding, n: int) -> List[Any]:
+        """One window function over vectors: a value per source row."""
         partition_fns = [binding.compile(e) for e in node.window.partition_by]
         order_fns = [binding.compile(item.expression) for item in node.window.order_by]
         partitions: Dict[Tuple, List[int]] = {}
@@ -470,225 +355,6 @@ class Executor:
                 raise ExecutionError(f"Unsupported window function: {node.name}")
         return result
 
-    # -- FROM / JOIN ------------------------------------------------------------
-    def _resolve_from(self, select: Select) -> Tuple[List[Row], List[str], Optional[Expression]]:
-        """Scan the FROM clause and apply joins.
-
-        Returns ``(rows, output_columns, residual_where)``: the WHERE
-        conjuncts that could be pushed below a join have already been applied
-        and only the residual predicate (possibly None) remains for the
-        caller.
-        """
-        if select.from_table is None:
-            # SELECT without FROM evaluates expressions once against an empty row.
-            return [{}], [], select.where
-        if not select.joins:
-            # Single-table scan: qualified `alias.column` duplicate keys are
-            # only needed for join disambiguation, so skip building them.
-            rows, columns, _ = self._table_rows(select.from_table, qualify=False)
-            return rows, columns, select.where
-
-        left_rows, columns, left_keys = self._table_rows(select.from_table, qualify=True)
-        sides = [self._table_rows(join.table, qualify=True) for join in select.joins]
-
-        where = select.where
-        if where is not None and self.predicate_pushdown:
-            key_sets = [frozenset(left_keys)] + [frozenset(keys) for _, _, keys in sides]
-            residual: List[Expression] = []
-            pushed: List[List[Expression]] = [[] for _ in key_sets]
-            for conjunct in _split_conjuncts(where):
-                side = _sole_side(conjunct, key_sets)
-                # Right-side conjuncts only move below INNER joins: filtering
-                # the right input of a LEFT join would turn filtered matches
-                # into null-padded rows instead of removing them.
-                if side == 0 or (side is not None and select.joins[side - 1].kind == "INNER"):
-                    pushed[side].append(conjunct)
-                else:
-                    residual.append(conjunct)
-            if pushed[0]:
-                left_rows = self._filter_rows(left_rows, pushed[0])
-            for i, preds in enumerate(pushed[1:]):
-                if preds:
-                    rows_i, cols_i, keys_i = sides[i]
-                    sides[i] = (self._filter_rows(rows_i, preds), cols_i, keys_i)
-            where = _conjoin(residual)
-
-        left_key_set = set(left_keys)
-        for join, (right_rows, right_columns, right_keys) in zip(select.joins, sides):
-            left_rows, columns = self._apply_join(
-                left_rows, columns, left_key_set, join, right_rows, right_columns, right_keys
-            )
-            left_key_set.update(right_keys)
-        return left_rows, columns, where
-
-    def _filter_rows(self, rows: List[Row], predicates: Sequence[Expression]) -> List[Row]:
-        for predicate in predicates:
-            rows = [r for r in rows if _truthy(self._eval(predicate, r))]
-        return rows
-
-    def _table_rows(self, ref: TableRef, qualify: bool) -> Tuple[List[Row], List[str], List[str]]:
-        """Materialise a FROM item as row dicts.
-
-        Returns ``(rows, column_names, row_keys)`` where ``row_keys`` lists
-        every key a row dict of this table carries — the plain column names
-        plus, when ``qualify`` is set, the ``alias.column`` duplicates used
-        to disambiguate columns across join inputs.
-        """
-        with obs_span(
-            "sql.scan", source=ref.name or (ref.alias or "subquery")
-        ) as sp:
-            if ref.subquery is not None:
-                table = self._execute_select(ref.subquery, result_name=ref.alias or "subquery")
-            else:
-                table = self.catalog.get(ref.name)
-            names = list(table.column_names)
-            values = [c.values for c in table.columns]
-            if qualify:
-                alias = ref.alias or (ref.name if ref.name else table.name)
-                keys = names + [f"{alias}.{name}" for name in names]
-                rows = [dict(zip(keys, cells + cells)) for cells in zip(*values)] if names else []
-            else:
-                keys = names
-                rows = [dict(zip(keys, cells)) for cells in zip(*values)] if names else []
-            sp.annotate(rows_out=len(rows))
-        return rows, names, keys
-
-    def _apply_join(
-        self,
-        left_rows: List[Row],
-        left_columns: List[str],
-        left_keys: set,
-        join: Join,
-        right_rows: List[Row],
-        right_columns: List[str],
-        right_keys: Sequence[str],
-    ) -> Tuple[List[Row], List[str]]:
-        columns = left_columns + [c for c in right_columns if c not in left_columns]
-        equi: List[Tuple[Expression, Expression]] = []
-        residual: List[Expression] = []
-        if self.hash_join:
-            equi, residual = _extract_equi_predicates(join.condition, left_keys, set(right_keys))
-        with obs_span(
-            "sql.join",
-            kind=join.kind,
-            strategy="hash" if equi else "nested_loop",
-            rows_left=len(left_rows),
-            rows_right=len(right_rows),
-        ) as sp:
-            if equi:
-                out = self._hash_join(left_rows, right_rows, right_keys, join.kind, equi, residual)
-            else:
-                out = self._nested_loop_join(left_rows, right_rows, right_keys, join.kind, join.condition)
-            sp.annotate(rows_out=len(out))
-        return out, columns
-
-    def _nested_loop_join(
-        self,
-        left_rows: List[Row],
-        right_rows: List[Row],
-        right_keys: Sequence[str],
-        kind: str,
-        condition: Expression,
-    ) -> List[Row]:
-        out: List[Row] = []
-        for lrow in left_rows:
-            matched = False
-            for rrow in right_rows:
-                merged = _merge_rows(lrow, rrow)
-                if _truthy(self._eval(condition, merged)):
-                    matched = True
-                    out.append(merged)
-            if not matched and kind == "LEFT":
-                out.append(_pad_row(lrow, right_keys))
-        return out
-
-    def _hash_join(
-        self,
-        left_rows: List[Row],
-        right_rows: List[Row],
-        right_keys: Sequence[str],
-        kind: str,
-        equi: List[Tuple[Expression, Expression]],
-        residual: List[Expression],
-    ) -> List[Row]:
-        """Index-backed equi-join producing nested-loop-identical output.
-
-        The first extracted equality supplies the hash key; every further
-        conjunct (equality or not) is verified on probe hits.  The smaller
-        input is the build side, and output rows are emitted in left-major,
-        then right, order so results match the nested loop row for row.
-        """
-        # Empty inputs: return without evaluating any key expression, exactly
-        # like the nested loop (whose condition never runs when either side
-        # is empty) — an expression that would raise must not raise here.
-        if not left_rows or (not right_rows and kind != "LEFT"):
-            return []
-        if not right_rows:
-            return [_pad_row(lrow, right_keys) for lrow in left_rows]
-
-        left_expr, right_expr = equi[0]
-        residual = [BinaryOp("=", l, r) for l, r in equi[1:]] + residual
-
-        def accept(merged: Row) -> bool:
-            return all(_truthy(self._eval(p, merged)) for p in residual)
-
-        out: List[Row] = []
-        if len(right_rows) <= len(left_rows):
-            # Build on the right input, probe with left rows.
-            index: Dict[Tuple[str, Any], List[int]] = {}
-            for j, rrow in enumerate(right_rows):
-                for key in _hash_keys_build(self._eval(right_expr, rrow)):
-                    index.setdefault(key, []).append(j)
-            for lrow in left_rows:
-                matched = False
-                candidates = _probe(index, self._eval(left_expr, lrow))
-                for j in candidates:
-                    merged = _merge_rows(lrow, right_rows[j])
-                    if accept(merged):
-                        matched = True
-                        out.append(merged)
-                if not matched and kind == "LEFT":
-                    out.append(_pad_row(lrow, right_keys))
-        else:
-            # Build on the left input, probe with right rows; buffer matches
-            # per left row so the output stays in left-major order.
-            index = {}
-            for i, lrow in enumerate(left_rows):
-                for key in _hash_keys_build(self._eval(left_expr, lrow)):
-                    index.setdefault(key, []).append(i)
-            buckets: List[List[Row]] = [[] for _ in left_rows]
-            for rrow in right_rows:
-                for i in _probe(index, self._eval(right_expr, rrow)):
-                    merged = _merge_rows(left_rows[i], rrow)
-                    if accept(merged):
-                        buckets[i].append(merged)
-            for i, lrow in enumerate(left_rows):
-                if buckets[i]:
-                    out.extend(buckets[i])
-                elif kind == "LEFT":
-                    out.append(_pad_row(lrow, right_keys))
-        return out
-
-    # -- projection ---------------------------------------------------------------
-    def _project(
-        self,
-        select: Select,
-        rows: List[Row],
-        window_values: Dict[int, List[Any]],
-        source_columns: List[str],
-    ) -> Tuple[List[str], List[List[Any]]]:
-        names = self._output_names(select, source_columns)
-        out_rows: List[List[Any]] = []
-        for i, row in enumerate(rows):
-            out_row: List[Any] = []
-            for item in select.items:
-                if isinstance(item.expression, Star):
-                    out_row.extend(row.get(c) for c in source_columns)
-                else:
-                    out_row.append(self._eval(item.expression, row, window_values=window_values, row_index=i))
-            out_rows.append(out_row)
-        return names, out_rows
-
     def _output_names(self, select: Select, source_columns: List[str]) -> List[str]:
         names: List[str] = []
         for item in select.items:
@@ -713,169 +379,7 @@ class Executor:
                 unique.append(name)
         return unique
 
-    # -- grouping -------------------------------------------------------------------
-    def _execute_grouped(self, select: Select, rows: List[Row]) -> Tuple[List[str], List[List[Any]]]:
-        groups: Dict[Tuple, List[Row]] = {}
-        order: List[Tuple] = []
-        if select.group_by:
-            for row in rows:
-                key = tuple(_hashable(self._eval(e, row)) for e in select.group_by)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(row)
-        else:
-            key = ()
-            groups[key] = list(rows)
-            order.append(key)
-
-        names = self._output_names(select, source_columns=[])
-        out_rows: List[List[Any]] = []
-        for key in order:
-            group_rows = groups[key]
-            if select.having is not None:
-                having_value = self._eval_aggregate_expr(select.having, group_rows)
-                if not _truthy(having_value):
-                    continue
-            out_row = [self._eval_aggregate_expr(item.expression, group_rows) for item in select.items]
-            out_rows.append(out_row)
-        return names, out_rows
-
-    def _eval_aggregate_expr(self, expr: Expression, group_rows: List[Row]) -> Any:
-        if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_NAMES:
-            count_star = len(expr.args) == 1 and isinstance(expr.args[0], Star)
-            separator = ","
-            if expr.name in ("STRING_AGG", "GROUP_CONCAT") and len(expr.args) > 1:
-                sep_expr = expr.args[1]
-                if isinstance(sep_expr, Literal):
-                    separator = str(sep_expr.value)
-            agg = make_aggregate(expr.name, distinct=expr.distinct, count_star=count_star, separator=separator)
-            for row in group_rows:
-                if count_star:
-                    agg.add_checked(1)
-                else:
-                    agg.add_checked(self._eval(expr.args[0], row))
-            return agg.result()
-        if isinstance(expr, BinaryOp):
-            return _apply_binary(
-                expr.op,
-                self._eval_aggregate_expr(expr.left, group_rows),
-                self._eval_aggregate_expr(expr.right, group_rows),
-            )
-        if isinstance(expr, UnaryOp):
-            return _apply_unary(expr.op, self._eval_aggregate_expr(expr.operand, group_rows))
-        if isinstance(expr, Like):
-            value = self._eval_aggregate_expr(expr.operand, group_rows)
-            pattern = self._eval_aggregate_expr(expr.pattern, group_rows)
-            escape = (
-                self._eval_aggregate_expr(expr.escape, group_rows)
-                if expr.escape is not None
-                else None
-            )
-            if is_null(value) or is_null(pattern) or (expr.escape is not None and is_null(escape)):
-                return None
-            return _like_match(value, pattern, escape)
-        if isinstance(expr, Cast):
-            return coerce_value(self._eval_aggregate_expr(expr.operand, group_rows), expr.target)
-        if isinstance(expr, FunctionCall):
-            args = [self._eval_aggregate_expr(a, group_rows) for a in expr.args]
-            return call_scalar(expr.name, args)
-        if isinstance(expr, CaseWhen):
-            return self._eval_case(expr, group_rows[0] if group_rows else {}, None, None)
-        # Non-aggregate expression inside a grouped query: evaluate on the first
-        # row of the group (it is a grouping expression, so constant per group).
-        row = group_rows[0] if group_rows else {}
-        return self._eval(expr, row)
-
-    # -- window functions ---------------------------------------------------------------
-    def _compute_windows(
-        self, window_nodes: List[WindowFunction], rows: List[Row]
-    ) -> Dict[int, List[Any]]:
-        if not window_nodes:
-            return {}
-        values: Dict[int, List[Any]] = {}
-        with obs_span("sql.window", functions=len(window_nodes), rows_in=len(rows)):
-            for node in window_nodes:
-                values[id(node)] = self._evaluate_window(node, rows)
-        return values
-
-    def _evaluate_window(self, node: WindowFunction, rows: List[Row]) -> List[Any]:
-        n = len(rows)
-        partitions: Dict[Tuple, List[int]] = {}
-        for i, row in enumerate(rows):
-            key = tuple(_hashable(self._eval(e, row)) for e in node.window.partition_by)
-            partitions.setdefault(key, []).append(i)
-        result: List[Any] = [None] * n
-        for indices in partitions.values():
-            ordered = indices
-            if node.window.order_by:
-                ordered = sorted(
-                    indices,
-                    key=lambda i: tuple(
-                        _sort_key(self._eval(item.expression, rows[i]), item.descending)
-                        for item in node.window.order_by
-                    ),
-                )
-            name = node.name.upper()
-            if name == "ROW_NUMBER":
-                for rank, i in enumerate(ordered, start=1):
-                    result[i] = rank
-            elif name in ("RANK", "DENSE_RANK"):
-                prev_key = object()
-                rank = 0
-                dense = 0
-                for position, i in enumerate(ordered, start=1):
-                    key = tuple(self._eval(item.expression, rows[i]) for item in node.window.order_by)
-                    if key != prev_key:
-                        dense += 1
-                        rank = position
-                        prev_key = key
-                    result[i] = rank if name == "RANK" else dense
-            elif name in ("COUNT", "SUM", "MIN", "MAX", "AVG"):
-                agg = make_aggregate(name, count_star=(len(node.args) == 1 and isinstance(node.args[0], Star)) or not node.args)
-                for i in ordered:
-                    if node.args and not isinstance(node.args[0], Star):
-                        agg.add_checked(self._eval(node.args[0], rows[i]))
-                    else:
-                        agg.add_checked(1)
-                total = agg.result()
-                for i in ordered:
-                    result[i] = total
-            else:
-                raise ExecutionError(f"Unsupported window function: {node.name}")
-        return result
-
-    # -- ORDER BY on output ----------------------------------------------------------------
-    def _order_output(
-        self,
-        select: Select,
-        names: List[str],
-        out_rows: List[List[Any]],
-        source_rows: Optional[List[Row]] = None,
-    ) -> List[List[Any]]:
-        name_index = {name: i for i, name in enumerate(names)}
-
-        def key(position: int) -> Tuple:
-            row = out_rows[position]
-            parts = []
-            for item in select.order_by:
-                expr = item.expression
-                if isinstance(expr, ColumnRef) and expr.name in name_index:
-                    value = row[name_index[expr.name]]
-                elif isinstance(expr, Literal) and isinstance(expr.value, int):
-                    value = row[expr.value - 1]
-                elif source_rows is not None:
-                    # ORDER BY may reference source columns that were not projected.
-                    value = self._eval(expr, source_rows[position])
-                else:
-                    value = self._eval(expr, dict(zip(names, row)))
-                parts.append(_sort_key(value, item.descending))
-            return tuple(parts)
-
-        order = sorted(range(len(out_rows)), key=key)
-        return [out_rows[i] for i in order]
-
-    # -- expression evaluation ----------------------------------------------------------------
+    # -- reference interpreter --------------------------------------------------------------
     def _eval(
         self,
         expr: Expression,
@@ -883,6 +387,11 @@ class Executor:
         window_values: Optional[Dict[int, List[Any]]] = None,
         row_index: Optional[int] = None,
     ) -> Any:
+        """Evaluate ``expr`` on one row dict (column name -> value).
+
+        The compiled closures in :mod:`repro.sql.compiler` must agree with
+        this function on every value and every error.
+        """
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ColumnRef):
@@ -935,16 +444,13 @@ class Executor:
             if is_null(value):
                 return None
             items = [self._eval(i, row, window_values, row_index) for i in expr.items]
-            found = any((not is_null(i)) and _sql_equal(value, i) for i in items)
+            found = any((not is_null(i)) and sql_equal(value, i) for i in items)
             return (not found) if expr.negated else found
         if isinstance(expr, Between):
             value = self._eval(expr.operand, row, window_values, row_index)
             low = self._eval(expr.low, row, window_values, row_index)
             high = self._eval(expr.high, row, window_values, row_index)
-            if is_null(value) or is_null(low) or is_null(high):
-                return None
-            inside = low <= value <= high
-            return (not inside) if expr.negated else inside
+            return sql_between(value, low, high, expr.negated)
         if isinstance(expr, CaseWhen):
             return self._eval_case(expr, row, window_values, row_index)
         if isinstance(expr, Cast):
@@ -981,7 +487,7 @@ class Executor:
             else:
                 for condition, result in expr.whens:
                     candidate = self._eval(condition, row, window_values, row_index)
-                    if not is_null(subject) and not is_null(candidate) and _sql_equal(subject, candidate):
+                    if not is_null(subject) and not is_null(candidate) and sql_equal(subject, candidate):
                         return self._eval(result, row, window_values, row_index)
         else:
             for condition, result in expr.whens:
@@ -990,216 +496,6 @@ class Executor:
         if expr.default is not None:
             return self._eval(expr.default, row, window_values, row_index)
         return None
-
-
-# --------------------------------------------------------------------------
-# join planning helpers
-# --------------------------------------------------------------------------
-def _split_conjuncts(expr: Expression) -> List[Expression]:
-    """Flatten a tree of top-level ANDs into its conjuncts."""
-    out: List[Expression] = []
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, BinaryOp) and node.op == "AND":
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
-
-
-def _conjoin(conjuncts: Sequence[Expression]) -> Optional[Expression]:
-    """Rebuild an AND tree from conjuncts (None when there are none left)."""
-    result: Optional[Expression] = None
-    for conjunct in conjuncts:
-        result = conjunct if result is None else BinaryOp("AND", result, conjunct)
-    return result
-
-
-def _collect_refs(expr: Expression, out: List[ColumnRef]) -> bool:
-    """Collect every ColumnRef in ``expr``; False if the expression contains
-    a node whose value could depend on more than the current row (so the
-    caller must not move it around)."""
-    if isinstance(expr, Literal):
-        return True
-    if isinstance(expr, ColumnRef):
-        out.append(expr)
-        return True
-    if isinstance(expr, UnaryOp):
-        return _collect_refs(expr.operand, out)
-    if isinstance(expr, BinaryOp):
-        return _collect_refs(expr.left, out) and _collect_refs(expr.right, out)
-    if isinstance(expr, (IsNull, Between)):
-        parts = [expr.operand] + ([expr.low, expr.high] if isinstance(expr, Between) else [])
-        return all(_collect_refs(p, out) for p in parts)
-    if isinstance(expr, Like):
-        parts = [expr.operand, expr.pattern] + ([expr.escape] if expr.escape is not None else [])
-        return all(_collect_refs(p, out) for p in parts)
-    if isinstance(expr, InList):
-        return _collect_refs(expr.operand, out) and all(_collect_refs(i, out) for i in expr.items)
-    if isinstance(expr, Cast):
-        return _collect_refs(expr.operand, out)
-    if isinstance(expr, CaseWhen):
-        parts = [p for pair in expr.whens for p in pair]
-        if expr.default is not None:
-            parts.append(expr.default)
-        if expr.operand is not None:
-            parts.append(expr.operand)
-        return all(_collect_refs(p, out) for p in parts)
-    if isinstance(expr, FunctionCall):
-        if expr.name in AGGREGATE_NAMES:
-            return False
-        return all(_collect_refs(a, out) for a in expr.args)
-    # Star, WindowFunction, anything unknown: not movable.
-    return False
-
-
-def _ref_side(ref: ColumnRef, key_sets: Sequence[frozenset]) -> Optional[int]:
-    """Which join input a column reference resolves against.
-
-    Mirrors ``Executor._eval``'s lookup on a merged row: the qualified key is
-    tried first, then the bare name; for a key present in several inputs the
-    merge keeps the first input's value, so the first matching side wins.
-    Qualified keys duplicated across inputs (a repeated alias) are
-    order-dependent in the merge, so they resolve to no side.
-    """
-    key = ref.qualified if ref.table else ref.name
-    for candidate in (key, ref.name):
-        hits = [i for i, keys in enumerate(key_sets) if candidate in keys]
-        if hits:
-            if "." in candidate and len(hits) > 1:
-                return None
-            return hits[0]
-    return None
-
-
-def _sole_side(expr: Expression, key_sets: Sequence[frozenset]) -> Optional[int]:
-    """The single join input ``expr`` reads from, or None."""
-    refs: List[ColumnRef] = []
-    if not _collect_refs(expr, refs) or not refs:
-        return None
-    sides = {_ref_side(ref, key_sets) for ref in refs}
-    if len(sides) == 1 and None not in sides:
-        return sides.pop()
-    return None
-
-
-def _extract_equi_predicates(
-    condition: Expression, left_keys: frozenset, right_keys: frozenset
-) -> Tuple[List[Tuple[Expression, Expression]], List[Expression]]:
-    """Split an ON condition into hashable equalities and a residual.
-
-    An equality qualifies when one operand reads only left-input columns and
-    the other only right-input columns; pairs are returned as
-    ``(left_expr, right_expr)``.  Everything else stays in the residual list,
-    to be evaluated on probe hits.
-    """
-    key_sets = (left_keys, right_keys)
-    equi: List[Tuple[Expression, Expression]] = []
-    residual: List[Expression] = []
-    for conjunct in _split_conjuncts(condition):
-        pair = None
-        if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-            lside = _sole_side(conjunct.left, key_sets)
-            rside = _sole_side(conjunct.right, key_sets)
-            if lside == 0 and rside == 1:
-                pair = (conjunct.left, conjunct.right)
-            elif lside == 1 and rside == 0:
-                pair = (conjunct.right, conjunct.left)
-        if pair is not None:
-            equi.append(pair)
-        else:
-            residual.append(conjunct)
-    return equi, residual
-
-
-def _merge_rows(lrow: Row, rrow: Row) -> Row:
-    merged = dict(lrow)
-    for key, value in rrow.items():
-        if key not in merged or "." in key:
-            merged[key] = value
-    return merged
-
-
-def _pad_row(lrow: Row, right_keys: Sequence[str]) -> Row:
-    """Null-pad an unmatched LEFT-join row from the right input's schema."""
-    merged = dict(lrow)
-    for key in right_keys:
-        merged.setdefault(key, None)
-    return merged
-
-
-def _hash_keys_build(value: Any) -> Tuple[Tuple[str, Any], ...]:
-    """Hash-table keys a build-side value is stored under.
-
-    Keys are tagged so bucket membership coincides exactly with
-    :func:`_sql_equal`: numbers live under ``("n", float)``, any other value
-    under its string form ``("s", str)``, and numeric-looking strings
-    additionally under ``("x", float)`` so a *number* on the probe side can
-    reach them (string-vs-string comparison stays textual, exactly like
-    ``=``).  NULLs never match, so they produce no keys at all.
-
-    ``'nan'``/``'inf'`` strings are *not* numbers under ``_numeric_pair``, so
-    they carry no ``"x"`` key; non-finite floats (±inf) fall back to textual
-    comparison against strings, so they carry a ``"s"`` key too — both keep
-    bucket membership identical to :func:`_sql_equal`.
-    """
-    if is_null(value):
-        return ()
-    if isinstance(value, bool):
-        # Bools compare numerically AND textually: TRUE = 1 and TRUE = 'True'
-        # both hold under _sql_equal (its str() fallback), so store both keys.
-        # int/float need no text key — their str() form always parses back to
-        # the same float, so the numeric key already covers it.
-        return (("n", float(value)), ("s", str(value)))
-    if isinstance(value, (int, float)):
-        if not math.isfinite(value):
-            return (("n", float(value)), ("s", str(value)))
-        return (("n", float(value)),)
-    text = str(value)
-    try:
-        number = float(text.strip())
-    except ValueError:
-        return (("s", text),)
-    if not math.isfinite(number):
-        return (("s", text),)
-    return (("s", text), ("x", number))
-
-
-def _hash_keys_probe(value: Any) -> Tuple[Tuple[str, Any], ...]:
-    """Hash-table keys probed for a value; the mirror of :func:`_hash_keys_build`."""
-    if is_null(value):
-        return ()
-    if isinstance(value, bool):
-        number = float(value)
-        return (("n", number), ("x", number), ("s", str(value)))
-    if isinstance(value, (int, float)):
-        number = float(value)
-        if not math.isfinite(number):
-            return (("n", number), ("s", str(value)))
-        return (("n", number), ("x", number))
-    text = str(value)
-    try:
-        number = float(text.strip())
-    except ValueError:
-        return (("s", text),)
-    if not math.isfinite(number):
-        return (("s", text),)
-    return (("s", text), ("n", number))
-
-
-def _probe(index: Dict[Tuple[str, Any], List[int]], value: Any) -> Sequence[int]:
-    """Indices of build rows equal to ``value`` (in build-row order)."""
-    buckets = [index[k] for k in _hash_keys_probe(value) if k in index]
-    if not buckets:
-        return ()
-    if len(buckets) == 1:
-        return buckets[0]
-    # A probe can hit several buckets (numeric builds via "n", numeric-string
-    # builds via "x", bool builds via "s" too); a bool-vs-bool match appears
-    # in two of them, so dedupe, and a sort restores build order.
-    return sorted(set().union(*buckets))
 
 
 # --------------------------------------------------------------------------
@@ -1313,9 +609,9 @@ def _apply_binary(op: str, left: Any, right: Any) -> Any:
     if is_null(left) or is_null(right):
         return None
     if op == "=":
-        return _sql_equal(left, right)
+        return sql_equal(left, right)
     if op == "<>":
-        return not _sql_equal(left, right)
+        return not sql_equal(left, right)
     if op in ("<", ">", "<=", ">="):
         cmp = _compare(left, right)
         if cmp is None:

@@ -26,7 +26,6 @@ from repro.sql.ast_nodes import (
     FunctionCall,
     InList,
     IsNull,
-    Join,
     Like,
     Literal,
     OrderItem,
@@ -194,7 +193,6 @@ class Parser:
         while self._match_punct(","):
             items.append(self._parse_select_item())
         from_table: Optional[TableRef] = None
-        joins: List[Join] = []
         where = None
         group_by: List[Expression] = []
         having = None
@@ -204,8 +202,13 @@ class Parser:
         offset = None
         if self._match_keyword("FROM"):
             from_table = self._parse_table_ref()
-            while self._check_keyword("JOIN", "INNER", "LEFT"):
-                joins.append(self._parse_join())
+            if self._check_keyword("JOIN", "INNER", "LEFT"):
+                token = self._peek()
+                raise ParseError(
+                    "JOIN is not supported: a query reads one table or subquery",
+                    token.position,
+                    self.sql,
+                )
         if self._match_keyword("WHERE"):
             where = self._parse_expression()
         if self._match_keyword("GROUP"):
@@ -229,7 +232,6 @@ class Parser:
         return Select(
             items=items,
             from_table=from_table,
-            joins=joins,
             where=where,
             group_by=group_by,
             having=having,
@@ -286,19 +288,6 @@ class Parser:
         elif self._peek().type is TokenType.IDENTIFIER:
             alias = self._expect_identifier()
         return TableRef(name=name, alias=alias)
-
-    def _parse_join(self) -> Join:
-        kind = "INNER"
-        if self._match_keyword("LEFT"):
-            self._match_keyword("OUTER")
-            kind = "LEFT"
-        elif self._match_keyword("INNER"):
-            kind = "INNER"
-        self._expect_keyword("JOIN")
-        table = self._parse_table_ref()
-        self._expect_keyword("ON")
-        condition = self._parse_expression()
-        return Join(kind=kind, table=table, condition=condition)
 
     # -- expressions (precedence climbing) ---------------------------------------
     def _parse_expression(self) -> Expression:

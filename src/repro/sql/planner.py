@@ -5,27 +5,19 @@
 happens exactly once per query and hoists every decision that used to be
 re-derived inside ``Executor._execute_select`` on the fly:
 
-* which stages the query needs (scan → join → filter → group → window →
-  project → qualify → distinct → order → limit), as explicit nodes;
+* which stages the query needs (scan → filter → group → window → project →
+  qualify → distinct → order → limit), as explicit nodes;
 * whether the query aggregates (``GROUP BY`` present, or any aggregate
   function in the select list / ``HAVING``);
 * the set of window-function nodes referenced by the select list and
-  ``QUALIFY`` (collected once, not per execution phase);
-* whether the **columnar engine** may run the query: single-table queries
-  (a real ``FROM`` item, no joins) evaluate over column vectors with every
-  predicate/expression compiled once per query by
-  :mod:`repro.sql.compiler`; anything else runs on the row-dict engine.
+  ``QUALIFY`` (collected once, not per execution phase).
 
-Physical choices that depend on the *data* — hash join vs nested loop,
-which ``WHERE`` conjuncts move below a join — still bind at execution time
-when the input schemas are known; the plan records the logical stages they
-apply to.  ``SelectPlan.describe()`` renders the stage pipeline for humans
-and tests.
+``SelectPlan.describe()`` renders the stage pipeline for humans and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sql.ast_nodes import (
@@ -37,7 +29,6 @@ from repro.sql.ast_nodes import (
     FunctionCall,
     InList,
     IsNull,
-    Join,
     Like,
     OrderItem,
     Select,
@@ -64,29 +55,8 @@ class ScanNode:
 
 
 @dataclass
-class JoinNode:
-    """One JOIN against the rows produced so far.
-
-    The hash-vs-nested-loop strategy and the equi-key extraction bind at
-    execution time (they need the input schemas); the node records the
-    logical join.
-    """
-
-    join: Join
-
-    @property
-    def label(self) -> str:
-        return f"Join({self.join.kind}, {self.join.table.name or 'subquery'})"
-
-
-@dataclass
 class FilterNode:
-    """Apply the WHERE predicate.
-
-    On joined queries, single-side conjuncts may be evaluated below a join
-    (predicate pushdown) at execution time; the node holds the full
-    predicate.
-    """
+    """Apply the WHERE predicate."""
 
     predicate: Expression
 
@@ -174,11 +144,10 @@ class LimitNode:
 
 @dataclass
 class SelectPlan:
-    """The planned form of one SELECT, consumed by both executor engines."""
+    """The planned form of one SELECT, consumed by the executor's pipeline."""
 
     select: Select
     scan: Optional[ScanNode]
-    joins: List[JoinNode] = field(default_factory=list)
     filter: Optional[FilterNode] = None
     group: Optional[GroupNode] = None
     window: Optional[WindowNode] = None
@@ -187,10 +156,6 @@ class SelectPlan:
     distinct: Optional[DistinctNode] = None
     order: Optional[OrderNode] = None
     limit: Optional[LimitNode] = None
-    #: True when the columnar engine can run this plan (single-table query);
-    #: ``columnar_blocked_by`` names the reason when it cannot.
-    columnar_eligible: bool = True
-    columnar_blocked_by: Optional[str] = None
 
     @property
     def windows(self) -> List[WindowFunction]:
@@ -201,7 +166,6 @@ class SelectPlan:
         out: List[object] = []
         if self.scan is not None:
             out.append(self.scan)
-        out.extend(self.joins)
         if self.filter is not None:
             out.append(self.filter)
         if self.group is not None:
@@ -223,10 +187,7 @@ class SelectPlan:
 
     def describe(self) -> str:
         """Human-readable pipeline, one stage per line (for tests and EXPLAIN)."""
-        engine = "columnar" if self.columnar_eligible else "rowdict"
-        lines = [f"SelectPlan engine={engine}"]
-        if not self.columnar_eligible and self.columnar_blocked_by:
-            lines[0] += f" (blocked by: {self.columnar_blocked_by})"
+        lines = ["SelectPlan"]
         lines.extend(f"  {i}: {stage.label}" for i, stage in enumerate(self.stages()))
         return "\n".join(lines)
 
@@ -313,10 +274,9 @@ def plan_select(select: Select) -> SelectPlan:
     if select.qualify is not None:
         collect_windows(select.qualify, window_nodes)
 
-    plan = SelectPlan(
+    return SelectPlan(
         select=select,
         scan=ScanNode(select.from_table) if select.from_table is not None else None,
-        joins=[JoinNode(join) for join in select.joins],
         filter=FilterNode(select.where) if select.where is not None else None,
         group=GroupNode(list(select.group_by), select.having) if has_group or has_aggregate else None,
         window=WindowNode(window_nodes) if window_nodes else None,
@@ -328,10 +288,3 @@ def plan_select(select: Select) -> SelectPlan:
         if select.limit is not None or select.offset is not None
         else None,
     )
-    if select.from_table is None:
-        plan.columnar_eligible = False
-        plan.columnar_blocked_by = "no FROM clause"
-    elif select.joins:
-        plan.columnar_eligible = False
-        plan.columnar_blocked_by = "joins"
-    return plan

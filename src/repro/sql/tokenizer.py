@@ -25,6 +25,8 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
+# JOIN / ON / INNER / LEFT / OUTER stay reserved although the parser rejects
+# joins: identifier quoting keys off this set, so emitted SQL stays stable.
 KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
     "LIMIT", "OFFSET", "AS", "AND", "OR", "NOT", "IN", "IS", "NULL", "LIKE",

@@ -1,10 +1,12 @@
-"""Differential suite: compiled columnar engine vs row-dict interpreter.
+"""Differential suite: compiled closures vs the reference interpreter.
 
-Every query here runs twice — ``Executor(compiled=True)`` and
-``Executor(compiled=False)`` over the same catalog — and the results must be
-cell-identical: same column names, same row order, and per cell either both
-NULL (``is_null``, which also covers NaN) or equal with the same type.
-Errors must match too: same exception class, same message.
+Every query here runs twice over the same catalog and the same stage
+pipeline — ``Executor(compiled=True)``, where expressions compile to
+specialised closures, and ``Executor(compiled=False)``, where every
+expression compiles to the closure that calls ``Executor._eval`` — and the
+results must be cell-identical: same column names, same row order, and per
+cell either both NULL (``is_null``, which also covers NaN) or equal with
+the same type.  Errors must match too: same exception class, same message.
 
 Two layers:
 
@@ -25,9 +27,10 @@ from hypothesis import strategies as st
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql.catalog import Catalog
+from repro.sql.compiler import ColumnarBinding
 from repro.sql.errors import ExecutionError
 from repro.sql.executor import Executor
-from repro.sql.parser import parse
+from repro.sql.parser import parse, parse_expression
 
 
 def make_catalog(tables):
@@ -55,8 +58,8 @@ def run_engine(catalog, sql, compiled):
     try:
         result = executor.execute(parse(sql))
     except Exception as error:  # noqa: BLE001 - errors are part of the contract
-        return ("error", type(error), str(error)), executor.last_execution_mode
-    return ("table", result), executor.last_execution_mode
+        return ("error", type(error), str(error))
+    return ("table", result)
 
 
 def assert_cell_identical(sql, compiled_result, interpreted_result):
@@ -82,9 +85,8 @@ def assert_cell_identical(sql, compiled_result, interpreted_result):
 
 
 def check(catalog, sql):
-    compiled_result, _ = run_engine(catalog, sql, compiled=True)
-    interpreted_result, mode = run_engine(catalog, sql, compiled=False)
-    assert mode == "rowdict" or mode is None
+    compiled_result = run_engine(catalog, sql, compiled=True)
+    interpreted_result = run_engine(catalog, sql, compiled=False)
     assert_cell_identical(sql, compiled_result, interpreted_result)
     return compiled_result
 
@@ -117,6 +119,11 @@ DETERMINISTIC_QUERIES = [
     "SELECT k FROM t WHERE k IN (1, 2, k + 1)",
     "SELECT k FROM t WHERE k BETWEEN 2 AND 5",
     "SELECT k FROM t WHERE k NOT BETWEEN 2 AND 5",
+    # mixed-type BETWEEN compares like <= / >= instead of raising TypeError
+    "SELECT k FROM t WHERE k BETWEEN 2 AND '5'",
+    "SELECT k FROM t WHERE '3' BETWEEN k AND 10",
+    "SELECT k, mixed BETWEEN 0 AND 'x' AS b, mixed NOT BETWEEN '1' AND 2 AS nb FROM t",
+    "SELECT k, txt BETWEEN 1 AND 'z' AS b, val BETWEEN '0' AND grp AS vb FROM t",
     "SELECT k, CASE grp WHEN 'a' THEN 'first' WHEN 'b' THEN 'second' ELSE 'other' END AS label FROM t",
     "SELECT k, CASE grp WHEN 'a' THEN 1 END AS partial FROM t",
     "SELECT k, CASE WHEN val > 1 THEN 'big' WHEN val < 0 THEN 'neg' ELSE 'small' END AS bucket FROM t",
@@ -241,35 +248,40 @@ def test_constant_comparison_matrix(op):
         assert result[0] == "table", (lit, result)
 
 
-class TestEngineSelection:
-    def test_single_table_runs_columnar(self, catalog):
-        executor = Executor(catalog, compiled=True)
-        executor.execute(parse("SELECT k FROM t WHERE val > 1"))
-        assert executor.last_execution_mode == "columnar"
+def test_compiled_false_yields_reference_closures(monkeypatch):
+    expr = parse_expression("k + 1 > 2 AND grp LIKE 'a%'")
 
-    def test_compiled_false_runs_rowdict(self, catalog):
-        executor = Executor(catalog, compiled=False)
-        executor.execute(parse("SELECT k FROM t WHERE val > 1"))
-        assert executor.last_execution_mode == "rowdict"
+    def closure_name(executor):
+        binding = ColumnarBinding(executor, ["k", "grp"], [[1, 2], ["a", "b"]])
+        fn = binding.compile(expr)
+        assert [fn(0), fn(1)] == [False, False]
+        return fn.__name__
 
-    def test_join_falls_back_to_rowdict(self, catalog):
-        executor = Executor(catalog, compiled=True)
-        executor.execute(parse("SELECT a.k FROM t a JOIN t b ON a.k = b.k"))
-        assert executor.last_execution_mode == "rowdict"
+    assert closure_name(Executor(Catalog(), compiled=False)) == "fallback_fn"
+    assert closure_name(Executor(Catalog(), compiled=True)) != "fallback_fn"
+    monkeypatch.setenv("REPRO_SQL_COMPILED", "0")
+    assert closure_name(Executor(Catalog())) == "fallback_fn"
+    monkeypatch.setenv("REPRO_SQL_COMPILED", "1")
+    assert closure_name(Executor(Catalog())) != "fallback_fn"
+    monkeypatch.delenv("REPRO_SQL_COMPILED")
+    assert Executor(Catalog()).compiled is True
 
-    def test_no_from_falls_back_to_rowdict(self, catalog):
-        executor = Executor(catalog, compiled=True)
-        executor.execute(parse("SELECT 1 + 1"))
-        assert executor.last_execution_mode == "rowdict"
 
-    def test_env_var_escape_hatch(self, catalog, monkeypatch):
-        monkeypatch.setenv("REPRO_SQL_COMPILED", "0")
-        executor = Executor(catalog)
-        assert executor.compiled is False
-        monkeypatch.setenv("REPRO_SQL_COMPILED", "1")
-        assert Executor(catalog).compiled is True
-        monkeypatch.delenv("REPRO_SQL_COMPILED")
-        assert Executor(catalog).compiled is True
+@pytest.mark.parametrize(
+    "sql, kind",
+    [
+        ("SELECT 1 + 1 AS two, 'x' || 'y' AS xy, 5 BETWEEN 1 AND '10' AS b", "table"),
+        ("SELECT COUNT(*) AS n, MAX(3) AS m, SUM(NULL) AS s", "table"),
+        ("SELECT nope", "error"),
+    ],
+)
+def test_no_from_parity(catalog, sql, kind):
+    result = check(catalog, sql)
+    assert result[0] == kind
+    if kind == "table":
+        assert result[1].num_rows == 1
+    else:
+        assert result[1:] == (ExecutionError, "Unknown column 'nope'; available: []")
 
 
 class TestEmptyTableParity:
@@ -340,6 +352,7 @@ def tables(draw):
 
 LITERALS = st.sampled_from(["0", "1", "2.5", "'a'", "'b'", "''", "'1'", "NULL"])
 COLUMNS = st.sampled_from(["k", "grp", "val", "txt", "mixed"])
+BETWEEN_HIGHS = st.sampled_from(["2", "5.5", "'3'", "'b'"])
 LIKE_PATTERNS = st.sampled_from(
     ["'%a%'", "'a%'", "'%b'", "'_'", "'a!%%' ESCAPE '!'", "'!_%' ESCAPE '!'", "''"]
 )
@@ -366,7 +379,7 @@ def predicates(draw, depth=0):
         items = ", ".join(draw(st.lists(LITERALS, min_size=1, max_size=3)))
         return f"{column} {draw(st.sampled_from(['IN', 'NOT IN']))} ({items})"
     if kind == "between":
-        return f"{column} BETWEEN 0 AND {draw(st.sampled_from(['2', '5.5']))}"
+        return f"{column} BETWEEN 0 AND {draw(BETWEEN_HIGHS)}"
     if kind == "not":
         return f"NOT ({draw(predicates(depth + 1))})"
     joiner = "AND" if kind == "and" else "OR"
@@ -418,16 +431,11 @@ def select_queries(draw):
 @given(table=tables(), sql=select_queries())
 def test_random_selects_match_interpreter(table, sql):
     catalog = make_catalog([table])
-    compiled_result, _ = run_engine(catalog, sql, compiled=True)
-    interpreted_result, _ = run_engine(catalog, sql, compiled=False)
-    assert_cell_identical(sql, compiled_result, interpreted_result)
+    check(catalog, sql)
 
 
 @settings(max_examples=60, deadline=None)
 @given(table=tables(), predicate=predicates())
 def test_random_predicates_match_interpreter(table, predicate):
     catalog = make_catalog([table])
-    sql = f"SELECT k FROM t WHERE {predicate}"
-    compiled_result, _ = run_engine(catalog, sql, compiled=True)
-    interpreted_result, _ = run_engine(catalog, sql, compiled=False)
-    assert_cell_identical(sql, compiled_result, interpreted_result)
+    check(catalog, f"SELECT k FROM t WHERE {predicate}")

@@ -4,7 +4,9 @@ import pytest
 
 from repro.dataframe import Table
 from repro.sql import Database
-from repro.sql.errors import CatalogError, ExecutionError
+from repro.sql.comparison import sql_between
+from repro.sql.errors import CatalogError, ExecutionError, ParseError
+from repro.sql.parser import parse
 
 
 class TestProjectionAndFilter:
@@ -68,6 +70,49 @@ class TestProjectionAndFilter:
 
     def test_division_by_zero_is_null(self, db):
         assert db.scalar("SELECT 1 / 0") is None
+
+
+class TestBetweenMixedTypes:
+    """BETWEEN compares a mixed pair the way ``<=`` / ``>=`` do, instead of
+    leaking Python's ``TypeError``."""
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            ("SELECT 5 BETWEEN 1 AND '10'", True),
+            ("SELECT '7' BETWEEN 5 AND 10", True),
+            ("SELECT 7 BETWEEN '5' AND '10'", True),
+            ("SELECT 11 BETWEEN 1 AND '10'", False),
+            ("SELECT 5 NOT BETWEEN 1 AND '10'", False),
+            ("SELECT 'abc' BETWEEN 1 AND 5", False),
+            ("SELECT NULL BETWEEN 1 AND '10'", None),
+            ("SELECT 5 BETWEEN NULL AND '10'", None),
+        ],
+    )
+    def test_mixed_operands(self, sql, expected, compiled):
+        assert Database(compiled=compiled).scalar(sql) is expected
+
+    def test_matches_the_comparison_operators(self):
+        db = Database()
+        assert db.scalar("SELECT 7 BETWEEN '5' AND '10'") == db.scalar("SELECT 7 >= '5' AND 7 <= '10'")
+
+    def test_mixed_column_filter(self):
+        db = Database()
+        db.register(Table.from_dict("t", {"v": [1, "3", "x", 7.5, None, True]}))
+        assert db.column_values("SELECT v FROM t WHERE v BETWEEN 1 AND '5'") == [1, "3", True]
+
+    def test_orderable_operands_keep_python_answers(self):
+        values = [0, 1, -3, 2 ** 53, 2 ** 53 + 1, 2.5, float(2 ** 53), True, False, "", "a", "7", " 7 "]
+        for value in values:
+            for low in values:
+                for high in values:
+                    try:
+                        expected = low <= value <= high
+                    except TypeError:
+                        continue
+                    assert sql_between(value, low, high) is expected, (value, low, high)
+                    assert sql_between(value, low, high, negated=True) is (not expected)
 
 
 class TestOrderingAndLimits:
@@ -172,7 +217,89 @@ class TestDdlAndCatalog:
         )
         assert result.cell(0, "n") == 5
 
-    def test_join_execution(self, db):
+    def test_join_is_rejected(self, db):
         db.register(Table.from_dict("cities", {"city": ["NY", "LA"], "state": ["New York", "California"]}))
-        result = db.sql("SELECT p.name, c.state FROM people p JOIN cities c ON p.city = c.city")
-        assert result.num_rows == 4
+        with pytest.raises(ParseError, match="JOIN"):
+            db.sql("SELECT p.name, c.state FROM people p JOIN cities c ON p.city = c.city")
+
+
+@pytest.fixture
+def orders():
+    return Table.from_dict(
+        "orders",
+        {
+            "order_id": [1, 2, 3, 4, 5, 6],
+            "customer": ["ann", "bob", "ann", None, "eve", "dan"],
+            "amount": [10, 25, 40, 5, 60, 15],
+        },
+    )
+
+
+def _orders_db(orders, compiled=None):
+    db = Database(compiled=compiled)
+    db.register(orders)
+    return db
+
+
+class TestScanKeyHygiene:
+    def test_single_table_scan_has_no_qualified_duplicates(self, orders):
+        db = _orders_db(orders)
+        columns, vectors, n = db.executor._scan(parse("SELECT * FROM orders o").from_table)
+        assert columns == ["order_id", "customer", "amount"]
+        assert len(vectors) == len(columns)
+        assert n == 6
+        assert db.sql("SELECT * FROM orders o").column_names == columns
+
+    def test_qualified_reference_still_resolves_without_join(self, orders):
+        db = _orders_db(orders)
+        result = db.sql("SELECT o.amount FROM orders o WHERE o.order_id = 2")
+        assert result.to_dict() == {"amount": [25]}
+
+    def test_unknown_column_still_raises(self, orders):
+        db = _orders_db(orders)
+        with pytest.raises(ExecutionError):
+            db.sql("SELECT missing FROM orders")
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+class TestColumnEquality:
+    """``=`` between two columns, in the compiled and the reference-closure
+    mode: the same coercions the cleaner's equality checks rely on."""
+
+    @staticmethod
+    def _matches(compiled, left, right):
+        db = Database(compiled=compiled)
+        db.register(Table.from_dict("t", {"a": left, "b": right, "i": list(range(len(left)))}))
+        return db.column_values("SELECT i FROM t WHERE a = b")
+
+    def test_numeric_string_coercion(self, compiled):
+        # '=' implicitly casts number-vs-numeric-string.
+        assert self._matches(compiled, [1, 2, 3, 4], ["1.0", "2", "x", "04"]) == [0, 1, 3]
+
+    def test_string_string_stays_textual(self, compiled):
+        # Two strings never compare numerically: '5' <> '5.0'.
+        assert self._matches(compiled, ["5", "6"], ["5.0", "6"]) == [1]
+
+    def test_boolean_matches_numbers_and_their_text_form(self, compiled):
+        # A bool equals 1/0, '1.0'/'0' and its str() form 'True'/'False'.
+        left = [True, True, True, True, True, False, False, False, False]
+        right = ["True", 1, "1.0", "x", True, "False", 0, "0", "True"]
+        assert self._matches(compiled, left, right) == [0, 1, 2, 4, 5, 6, 7]
+
+    def test_null_never_matches(self, compiled):
+        assert self._matches(compiled, [None, None, 1, 2], [None, 1, 1, None]) == [2]
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_subquery_input_with_alias(orders, compiled):
+    db = _orders_db(orders, compiled)
+    result = db.sql(
+        "SELECT s.customer, COUNT(*) AS n, SUM(s.amount) AS total "
+        "FROM (SELECT customer, amount FROM orders WHERE customer IS NOT NULL) s "
+        "WHERE s.amount > 5 GROUP BY s.customer ORDER BY n DESC, s.customer"
+    )
+    assert result.to_dict() == {
+        "customer": ["ann", "bob", "dan", "eve"],
+        "n": [2, 1, 1, 1],
+        "total": [50, 25, 15, 60],
+    }

@@ -1,5 +1,8 @@
-"""The plan phase: stage pipelines, engine eligibility, description."""
+"""The plan phase: stage pipelines and their description."""
 
+import pytest
+
+from repro.sql.errors import ParseError
 from repro.sql.parser import parse
 from repro.sql.planner import plan_select
 
@@ -13,7 +16,6 @@ class TestStagePipelines:
     def test_plain_scan_project(self):
         plan, stages = stages_of("SELECT name FROM people")
         assert stages == ["ScanNode", "ProjectNode"]
-        assert plan.columnar_eligible
 
     def test_full_single_table_pipeline(self):
         plan, stages = stages_of(
@@ -31,7 +33,6 @@ class TestStagePipelines:
             "OrderNode",
             "LimitNode",
         ]
-        assert plan.columnar_eligible
 
     def test_group_by_replaces_window_project_qualify(self):
         plan, stages = stages_of(
@@ -46,11 +47,20 @@ class TestStagePipelines:
         assert plan.group is not None
         assert plan.group.keys == []
 
-    def test_join_pipeline(self):
-        plan, stages = stages_of(
-            "SELECT a.name FROM people a JOIN people b ON a.name = b.name WHERE a.age > 1"
-        )
-        assert stages[:3] == ["ScanNode", "JoinNode", "FilterNode"]
+    def test_join_never_reaches_the_planner(self):
+        with pytest.raises(ParseError, match="JOIN"):
+            stages_of("SELECT a.name FROM people a JOIN people b ON a.name = b.name WHERE a.age > 1")
+
+    def test_no_from_has_no_scan(self):
+        plan, stages = stages_of("SELECT 1 + 1")
+        assert plan.scan is None
+        assert stages == ["ProjectNode"]
+
+    def test_subquery_from_scans_the_derived_table(self):
+        # The inner SELECT gets its own plan when it executes.
+        plan, stages = stages_of("SELECT name FROM (SELECT name FROM people) sub")
+        assert stages == ["ScanNode", "ProjectNode"]
+        assert plan.scan.ref.subquery is not None
 
     def test_windows_collected_from_items_and_qualify_once(self):
         plan, _ = stages_of(
@@ -61,39 +71,13 @@ class TestStagePipelines:
         assert len(plan.windows) == 2
 
 
-class TestColumnarEligibility:
-    def test_single_table_is_eligible(self):
-        plan, _ = stages_of("SELECT name FROM people WHERE age > 1")
-        assert plan.columnar_eligible
-        assert plan.columnar_blocked_by is None
-
-    def test_no_from_is_blocked(self):
-        plan, _ = stages_of("SELECT 1 + 1")
-        assert not plan.columnar_eligible
-        assert plan.columnar_blocked_by == "no FROM clause"
-
-    def test_joins_are_blocked(self):
-        plan, _ = stages_of("SELECT * FROM a JOIN b ON a.x = b.x")
-        assert not plan.columnar_eligible
-        assert plan.columnar_blocked_by == "joins"
-
-    def test_subquery_from_is_eligible(self):
-        # The inner SELECT gets its own plan when it executes.
-        plan, _ = stages_of("SELECT name FROM (SELECT name FROM people) sub")
-        assert plan.columnar_eligible
-
-
 class TestDescribe:
     def test_describe_lists_stages_in_order(self):
         plan, _ = stages_of("SELECT name FROM people WHERE age > 1 ORDER BY name")
         text = plan.describe()
         lines = text.splitlines()
-        assert lines[0] == "SelectPlan engine=columnar"
+        assert lines[0] == "SelectPlan"
         assert "Scan(people)" in lines[1]
         assert "Filter" in lines[2]
         assert "Project" in lines[3]
         assert "Order" in lines[4]
-
-    def test_describe_names_the_blocker(self):
-        plan, _ = stages_of("SELECT * FROM a JOIN b ON a.x = b.x")
-        assert "blocked by: joins" in plan.describe().splitlines()[0]

@@ -133,14 +133,14 @@ class TestStatementParsing:
         assert stmt.from_table.subquery is not None
         assert stmt.from_table.alias == "sub"
 
-    def test_join(self):
-        stmt = parse("SELECT * FROM a JOIN b ON a.k = b.k")
-        assert len(stmt.joins) == 1
-        assert stmt.joins[0].kind == "INNER"
+    @pytest.mark.parametrize("join", ["JOIN", "INNER JOIN", "LEFT JOIN", "LEFT OUTER JOIN"])
+    def test_join_is_unsupported(self, join):
+        with pytest.raises(ParseError, match="JOIN is not supported"):
+            parse(f"SELECT * FROM a {join} b ON a.k = b.k")
 
-    def test_left_join(self):
-        stmt = parse("SELECT * FROM a LEFT JOIN b ON a.k = b.k")
-        assert stmt.joins[0].kind == "LEFT"
+    def test_join_after_subquery_is_unsupported(self):
+        with pytest.raises(ParseError, match="JOIN"):
+            parse("SELECT * FROM (SELECT k FROM a) s JOIN b ON s.k = b.k")
 
     def test_qualify(self):
         stmt = parse("SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY a ORDER BY b) = 1")
