@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.dataframe.table import Table
 from repro.llm.base import LLMClient
@@ -66,7 +66,9 @@ class CleaningContext:
         self.lineage = lineage
         self.current_table_name = base_table
         self._step = 0
-        self._profile_cache: Dict[str, TableProfile] = {}
+        # The profile of ``_profiled``, the table version it was built for.
+        self._profile: Optional[TableProfile] = None
+        self._profiled: Optional[Table] = None
         self.sql_statements: List[str] = []
 
     # -- table versioning -----------------------------------------------------
@@ -82,19 +84,27 @@ class CleaningContext:
         """Record an executed cleaning statement and move to the new table version."""
         self.current_table_name = new_table_name
         self.sql_statements.append(sql)
-        self._profile_cache.pop(new_table_name, None)
 
     # -- profiling --------------------------------------------------------------
-    def profile(self, refresh: bool = False) -> TableProfile:
-        """Profile of the *current* table version (cached until the table advances)."""
-        name = self.current_table_name
-        if refresh or name not in self._profile_cache:
-            self._profile_cache[name] = profile_table(
+    def profile(self) -> TableProfile:
+        """Lazy profile of the *current* table version.
+
+        One profile per version, recognised by the identity of the table
+        object, so it holds until the table advances.  The next version's
+        profile inherits the column profiles of every column the step left
+        untouched; all else is computed when first read.
+        """
+        table = self.current_table()
+        if table is not self._profiled:
+            profile = profile_table(
                 self.data_only_table(),
                 max_values_per_column=self.config.sample_values,
                 fd_min_score=self.config.fd_min_score,
             )
-        return self._profile_cache[name]
+            if self._profile is not None:
+                profile.inherit(self._profile)
+            self._profile, self._profiled = profile, table
+        return self._profile
 
     def data_only_table(self) -> Table:
         """The current table without the internal row-id bookkeeping column."""

@@ -27,9 +27,8 @@ class ColumnTypeOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
         for column_name in context.data_columns():
-            column_profile = profile.column(column_name)
+            column_profile = context.profile().column(column_name)
             if column_profile.dtype is not ColumnType.VARCHAR:
                 # Already a typed column in the catalog; nothing to cast.
                 continue

@@ -25,7 +25,7 @@ class DuplicationOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         result = OperatorResult(issue_type=self.issue_type, target=context.base_table)
-        profile = context.profile(refresh=True)
+        profile = context.profile()
         duplicate_rows = profile.duplicate_rows
         if duplicate_rows == 0:
             result.skipped_reason = "no duplicated rows detected statistically"

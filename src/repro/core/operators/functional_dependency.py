@@ -39,7 +39,7 @@ class FunctionalDependencyOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
+        profile = context.profile()
         row_count = max(1, profile.row_count)
         candidates = []
         for candidate in profile.fd_candidates:

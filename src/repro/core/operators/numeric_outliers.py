@@ -23,9 +23,8 @@ class NumericOutlierOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
         for column_name in context.data_columns():
-            column_profile = profile.column(column_name)
+            column_profile = context.profile().column(column_name)
             if not column_profile.is_numeric:
                 continue
             with self.target_span(column_name):

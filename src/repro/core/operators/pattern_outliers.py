@@ -30,9 +30,8 @@ class PatternOutlierOperator(CleaningOperator):
 
     def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
         results: List[OperatorResult] = []
-        profile = context.profile(refresh=True)
         for column_name in context.data_columns():
-            column_profile = profile.column(column_name)
+            column_profile = context.profile().column(column_name)
             if column_profile.dtype is not ColumnType.VARCHAR:
                 continue
             if column_profile.distinct_count > context.config.max_categorical_distinct:

@@ -1,7 +1,7 @@
 """SQL tokenizer.
 
 Splits a SQL string into a stream of typed tokens.  Supports single-quoted
-string literals with doubled-quote escaping, double-quoted identifiers,
+string literals and double-quoted identifiers, both with doubled-quote escaping,
 numeric literals, line comments (``--``) and block comments (``/* */``),
 and multi-character operators.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.sql.errors import ParseError
 
@@ -53,6 +53,27 @@ class Token:
         return f"Token({self.type.name}, {self.value!r})"
 
 
+def _read_quoted(sql: str, start: int) -> Tuple[str, int]:
+    """The text quoted at ``start`` and the index just past its closing quote.
+
+    Inside the quotes a doubled quote character stands for one, in string
+    literals (``'it''s'``) and quoted identifiers (``"a""b"``) alike.
+    """
+    quote = sql[start]
+    parts = []
+    i = start + 1
+    while True:
+        end = sql.find(quote, i)
+        if end == -1:
+            what = "string literal" if quote == "'" else "quoted identifier"
+            raise ParseError(f"Unterminated {what}", start, sql)
+        parts.append(sql[i:end])
+        if not sql.startswith(quote, end + 1):
+            return "".join(parts), end + 1
+        parts.append(quote)
+        i = end + 2
+
+
 def tokenize(sql: str) -> List[Token]:
     """Tokenize ``sql`` into a list of tokens ending with EOF."""
     tokens: List[Token] = []
@@ -73,29 +94,10 @@ def tokenize(sql: str) -> List[Token]:
                 raise ParseError("Unterminated block comment", i, sql)
             i = end + 2
             continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise ParseError("Unterminated string literal", i, sql)
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        buf.append("'")
-                        j += 2
-                        continue
-                    break
-                buf.append(sql[j])
-                j += 1
-            tokens.append(Token(TokenType.STRING, "".join(buf), i))
-            i = j + 1
-            continue
-        if ch == '"':
-            j = sql.find('"', i + 1)
-            if j == -1:
-                raise ParseError("Unterminated quoted identifier", i, sql)
-            tokens.append(Token(TokenType.IDENTIFIER, sql[i + 1: j], i))
-            i = j + 1
+        if ch == "'" or ch == '"':
+            text, end = _read_quoted(sql, i)
+            tokens.append(Token(TokenType.STRING if ch == "'" else TokenType.IDENTIFIER, text, i))
+            i = end
             continue
         if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
             j = i

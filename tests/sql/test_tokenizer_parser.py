@@ -36,6 +36,15 @@ class TestTokenizer:
         assert tokens[1].type is TokenType.IDENTIFIER
         assert tokens[1].value == "Weird Name"
 
+    def test_doubled_quote_in_quoted_identifier(self):
+        tokens = tokenize('SELECT "a""b", """" FROM "t"')
+        identifiers = [t.value for t in tokens if t.type is TokenType.IDENTIFIER]
+        assert identifiers == ['a"b', '"', "t"]
+
+    def test_unterminated_quoted_identifier_raises(self):
+        with pytest.raises(ParseError):
+            tokenize('SELECT "a""b')
+
     def test_numbers(self):
         tokens = tokenize("SELECT 1, 2.5, 1e3")
         values = [t.value for t in tokens if t.type is TokenType.NUMBER]
@@ -115,6 +124,13 @@ class TestStatementParsing:
         assert isinstance(stmt, Select)
         assert stmt.limit == 5
         assert len(stmt.items) == 2
+
+    def test_doubled_quote_in_identifier_names_one_column(self):
+        stmt = parse('SELECT "a""b" AS "x""y" FROM "t""u"')
+        item = stmt.items[0]
+        assert item.expression == ColumnRef('a"b')
+        assert item.alias == 'x"y'
+        assert parse_expression('"a""b" = 1').left == ColumnRef('a"b')
 
     def test_select_star(self):
         stmt = parse("SELECT * FROM t")
