@@ -16,8 +16,6 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from repro import CleaningService, CocoonCleaner, dataset_names, load_dataset
 from repro.llm import SimulatedSemanticLLM
 
@@ -78,30 +76,4 @@ def test_service_throughput_vs_sequential(benchmark, bench_scale, bench_seed):
     assert speedup >= 1.5, (
         f"4-worker service was only {speedup:.2f}x faster than sequential "
         f"({service_seconds:.2f}s vs {sequential_seconds:.2f}s)"
-    )
-
-
-@pytest.mark.parametrize("chunk_rows", [100])
-def test_chunked_job_throughput(benchmark, bench_scale, bench_seed, chunk_rows):
-    """Chunked execution of the largest registry dataset through the service."""
-    table = load_dataset("movies", seed=bench_seed, scale=bench_scale * SCALE_FACTOR).dirty
-
-    def run():
-        with CleaningService(
-            workers=1, llm_factory=_llm_factory, default_chunk_rows=chunk_rows, chunk_workers=4
-        ) as service:
-            return service.submit(table).wait()
-
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert result.ok
-    benchmark.extra_info.update(
-        {
-            "dataset": "movies",
-            "rows": table.num_rows,
-            "chunk_rows": chunk_rows,
-            "chunk_count": result.chunk_count,
-            "fell_back": result.fell_back,
-            "run_seconds": round(result.run_seconds, 3),
-            "llm_calls": result.llm_calls,
-        }
     )

@@ -34,11 +34,6 @@ def main() -> None:
     print()
     print(render_service_summary(service.stats()))
 
-    print()
-    print("Chunked mode: the same service partitions large tables on request,")
-    print("cleaning column-level issues per chunk and table-level issues on the")
-    print("merged result — see repro.service.clean_chunked.")
-
 
 if __name__ == "__main__":
     main()

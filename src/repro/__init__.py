@@ -22,7 +22,6 @@ from repro.service import (
     JobResult,
     JobStatus,
     ServiceStats,
-    clean_chunked,
 )
 
 __version__ = "1.1.0"
@@ -36,7 +35,6 @@ __all__ = [
     "JobResult",
     "JobStatus",
     "ServiceStats",
-    "clean_chunked",
     "load_dataset",
     "dataset_names",
     "EvaluationConventions",

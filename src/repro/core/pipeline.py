@@ -30,8 +30,7 @@ def run_operators(
     """Run cleaning operators against a prepared context.
 
     This is the single execution path shared by :class:`CocoonCleaner` and the
-    concurrent service layer (:mod:`repro.service`): both whole-table runs and
-    per-chunk runs reduce to this call with a different operator subset.  When
+    streaming engine, which passes its own operator subset.  When
     ``operators`` is None the canonical workflow order filtered by the
     context's config is used.
     """

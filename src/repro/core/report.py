@@ -115,11 +115,6 @@ def render_service_summary(stats: "ServiceStats") -> str:
         f"latency     : avg {stats.run_seconds_avg:.2f}s, p50 {stats.run_seconds_p50:.2f}s, "
         f"max {stats.run_seconds_max:.2f}s per job (avg queue wait {stats.wait_seconds_avg:.2f}s)",
     ]
-    if stats.chunked_jobs or stats.fallback_jobs:
-        lines.append(
-            f"chunking    : {stats.chunked_jobs} jobs chunked, "
-            f"{stats.fallback_jobs} fell back to whole-table mode"
-        )
     if stats.wall_seconds > 0 and stats.jobs_succeeded > 1:
         lines.append(f"concurrency : {stats.speedup_over_sequential:.2f}x speedup over summed job runtimes")
     return "\n".join(lines)

@@ -35,11 +35,7 @@ ISSUE_ORDER: List[str] = [
     "column_uniqueness",
 ]
 
-#: Issues judged per column, independent of other rows' relationships.  The
-#: service layer's chunked mode runs these on horizontal partitions; note the
-#: judgements are frequency-driven, so partitioned runs approximate (and with
-#: generous chunk sizes match) whole-table behaviour — see
-#: :mod:`repro.service.chunking`.
+#: Issues judged per column, independent of other rows' relationships.
 COLUMN_LEVEL_ISSUES: List[str] = [
     "string_outliers",
     "pattern_outliers",
@@ -49,8 +45,7 @@ COLUMN_LEVEL_ISSUES: List[str] = [
 ]
 
 #: Issues that reason across whole rows or row pairs (functional dependencies,
-#: duplicate rows, key uniqueness).  Chunked cleaning must run these on the
-#: merged table, never per partition.
+#: duplicate rows, key uniqueness).
 TABLE_LEVEL_ISSUES: List[str] = [
     "functional_dependency",
     "duplication",

@@ -70,7 +70,7 @@ class BenchmarkDataset:
             dirty_values = self.dirty.column(column).values
             clean_values = self.clean.column(column).values
             for i, (d, c) in enumerate(zip(dirty_values, clean_values)):
-                if _strict_differs(d, c):
+                if strict_differs(d, c):
                     cells.add((i, column))
         return cells
 
@@ -110,7 +110,3 @@ def strict_differs(dirty_value: object, clean_value: object) -> bool:
     if is_null(dirty_value) != is_null(clean_value):
         return True
     return str(dirty_value) != str(clean_value)
-
-
-#: Backwards-compatible private alias (pre-scenarios name).
-_strict_differs = strict_differs

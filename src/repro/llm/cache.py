@@ -232,8 +232,8 @@ def cached_client(
 ) -> LLMClient:
     """Wrap ``inner`` with a shared store, or return it unchanged when ``store`` is None.
 
-    The one construction path the scheduler, chunked cleaning and the
-    experiment matrix all use for per-job/per-chunk clients.  ``namespace``
+    The one construction path the scheduler, the gateway's streams and the
+    experiment matrix all use for per-job clients.  ``namespace``
     partitions the shared store (see :func:`prompt_cache_key`).
     """
     if store is None:

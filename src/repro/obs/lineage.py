@@ -121,9 +121,7 @@ class LineageRecorder:
     """Accumulates lineage records for one cleaning run (or one stream).
 
     Not thread-safe by design: every execution path that records into one
-    instance (a pipeline run, one chunk, one stream engine) is single
-    threaded; concurrent chunks each own a recorder and :meth:`merge` folds
-    them afterwards.
+    instance (a pipeline run, one stream engine) is single threaded.
     """
 
     def __init__(self, phase: str = "batch"):
@@ -261,13 +259,6 @@ class LineageRecorder:
             r for r in self.records if not (r["event"] == "remove" and r["row_id"] in ids)
         ]
         return before - len(self.records)
-
-    def merge(self, other: "LineageRecorder") -> None:
-        """Fold another recorder's records in (chunked cleaning), re-sequencing."""
-        for record in other.records:
-            copied = dict(record)
-            copied["seq"] = self._next_seq()
-            self.records.append(copied)
 
     def reset(self) -> None:
         """Forget everything (a stream re-plan rebuilds lineage from scratch)."""

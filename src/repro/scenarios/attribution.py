@@ -133,7 +133,7 @@ def score_result(
     if recorder is None:
         raise ValueError(
             "cleaning result carries no lineage recorder; run through "
-            "CocoonCleaner (or clean_chunked) from this version of the pipeline"
+            "CocoonCleaner from this version of the pipeline"
         )
     card = AttributionScorecard(
         scenario=generated.spec.name,

@@ -55,12 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="Per-stream backpressure bound; fuller streams answer 429 (default: 4)",
     )
-    parser.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=0,
-        help="Partition tables larger than this many rows (0 = whole-table mode)",
-    )
     parser.add_argument("--cache", default=None, help="Persistent JSON prompt-cache path")
     parser.add_argument(
         "--flush-every",
@@ -118,7 +112,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         llm_factory=llm_factory,
         cache_path=args.cache,
         cache_flush_every=args.flush_every,
-        default_chunk_rows=args.chunk_rows,
         retry_after_seconds=args.retry_after,
         tracing=not args.no_tracing,
     )

@@ -52,6 +52,9 @@ _EVENT_KEYS = (
     "rejected_backpressure",
 )
 
+#: The fields ``POST /v1/jobs`` accepts; any other field answers 400.
+_JOB_FIELDS = frozenset({"csv", "columns", "name", "priority"})
+
 
 class BadRequest(ValueError):
     """The request payload cannot be turned into work (HTTP 400)."""
@@ -81,7 +84,6 @@ class CleaningGateway:
         cache_path: Optional[Union[str, Path]] = None,
         cache_store: Optional[PromptCacheStore] = None,
         cache_flush_every: int = 32,
-        default_chunk_rows: int = 0,
         retry_after_seconds: float = 1.0,
         metrics_registry: Optional[MetricsRegistry] = None,
         tracing: bool = True,
@@ -108,7 +110,6 @@ class CleaningGateway:
             llm_factory=self.llm_factory,
             config=config,
             cache_store=self.cache,
-            default_chunk_rows=default_chunk_rows,
             max_pending_jobs=max_pending_jobs,
             metrics_registry=self.registry,
         )
@@ -203,22 +204,25 @@ class CleaningGateway:
         Raises :class:`~repro.service.ServiceSaturated` when bounded
         admission refuses the job (mapped to 429 upstream).
         """
+        unknown = sorted(set(payload) - _JOB_FIELDS)
+        if unknown:
+            # Fields are checked, not ignored, so a removed option cannot be
+            # sent and silently dropped.
+            raise BadRequest(
+                f"unknown job field(s) {', '.join(map(repr, unknown))}; "
+                f"a job accepts {', '.join(sorted(_JOB_FIELDS))}"
+            )
         table = self.parse_table(payload, default_name="job")
         priority = payload.get("priority", 0)
-        chunk_rows = payload.get("chunk_rows")
         if not isinstance(priority, int):
             raise BadRequest("'priority' must be an integer")
-        if chunk_rows is not None and not isinstance(chunk_rows, int):
-            raise BadRequest("'chunk_rows' must be an integer")
         # Capture the caller's span (the HTTP layer's ``server.request``) so
         # the worker thread can parent its ``service.job`` trace under it.
         metadata: Dict[str, Any] = {}
         parent = current_ref()
         if parent is not None:
             metadata["trace_parent"] = parent
-        job = self.service.submit(
-            table, priority=priority, chunk_rows=chunk_rows, metadata=metadata
-        )
+        job = self.service.submit(table, priority=priority, metadata=metadata)
         self.count("jobs_submitted")
         return {
             "job_id": job.job_id,

@@ -118,8 +118,19 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             headers["Retry-After"] = str(max(1, int(round(retry_after))))
         self._send_json(status, {"error": message}, headers)
 
+    def _parse_content_length(self) -> int:
+        """The request's body length; a malformed header is a 400.
+
+        ``int()`` alone would let ``-1`` through to ``rfile.read(-1)``, which
+        blocks until the client hangs up, and turn ``abc`` into a 500.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise BadRequest(f"Content-Length must be a non-negative integer, got {raw!r}")
+        return int(raw)
+
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._body_length
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"request body of {length} bytes exceeds the {MAX_BODY_BYTES} limit")
         self._body_consumed = True
@@ -132,15 +143,16 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         while draining, over-limit 400) leave the request body in the socket;
         the next pipelined request would then be parsed from those bytes.
         Small bodies are drained so the connection stays reusable; large ones
-        force a close instead of burning time reading garbage.
+        force a close instead of burning time reading garbage, and so does a
+        malformed ``Content-Length``, whose body has no known end.
         """
         if getattr(self, "_body_consumed", False):
             return
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            length = 0
-        if length <= 0:
+        length = self._body_length
+        if length is None:
+            self.close_connection = True
+            return
+        if length == 0:
             return
         if length <= 1 << 20:
             try:
@@ -179,6 +191,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
         gateway.count("requests")
         path = urlparse(self.path).path
         self._body_consumed = False
+        self._body_length: Optional[int] = None
         self._last_status = 0
         self._request_id = (self.headers.get("X-Request-Id") or "").strip() or uuid.uuid4().hex[:12]
         # The request root span: submitted jobs parent under it, so one trace
@@ -191,6 +204,7 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             path=path,
         ) as sp:
             try:
+                self._body_length = self._parse_content_length()
                 self._route(method, path, gateway)
             except BadRequest as exc:
                 self._send_error_json(400, str(exc))

@@ -11,16 +11,12 @@ scaling layer the ROADMAP's production north-star asks for:
 * :mod:`repro.service.scheduler` — :class:`CleaningService`, a thread worker
   pool giving every job an isolated database/context/LLM while sharing one
   thread-safe prompt cache;
-* :mod:`repro.service.chunking` — partitioned cleaning of large tables
-  (column-level issues per chunk in parallel, table-level issues on the
-  merged result) with a whole-table fallback;
 * :mod:`repro.service.stats` — throughput / latency / cache metrics,
   rendered by :func:`repro.core.report.render_service_summary`;
 * :mod:`repro.service.cli` — ``python -m repro.service`` for cleaning a
   directory of CSV files concurrently.
 """
 
-from repro.service.chunking import ChunkedCleaningResult, ChunkMergeError, clean_chunked
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
 from repro.service.pool import WorkerPool
 from repro.service.queue import JobQueue, QueueClosed
@@ -36,9 +32,6 @@ __all__ = [
     "JobQueue",
     "QueueClosed",
     "WorkerPool",
-    "clean_chunked",
-    "ChunkedCleaningResult",
-    "ChunkMergeError",
     "ServiceStats",
     "StatsCollector",
 ]

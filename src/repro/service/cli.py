@@ -30,12 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", required=True, help="Directory for cleaned CSVs and reports")
     parser.add_argument("--workers", type=int, default=4, help="Worker threads (default: 4)")
     parser.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=0,
-        help="Partition tables larger than this many rows (0 = whole-table mode)",
-    )
-    parser.add_argument(
         "--cache",
         default=None,
         help="Path of a persistent JSON prompt cache shared by all jobs",
@@ -77,7 +71,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=args.workers,
         cache_path=args.cache,
         cache_flush_every=args.flush_every,
-        default_chunk_rows=args.chunk_rows,
     )
     with service:
         jobs = [service.submit_csv(path) for path in csv_paths]

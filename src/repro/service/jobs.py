@@ -55,9 +55,6 @@ class JobResult:
     # Seconds spent waiting in the queue and executing, respectively.
     wait_seconds: float = 0.0
     run_seconds: float = 0.0
-    chunked: bool = False
-    chunk_count: int = 1
-    fell_back: bool = False
 
     @property
     def ok(self) -> bool:
@@ -82,15 +79,12 @@ class CleaningJob:
     """One scheduled cleaning task.
 
     Jobs are ordered by ``priority`` (lower runs first) and FIFO within a
-    priority.  ``chunk_rows`` above zero requests partitioned cleaning for
-    the job's table; ``None`` inherits the service default, and an explicit
-    ``0`` forces whole-table mode even when the service defaults to chunking.
+    priority.
     """
 
     table: Table
     priority: int = 0
     config: Optional[CleaningConfig] = None
-    chunk_rows: Optional[int] = None
     name: str = ""
     metadata: Dict[str, Any] = field(default_factory=dict)
 

@@ -27,27 +27,26 @@ import time
 import traceback
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.context import CleaningConfig
-from repro.core.hil import AutoApprove
+from repro.core.hil import AutoApprove, HumanInTheLoop
 from repro.core.pipeline import CocoonCleaner
+from repro.core.result import CleaningResult
 from repro.dataframe.io import read_csv
 from repro.dataframe.table import Table
+from repro.llm.base import LLMClient
 from repro.llm.cache import PromptCacheStore, cached_client
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import span as obs_span
 from repro.obs.metrics import MetricsRegistry
-from repro.service.chunking import (
-    ChunkedCleaningResult,
-    HILFactory,
-    LLMFactory,
-    clean_chunked,
-)
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
 from repro.service.pool import WorkerPool
 from repro.service.stats import ServiceStats, StatsCollector
 from repro.sql.database import Database
+
+LLMFactory = Callable[[], LLMClient]
+HILFactory = Callable[[], HumanInTheLoop]
 
 
 class ServiceSaturated(RuntimeError):
@@ -68,9 +67,7 @@ class CleaningService:
             jobs = [service.submit(t) for t in tables]
             results = service.wait_all()
 
-    Workers start lazily on the first submission.  ``default_chunk_rows``
-    above zero turns on partitioned cleaning for any table larger than that
-    many rows (overridable per job).
+    Workers start lazily on the first submission.
     """
 
     def __init__(
@@ -83,8 +80,6 @@ class CleaningService:
         cache_flush_every: int = 32,
         cache_store: Optional[PromptCacheStore] = None,
         share_cache: bool = True,
-        default_chunk_rows: int = 0,
-        chunk_workers: int = 1,
         max_pending_jobs: Optional[int] = None,
         max_retained_jobs: int = 1024,
         metrics_registry: Optional[MetricsRegistry] = None,
@@ -101,8 +96,6 @@ class CleaningService:
         self.llm_factory = llm_factory or SimulatedSemanticLLM
         self.config = config or CleaningConfig()
         self.hil_factory = hil_factory or AutoApprove
-        self.default_chunk_rows = default_chunk_rows
-        self.chunk_workers = chunk_workers
         if cache_store is not None:
             self.cache: Optional[PromptCacheStore] = cache_store
         elif share_cache:
@@ -148,7 +141,6 @@ class CleaningService:
         table: Table,
         priority: int = 0,
         config: Optional[CleaningConfig] = None,
-        chunk_rows: Optional[int] = None,
         name: str = "",
         metadata: Optional[Dict[str, Any]] = None,
     ) -> CleaningJob:
@@ -162,7 +154,6 @@ class CleaningService:
             table=table,
             priority=priority,
             config=config,
-            chunk_rows=chunk_rows,
             name=name or table.name or "",
             metadata=dict(metadata) if metadata else {},
         )
@@ -258,11 +249,9 @@ class CleaningService:
             results.append(result)
         return results
 
-    def clean_tables(
-        self, tables: Sequence[Table], chunk_rows: Optional[int] = None
-    ) -> List[JobResult]:
+    def clean_tables(self, tables: Sequence[Table]) -> List[JobResult]:
         """Convenience batch call: submit every table, wait, return results."""
-        jobs = [self.submit(table, chunk_rows=chunk_rows) for table in tables]
+        jobs = [self.submit(table) for table in tables]
         return [job.wait() for job in jobs]
 
     def stats(self) -> ServiceStats:
@@ -303,9 +292,6 @@ class CleaningService:
                 removed_rows=len(cleaning.removed_row_ids),
                 wait_seconds=wait_seconds,
                 run_seconds=time.perf_counter() - started,
-                chunked=isinstance(cleaning, ChunkedCleaningResult) and cleaning.chunk_count > 1,
-                chunk_count=getattr(cleaning, "chunk_count", 1),
-                fell_back=getattr(cleaning, "fell_back", False),
             )
         except Exception as exc:
             result = JobResult(
@@ -324,21 +310,9 @@ class CleaningService:
         job.finish(result)
         self._stats.record_result(result)
 
-    def _execute(self, job: CleaningJob):
-        config = job.config or self.config
-        chunk_rows = job.chunk_rows if job.chunk_rows is not None else self.default_chunk_rows
-        if chunk_rows and job.table.num_rows > chunk_rows:
-            return clean_chunked(
-                job.table,
-                chunk_rows,
-                llm_factory=self.llm_factory,
-                config=config,
-                hil_factory=self.hil_factory,
-                cache_store=self.cache,
-                max_workers=self.chunk_workers,
-            )
+    def _execute(self, job: CleaningJob) -> CleaningResult:
         llm = cached_client(self.llm_factory(), self.cache)
         cleaner = CocoonCleaner(
-            llm=llm, config=config, hil=self.hil_factory(), database=Database()
+            llm=llm, config=job.config or self.config, hil=self.hil_factory(), database=Database()
         )
         return cleaner.clean(job.table)

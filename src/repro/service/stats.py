@@ -15,20 +15,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, percentile
 from repro.service.jobs import JobResult, JobStatus
-
-
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    """Linear-interpolated percentile (see :func:`repro.obs.metrics.percentile`).
-
-    Historically this was nearest-rank via ``round``, which made the reported
-    p50 of ``[1, 2]`` an endpoint and let banker's rounding flip p-values
-    between adjacent sample counts; interpolation moves smoothly instead.
-    """
-    return percentile(sorted_values, fraction)
 
 
 @dataclass
@@ -43,8 +33,6 @@ class ServiceStats:
     cells_repaired: int = 0
     rows_removed: int = 0
     llm_calls: int = 0
-    chunked_jobs: int = 0
-    fallback_jobs: int = 0
     # Busy wall time: submission-to-last-finish per batch, idle gaps excluded.
     wall_seconds: float = 0.0
     # Per-job latency distribution (seconds spent executing).
@@ -86,8 +74,6 @@ class ServiceStats:
             "cells_repaired": self.cells_repaired,
             "rows_removed": self.rows_removed,
             "llm_calls": self.llm_calls,
-            "chunked_jobs": self.chunked_jobs,
-            "fallback_jobs": self.fallback_jobs,
             "wall_seconds": self.wall_seconds,
             "jobs_per_second": self.jobs_per_second,
             "rows_per_second": self.rows_per_second,
@@ -136,13 +122,6 @@ class StatsCollector:
         self._llm = self.registry.counter(
             "repro_service_llm_calls_total", help="LLM calls attributed to succeeded jobs"
         )
-        self._chunked = self.registry.counter(
-            "repro_service_chunked_jobs_total", help="Succeeded jobs cleaned in partitioned chunks"
-        )
-        self._fallback = self.registry.counter(
-            "repro_service_fallback_jobs_total",
-            help="Chunked jobs that fell back to whole-table cleaning",
-        )
         self._run_seconds = self.registry.histogram(
             "repro_service_job_run_seconds",
             help="Per-job execution time of succeeded jobs",
@@ -170,10 +149,6 @@ class StatsCollector:
             self._cells.inc(result.cell_repairs)
             self._removed.inc(result.removed_rows)
             self._llm.inc(result.llm_calls)
-            if result.chunked:
-                self._chunked.inc()
-            if result.fell_back:
-                self._fallback.inc()
             self._run_seconds.observe(result.run_seconds)
             self._wait_seconds.observe(result.wait_seconds)
         with self._lock:
@@ -198,8 +173,6 @@ class StatsCollector:
             cells_repaired=int(self._cells.total()),
             rows_removed=int(self._removed.total()),
             llm_calls=int(self._llm.total()),
-            chunked_jobs=int(self._chunked.total()),
-            fallback_jobs=int(self._fallback.total()),
             wall_seconds=wall,
         )
         run_times = self._run_seconds.samples()
@@ -207,7 +180,7 @@ class StatsCollector:
             ordered = sorted(run_times)
             stats.run_seconds_total = sum(run_times)
             stats.run_seconds_avg = stats.run_seconds_total / len(run_times)
-            stats.run_seconds_p50 = _percentile(ordered, 0.5)
+            stats.run_seconds_p50 = percentile(ordered, 0.5)
             stats.run_seconds_max = ordered[-1]
         wait_times = self._wait_seconds.samples()
         if wait_times:

@@ -43,8 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--prime-rows", type=int, default=0,
                         help="Buffer this many rows before priming the cleaning plan "
                              "(0 = prime on the first batch). Pick it large enough to be "
-                             "statistically representative, like chunk_rows in the batch "
-                             "service.")
+                             "statistically representative of the stream.")
     parser.add_argument("--out", default=None,
                         help="Directory for per-batch and cumulative cleaned CSVs")
     parser.add_argument("--name", default=None,

@@ -150,10 +150,9 @@ class StreamingCleaner:
     (emitting nothing) until that many rows arrived, then primes on exactly
     the first ``prime_rows`` rows and replays the rest — so the derived plan
     is *independent of how the stream was partitioned*.  ``0`` (default)
-    primes on the first non-empty batch, whatever its size.  Like the
-    chunked service's ``chunk_rows``, the priming window must be large
-    enough to be statistically representative of the stream; the drift
-    detector guards that assumption afterwards.
+    primes on the first non-empty batch, whatever its size.  The priming
+    window must be large enough to be statistically representative of the
+    stream; the drift detector guards that assumption afterwards.
     """
 
     def __init__(

@@ -10,6 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
+from repro.core import CocoonCleaner
+from repro.datasets import load_dataset
+from repro.obs import get_tracer
 from repro.obs.lineage import (
     LineageRecorder,
     LineageSchemaError,
@@ -123,15 +127,6 @@ class TestRecorder:
         assert [r["seq"] for r in chain] == sorted(r["seq"] for r in chain)
         assert len(rec.explain(3)) == 3
         assert rec.explain(99) == []
-
-    def test_merge_resequences(self):
-        a, b = LineageRecorder(), LineageRecorder()
-        edit(a, 0, "c", "x", "y")
-        edit(b, 5, "c", "p", "q")
-        edit(b, 6, "c", "r", "s")
-        a.merge(b)
-        assert [r["seq"] for r in a.records] == [1, 2, 3]
-        assert len(b.records) == 2  # source untouched
 
     def test_census_counts(self):
         rec = LineageRecorder()
@@ -267,3 +262,49 @@ class TestLineageCli:
     def test_column_requires_explain(self, lineage_file):
         proc = self.run_cli(lineage_file, "--column", "city")
         assert proc.returncode == 2
+
+
+def _span_ids(tracer):
+    """Every span id the tracer holds (fragments nest their children)."""
+
+    def walk(span):
+        yield span.span_id
+        for child in span.children:
+            yield from walk(child)
+
+    return {
+        span_id
+        for trace_id in tracer.trace_ids()
+        for fragment in tracer.fragments(trace_id)
+        for span_id in walk(fragment)
+    }
+
+
+class TestSpanRefs:
+    @pytest.fixture(scope="class")
+    def hospital(self):
+        return load_dataset("hospital", seed=0, scale=0.05).dirty
+
+    @pytest.fixture
+    def tracer(self):
+        """The default tracer, switched back to its prior state afterwards."""
+        tracer = get_tracer()
+        was_enabled = tracer.enabled
+        tracer.clear()
+        yield tracer
+        obs.configure(enabled=was_enabled)
+        tracer.clear()
+
+    def test_records_reference_existing_spans_when_tracing(self, hospital, tracer):
+        obs.configure(enabled=True)
+        result = CocoonCleaner().clean(hospital)
+        traced = [r for r in result.lineage.records if r["span_id"] is not None]
+        assert traced, "lineage records must carry trace refs when tracing is on"
+        assert {r["span_id"] for r in traced} <= _span_ids(tracer)
+
+    def test_tracing_disabled_leaves_refs_null(self, hospital, tracer):
+        obs.configure(enabled=False)
+        result = CocoonCleaner().clean(hospital)
+        assert result.lineage.records
+        assert all(r["span_id"] is None for r in result.lineage.records)
+        assert all(r["trace_id"] is None for r in result.lineage.records)

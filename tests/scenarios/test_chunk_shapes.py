@@ -1,9 +1,9 @@
-"""Degenerate chunk shapes from scenario traffic: empty, one-row, all-null.
+"""Degenerate table shapes from scenario traffic: empty, one-row, all-null.
 
 Scenario batching is the natural factory for the awkward shapes
-``clean_chunked`` and ``Table.append_rows`` must survive — a ``NullSpikeModel``
-at rate 1.0 produces all-null columns, ``batch_rows=1`` produces one-row
-chunks, and ``take([])`` the empty chunk.
+``CocoonCleaner.clean`` and ``Table.append_rows`` must survive — a
+``NullSpikeModel`` at rate 1.0 produces all-null columns, ``batch_rows=1``
+produces one-row batches, and ``take([])`` the empty table.
 """
 
 from __future__ import annotations
@@ -11,11 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import CocoonCleaner
-from repro.dataframe import Table
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.scenarios import ScenarioSpec, TrafficSpec, generate
 from repro.scenarios.models import NullSpikeModel
-from repro.service.chunking import clean_chunked
 
 
 @pytest.fixture(scope="module")
@@ -43,29 +41,30 @@ def test_one_row_batches_cover_the_table(all_null_scenario) -> None:
     assert all(batch.num_rows == 1 for batch in batches)
 
 
-def test_clean_chunked_on_empty_scenario_chunk(all_null_scenario) -> None:
+def test_clean_on_empty_scenario_table(all_null_scenario) -> None:
     empty = all_null_scenario.dataset.dirty.take([])
-    result = clean_chunked(empty, chunk_rows=8)
+    llm = SimulatedSemanticLLM()
+    result = CocoonCleaner(llm=llm).clean(empty)
     assert result.cleaned_table.num_rows == 0
-    assert result.chunk_count == 0
-    assert result.llm_calls == 0
     assert result.cleaned_table.column_names == empty.column_names
+    assert result.llm_calls == 0
+    assert llm.call_count == 0
+    assert "No cleaning steps were necessary." in result.sql_script
 
 
-def test_clean_chunked_on_one_row_scenario_chunk(all_null_scenario) -> None:
+def test_clean_on_one_row_scenario_table(all_null_scenario) -> None:
     one = all_null_scenario.dataset.dirty.take([0])
-    result = clean_chunked(one, chunk_rows=64)
+    result = CocoonCleaner(llm=SimulatedSemanticLLM()).clean(one)
     assert result.cleaned_table.num_rows == 1
     assert result.cleaned_table.column_names == one.column_names
 
 
-def test_clean_chunked_on_all_null_table(all_null_scenario) -> None:
+def test_clean_on_all_null_table(all_null_scenario) -> None:
     dirty = all_null_scenario.dataset.dirty
-    result = clean_chunked(dirty, chunk_rows=64)
-    # identical all-null rows collapse under the duplication operator; the
-    # chunked path must agree with the whole-table pipeline on the outcome
-    reference = CocoonCleaner(llm=SimulatedSemanticLLM()).clean(dirty)
-    assert result.cleaned_table == reference.cleaned_table
+    result = CocoonCleaner(llm=SimulatedSemanticLLM()).clean(dirty)
+    # identical all-null rows collapse under the duplication operator
+    assert 0 < result.cleaned_table.num_rows < dirty.num_rows
+    assert result.cleaned_table.column_names == dirty.column_names
     for column in result.cleaned_table.columns:
         assert all(value is None for value in column.values), column.name
 

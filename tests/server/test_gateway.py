@@ -74,6 +74,12 @@ class TestJobs:
         assert result["csv"] == to_csv_text(expected.cleaned_table)
         assert result["sql_script"] == expected.sql_script
 
+    def test_removed_chunk_rows_field_is_rejected(self, gateway):
+        # Chunked cleaning is gone; the field must not be accepted and ignored.
+        with pytest.raises(BadRequest, match="'chunk_rows'"):
+            gateway.submit_job({"csv": DIRTY_CSV, "chunk_rows": 100})
+        assert gateway.service.stats().jobs_submitted == 0
+
     def test_unknown_job_raises_key_error(self, gateway):
         with pytest.raises(KeyError):
             gateway.job_status(999_999_999)

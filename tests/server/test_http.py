@@ -1,6 +1,7 @@
 """End-to-end HTTP tests: a live threading server on an ephemeral port."""
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -227,6 +228,38 @@ class TestKeepAliveBodySync:
             assert json.loads(response.read())["status"] == "ok"
         finally:
             connection.close()
+
+
+def _raw_exchange(base, request: bytes, timeout: float = 5.0) -> bytes:
+    """Send raw bytes, then read until the server closes the connection."""
+    host, port = base.split("//")[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_answers_400_and_closes(self, server, value):
+        # Neither header says where the body ends: -1 must not reach
+        # rfile.read(-1), which blocks until the client hangs up.
+        request = (
+            "POST /v1/jobs HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {value}\r\n"
+            "\r\n"
+            '{"csv": "a\\n1\\n"}'
+        ).encode("ascii")
+        response = _raw_exchange(server, request)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400", head
+        assert "Content-Length" in json.loads(body)["error"]
 
 
 class TestMetricsOverHTTP:

@@ -8,6 +8,10 @@ import sys
 import time
 import urllib.request
 
+import pytest
+
+from repro.server.cli import main
+
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
@@ -61,3 +65,10 @@ def test_boot_serve_sigterm_drain(tmp_path):
         if process.poll() is None:
             process.kill()
             process.communicate()
+
+
+def test_removed_chunk_rows_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--chunk-rows", "100"])
+    assert exit_info.value.code == 2
+    assert "--chunk-rows" in capsys.readouterr().err

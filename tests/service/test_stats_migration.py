@@ -34,10 +34,6 @@ def _legacy_snapshot(submitted: int, results: List[JobResult], cache_stats=None)
             stats.llm_calls += result.llm_calls
             run_times.append(result.run_seconds)
             wait_times.append(result.wait_seconds)
-            if result.chunked:
-                stats.chunked_jobs += 1
-            if result.fell_back:
-                stats.fallback_jobs += 1
         elif result.status is JobStatus.FAILED:
             stats.jobs_failed += 1
         elif result.status is JobStatus.CANCELLED:
@@ -78,8 +74,6 @@ def _random_results(seed: int, count: int) -> List[JobResult]:
                 removed_rows=rng.randrange(0, 50),
                 wait_seconds=rng.uniform(0.0, 2.0),
                 run_seconds=rng.uniform(0.001, 10.0),
-                chunked=rng.random() < 0.3,
-                fell_back=rng.random() < 0.1,
             )
         )
     return results
