@@ -70,8 +70,8 @@ def profile_column(column: Column, max_values: int = 1000) -> ColumnProfile:
     if numeric:
         minimum = min(numeric)
         maximum = max(numeric)
-        # fsum: the correctly-rounded true sum, so the mean is independent of
-        # accumulation order — the property MergeableColumnProfile relies on.
+        # fsum: the correctly-rounded true sum, so the mean does not depend
+        # on the order the values are added in.
         mean = math.fsum(float(v) for v in numeric) / len(numeric)
     elif non_null:
         try:

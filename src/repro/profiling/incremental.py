@@ -12,8 +12,8 @@ persistent counters:
   float scores (the counters are consumed in the same first-occurrence order,
   so the float accumulation order matches), same violation tie order.
 * :class:`IncrementalDuplicateState` counts exact duplicate rows across
-  batches and keeps the first-occurrence sample rows, matching
-  ``duplicate_row_count`` / ``duplicate_row_samples``.
+  batches, matching ``duplicate_row_count``; it keeps one key per distinct
+  row and no row copies.
 
 Both are O(batch) per update.  Memory is proportional to the number of
 distinct values (FD state: per column pair), which the registry benchmarks
@@ -24,11 +24,11 @@ profiling.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
-from repro.profiling.duplicates import _row_key
+from repro.profiling.duplicates import _row_keys
 from repro.profiling.fd import FDCandidate, _entropy
 
 
@@ -180,42 +180,19 @@ class IncrementalFDState:
 
 
 class IncrementalDuplicateState:
-    """Cross-batch exact-duplicate accounting with first-occurrence samples."""
+    """Cross-batch exact-duplicate accounting: a set of row keys and a row count."""
 
     def __init__(self) -> None:
         self.row_count = 0
-        self._counts: Counter = Counter()
-        # First-occurrence row (as a dict) per row key, in arrival order —
-        # what duplicate_row_samples reports for keys that later duplicate.
-        self._first_rows: Dict[Tuple[str, ...], Dict[str, Any]] = {}
+        self._keys: Set[Tuple[str, ...]] = set()
 
     def update(self, batch: Table) -> "IncrementalDuplicateState":
         """Fold one micro-batch into the duplicate counters."""
-        names = batch.column_names
-        for row in batch.row_tuples():
-            key = _row_key(row)
-            self._counts[key] += 1
-            if key not in self._first_rows:
-                self._first_rows[key] = dict(zip(names, row))
+        self._keys.update(_row_keys(batch))
         self.row_count += batch.num_rows
         return self
-
-    def contains(self, row: Tuple[Any, ...]) -> bool:
-        """Has an identical row been seen in any earlier batch (or this one)?"""
-        return self._counts[_row_key(row)] > 0
 
     @property
     def duplicate_rows(self) -> int:
         """Rows that duplicate an earlier row — matches ``duplicate_row_count``."""
-        return sum(count - 1 for count in self._counts.values() if count > 1)
-
-    def samples(self, limit: int = 3) -> List[Dict[str, Any]]:
-        """First-occurrence samples of duplicated rows — matches
-        ``duplicate_row_samples`` on the concatenated batches."""
-        out: List[Dict[str, Any]] = []
-        for key, row in self._first_rows.items():
-            if self._counts[key] > 1:
-                out.append(dict(row))
-                if len(out) >= limit:
-                    break
-        return out
+        return self.row_count - len(self._keys)

@@ -1,75 +1,43 @@
-"""Incrementally mergeable column profiles for the streaming layer.
+"""Incremental column counts for the streaming layer's drift detector.
 
 :func:`~repro.profiling.column_profile.profile_column` summarises a whole
-column in one pass.  A streaming system cannot afford that: every micro-batch
-would re-read all rows seen so far.  :class:`MergeableColumnProfile` keeps the
-same summary as a set of *mergeable* accumulators — value counts, null count,
-exact numeric sum, min/max, total string length — so a batch costs O(batch)
-and the profile of a union of batches is the merge of their profiles.
+column in one pass.  A stream cannot afford that: every micro-batch would
+re-read all rows seen so far.  :class:`MergeableColumnProfile` keeps only
+what drift detection reads — row, null and per-value counts — so a batch
+costs O(batch).
 
-The defining property, pinned by hypothesis tests
+The defining property, pinned by a hypothesis test
 (``tests/property/test_mergeable_profiles.py``): for any split of a column
-into ordered batches, updating one profile batch-by-batch — or merging
-independently built per-batch profiles in order — yields *exactly* the
-profile ``profile_column`` computes on the whole column, including the
-tie-break order of ``top_values`` and the last bit of the float ``mean``
-(the batch path uses ``math.fsum``, the correctly-rounded true sum, and the
-mergeable path accumulates an exact :class:`fractions.Fraction`, so both
-sides land on the same float).
-
-Order matters only where the batch profile is itself order-sensitive:
-``top_values`` breaks frequency ties by first occurrence, so batches must be
-applied in row order — which a stream does naturally.
+into ordered batches, folding the batches in row order yields the row
+count, null count and ``counts.most_common()`` that ``profile_column``
+computes on the whole column, including the first-occurrence tie-break of
+its ``top_values``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, Union
 
 from repro.dataframe.column import Column
-from repro.dataframe.schema import ColumnType, is_null
-from repro.profiling.column_profile import ColumnProfile
+from repro.dataframe.schema import is_null
 
 
 class MergeableColumnProfile:
-    """Streaming accumulator equivalent to batch :func:`profile_column`."""
+    """Row, null and per-value counts of one column, folded batch by batch."""
 
-    __slots__ = (
-        "name",
-        "dtype",
-        "row_count",
-        "null_count",
-        "counts",
-        "_numeric_count",
-        "_numeric_sum",
-        "_numeric_min",
-        "_numeric_max",
-        "_string_min",
-        "_string_max",
-        "_length_sum",
-    )
+    __slots__ = ("name", "row_count", "null_count", "counts")
 
-    def __init__(self, name: str, dtype: ColumnType = ColumnType.VARCHAR):
+    def __init__(self, name: str):
         self.name = name
-        self.dtype = dtype
         self.row_count = 0
         self.null_count = 0
         # str(value) -> occurrences, in first-occurrence order (drives the
         # most_common tie-break exactly like Column.value_counts()).
         self.counts: Counter = Counter()
-        self._numeric_count = 0
-        self._numeric_sum = Fraction(0)
-        self._numeric_min: Optional[Any] = None
-        self._numeric_max: Optional[Any] = None
-        self._string_min: Optional[str] = None
-        self._string_max: Optional[str] = None
-        self._length_sum = 0
 
-    # -- ingestion -------------------------------------------------------------
     def update(self, batch: Union[Column, Iterable[Any]]) -> "MergeableColumnProfile":
-        """Fold one batch of values (a Column or any iterable) into the profile."""
+        """Fold one batch of values (a Column or any iterable) into the counts."""
         if isinstance(batch, Column):
             if batch.name != self.name:
                 raise ValueError(
@@ -78,112 +46,20 @@ class MergeableColumnProfile:
             values: Iterable[Any] = batch.values
         else:
             values = batch
+        counts = self.counts
         for value in values:
             self.row_count += 1
             if is_null(value):
                 self.null_count += 1
-                continue
-            text = str(value)
-            self.counts[text] += 1
-            self._length_sum += len(text)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self._numeric_count += 1
-                self._numeric_sum += Fraction(float(value))
-                if self._numeric_min is None or value < self._numeric_min:
-                    self._numeric_min = value
-                if self._numeric_max is None or value > self._numeric_max:
-                    self._numeric_max = value
-            if self._string_min is None or text < self._string_min:
-                self._string_min = text
-            if self._string_max is None or text > self._string_max:
-                self._string_max = text
+            else:
+                counts[str(value)] += 1
         return self
 
-    # -- merging ----------------------------------------------------------------
-    def merge(self, other: "MergeableColumnProfile") -> "MergeableColumnProfile":
-        """Return a new profile covering this profile's rows followed by ``other``'s.
-
-        ``self`` is treated as the earlier partition, so first-occurrence
-        tie-breaks (top values, equal minima) resolve to ``self`` — exactly
-        what a single pass over the concatenated rows would do.
-        """
-        if other.name != self.name:
-            raise ValueError(f"Cannot merge profiles of {self.name!r} and {other.name!r}")
-        merged = MergeableColumnProfile(self.name, self.dtype)
-        merged.row_count = self.row_count + other.row_count
-        merged.null_count = self.null_count + other.null_count
-        merged.counts = self.counts + other.counts
-        merged._numeric_count = self._numeric_count + other._numeric_count
-        merged._numeric_sum = self._numeric_sum + other._numeric_sum
-        merged._numeric_min = _merge_min(self._numeric_min, other._numeric_min)
-        merged._numeric_max = _merge_max(self._numeric_max, other._numeric_max)
-        merged._string_min = _merge_min(self._string_min, other._string_min)
-        merged._string_max = _merge_max(self._string_max, other._string_max)
-        merged._length_sum = self._length_sum + other._length_sum
-        return merged
-
-    # -- finalisation -------------------------------------------------------------
     @property
     def non_null_count(self) -> int:
         return self.row_count - self.null_count
 
-    @property
-    def distinct_count(self) -> int:
-        return len(self.counts) + (1 if self.null_count else 0)
-
-    def profile(self, max_values: int = 1000) -> ColumnProfile:
-        """Materialise the :class:`ColumnProfile` of everything seen so far."""
-        non_null = self.non_null_count
-        minimum: Optional[Any] = None
-        maximum: Optional[Any] = None
-        mean: Optional[float] = None
-        if self._numeric_count:
-            minimum = self._numeric_min
-            maximum = self._numeric_max
-            # float(Fraction) rounds the exact sum once — the same value
-            # math.fsum produces in the batch profile.
-            mean = float(self._numeric_sum) / self._numeric_count
-        elif non_null:
-            minimum = self._string_min
-            maximum = self._string_max
-        avg_length = self._length_sum / non_null if non_null else None
-        return ColumnProfile(
-            name=self.name,
-            dtype=self.dtype,
-            row_count=self.row_count,
-            null_count=self.null_count,
-            distinct_count=self.distinct_count,
-            unique_ratio=len(self.counts) / non_null if non_null else 0.0,
-            top_values=list(self.counts.most_common(max_values)),
-            minimum=minimum,
-            maximum=maximum,
-            mean=mean,
-            avg_length=avg_length,
-        )
-
     @classmethod
     def of(cls, column: Column) -> "MergeableColumnProfile":
-        """Profile a whole column in one go (convenience for tests and drift)."""
-        return cls(column.name, column.dtype).update(column)
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return (
-            f"MergeableColumnProfile({self.name!r}, rows={self.row_count}, "
-            f"distinct={self.distinct_count})"
-        )
-
-
-def _merge_min(a: Optional[Any], b: Optional[Any]) -> Optional[Any]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a <= b else b
-
-
-def _merge_max(a: Optional[Any], b: Optional[Any]) -> Optional[Any]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a >= b else b
+        """Count a whole column in one go."""
+        return cls(column.name).update(column)

@@ -9,7 +9,7 @@ what the CI ``scenario-smoke`` job replays through a booted server.
 Two entries matter beyond coverage:
 
 * ``drift-mid-stream`` — a stationary prefix long enough to prime on and
-  clear the drift detector's ``min_rows`` floor, then a representation
+  clear the drift detector's ``MIN_ROWS`` floor, then a representation
   migration (``schema_evolution``/codes) at rate 1.0.  The replay harness
   asserts this provably triggers the stream re-plan path (a
   ``stream.replan`` span) *and* that the cumulative stream output stays

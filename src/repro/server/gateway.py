@@ -40,7 +40,6 @@ from repro.obs.metrics import MetricsRegistry, prometheus_gauges_from
 from repro.obs.metrics import get_registry as get_default_registry
 from repro.service.jobs import JobStatus
 from repro.service.scheduler import CleaningService
-from repro.stream.drift import DriftConfig
 from repro.stream.service import StreamService
 
 #: Request-level events the gateway always reports, even at zero.
@@ -88,7 +87,6 @@ class CleaningGateway:
         metrics_registry: Optional[MetricsRegistry] = None,
         tracing: bool = True,
         detect_drift: bool = True,
-        drift_config: Optional["DriftConfig"] = None,
         stream_prime_rows: int = 0,
     ):
         self.llm_factory = llm_factory or SimulatedSemanticLLM
@@ -120,7 +118,6 @@ class CleaningGateway:
             config=config,
             llm_factory=lambda: cached_client(self.llm_factory(), self.cache),
             detect_drift=detect_drift,
-            drift_config=drift_config,
             prime_rows=stream_prime_rows,
             metrics_registry=self.registry,
         )

@@ -10,9 +10,10 @@ continuous-ingestion workload of the ROADMAP's production north-star:
 * :mod:`repro.stream.state` — cross-batch replay of the table-level steps
   (duplicate removal, key uniqueness) with retraction support, mirroring the
   batch QUALIFY semantics exactly;
-* :mod:`repro.stream.drift` — profile-distance drift detection over
-  :class:`~repro.profiling.mergeable.MergeableColumnProfile` accumulators,
-  triggering selective re-prompting of only the drifted columns;
+* :mod:`repro.stream.drift` — profile-distance drift detection over the
+  per-column counts of :class:`~repro.profiling.mergeable.MergeableColumnProfile`
+  against baselines frozen at plan time, triggering selective re-prompting
+  of only the drifted columns;
 * :mod:`repro.stream.service` — :class:`StreamService`: many streams on the
   shared :class:`~repro.service.pool.WorkerPool` with bounded-queue
   backpressure;

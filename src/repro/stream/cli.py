@@ -50,8 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Stream name (default: file/directory stem)")
     parser.add_argument("--no-drift", action="store_true",
                         help="Disable drift detection: replay the primed plan forever")
-    parser.add_argument("--drift-threshold", type=float, default=None,
-                        help="Profile-distance threshold for re-prompting a column")
+    parser.add_argument("--drift-threshold", type=float, default=DriftConfig.threshold,
+                        help="Profile-distance threshold for re-prompting a column "
+                             f"(default: {DriftConfig.threshold})")
     parser.add_argument("--follow", action="store_true",
                         help="Directory mode: keep polling for new files (default: one scan)")
     parser.add_argument("--poll", type=float, default=1.0,
@@ -128,6 +129,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.prime_rows < 0:
         print(f"error: --prime-rows must be >= 0, got {args.prime_rows}", file=sys.stderr)
         return 2
+    try:
+        drift_config = DriftConfig(args.drift_threshold)
+    except ValueError as exc:
+        print(f"error: --drift-threshold: {exc}", file=sys.stderr)
+        return 2
     path = Path(args.path)
     if not path.exists():
         print(f"error: {path} does not exist", file=sys.stderr)
@@ -136,9 +142,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    drift_config = DriftConfig()
-    if args.drift_threshold is not None:
-        drift_config.threshold = args.drift_threshold
     name, batches = _batches(args, path)
     stream = StreamingCleaner(
         name=name,

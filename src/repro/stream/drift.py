@@ -5,7 +5,7 @@ derived from: the cached value maps cover the dirty values that actually
 arrive, the canonical representations are still the majority ones, the
 numeric ranges still describe the column.  The drift detector watches the
 incremental profiles for exactly those failure modes and reports a
-per-column distance built from four signals:
+per-column distance, the mean of four signals:
 
 * **frequency shift** — total-variation distance between the top-value
   distributions at plan time and now (a flipped majority can invalidate the
@@ -18,40 +18,44 @@ per-column distance built from four signals:
 * **new-value mass** — the fraction of current non-null occurrences whose
   value was never seen at plan time, the direct measure of replay coverage.
 
-A column whose weighted distance crosses ``DriftConfig.threshold`` is
-*drifted*; the streaming engine then re-prompts only those columns.
+A column whose distance crosses ``DriftConfig.threshold`` is *drifted*; the
+streaming engine then re-prompts only those columns.  The plan-time side of
+every signal is computed once, when the baseline is set, and then frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.llm.semantic import value_shape
 from repro.profiling.mergeable import MergeableColumnProfile
 
+#: How many top values per side enter the frequency comparison.
+TOP_K = 20
+#: Below this many cumulative rows the detector stays silent: micro-batch
+#: statistics are too noisy to re-prompt on.
+MIN_ROWS = 30
+#: Columns whose values are (nearly) all distinct — identifiers, free
+#: text — never settle: every batch brings new values by construction.
+#: Above this unique ratio a column is exempt from drift, mirroring the
+#: free-text skip of the string-outlier operator.
+MAX_UNIQUE_RATIO = 0.9
 
-@dataclass
+
+@dataclass(frozen=True)
 class DriftConfig:
-    """Knobs of the drift detector."""
+    """The drift detector's one setting."""
 
-    # Weighted distance above which a column counts as drifted.
+    # Distance above which a column counts as drifted.
     threshold: float = 0.25
-    # How many top values per side enter the frequency comparison.
-    top_k: int = 20
-    # Signal weights (normalised internally).
-    weight_frequency: float = 1.0
-    weight_null: float = 1.0
-    weight_pattern: float = 1.0
-    weight_new_values: float = 1.0
-    # Below this many cumulative rows the detector stays silent: micro-batch
-    # statistics are too noisy to re-prompt on.
-    min_rows: int = 30
-    # Columns whose values are (nearly) all distinct — identifiers, free
-    # text — never settle: every batch brings new values by construction.
-    # Above this unique ratio a column is exempt from drift, mirroring the
-    # free-text skip of the string-outlier operator.
-    max_unique_ratio: float = 0.9
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.threshold) or self.threshold < 0:
+            raise ValueError(
+                f"drift threshold must be a finite number >= 0, got {self.threshold}"
+            )
 
 
 @dataclass
@@ -78,11 +82,26 @@ class ColumnDrift:
         }
 
 
-def _top_distribution(profile: MergeableColumnProfile, top_k: int) -> Dict[str, float]:
-    total = sum(count for _, count in profile.counts.most_common(top_k))
+@dataclass(frozen=True)
+class _Signals:
+    """One profile's side of every drift signal."""
+
+    top: Dict[str, float]
+    shapes: Dict[str, float]
+    null_fraction: float
+    unique_ratio: float
+
+
+#: A plan-time profile, frozen: its signals and the set of values it had seen.
+_Baseline = Tuple[_Signals, FrozenSet[str]]
+
+
+def _top_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
+    top = profile.counts.most_common(TOP_K)
+    total = sum(count for _, count in top)
     if not total:
         return {}
-    return {value: count / total for value, count in profile.counts.most_common(top_k)}
+    return {value: count / total for value, count in top}
 
 
 def _shape_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
@@ -97,63 +116,46 @@ def _shape_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
     return {shape: count / total for shape, count in shapes.items()}
 
 
+def _signals(profile: MergeableColumnProfile) -> _Signals:
+    non_null = profile.non_null_count
+    return _Signals(
+        top=_top_distribution(profile),
+        shapes=_shape_distribution(profile),
+        null_fraction=profile.null_count / profile.row_count if profile.row_count else 0.0,
+        unique_ratio=len(profile.counts) / non_null if non_null else 0.0,
+    )
+
+
+def _freeze(profile: MergeableColumnProfile) -> _Baseline:
+    return _signals(profile), frozenset(profile.counts)
+
+
 def _total_variation(a: Dict[str, float], b: Dict[str, float]) -> float:
-    if not a and not b:
-        return 0.0
-    keys = set(a) | set(b)
+    # Sum in insertion order (a's keys, then b's new ones), never set order:
+    # set order follows per-process string hashes, and a float sum that
+    # moves in the last bit can flip a borderline ``distance > threshold``.
+    keys = list(a) + [k for k in b if k not in a]
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
-def _null_fraction(profile: MergeableColumnProfile) -> float:
-    return profile.null_count / profile.row_count if profile.row_count else 0.0
-
-
-def _unique_ratio(profile: MergeableColumnProfile) -> float:
-    non_null = profile.non_null_count
-    return len(profile.counts) / non_null if non_null else 0.0
-
-
-def _new_value_mass(
-    baseline: MergeableColumnProfile, current: MergeableColumnProfile
-) -> float:
+def _new_value_mass(seen: FrozenSet[str], current: MergeableColumnProfile) -> float:
     total = current.non_null_count
     if not total:
         return 0.0
-    unseen = sum(
-        count for value, count in current.counts.items() if value not in baseline.counts
-    )
+    unseen = sum(count for value, count in current.counts.items() if value not in seen)
     return unseen / total
 
 
-def profile_distance(
-    baseline: MergeableColumnProfile,
-    current: MergeableColumnProfile,
-    config: Optional[DriftConfig] = None,
+def _compare(
+    baseline: _Baseline, current: MergeableColumnProfile, config: DriftConfig
 ) -> ColumnDrift:
-    """Weighted drift distance between a plan-time profile and the present one."""
-    config = config or DriftConfig()
-    frequency = _total_variation(
-        _top_distribution(baseline, config.top_k), _top_distribution(current, config.top_k)
-    )
-    null_shift = abs(_null_fraction(baseline) - _null_fraction(current))
-    pattern = _total_variation(_shape_distribution(baseline), _shape_distribution(current))
-    new_mass = _new_value_mass(baseline, current)
-    weights = (
-        config.weight_frequency,
-        config.weight_null,
-        config.weight_pattern,
-        config.weight_new_values,
-    )
-    total_weight = sum(weights) or 1.0
-    distance = (
-        config.weight_frequency * frequency
-        + config.weight_null * null_shift
-        + config.weight_pattern * pattern
-        + config.weight_new_values * new_mass
-    ) / total_weight
-    key_like = _unique_ratio(baseline) > config.max_unique_ratio or (
-        _unique_ratio(current) > config.max_unique_ratio
-    )
+    (then, seen), now = baseline, _signals(current)
+    frequency = _total_variation(then.top, now.top)
+    null_shift = abs(then.null_fraction - now.null_fraction)
+    pattern = _total_variation(then.shapes, now.shapes)
+    new_mass = _new_value_mass(seen, current)
+    distance = (frequency + null_shift + pattern + new_mass) / 4
+    key_like = then.unique_ratio > MAX_UNIQUE_RATIO or now.unique_ratio > MAX_UNIQUE_RATIO
     return ColumnDrift(
         column=current.name,
         distance=distance,
@@ -162,46 +164,42 @@ def profile_distance(
         pattern_shift=pattern,
         new_value_mass=new_mass,
         drifted=(
-            not key_like
-            and current.row_count >= config.min_rows
-            and distance > config.threshold
+            not key_like and current.row_count >= MIN_ROWS and distance > config.threshold
         ),
     )
 
 
+def profile_distance(
+    baseline: MergeableColumnProfile,
+    current: MergeableColumnProfile,
+    config: Optional[DriftConfig] = None,
+) -> ColumnDrift:
+    """Drift distance between a plan-time profile and the present one."""
+    return _compare(_freeze(baseline), current, config or DriftConfig())
+
+
 class DriftDetector:
-    """Tracks plan-time baselines and assesses the live profiles against them."""
+    """Holds frozen plan-time baselines and assesses the live profiles against them."""
 
     def __init__(self, config: Optional[DriftConfig] = None):
         self.config = config or DriftConfig()
-        self._baselines: Dict[str, MergeableColumnProfile] = {}
-        self.assessments: List[List[ColumnDrift]] = []
-
-    @property
-    def has_baseline(self) -> bool:
-        return bool(self._baselines)
+        self._baselines: Dict[str, _Baseline] = {}
 
     def set_baseline(self, profiles: Dict[str, MergeableColumnProfile]) -> None:
-        """Snapshot the profiles the current plan was derived from.
+        """Freeze the profiles the current plan was derived from.
 
-        Stores merged *copies* (merge with an empty profile), so the live
-        accumulators can keep updating without mutating the baseline.
+        The live accumulators keep updating afterwards; the baseline keeps
+        its own signals and its own set of seen values.
         """
         for name, profile in profiles.items():
-            empty = MergeableColumnProfile(profile.name, profile.dtype)
-            self._baselines[name] = profile.merge(empty)
+            self._baselines[name] = _freeze(profile)
 
     def assess(self, profiles: Dict[str, MergeableColumnProfile]) -> List[ColumnDrift]:
-        """Compare live profiles to the baselines; records and returns the result."""
+        """Compare live profiles to the baselines."""
         if not self._baselines:
             raise RuntimeError("DriftDetector.assess called before set_baseline")
-        drifts = [
-            profile_distance(self._baselines[name], profile, self.config)
+        return [
+            _compare(self._baselines[name], profile, self.config)
             for name, profile in profiles.items()
             if name in self._baselines
         ]
-        self.assessments.append(drifts)
-        return drifts
-
-    def drifted_columns(self, profiles: Dict[str, MergeableColumnProfile]) -> List[str]:
-        return [d.column for d in self.assess(profiles) if d.drifted]

@@ -10,8 +10,9 @@ continuously running service primitive:
    re-execute as regenerated SQL on just the new rows, table-level steps
    (dedup, uniqueness) fold through :class:`~repro.stream.state.TableLevelState`.
    Zero LLM calls; the engine asserts it.
-3. **Drift** — incremental :class:`~repro.profiling.mergeable.MergeableColumnProfile`
-   accumulators feed a :class:`~repro.stream.drift.DriftDetector`.  When a
+3. **Drift** — per-column :class:`~repro.profiling.mergeable.MergeableColumnProfile`
+   counts feed a :class:`~repro.stream.drift.DriftDetector`, which froze
+   each column's plan-time signals when the plan was derived.  When a
    column's profile distance crosses the threshold, *only that column* is
    re-prompted (its column-level operators re-run over the accumulated raw
    rows), the new steps are spliced into the plan, and the cumulative output
@@ -269,13 +270,6 @@ class StreamingCleaner:
         ]
         return Table(self.name, columns)
 
-    def raw_profile(self, column: str) -> MergeableColumnProfile:
-        return self._raw_profiles[column]
-
-    @property
-    def duplicate_rows_seen(self) -> int:
-        return self._duplicates.duplicate_rows
-
     def fd_candidates(self, min_score: float = 0.9):
         """Incrementally maintained FD candidates over all raw rows so far."""
         if self._fd_state is None:
@@ -418,9 +412,7 @@ class StreamingCleaner:
             self._raw_values = [list(c.values) for c in batch.columns]
             self._fd_state = IncrementalFDState(batch.column_names)
             for column in batch.columns:
-                self._raw_profiles[column.name] = MergeableColumnProfile(
-                    column.name, column.dtype
-                )
+                self._raw_profiles[column.name] = MergeableColumnProfile(column.name)
         else:
             for values, column in zip(self._raw_values, batch.columns):
                 values.extend(column.values)

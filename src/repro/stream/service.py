@@ -33,7 +33,6 @@ from repro.llm.base import LLMClient
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import JobStatus
 from repro.service.pool import WorkerPool
-from repro.stream.drift import DriftConfig
 from repro.stream.engine import StreamBatchResult, StreamingCleaner
 
 
@@ -229,7 +228,6 @@ class StreamService:
         llm_factory: Optional[Any] = None,
         config: Optional[CleaningConfig] = None,
         detect_drift: bool = True,
-        drift_config: Optional[DriftConfig] = None,
         prime_rows: int = 0,
         metrics_registry: Optional[MetricsRegistry] = None,
     ):
@@ -253,7 +251,6 @@ class StreamService:
         self.llm_factory = llm_factory
         self.config = config
         self.detect_drift = detect_drift
-        self.drift_config = drift_config
         self.prime_rows = prime_rows
         self._streams: Dict[str, ManagedStream] = {}
         self._lock = threading.Lock()
@@ -285,7 +282,6 @@ class StreamService:
                 llm=llm,
                 config=config or self.config,
                 detect_drift=self.detect_drift,
-                drift_config=self.drift_config,
                 prime_rows=self.prime_rows if prime_rows is None else prime_rows,
             )
             stream = ManagedStream(

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.dataframe import Column, ColumnType, Table
+from repro.dataframe import Table
 from repro.profiling import MergeableColumnProfile
 from repro.stream import DriftConfig, DriftDetector, StreamingCleaner, profile_distance
+from repro.stream.drift import MIN_ROWS
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def profile_of(values, name="c"):
-    return MergeableColumnProfile(name, ColumnType.VARCHAR).update(values)
+    return MergeableColumnProfile(name).update(values)
 
 
 class TestProfileDistance:
@@ -34,9 +42,10 @@ class TestProfileDistance:
         assert drift.null_shift == pytest.approx(0.5)
 
     def test_pattern_shift_catches_format_change(self):
-        baseline = profile_of(["2021-01-%02d" % d for d in range(1, 10)] * 4)
+        iso = ["2021-01-%02d" % d for d in range(1, 10)] * 4
+        baseline = profile_of(iso)
         # Same "new values" magnitude but a different shape mix.
-        current = baseline.merge(profile_of(["01/%02d/2021" % d for d in range(1, 10)] * 8))
+        current = profile_of(iso + ["01/%02d/2021" % d for d in range(1, 10)] * 8)
         drift = profile_distance(baseline, current)
         assert drift.pattern_shift > 0.4
 
@@ -49,11 +58,35 @@ class TestProfileDistance:
 
     def test_min_rows_gate(self):
         baseline = profile_of(["x"] * 5)
-        current = profile_of(["x"] * 5 + ["z"] * 5)
-        config = DriftConfig(threshold=0.05, min_rows=30)
+        current = profile_of(["x"] * 5 + ["z"] * (MIN_ROWS - 6))
+        config = DriftConfig(threshold=0.05)
         assert not profile_distance(baseline, current, config).drifted
-        config.min_rows = 5
+        current.update(["z"])  # the MIN_ROWS-th row opens the gate
         assert profile_distance(baseline, current, config).drifted
+
+    def test_distance_is_independent_of_string_hash_seed(self):
+        # Total-variation sums used to run in set order, which follows the
+        # per-process string hash seed and moved the float's last bit.
+        script = (
+            "from repro.profiling import MergeableColumnProfile as P\n"
+            "from repro.stream import profile_distance\n"
+            "mix = ['a1', 'b22', 'c-3', 'DD', 'e.5', 'f 6', '77', 'x_y'] * 3 + ['a1'] * 7\n"
+            "tail = ['zz9', 'Q-1', '8.8', 'b22', 'DD', 'm m'] * 2\n"
+            "print(repr(profile_distance(P('c').update(mix), P('c').update(mix + tail))))\n"
+        )
+        outputs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1, outputs
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.01])
+    def test_threshold_must_be_finite_and_non_negative(self, threshold):
+        with pytest.raises(ValueError, match="drift threshold"):
+            DriftConfig(threshold=threshold)
 
 
 class TestDriftDetector:
@@ -63,7 +96,7 @@ class TestDriftDetector:
 
     def test_baseline_is_snapshotted_not_aliased(self):
         live = profile_of(["x"] * 40)
-        detector = DriftDetector(DriftConfig(threshold=0.1, min_rows=10))
+        detector = DriftDetector(DriftConfig(threshold=0.1))
         detector.set_baseline({"c": live})
         live.update(["z"] * 120)  # live accumulator keeps moving
         drifts = detector.assess({"c": live})
@@ -99,7 +132,7 @@ class TestSelectiveReprompting:
         assert values.count("German") == 8  # plan coverage gap left as-is
 
     def test_drift_on_reprompts_only_the_drifted_column(self, drifting_stream_batches):
-        config = DriftConfig(threshold=0.12, min_rows=10)
+        config = DriftConfig(threshold=0.12)
         stream = StreamingCleaner("articles", detect_drift=True, drift_config=config)
         prime, steady, drifted = drifting_stream_batches
         stream.process_batch(prime)
@@ -131,7 +164,7 @@ class TestSelectiveReprompting:
         ]
 
     def test_replan_rewrites_already_emitted_cells(self, drifting_stream_batches):
-        config = DriftConfig(threshold=0.02, min_rows=10)
+        config = DriftConfig(threshold=0.02)
         stream = StreamingCleaner("articles", detect_drift=True, drift_config=config)
         prime, steady, drifted = drifting_stream_batches
         stream.process_batch(prime)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.context import ROW_ID_COLUMN
 from repro.dataframe import Column, ColumnType, Table
+from repro.profiling import discover_fds
 from repro.stream import StreamingCleaner, iter_table_batches
 
 
@@ -108,12 +109,13 @@ class TestAccounting:
 
     def test_incremental_fd_and_duplicate_state_exposed(self):
         stream = StreamingCleaner("t", detect_drift=False)
-        dup = batch_of(["NY", "NY"])  # note column differs, so craft real dups
         dup = Table.from_dict("t", {"city": ["NY", "NY"], "note": ["same", "same"]})
+        tail = Table.from_dict("t", {"city": ["NY"], "note": ["same"]})
         stream.process_batch(dup)
-        stream.process_batch(Table.from_dict("t", {"city": ["NY"], "note": ["same"]}))
-        assert stream.duplicate_rows_seen == 2
-        assert stream.fd_candidates(min_score=0.0) == stream._fd_state.candidates(min_score=0.0)
+        stream.process_batch(tail)
+        assert stream.stats.duplicate_rows_seen == 2
+        whole = dup.concat_rows(tail)
+        assert stream.fd_candidates(min_score=0.0) == discover_fds(whole, min_score=0.0)
 
     def test_cleaned_table_preserves_cast_types(self):
         # A numeric-looking column gets cast by the plan; the cumulative

@@ -84,3 +84,10 @@ class TestArgumentValidation:
         source.write_text("a\n1\n", encoding="utf-8")
         assert main([str(source), "--batch-rows", "0"]) == 2
         assert "--batch-rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1"])
+    def test_bad_drift_threshold_exits_2(self, tmp_path, capsys, threshold):
+        source = tmp_path / "x.csv"
+        source.write_text("a\n1\n", encoding="utf-8")
+        assert main([str(source), f"--drift-threshold={threshold}"]) == 2
+        assert "--drift-threshold" in capsys.readouterr().err
