@@ -113,6 +113,148 @@ def loose_value_shape(value: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# typo search
+# ---------------------------------------------------------------------------
+_LETTER_RUN_RE = re.compile(r"[A-Za-z]{3}")
+
+
+def _digit_signature(text: str) -> str:
+    return re.sub(r"[^0-9]", "", text)
+
+
+def _char_mask(text: str) -> int:
+    """One bit per distinct character; ASCII is exact, other characters fold onto it."""
+    mask = 0
+    for ch in text:
+        mask |= 1 << (ord(ch) & 127)
+    return mask
+
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")  # int.bit_count needs Python 3.10
+
+
+class TypoIndex:
+    """Answers "which frequent value is ``text`` a typo of?" for one distribution.
+
+    Built once per frequent-value list.  Per frequent value it holds the
+    lowered text, the digit signature and a character-set bitmask, bucketed
+    by lowered length; per word it holds how many frequent values contain
+    it.  Answers are memoised by ``(text, count)``; threads racing on one
+    question compute it twice and store the same answer.
+    """
+
+    def __init__(self, frequent: Sequence[Tuple[str, int]], min_count_ratio: float, max_distance: int):
+        self.min_count_ratio = min_count_ratio
+        self.max_distance = max_distance
+        self._text_counts = Counter(str(v) for v, _ in frequent)
+        self._word_counts = Counter(w for v, _ in frequent for w in set(words_of(str(v))))
+        self._by_length: Dict[int, List[Tuple[int, str, int, str, str, str, int]]] = defaultdict(list)
+        for position, (value, count) in enumerate(frequent):
+            text = str(value)
+            if len(text) < 3:
+                continue
+            lowered = text.lower()
+            self._by_length[len(lowered)].append(
+                (position, value, count, text, lowered, _digit_signature(text), _char_mask(lowered))
+            )
+        self._answers: Dict[Tuple[str, int], Optional[str]] = {}
+
+    def target(self, text: str, count: int) -> Optional[str]:
+        """The frequent value ``text`` (seen ``count`` times) is likely a typo of, if any."""
+        key = (text, count)
+        try:
+            return self._answers[key]
+        except KeyError:
+            answer = self._answers[key] = self._search(text, count)
+            return answer
+
+    def _search(self, text: str, count: int) -> Optional[str]:
+        """Search the buckets near ``text`` for the most frequent close value.
+
+        A rare value is only a typo candidate when it is textual, contains at
+        least one *suspicious* word (a word that neither appears in any other
+        frequent value nor in the domain vocabulary — "attakc", "RReview"),
+        and the difference to the frequent value does not involve digits
+        ("Frozen River 2" is a different film than "Frozen River 3", and
+        "149 min" is a different runtime than "183 min", not a typo).
+        """
+        # Values that are essentially numeric (times, codes, measurements) are not
+        # plausible typos of one another: "10:31 p.m." is a valid time, not a
+        # misspelling of "10:30 p.m.".
+        if len(text) < 3 or not _LETTER_RUN_RE.search(text):
+            return None
+        # A word of ``text`` is attested when a frequent value other than
+        # ``text`` itself contains it; every copy of ``text`` contains it.
+        copies = self._text_counts[text]
+        if not any(
+            len(w) >= 3 and self._word_counts[w] <= copies and w not in DOMAIN_VOCABULARY
+            for w in words_of(text)
+        ):
+            return None
+        lowered = text.lower()
+        digits = _digit_signature(text)
+        mask = _char_mask(lowered)
+        max_d = 1 if len(text) <= 5 else self.max_distance
+        matches = []
+        for length in range(len(lowered) - max_d, len(lowered) + max_d + 1):
+            for position, other, other_count, other_text, other_lowered, other_digits, other_mask in (
+                self._by_length.get(length, ())
+            ):
+                if other_text == text or other_count * self.min_count_ratio < count:
+                    continue
+                # Differences that involve digits denote distinct entities, not typos.
+                # (Two values without digits share the empty signature.)
+                if other_digits != digits:
+                    continue
+                # Each edit removes at most one distinct character from either side.
+                if _popcount(mask & ~other_mask) > max_d or _popcount(other_mask & ~mask) > max_d:
+                    continue
+                if edit_distance(lowered, other_lowered, max_d) <= max_d:
+                    matches.append((position, other, other_count))
+        if not matches:
+            return None
+        # The most frequent match wins; ties go to the earliest frequent value.
+        return min(matches, key=lambda m: (-m[2], m[0]))[1]
+
+
+def _deletion_keys(word: str) -> set:
+    """``word`` and its single-character deletions: words within one edit share a key."""
+    return {word} | {word[:i] + word[i + 1:] for i in range(len(word))}
+
+
+def _deletion_index(words) -> Dict[str, List[str]]:
+    index: Dict[str, List[str]] = defaultdict(list)
+    for word in words:
+        for key in _deletion_keys(word):
+            index[key].append(word)
+    return dict(index)
+
+
+# Distance-1 index over the vocabulary words offered as corrections.
+_VOCABULARY_DELETIONS = _deletion_index(w for w in DOMAIN_VOCABULARY if len(w) >= 5)
+
+
+def vocabulary_correction(word: str) -> Optional[str]:
+    """The vocabulary word ``word`` is one edit away from, if any.
+
+    Several known words can sit within distance 1 ("patient" and "patients"
+    of "patiens"); prefer the closest, then the shortest (minimal
+    correction), then alphabetical — never set order, which would make
+    repairs depend on the process hash seed.
+    """
+    candidates = {
+        known
+        for key in _deletion_keys(word)
+        for known in _VOCABULARY_DELETIONS.get(key, ())
+        if edit_distance(word, known, 1) <= 1 and known.rstrip("s") != word.rstrip("s")
+    }
+    if not candidates:
+        return None
+    return min(candidates, key=lambda k: (edit_distance(word, k, 1), len(k), k))
+
+
+# ---------------------------------------------------------------------------
 # result containers
 # ---------------------------------------------------------------------------
 @dataclass
@@ -147,6 +289,7 @@ class SemanticModel:
     def __init__(self, typo_min_count_ratio: float = 0.5, typo_max_distance: int = 2):
         self.typo_min_count_ratio = typo_min_count_ratio
         self.typo_max_distance = typo_max_distance
+        self._last_typo_index: Optional[Tuple[Any, TypoIndex]] = None
 
     # -- string outliers ----------------------------------------------------
     def cluster_values(self, value_counts: Sequence[Tuple[str, int]]) -> Dict[str, List[Tuple[str, int]]]:
@@ -186,14 +329,14 @@ class SemanticModel:
                 clusters[key].append((value, counts[value]))
                 assigned[value] = key
         # Pass 3: typo proximity — a rare value close to a frequent one joins it.
-        frequent = [(v, c) for v, c in value_counts if c >= 2]
+        index = self._typo_index(value_counts)
         for value, count in value_counts:
             key = assigned.get(value)
             if key is None:
                 continue
             if len(clusters[key]) > 1:
                 continue
-            candidate = self._typo_target(str(value), count, frequent, counts)
+            candidate = index.target(str(value), count)
             if candidate is not None and candidate != value:
                 target_key = assigned.get(candidate)
                 if target_key is not None and target_key != key:
@@ -202,60 +345,23 @@ class SemanticModel:
                     assigned[value] = target_key
         return {k: v for k, v in clusters.items() if v}
 
-    def _typo_target(
-        self,
-        value: str,
-        count: int,
-        frequent: Sequence[Tuple[str, int]],
-        counts: Mapping[str, int],
-    ) -> Optional[str]:
-        """Return the frequent value that ``value`` is likely a typo of.
+    def _typo_index(self, value_counts: Sequence[Tuple[str, int]]) -> TypoIndex:
+        """The typo index over the frequent values (count >= 2) of ``value_counts``.
 
-        A rare value is only a typo candidate when it is textual, contains at
-        least one *suspicious* word (a word that neither appears in any
-        frequent value nor in the domain vocabulary — "attakc", "RReview"),
-        and the difference to the frequent value does not involve digits
-        ("Frozen River 2" is a different film than "Frozen River 3", and
-        "149 min" is a different runtime than "183 min", not a typo).
+        The review call and every cleaning batch of a column ask about the
+        same distribution, so the model keeps the last index and reuses it.
+        The ``(key, index)`` pair is replaced as one tuple and read once into
+        a local, so threads sharing one model never pair a key with another
+        distribution's index.
         """
-        text = str(value)
-        if len(text) < 3:
-            return None
-        # Values that are essentially numeric (times, codes, measurements) are not
-        # plausible typos of one another: "10:31 p.m." is a valid time, not a
-        # misspelling of "10:30 p.m.".
-        letters = re.findall(r"[A-Za-z]{3,}", text)
-        meaningful_letters = [w for w in letters if w.lower() not in ("a", "p", "am", "pm")]
-        if not meaningful_letters:
-            return None
-        attested = set()
-        for other, other_count in frequent:
-            if str(other) == text:
-                continue
-            attested.update(words_of(str(other)))
-        suspicious = [
-            w for w in words_of(text)
-            if len(w) >= 3 and w not in attested and w not in DOMAIN_VOCABULARY
-        ]
-        if not suspicious:
-            return None
-        best: Optional[str] = None
-        best_count = 0
-        for other, other_count in frequent:
-            other_text = str(other)
-            if other_text == text or len(other_text) < 3:
-                continue
-            if other_count * self.typo_min_count_ratio < count:
-                continue
-            # Differences that involve digits denote distinct entities, not typos.
-            has_digits = any(ch.isdigit() for ch in text) or any(ch.isdigit() for ch in other_text)
-            if has_digits and re.sub(r"[^0-9]", "", text) != re.sub(r"[^0-9]", "", other_text):
-                continue
-            max_d = 1 if len(text) <= 5 else self.typo_max_distance
-            if edit_distance(text.lower(), other_text.lower(), max_d) <= max_d:
-                if other_count > best_count:
-                    best, best_count = other, other_count
-        return best
+        frequent = tuple((v, c) for v, c in value_counts if c >= 2)
+        key = (frequent, self.typo_min_count_ratio, self.typo_max_distance)
+        cached = self._last_typo_index
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        index = TypoIndex(frequent, self.typo_min_count_ratio, self.typo_max_distance)
+        self._last_typo_index = (key, index)
+        return index
 
     def _typo_suspects(self, value_counts: Sequence[Tuple[str, int]]) -> Dict[str, str]:
         """Map suspected typo values to their likely intended values.
@@ -264,14 +370,14 @@ class SemanticModel:
         deliberate representation even if it resembles another value.
         """
         counts = {v: c for v, c in value_counts}
-        frequent = [(v, c) for v, c in value_counts if c >= 2]
+        index = self._typo_index(value_counts)
         total = sum(counts.values())
         rare_limit = max(2, int(total * 0.01))
         suspects: Dict[str, str] = {}
         for value, count in value_counts:
             if count > rare_limit:
                 continue
-            target = self._typo_target(str(value), count, frequent, counts)
+            target = index.target(str(value), count)
             if target is not None and counts.get(target, 0) > count:
                 suspects[value] = target
                 continue
@@ -293,30 +399,19 @@ class SemanticModel:
             # Plural / singular variants of known words are valid words, not typos.
             if word.rstrip("s") in DOMAIN_VOCABULARY or word + "s" in DOMAIN_VOCABULARY:
                 continue
-            # Several known words can sit within distance 1 ("patient" and
-            # "patients" of "patiens"); prefer the closest, then the shortest
-            # (minimal correction), then alphabetical — never set order, which
-            # would make repairs depend on the process hash seed.
-            candidates = [
-                known
-                for known in DOMAIN_VOCABULARY
-                if abs(len(known) - len(word)) <= 1
-                and len(known) >= 5
-                and edit_distance(word, known, 1) <= 1
-                and known.rstrip("s") != word.rstrip("s")
-            ]
-            if candidates:
-                known = min(candidates, key=lambda k: (edit_distance(word, k, 1), len(k), k))
-                fixed_value = re.sub(re.escape(word), known, fixed_value, flags=re.IGNORECASE)
+            known = vocabulary_correction(word)
+            if known is not None:
+                # Whole words only: "brewin" must not rewrite the "brewin" inside "Brewing".
+                fixed_value = re.sub(
+                    rf"(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])", known, fixed_value, flags=re.IGNORECASE
+                )
                 changed = True
         return fixed_value if changed else None
 
     def review_string_values(self, column_name: str, value_counts: Sequence[Tuple[str, int]]) -> StringReview:
         """Figure 2 judgement: are there typos or inconsistent representations?"""
         clusters = self.cluster_values(value_counts)
-        redundant = {k: v for k, v in clusters.items() if len(v) > 1 and not k.startswith("norm:") or
-                     (k.startswith("norm:") and len(v) > 1)}
-        redundant = {k: v for k, v in redundant.items() if len(v) > 1}
+        redundant = {k: v for k, v in clusters.items() if len(v) > 1}
         suspects = self._typo_suspects(value_counts)
         issues: List[str] = []
         for key, members in sorted(redundant.items()):

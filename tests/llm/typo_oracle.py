@@ -1,0 +1,110 @@
+"""Parity oracle for the typo search: the original brute-force scans.
+
+``repro.llm.semantic`` answers typo questions from a per-distribution typo
+index and a deletion index over the domain vocabulary.  The functions below
+are the scans that index replaced, their logic copied unchanged, with one
+deliberate difference: the vocabulary fix replaces whole words, not bare
+substrings, so a correctly spelled word that contains the typo ("brewing"
+around "brewin") stays intact.  ``test_typo_index.py`` holds the index to these scans.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Optional, Sequence, Tuple
+
+from repro.llm.knowledge.vocabulary import DOMAIN_VOCABULARY, words_of
+from repro.llm.semantic import SemanticModel, edit_distance
+
+
+def typo_target_baseline(
+    model: SemanticModel,
+    value: str,
+    count: int,
+    frequent: Sequence[Tuple[str, int]],
+) -> Optional[str]:
+    """The original pairwise scan: rebuild ``attested``, then try every frequent value."""
+    text = str(value)
+    if len(text) < 3:
+        return None
+    letters = re.findall(r"[A-Za-z]{3,}", text)
+    meaningful_letters = [w for w in letters if w.lower() not in ("a", "p", "am", "pm")]
+    if not meaningful_letters:
+        return None
+    attested = set()
+    for other, other_count in frequent:
+        if str(other) == text:
+            continue
+        attested.update(words_of(str(other)))
+    suspicious = [
+        w for w in words_of(text)
+        if len(w) >= 3 and w not in attested and w not in DOMAIN_VOCABULARY
+    ]
+    if not suspicious:
+        return None
+    best: Optional[str] = None
+    best_count = 0
+    for other, other_count in frequent:
+        other_text = str(other)
+        if other_text == text or len(other_text) < 3:
+            continue
+        if other_count * model.typo_min_count_ratio < count:
+            continue
+        has_digits = any(ch.isdigit() for ch in text) or any(ch.isdigit() for ch in other_text)
+        if has_digits and re.sub(r"[^0-9]", "", text) != re.sub(r"[^0-9]", "", other_text):
+            continue
+        max_d = 1 if len(text) <= 5 else model.typo_max_distance
+        if edit_distance(text.lower(), other_text.lower(), max_d) <= max_d:
+            if other_count > best_count:
+                best, best_count = other, other_count
+    return best
+
+
+def fix_vocabulary_typos_baseline(value: str) -> Optional[str]:
+    """The original vocabulary scan: every word against all of ``DOMAIN_VOCABULARY``."""
+    words = words_of(value)
+    if not words:
+        return None
+    changed = False
+    fixed_value = str(value)
+    for word in words:
+        if word in DOMAIN_VOCABULARY or len(word) < 4:
+            continue
+        if word.rstrip("s") in DOMAIN_VOCABULARY or word + "s" in DOMAIN_VOCABULARY:
+            continue
+        candidates = [
+            known
+            for known in DOMAIN_VOCABULARY
+            if abs(len(known) - len(word)) <= 1
+            and len(known) >= 5
+            and edit_distance(word, known, 1) <= 1
+            and known.rstrip("s") != word.rstrip("s")
+        ]
+        if candidates:
+            known = min(candidates, key=lambda k: (edit_distance(word, k, 1), len(k), k))
+            fixed_value = re.sub(
+                rf"(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])", known, fixed_value, flags=re.IGNORECASE
+            )
+            changed = True
+    return fixed_value if changed else None
+
+
+class _BruteForceTypos:
+    """Stands in for the typo index: every question runs the pairwise scan."""
+
+    def __init__(self, model: SemanticModel, frequent: Sequence[Tuple[str, int]]):
+        self.model = model
+        self.frequent = list(frequent)
+
+    def target(self, text: str, count: int) -> Optional[str]:
+        return typo_target_baseline(self.model, text, count, self.frequent)
+
+
+class BruteForceSemanticModel(SemanticModel):
+    """A :class:`SemanticModel` whose typo search runs the original scans."""
+
+    def _typo_index(self, value_counts):
+        return _BruteForceTypos(self, [(v, c) for v, c in value_counts if c >= 2])
+
+    def _fix_vocabulary_typos(self, value: str) -> Optional[str]:
+        return fix_vocabulary_typos_baseline(value)
