@@ -178,15 +178,11 @@ def diff_tables(
     reason: str,
 ) -> Tuple[List[CellRepair], List[int]]:
     """Cell-level diff between two versions of a table keyed by the row-id column."""
-    if ROW_ID_COLUMN not in before.column_names or ROW_ID_COLUMN not in after.column_names:
-        raise ValueError("diff_tables requires both tables to carry the row-id column")
+    shared_columns = _compared_columns(before, after)
     after_index: Dict[Any, int] = {}
     after_ids = after.column(ROW_ID_COLUMN).values
     for i, row_id in enumerate(after_ids):
         after_index[row_id] = i
-    shared_columns = [
-        c for c in after.column_names if c != ROW_ID_COLUMN and c in before.column_names
-    ]
     repairs: List[CellRepair] = []
     removed: List[int] = []
     before_ids = before.column(ROW_ID_COLUMN).values
@@ -224,12 +220,10 @@ def strict_table_edits(before: Table, after: Table) -> List[Tuple[int, str, Any,
     representation changes such as a cast turning ``'12'`` into ``12.0``.
     Rows absent from ``after`` are skipped (they are recorded as removals).
     """
+    shared_columns = _compared_columns(before, after)
     after_index: Dict[Any, int] = {}
     for i, row_id in enumerate(after.column(ROW_ID_COLUMN).values):
         after_index[row_id] = i
-    shared_columns = [
-        c for c in after.column_names if c != ROW_ID_COLUMN and c in before.column_names
-    ]
     before_ids = before.column(ROW_ID_COLUMN).values
     before_cols = {c: before.column(c).values for c in shared_columns}
     after_cols = {c: after.column(c).values for c in shared_columns}
@@ -244,6 +238,26 @@ def strict_table_edits(before: Table, after: Table) -> List[Tuple[int, str, Any,
             if values_strictly_differ(old, new):
                 edits.append((int(row_id), column, old, new))
     return edits
+
+
+def _compared_columns(before: Table, after: Table) -> List[str]:
+    """The data columns both step diffs compare.
+
+    Row ids are unique, so a column whose
+    :class:`~repro.dataframe.column.Column` object both versions share, under
+    a shared row-id column, holds identical cells at identical rows: no
+    predicate can report it, and it is skipped.
+    """
+    if ROW_ID_COLUMN not in before or ROW_ID_COLUMN not in after:
+        raise ValueError("diff_tables requires both tables to carry the row-id column")
+    same_rows = before.column(ROW_ID_COLUMN) is after.column(ROW_ID_COLUMN)
+    return [
+        c
+        for c in after.column_names
+        if c != ROW_ID_COLUMN
+        and c in before
+        and not (same_rows and before.column(c) is after.column(c))
+    ]
 
 
 def _cell_changed(old: Any, new: Any) -> bool:

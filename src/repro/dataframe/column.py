@@ -12,7 +12,10 @@ class Column:
     """A named sequence of values with a logical type.
 
     Values are stored in a plain Python list; NULL is ``None``.  Columns are
-    treated as immutable by convention — operations return new columns.
+    immutable by convention — operations return new columns — so tables
+    share them: a SQL projection that passes a column through unchanged puts
+    the same object in its output.  :meth:`Table.copy` gives an independent
+    copy.
     """
 
     __slots__ = ("name", "values", "dtype")

@@ -92,9 +92,10 @@ def _unchanged(old: Column, new: Column) -> bool:
 
     ``profile_column`` is a pure function of name, dtype and values, so
     element *identity* is an exact test.  ``==`` is not: ``1 == 1.0 == True``
-    and ``0.0 == -0.0``, yet their ``str`` differ.
+    and ``0.0 == -0.0``, yet their ``str`` differ.  The same object needs
+    no scan: columns are immutable.
     """
-    return (
+    return old is new or (
         old.name == new.name
         and old.dtype == new.dtype
         and len(old) == len(new)

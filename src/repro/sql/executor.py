@@ -13,7 +13,9 @@ filter → group | (window → project → qualify) → distinct → order → l
 Each expression is compiled *once per query* into a closure by
 :mod:`repro.sql.compiler`, filters gather vectors by index, projection
 reuses source vectors where it can, and rows exist as dicts only inside the
-reference interpreter.  A SELECT without ``FROM`` runs the same pipeline
+reference interpreter.  Every table the executor builds types each column
+from its values, so a projection over such a table passes an unchanged
+column through as the same (immutable) ``Column`` object.  A SELECT without ``FROM`` runs the same pipeline
 over one zero-column row.
 
 :meth:`Executor._eval` is that reference interpreter: the compiler falls
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import os
 import re
+import weakref
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -91,6 +94,9 @@ class Executor:
         if compiled is None:
             compiled = os.environ.get("REPRO_SQL_COMPILED", "1") != "0"
         self.compiled = compiled
+        # Tables this executor built, by id: their column dtypes are inferred
+        # from their values, so a projection may carry those columns over.
+        self._emitted: "weakref.WeakValueDictionary[int, Table]" = weakref.WeakValueDictionary()
 
     # -- public API -----------------------------------------------------------
     def execute(self, statement: Statement) -> Optional[Table]:
@@ -113,7 +119,8 @@ class Executor:
         very end; every stage emits its observability span.
         """
         plan = plan_select(select)
-        names, vectors, n = self._scan(select.from_table)
+        carried: Dict[int, Column] = {}
+        names, vectors, n = self._scan(select.from_table, carried)
 
         if plan.filter is not None:
             predicate = ColumnarBinding(self, names, vectors).compile(plan.filter.predicate)
@@ -175,12 +182,29 @@ class Executor:
             out_vectors = [vec[select.offset:] for vec in out_vectors]
         if select.limit is not None:
             out_vectors = [vec[: select.limit] for vec in out_vectors]
-        return Table(result_name, [Column(name, vec) for name, vec in zip(out_names, out_vectors)])
+        # A vector that is still a carried column's own list passes through:
+        # the same Column under its own name, its dtype under an alias.
+        columns = []
+        for name, vec in zip(out_names, out_vectors):
+            source = carried.get(id(vec))
+            if source is None:
+                columns.append(Column(name, vec))
+            else:
+                columns.append(source if source.name == name else Column(name, vec, source.dtype))
+        return self._emit(Table(result_name, columns))
 
-    def _scan(self, ref: Optional[TableRef]) -> Tuple[List[str], List[List[Any]], int]:
+    def _emit(self, table: Table) -> Table:
+        self._emitted[id(table)] = table
+        return table
+
+    def _scan(
+        self, ref: Optional[TableRef], carried: Optional[Dict[int, Column]] = None
+    ) -> Tuple[List[str], List[List[Any]], int]:
         """The FROM item as ``(column names, column vectors, row count)``.
 
-        Without a FROM item the query reads one zero-column row.
+        Without a FROM item the query reads one zero-column row.  When the
+        source is a table this executor emitted, ``carried`` receives its
+        columns keyed by the id of their value vectors.
         """
         if ref is None:
             return [], [], 1
@@ -190,6 +214,8 @@ class Executor:
             else:
                 table = self.catalog.get(ref.name)
             vectors: List[List[Any]] = [c.values for c in table.columns]
+            if carried is not None and self._emitted.get(id(table)) is table:
+                carried.update((id(c.values), c) for c in table.columns)
             # A zero-column table has no rows to scan.
             n = len(vectors[0]) if vectors else 0
             sp.annotate(rows_out=n)
@@ -227,7 +253,7 @@ class Executor:
             out_rows = out_rows[select.offset:]
         if select.limit is not None:
             out_rows = out_rows[: select.limit]
-        return Table.from_rows(result_name, out_names, out_rows)
+        return self._emit(Table.from_rows(result_name, out_names, out_rows))
 
     def _sort_rows(
         self,
