@@ -50,9 +50,6 @@ class Dialect:
 
     name = "base"
 
-    #: Engines with a native QUALIFY clause skip the ROW_NUMBER subquery.
-    supports_qualify = True
-
     # -- quoting ---------------------------------------------------------------
     def quote_identifier(self, name: str) -> str:
         """Double-quote an identifier unless it is a plain lowercase non-keyword word.
@@ -264,7 +261,6 @@ class SqliteDialect(Dialect):
     """
 
     name = "sqlite"
-    supports_qualify = False
 
     def quote_identifier(self, name: str) -> str:
         # Always quote: our KEYWORDS list is the in-process tokenizer's, not

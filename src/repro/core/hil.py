@@ -23,6 +23,9 @@ class ReviewDecision:
 
     approved: bool
     # For cleaning reviews: an edited value mapping that replaces the LLM's.
+    # Honoured by every step whose payload carries a mapping — string and
+    # pattern outlier value maps, casts and FD repairs — and ignored by
+    # disguised-missing nulling, numeric ranges, duplication and uniqueness.
     edited_mapping: Optional[Dict[str, str]] = None
     note: str = ""
 

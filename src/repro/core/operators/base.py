@@ -2,27 +2,29 @@
 
 Every operator follows the same three-step shape from Figure 1(b):
 statistical detection → semantic detection (LLM) → semantic cleaning (LLM),
-and finally emits a SQL statement that materialises the next version of the
-table.  The base class provides the LLM helpers, the SQL application and the
-cell-level diff that turns a table rewrite into a list of
-:class:`~repro.core.result.CellRepair` objects.
+and finally hands its decision to :meth:`CleaningOperator.apply_step`, which
+renders it as the :class:`~repro.core.plan.PlanStep` statement that
+materialises the next version of the table.  The base class provides the LLM
+helpers, that one apply path and the cell-level diff that turns a table
+rewrite into a list of :class:`~repro.core.result.CellRepair` objects.
 """
 
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.context import ROW_ID_COLUMN, CleaningContext
 from repro.core.hil import HumanInTheLoop
+from repro.core.plan import PlanStep
 from repro.core.result import CellRepair, DetectionFinding, OperatorResult
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.llm.parsing import ResponseParseError, extract_json, parse_mapping_yaml
 from repro.obs import current_ref as obs_current_ref
 from repro.obs import span as obs_span
-from repro.obs.lineage import lineage_step_id, values_strictly_differ
-from repro.sql.errors import SQLError
+from repro.obs.lineage import values_strictly_differ
 
 
 class CleaningOperator(abc.ABC):
@@ -69,39 +71,58 @@ class CleaningOperator(abc.ABC):
         self._llm_calls = 0
         return calls
 
-    # -- SQL application -----------------------------------------------------------------
-    def apply_sql(
+    # -- applying a decision ---------------------------------------------------------
+    def apply_step(
         self,
         context: CleaningContext,
-        sql: str,
-        target_table: str,
-        issue_type: str,
-        reason: str,
-        decision: Optional[Dict[str, Any]] = None,
-        target: str = "",
-    ) -> Tuple[List[CellRepair], List[int]]:
-        """Execute a cleaning statement and diff old vs new table into repairs.
+        hil: HumanInTheLoop,
+        result: OperatorResult,
+        kind: str,
+        suffix: str,
+        payload: Dict[str, Any],
+        comments: List[str],
+    ) -> OperatorResult:
+        """Review, render, execute and record one cleaning decision.
 
-        Row identity is carried by the hidden row-id column, so repairs survive
-        row reordering and row removal (deduplication).
-
-        ``decision`` is the operator's replay payload (the same dict the result
-        records as ``replay``); when the context carries a
-        :class:`~repro.obs.lineage.LineageRecorder` every *strict* cell change
-        and every removed row is recorded against it, tagged with the plan-step
-        id derived from the decision and the LLM calls that produced it.
+        The decision becomes a :class:`~repro.core.plan.PlanStep` writing the
+        next table name for ``suffix``; its statement (led by ``comments``) is
+        shown to the reviewer with the step's value mapping.  A reviewer's
+        edited mapping replaces the payload's ``mapping`` and the statement is
+        re-rendered.  The executed step is diffed into ``result.repairs`` and
+        ``result.removed_row_ids`` — row identity is carried by the hidden
+        row-id column, so repairs survive reordering and row removal — and,
+        when the context carries a lineage recorder, every strict cell change
+        and removed row is recorded under :attr:`PlanStep.step_id`.
         """
+        finding = result.finding
+        source_table = context.current_table_name
+        columns = context.data_columns()
+        target_table = context.next_table_name(suffix)
+        step = PlanStep(kind, self.issue_type, result.target, target_table, payload)
+        sql = step.render(source_table, target_table, columns, comments)
+        decision = hil.review_cleaning(finding, step.review_mapping, sql)
+        if not decision.approved:
+            result.skipped_reason = "cleaning rejected by reviewer"
+            result.llm_calls = self.take_llm_calls()
+            return result
+        if decision.edited_mapping is not None and "mapping" in payload:
+            step = replace(step, payload={**payload, "mapping": dict(decision.edited_mapping)})
+            edited = f"{comments[0].removesuffix('.')} (reviewer-edited mapping)."
+            sql = step.render(source_table, target_table, columns, [edited])
+
         before = context.current_table()
         context.db.sql(sql)
         after = context.db.table(target_table)
-        repairs, removed = diff_tables(before, after, issue_type=issue_type, reason=reason)
-        lineage = getattr(context, "lineage", None)
-        if lineage is not None and decision is not None:
-            self._record_lineage(
-                context, before, after, removed, decision, issue_type, target, target_table
-            )
+        result.repairs, result.removed_row_ids = diff_tables(
+            before, after, issue_type=self.issue_type, reason=finding.llm_summary
+        )
+        if context.lineage is not None:
+            self._record_lineage(context, before, after, result.removed_row_ids, step)
         context.advance(target_table, sql)
-        return repairs, removed
+        result.sql = sql
+        result.step = step
+        result.llm_calls = self.take_llm_calls()
+        return result
 
     def _record_lineage(
         self,
@@ -109,15 +130,10 @@ class CleaningOperator(abc.ABC):
         before: Table,
         after: Table,
         removed: List[int],
-        decision: Dict[str, Any],
-        issue_type: str,
-        target: str,
-        target_table: str,
+        step: PlanStep,
     ) -> None:
         """Record this step's strict cell diff + removals into the context recorder."""
-        payload = {k: v for k, v in decision.items() if k not in ("kind", "target_table")}
-        kind = str(decision.get("kind", ""))
-        step_id = lineage_step_id(kind, issue_type, target, target_table, payload)
+        step_id = step.step_id
         span_ref = obs_current_ref()
         # The last ``_llm_calls`` history entries are exactly this target's
         # calls (take_llm_calls resets the counter after every target).
@@ -132,20 +148,20 @@ class CleaningOperator(abc.ABC):
         )
         context.lineage.record_step_edits(
             strict_table_edits(before, after),
-            operator=issue_type,
-            target=target,
-            kind=kind,
+            operator=step.issue_type,
+            target=step.target,
+            kind=step.kind,
             step_id=step_id,
-            decision=payload,
+            decision=dict(step.payload),
             llm=llm_info,
             span_ref=span_ref,
         )
         for row_id in removed:
             context.lineage.record_removal(
                 row_id,
-                operator=issue_type,
-                target=target,
-                kind=kind,
+                operator=step.issue_type,
+                target=step.target,
+                kind=step.kind,
                 step_id=step_id,
                 mode="dropped",
                 span_ref=span_ref,

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import cast_expression, select_with_replacements
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
 
@@ -55,7 +54,9 @@ class ColumnTypeOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
         suggested = str(suggestion.get("SuggestedType", current_type)).upper()
-        value_mapping = suggestion.get("ValueMapping") or {}
+        value_mapping = suggestion.get("ValueMapping")
+        if not isinstance(value_mapping, dict):
+            value_mapping = {}
         if suggested not in _VALID_TYPES:
             suggested = current_type
         detected = suggested != current_type.upper()
@@ -72,37 +73,15 @@ class ColumnTypeOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
 
-        target_table = context.next_table_name(f"cast_{column_name}")
-        expression = cast_expression(column_name, suggested, value_mapping if isinstance(value_mapping, dict) else None)
-        sql = select_with_replacements(
-            context.current_table_name,
-            target_table,
-            [ROW_ID_COLUMN] + context.data_columns(),
-            {column_name: expression},
-            comments=[
+        return self.apply_step(
+            context,
+            hil,
+            result,
+            "cast",
+            f"cast_{column_name}",
+            {"column": column_name, "target_type": suggested, "mapping": value_mapping},
+            [
                 f"Column type cleaning for {column_name}: {current_type} -> {suggested}.",
                 f"Reasoning: {finding.llm_reasoning}",
             ],
         )
-        decision = hil.review_cleaning(finding, dict(value_mapping), sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        replay = {
-            "kind": "cast",
-            "target_table": target_table,
-            "column": column_name,
-            "target_type": suggested,
-            "mapping": dict(value_mapping) if isinstance(value_mapping, dict) else {},
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=column_name,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return result

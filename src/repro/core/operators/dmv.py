@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import case_when_null, select_with_replacements
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
 
@@ -64,37 +63,15 @@ class DisguisedMissingValueOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
 
-        target_table = context.next_table_name(f"dmv_{column_name}")
-        expression = case_when_null(column_name, dmvs)
-        sql = select_with_replacements(
-            context.current_table_name,
-            target_table,
-            [ROW_ID_COLUMN] + context.data_columns(),
-            {column_name: expression},
-            comments=[
+        return self.apply_step(
+            context,
+            hil,
+            result,
+            "null_values",
+            f"dmv_{column_name}",
+            {"column": column_name, "values": dmvs},
+            [
                 f"Disguised missing value cleaning for column {column_name}.",
                 f"Reasoning: {finding.llm_reasoning}",
             ],
         )
-        mapping = {value: "" for value in dmvs}
-        decision = hil.review_cleaning(finding, mapping, sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        replay = {
-            "kind": "null_values",
-            "target_table": target_table,
-            "column": column_name,
-            "values": list(dmvs),
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=column_name,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return result

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import keep_first_statement
 from repro.llm import prompts
 
 
@@ -59,35 +58,17 @@ class DuplicationOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return [result]
 
-        data_columns = context.data_columns()
-        target_table = context.next_table_name("dedup")
-        sql = keep_first_statement(
-            context.current_table_name,
-            target_table,
-            data_columns,
-            ROW_ID_COLUMN,
-            comments=[
-                f"Duplication cleaning: remove {duplicate_rows} duplicated rows (keep the first occurrence).",
-                f"Reasoning: {finding.llm_reasoning}",
-            ],
-        )
-        decision = hil.review_cleaning(finding, {}, sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return [result]
-        replay = {
-            "kind": "dedup",
-            "target_table": target_table,
-            "columns": list(data_columns),
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=context.base_table,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return [result]
+        return [
+            self.apply_step(
+                context,
+                hil,
+                result,
+                "dedup",
+                "dedup",
+                {"columns": context.data_columns()},
+                [
+                    f"Duplication cleaning: remove {duplicate_rows} duplicated rows (keep the first occurrence).",
+                    f"Reasoning: {finding.llm_reasoning}",
+                ],
+            )
+        ]

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import conditional_update_expression, select_with_replacements
 from repro.llm import prompts
 from repro.profiling.fd import FDCandidate, fd_violation_groups
 
@@ -104,38 +103,20 @@ class FunctionalDependencyOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
 
-        target_table = context.next_table_name(f"fd_{candidate.dependent}")
-        expression = conditional_update_expression(candidate.dependent, candidate.determinant, mapping)
-        sql = select_with_replacements(
-            context.current_table_name,
-            target_table,
-            [ROW_ID_COLUMN] + context.data_columns(),
-            {candidate.dependent: expression},
-            comments=[
+        return self.apply_step(
+            context,
+            hil,
+            result,
+            "fd_map",
+            f"fd_{candidate.dependent}",
+            {
+                "determinant": candidate.determinant,
+                "dependent": candidate.dependent,
+                "mapping": mapping,
+            },
+            [
                 f"Functional dependency repair: {target}.",
                 f"Statistical evidence: {evidence}",
                 f"Reasoning: {finding.llm_reasoning}",
             ],
         )
-        decision = hil.review_cleaning(finding, mapping, sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        replay = {
-            "kind": "fd_map",
-            "target_table": target_table,
-            "determinant": candidate.determinant,
-            "dependent": candidate.dependent,
-            "mapping": dict(mapping),
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=target,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return result

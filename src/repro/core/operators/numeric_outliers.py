@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import case_when_threshold, select_with_replacements
 from repro.llm import prompts
 
 
@@ -67,37 +66,15 @@ class NumericOutlierOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
 
-        target_table = context.next_table_name(f"range_{column_name}")
-        expression = case_when_threshold(column_name, low, high)
-        sql = select_with_replacements(
-            context.current_table_name,
-            target_table,
-            [ROW_ID_COLUMN] + context.data_columns(),
-            {column_name: expression},
-            comments=[
+        return self.apply_step(
+            context,
+            hil,
+            result,
+            "range",
+            f"range_{column_name}",
+            {"column": column_name, "low": low, "high": high},
+            [
                 f"Numeric outlier cleaning for {column_name}: values outside [{low}, {high}] become NULL.",
                 f"Reasoning: {finding.llm_reasoning}",
             ],
         )
-        decision = hil.review_cleaning(finding, {}, sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        replay = {
-            "kind": "range",
-            "target_table": target_table,
-            "column": column_name,
-            "low": low,
-            "high": high,
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=column_name,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return result

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import case_when_mapping, quote_identifier, quote_literal, select_with_replacements
+from repro.core.sqlgen import quote_identifier, quote_literal
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
 from repro.profiling.patterns import match_fraction, non_matching_values
@@ -122,38 +122,16 @@ class PatternOutlierOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
 
-        target_table = context.next_table_name(f"pattern_{column_name}")
-        expression = case_when_mapping(column_name, mapping)
-        sql = select_with_replacements(
-            context.current_table_name,
-            target_table,
-            [ROW_ID_COLUMN] + context.data_columns(),
-            {column_name: expression},
-            comments=[
+        return self.apply_step(
+            context,
+            hil,
+            result,
+            "value_map",
+            f"pattern_{column_name}",
+            {"column": column_name, "mapping": mapping, "standard_pattern": standard_pattern},
+            [
                 f"Pattern outlier cleaning for column {column_name}.",
                 f"Standard pattern: {standard_pattern}",
                 f"Reasoning: {finding.llm_reasoning}",
             ],
         )
-        decision = hil.review_cleaning(finding, mapping, sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        replay = {
-            "kind": "value_map",
-            "target_table": target_table,
-            "column": column_name,
-            "mapping": dict(mapping),
-            "standard_pattern": standard_pattern,
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=column_name,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return result

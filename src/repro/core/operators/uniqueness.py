@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import keep_first_statement, quote_identifier
 from repro.llm import prompts
 
 
@@ -70,36 +69,15 @@ class ColumnUniquenessOperator(CleaningOperator):
             result.llm_calls = self.take_llm_calls()
             return result
 
-        order_by = f"{quote_identifier(order_column)} DESC" if order_column else ROW_ID_COLUMN
-        target_table = context.next_table_name(f"unique_{column_name}")
-        sql = keep_first_statement(
-            context.current_table_name,
-            target_table,
-            [column_name],
-            order_by,
-            comments=[
+        return self.apply_step(
+            context,
+            hil,
+            result,
+            "unique",
+            f"unique_{column_name}",
+            {"column": column_name, "order_column": order_column},
+            [
                 f"Column uniqueness cleaning: {column_name} should be unique.",
                 f"Reasoning: {finding.llm_reasoning}",
             ],
         )
-        decision = hil.review_cleaning(finding, {}, sql)
-        if not decision.approved:
-            result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        replay = {
-            "kind": "unique",
-            "target_table": target_table,
-            "column": column_name,
-            "order_column": order_column,
-        }
-        repairs, removed = self.apply_sql(
-            context, sql, target_table, self.issue_type, finding.llm_summary,
-            decision=replay, target=column_name,
-        )
-        result.repairs = repairs
-        result.removed_row_ids = removed
-        result.sql = sql
-        result.replay = replay
-        result.llm_calls = self.take_llm_calls()
-        return result

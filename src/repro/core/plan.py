@@ -8,16 +8,16 @@ determinant, whether duplicates were judged erroneous.  Those decisions are
 the expensive part of a run (each one cost LLM calls); the SQL that applies
 them is cheap and deterministic.
 
-:class:`CleaningPlan` extracts the decisions into an ordered list of
-:class:`PlanStep` objects so they can be *replayed* on new data with zero
-LLM calls — the heart of the ``repro.stream`` incremental engine.  Steps
-split into two classes:
+Every decision is a :class:`PlanStep` from the start: the operator renders
+and executes it, and :class:`CleaningPlan` collects the applied steps in
+order so they can be *replayed* on new data with zero LLM calls — the heart
+of the ``repro.stream`` incremental engine.  Steps split into two classes:
 
 * **row-local** steps (string/pattern maps, DMV nulling, casts, numeric
   range nulling, FD ``CASE WHEN`` repairs): pure per-row functions.  They
-  replay by executing the operator's original recorded SQL against *any*
-  subset of rows — running them on a micro-batch gives exactly the rows the
-  whole-table run would have produced for those rows.
+  replay by rendering the same statement against *any* subset of rows —
+  running them on a micro-batch gives exactly the rows the whole-table run
+  would have produced for those rows.
 * **table-level** steps (duplicate removal, key uniqueness): they reason
   across rows, so replay needs cross-batch state.  The plan carries their
   parameters (partition columns, keep-order); :mod:`repro.stream.state`
@@ -31,7 +31,7 @@ enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.context import ROW_ID_COLUMN
 from repro.core.dialects import DEFAULT_DIALECT, Dialect
@@ -64,12 +64,16 @@ class PlanExtractionError(ValueError):
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One applied cleaning decision, replayable without an LLM."""
+    """One cleaning decision: what an operator applies and a plan replays.
+
+    Operators build a step, render it with :meth:`render` and execute that
+    statement (:meth:`repro.core.operators.base.CleaningOperator.apply_step`);
+    plan replay and emission render the same step against other tables.
+    """
 
     kind: str
     issue_type: str
     target: str
-    sql: str
     target_table: str
     payload: Dict[str, Any] = field(default_factory=dict)
 
@@ -81,24 +85,29 @@ class PlanStep:
     def step_id(self) -> str:
         """Stable lineage id of this decision.
 
-        Computed from the same fields :meth:`repro.core.operators.base.CleaningOperator.apply_sql`
-        hashes when it records the batch application, so lineage records from
-        the original run and from every replay of this step carry bit-identical
-        step ids.
+        The batch application and every replay of this step record lineage
+        under it, so their records carry bit-identical step ids.
         """
         return lineage_step_id(
             self.kind, self.issue_type, self.target, self.target_table, self.payload
         )
 
-    def replacement_expression(self, dialect: Optional[Dialect] = None) -> str:
-        """Rebuild the SQL expression this step rewrites its column with.
+    @property
+    def review_mapping(self) -> Dict[str, str]:
+        """The old → new value map a reviewer is shown (nulled values map to ``""``)."""
+        if self.kind == "null_values":
+            return {value: "" for value in self.payload["values"]}
+        return dict(self.payload.get("mapping") or {})
 
-        Uses the same :mod:`repro.core.sqlgen` builders the operator used, fed
-        from the recorded payload, so a regenerated statement is semantically
-        identical to the original one — but free to read from / write to any
-        table (and to render for any dialect), which is what lets replay
-        re-chain steps after a partial re-plan swapped some of them out.
-        """
+    @property
+    def rewritten_column(self) -> str:
+        """The data column a row-local step rewrites."""
+        if self.kind == "fd_map":
+            return str(self.payload["dependent"])
+        return str(self.payload["column"])
+
+    def _expression(self, dialect: Optional[Dialect]) -> str:
+        """The SQL expression a row-local step rewrites its column with."""
         payload = self.payload
         if self.kind == "value_map":
             return case_when_mapping(payload["column"], payload["mapping"], dialect=dialect)
@@ -119,54 +128,34 @@ class PlanStep:
             return conditional_update_expression(
                 payload["dependent"], payload["determinant"], payload["mapping"], dialect=dialect
             )
-        raise PlanExtractionError(f"Step kind {self.kind!r} has no row-local expression")
+        raise PlanExtractionError(f"Unknown plan step kind {self.kind!r}")
 
-    @property
-    def rewritten_column(self) -> str:
-        """The data column a row-local step rewrites."""
-        if self.kind == "fd_map":
-            return str(self.payload["dependent"])
-        return str(self.payload["column"])
-
-    def build_sql(
+    def render(
         self,
         source_table: str,
         target_table: str,
         columns: List[str],
+        comments: Optional[Sequence[str]] = None,
         dialect: Optional[Dialect] = None,
     ) -> str:
-        """Regenerate this row-local step as a statement reading ``source_table``."""
-        return select_with_replacements(
-            source_table,
-            target_table,
-            [ROW_ID_COLUMN] + list(columns),
-            {self.rewritten_column: self.replacement_expression(dialect)},
-            comments=[f"Replayed {self.issue_type} step for {self.target}."],
-            dialect=dialect,
-        )
+        """Render this step as one statement reading ``source_table``.
 
-    def table_level_sql(
-        self,
-        source_table: str,
-        target_table: str,
-        columns: List[str],
-        dialect: Optional[Dialect] = None,
-    ) -> str:
-        """Regenerate a dedup/unique step as a keep-first statement.
-
-        ``columns`` is the full output column list *including* the hidden
-        row-id column — dialects without QUALIFY need it to project their
-        ROW_NUMBER helper away.
+        ``columns`` are the data columns (the hidden row-id column is
+        prepended).  ``comments`` lead the statement; the default names the
+        step as a replay.  Row-local steps rewrite one column of a projection;
+        dedup/unique steps keep the first row per partition.
         """
-        dialect = dialect or DEFAULT_DIALECT
+        if comments is None:
+            comments = [f"Replayed {self.issue_type} step for {self.target}."]
+        all_columns = [ROW_ID_COLUMN] + list(columns)
         if self.kind == "dedup":
             return keep_first_statement(
                 source_table,
                 target_table,
                 list(self.payload["columns"]),
                 ROW_ID_COLUMN,
-                comments=[f"Replayed {self.issue_type} step for {self.target}."],
-                columns=columns,
+                comments=comments,
+                columns=all_columns,
                 dialect=dialect,
             )
         if self.kind == "unique":
@@ -181,18 +170,24 @@ class PlanStep:
                 target_table,
                 [self.payload["column"]],
                 order_sql,
-                comments=[f"Replayed {self.issue_type} step for {self.target}."],
-                columns=columns,
+                comments=comments,
+                columns=all_columns,
                 dialect=dialect,
             )
-        raise PlanExtractionError(f"Step kind {self.kind!r} is not table-level")
+        return select_with_replacements(
+            source_table,
+            target_table,
+            all_columns,
+            {self.rewritten_column: self._expression(dialect)},
+            comments=comments,
+            dialect=dialect,
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "issue_type": self.issue_type,
             "target": self.target,
-            "sql": self.sql,
             "target_table": self.target_table,
             "payload": dict(self.payload),
         }
@@ -203,7 +198,6 @@ class PlanStep:
             kind=str(data["kind"]),
             issue_type=str(data["issue_type"]),
             target=str(data["target"]),
-            sql=str(data["sql"]),
             target_table=str(data["target_table"]),
             payload=dict(data.get("payload") or {}),
         )
@@ -244,26 +238,6 @@ class CleaningPlan:
     def table_level_steps(self) -> List[PlanStep]:
         return [s for s in self.steps if not s.row_local]
 
-    def steps_for_column(self, column: str) -> List[PlanStep]:
-        """Row-local steps targeting one column (FD steps target a pair)."""
-        return [s for s in self.row_local_steps if s.target == column]
-
-    def mapped_values(self, column: str) -> List[str]:
-        """All old values this plan knows how to rewrite/null for ``column``.
-
-        The drift detector uses this as the plan's *coverage*: a batch whose
-        dirty values fall outside it cannot be repaired by replay alone.
-        """
-        known: List[str] = []
-        for step in self.row_local_steps:
-            if step.target != column:
-                continue
-            if step.kind in ("value_map", "cast"):
-                known.extend((step.payload.get("mapping") or {}).keys())
-            elif step.kind == "null_values":
-                known.extend(step.payload.get("values") or [])
-        return known
-
     # -- replay -------------------------------------------------------------------
     def replay_row_local(
         self,
@@ -295,7 +269,7 @@ class CleaningPlan:
         current = base
         for index, step in enumerate(self.row_local_steps, start=1):
             target = f"{base}_step{index}"
-            db.sql(step.build_sql(current, target, self.column_names))
+            db.sql(step.render(current, target, self.column_names))
             if lineage is not None:
                 self._record_replay_step(db, current, target, step, lineage)
             current = target
@@ -353,7 +327,6 @@ class CleaningPlan:
         on an external engine, cleaning data that never becomes a ``Table``.
         """
         dialect = dialect or DEFAULT_DIALECT
-        all_columns = [ROW_ID_COLUMN] + list(self.column_names)
         header = comment_block(
             [
                 f"Cocoon cleaning plan for {self.base_table} "
@@ -364,10 +337,9 @@ class CleaningPlan:
         statements = []
         current = self.base_table
         for step in self.steps:
-            if step.row_local:
-                statements.append(step.build_sql(current, step.target_table, self.column_names, dialect=dialect))
-            else:
-                statements.append(step.table_level_sql(current, step.target_table, all_columns, dialect=dialect))
+            statements.append(
+                step.render(current, step.target_table, self.column_names, dialect=dialect)
+            )
             current = step.target_table
         if not statements:
             return header
@@ -401,48 +373,11 @@ class CleaningPlan:
         return "\n".join(lines)
 
 
-def steps_from_operator_results(operator_results: List[Any]) -> List[PlanStep]:
-    """Convert applied operator results into plan steps, in execution order.
-
-    Raises :class:`PlanExtractionError` when an applied operator recorded no
-    replay payload — every shipped operator records one, so that indicates a
-    custom operator that predates the plan layer.
-    """
-    steps: List[PlanStep] = []
-    for op in operator_results:
-        if not op.applied:
-            continue
-        if op.replay is None:
-            raise PlanExtractionError(
-                f"Applied operator {op.issue_type}:{op.target} recorded no replay payload"
-            )
-        payload = dict(op.replay)
-        try:
-            kind = payload.pop("kind")
-            target_table = payload.pop("target_table")
-        except KeyError as exc:
-            raise PlanExtractionError(
-                f"Replay payload of {op.issue_type}:{op.target} is missing {exc}"
-            ) from None
-        steps.append(
-            PlanStep(
-                kind=str(kind),
-                issue_type=op.issue_type,
-                target=op.target,
-                sql=op.sql or "",
-                target_table=str(target_table),
-                payload=payload,
-            )
-        )
-    return steps
-
-
 def extract_plan(result: CleaningResult) -> CleaningPlan:
     """Extract the replayable plan from a finished cleaning run.
 
     Only *applied* operator results contribute steps; detections that were
-    rejected (by the model or the reviewer) or skipped carry no replay
-    payload.
+    rejected (by the model or the reviewer) or skipped carry no step.
     """
     if not result.base_table:
         raise PlanExtractionError(
@@ -452,6 +387,6 @@ def extract_plan(result: CleaningResult) -> CleaningPlan:
     return CleaningPlan(
         base_table=result.base_table,
         column_names=[c for c in result.dirty_table.column_names if c != ROW_ID_COLUMN],
-        steps=steps_from_operator_results(result.operator_results),
+        steps=[op.step for op in result.operator_results if op.step is not None],
         llm_calls_invested=result.llm_calls,
     )

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.dataframe.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
+    from repro.core.plan import PlanStep
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,13 @@ class OperatorResult:
     sql: Optional[str] = None
     skipped_reason: Optional[str] = None
     llm_calls: int = 0
-    # Structured description of the applied decision for LLM-free replay:
-    # a dict with at least "kind" and "target_table" keys (see repro.core.plan).
-    # None for skipped/rejected results, which have nothing to replay.
-    replay: Optional[Dict[str, Any]] = None
+    # The applied decision (repro.core.plan) that ``sql`` executed; None for
+    # skipped/rejected results, which have nothing to replay.
+    step: Optional["PlanStep"] = None
 
     @property
     def applied(self) -> bool:
-        return self.sql is not None and self.skipped_reason is None
+        return self.step is not None
 
 
 @dataclass

@@ -127,8 +127,6 @@ def select_with_replacements(
     columns: Sequence[str],
     replacements: Mapping[str, str],
     comments: Sequence[str] = (),
-    where: Optional[str] = None,
-    qualify: Optional[str] = None,
     dialect: Optional[Dialect] = None,
 ) -> str:
     """Build ``CREATE OR REPLACE TABLE target AS SELECT ...`` replacing some columns.
@@ -146,20 +144,10 @@ def select_with_replacements(
             select_items.append(f"    {col}")
     select_list = ",\n".join(select_items)
     header = comment_block(comments) + "\n" if comments else ""
-    statement = (
+    return (
         f"{header}{dialect.create_table_prelude(target_table)}\n"
         f"SELECT\n{select_list}\nFROM {dialect.quote_identifier(source_table)}"
     )
-    if where:
-        statement += f"\nWHERE {where}"
-    if qualify:
-        if not dialect.supports_qualify:
-            raise ValueError(
-                f"Dialect {dialect.name!r} has no QUALIFY; build keep-first "
-                "statements with keep_first_statement() so it can be lowered"
-            )
-        statement += f"\nQUALIFY {qualify}"
-    return statement
 
 
 def keep_first_statement(

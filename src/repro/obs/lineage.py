@@ -22,8 +22,8 @@ field              meaning
                    application and every later plan replay of the same step
 ``phase``          ``batch`` | ``replay`` | ``replan`` — which execution
                    path produced the record
-``decision``       the operator's replay payload (the mapping/threshold/
-                   cast the LLM chose)
+``decision``       the step payload (the mapping/threshold/cast the LLM
+                   chose, or the reviewer's edit)
 ``llm``            the LLM calls behind the decision: prompt cache key,
                    cache hit/miss, purpose (empty for LLM-free replay)
 ``trace_id/span_id``  the enclosing :mod:`repro.obs.trace` span, when traced
@@ -103,8 +103,9 @@ def lineage_step_id(
     """Stable id of one applied cleaning decision.
 
     Derived purely from the decision (kind, issue type, target, target table
-    and the replay payload), so the batch application and every later
-    :class:`~repro.core.plan.PlanStep` replay of the same decision produce
+    and the step payload); :attr:`repro.core.plan.PlanStep.step_id` is the
+    one caller, so the batch application and every later replay of the same
+    :class:`~repro.core.plan.PlanStep` produce
     bit-identical ids — which is what lets ``explain`` chains line up across
     batch, replay and streaming runs.
     """

@@ -40,12 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.context import ROW_ID_COLUMN, CleaningConfig, CleaningContext
 from repro.core.hil import AutoApprove, HumanInTheLoop
 from repro.core.pipeline import CocoonCleaner, run_operators
-from repro.core.plan import (
-    CleaningPlan,
-    PlanStep,
-    extract_plan,
-    steps_from_operator_results,
-)
+from repro.core.plan import CleaningPlan, PlanStep, extract_plan
 from repro.core.workflow import COLUMN_LEVEL_ISSUES, ISSUE_ORDER, default_operators
 from repro.dataframe.column import Column
 from repro.dataframe.schema import ColumnType
@@ -520,7 +515,7 @@ class StreamingCleaner:
         context = CleaningContext(db, self.llm, base, config=self.config)
         issues = [i for i in COLUMN_LEVEL_ISSUES if self.config.issue_enabled(i)]
         results = run_operators(context, self.hil, operators=default_operators(issues))
-        return steps_from_operator_results(results)
+        return [r.step for r in results if r.step is not None]
 
     @staticmethod
     def _splice(plan: CleaningPlan, drifted: List[str], fresh: List[PlanStep]) -> CleaningPlan:

@@ -153,12 +153,6 @@ class TestSqliteStatements:
         with pytest.raises(ValueError, match="column list"):
             keep_first_statement("s", "t", ["k"], ROW_ID_COLUMN, dialect=SqliteDialect())
 
-    def test_select_with_replacements_rejects_qualify(self):
-        with pytest.raises(ValueError, match="QUALIFY"):
-            select_with_replacements(
-                "s", "t", ["a"], {}, qualify="ROW_NUMBER() OVER () = 1", dialect=SqliteDialect()
-            )
-
     def test_function_renames(self):
         d = SqliteDialect()
         assert d.function_call("LEN", ["x"]) == "LENGTH(x)"

@@ -79,7 +79,7 @@ class TestStepId:
 
         step = PlanStep(
             kind="value_map", issue_type="string_outliers", target="c",
-            sql="", target_table="t1", payload={"column": "c", "mapping": {"a": "b"}},
+            target_table="t1", payload={"column": "c", "mapping": {"a": "b"}},
         )
         assert step.step_id == lineage_step_id(
             "value_map", "string_outliers", "c", "t1", step.payload

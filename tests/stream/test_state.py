@@ -24,14 +24,14 @@ from repro.stream.state import TableLevelDelta
 
 def dedup_step(columns):
     return PlanStep(
-        kind="dedup", issue_type="duplication", target="t", sql="", target_table="t1",
+        kind="dedup", issue_type="duplication", target="t", target_table="t1",
         payload={"columns": list(columns)},
     )
 
 
 def unique_step(column, order_column=None):
     return PlanStep(
-        kind="unique", issue_type="column_uniqueness", target=column, sql="", target_table="t2",
+        kind="unique", issue_type="column_uniqueness", target=column, target_table="t2",
         payload={"column": column, "order_column": order_column},
     )
 
@@ -164,7 +164,7 @@ class TestDeltaSemantics:
         with pytest.raises(ValueError, match="row-local"):
             TableLevelState(
                 [PlanStep(kind="value_map", issue_type="string_outliers", target="a",
-                          sql="", target_table="x", payload={"column": "a", "mapping": {}})],
+                          target_table="x", payload={"column": "a", "mapping": {}})],
                 COLUMNS,
             )
 
