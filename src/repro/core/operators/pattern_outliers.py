@@ -1,24 +1,24 @@
 """§2.1.2 Pattern outliers: inconsistent structural representations.
 
 The operator asks the LLM for a list of semantically meaningful regular
-expressions that cover the column values, verifies them with SQL
-(``REGEXP_FULL_MATCH`` counts), asks whether the pattern mix is an
-inconsistent representation of one concept, and cleans by rewriting the
+expressions that cover the column values, counts how many values each one
+covers (:func:`repro.profiling.patterns.pattern_counts` over the column
+values it already holds, first match wins), asks whether the pattern mix is
+an inconsistent representation of one concept, and cleans by rewriting the
 non-conforming values into the standard pattern.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
-from repro.core.sqlgen import quote_identifier, quote_literal
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
-from repro.profiling.patterns import match_fraction, non_matching_values
+from repro.profiling.patterns import match_fraction, non_matching_values, pattern_counts
 
 
 class PatternOutlierOperator(CleaningOperator):
@@ -40,25 +40,6 @@ class PatternOutlierOperator(CleaningOperator):
                 results.append(self._run_column(context, hil, column_name))
         return results
 
-    def _verify_pattern_counts(self, context: CleaningContext, column: str, patterns: List[str]) -> List[Tuple[str, int]]:
-        """Verify candidate patterns with SQL, as the paper prescribes."""
-        counts: List[Tuple[str, int]] = []
-        matched_clauses: List[str] = []
-        col = quote_identifier(column)
-        for pattern in patterns:
-            clause = f"REGEXP_FULL_MATCH({col}, {quote_literal(pattern)})"
-            exclusion = " AND ".join(f"NOT {c}" for c in matched_clauses)
-            where = clause if not matched_clauses else f"{clause} AND {exclusion}"
-            try:
-                count = context.db.scalar(
-                    f"SELECT COUNT(*) FROM {quote_identifier(context.current_table_name)} WHERE {where}"
-                )
-            except Exception:
-                count = 0
-            counts.append((pattern, int(count or 0)))
-            matched_clauses.append(clause)
-        return counts
-
     def _run_column(self, context: CleaningContext, hil: HumanInTheLoop, column_name: str) -> OperatorResult:
         config = context.config
         result = OperatorResult(issue_type=self.issue_type, target=column_name)
@@ -78,18 +59,18 @@ class PatternOutlierOperator(CleaningOperator):
             patterns = [p for p in generated.get("Patterns", []) if isinstance(p, str) and p.strip()]
             if match_fraction(values, patterns) >= self.coverage_threshold:
                 break
-        if not patterns:
+        # Empty when no pattern compiles: pattern_counts drops the ones that do not.
+        counts = pattern_counts(values, patterns)
+        if not counts:
             result.skipped_reason = "no usable patterns generated"
             result.llm_calls = self.take_llm_calls()
             return result
+        evidence = "pattern distribution: " + ", ".join(f"{p!r} x{c}" for p, c in counts)
 
-        pattern_counts_sql = self._verify_pattern_counts(context, column_name, patterns)
-        evidence = "pattern distribution: " + ", ".join(f"{p!r} x{c}" for p, c in pattern_counts_sql)
-
-        consistency_prompt = prompts.pattern_consistency(column_name, pattern_counts_sql)
+        consistency_prompt = prompts.pattern_consistency(column_name, counts)
         consistency = self.ask_json(context, consistency_prompt, purpose="pattern_consistency")
         detected = bool(consistency and consistency.get("Inconsistent")) and len(
-            [c for _, c in pattern_counts_sql if c > 0]
+            [c for _, c in counts if c > 0]
         ) > 1
         finding = self.make_finding(
             self.issue_type,

@@ -71,7 +71,3 @@ def language_variants(value: str) -> List[str]:
     if code is None:
         return []
     return [code] + LANGUAGE_CODES[code]
-
-
-def is_language_value(value: str) -> bool:
-    return language_code(value) is not None

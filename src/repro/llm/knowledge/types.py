@@ -84,15 +84,10 @@ def expected_numeric_range(column_name: str) -> Optional[Tuple[float, float]]:
 
 
 _DATE_COLUMN_RE = re.compile(r"(date|_dt$|^dt_|birthday|dob)", re.IGNORECASE)
-_TIME_COLUMN_RE = re.compile(r"(time|timestamp)", re.IGNORECASE)
 
 
 def looks_like_date_column(column_name: str) -> bool:
     return _DATE_COLUMN_RE.search(column_name) is not None
-
-
-def looks_like_time_column(column_name: str) -> bool:
-    return _TIME_COLUMN_RE.search(column_name) is not None
 
 
 def boolean_fraction(values: Iterable[object]) -> float:

@@ -60,12 +60,3 @@ def words_of(text: str) -> list:
 
 def is_known_word(word: str) -> bool:
     return word.lower() in DOMAIN_VOCABULARY
-
-
-def unknown_word_fraction(text: str) -> float:
-    """Fraction of words in ``text`` that are not in the vocabulary."""
-    words = words_of(text)
-    if not words:
-        return 0.0
-    unknown = sum(1 for w in words if w not in DOMAIN_VOCABULARY)
-    return unknown / len(words)

@@ -293,15 +293,3 @@ def uniqueness_review(
         "}\n"
         "```"
     )
-
-
-# ---------------------------------------------------------------------------
-# single-shot baseline prompt (ablation: cleaning without decomposition)
-# ---------------------------------------------------------------------------
-def single_shot_cleaning(table_name: str, csv_text: str) -> str:
-    return (
-        f"Clean the following table {table_name} provided as CSV. Fix typos, inconsistent representations, "
-        "missing values and dependency violations, and return the full cleaned CSV.\n"
-        f"{csv_text}\n"
-        "Respond with only the cleaned CSV."
-    )

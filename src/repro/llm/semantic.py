@@ -92,26 +92,6 @@ def value_shape(value: str) -> str:
     return "".join(pieces)
 
 
-def loose_value_shape(value: str) -> str:
-    """Like :func:`value_shape` but with unbounded repetitions (``\\d+``)."""
-    pieces = []
-    for piece in _SHAPE_PIECE_RE.findall(str(value)):
-        if piece.isdigit():
-            pieces.append(r"\d+")
-        elif piece.isalpha():
-            pieces.append(r"[A-Za-z]+")
-        elif piece.isspace():
-            pieces.append(r"\s+")
-        else:
-            pieces.append(re.escape(piece))
-    # collapse repeats of the same token
-    out: List[str] = []
-    for piece in pieces:
-        if not out or out[-1] != piece:
-            out.append(piece)
-    return "".join(out)
-
-
 # ---------------------------------------------------------------------------
 # typo search
 # ---------------------------------------------------------------------------

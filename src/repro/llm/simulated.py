@@ -94,11 +94,6 @@ class SimulatedSemanticLLM(LLMClient):
             return self._duplication(prompt)
         if "unique ratio" in prompt:
             return self._uniqueness(prompt)
-        if "return the full cleaned CSV" in prompt:
-            # Single-shot cleaning (the ablation): a bare model cannot reliably
-            # rewrite a whole CSV, so it echoes the input — matching the near-zero
-            # scores the paper reports for one-shot LLM cleaning tools.
-            return self._single_shot(prompt)
         return render_json({"Reasoning": "The request was not understood.", "Unusualness": False})
 
     # -- helpers --------------------------------------------------------------------
@@ -267,11 +262,6 @@ class SimulatedSemanticLLM(LLMClient):
         return render_json(
             {"Reasoning": reasoning, "ShouldBeUnique": should_be_unique, "OrderByColumn": order_column}
         )
-
-    def _single_shot(self, prompt: str) -> str:
-        lines = prompt.splitlines()
-        csv_lines = [line for line in lines[1:] if "," in line and not line.startswith("Respond")]
-        return "\n".join(csv_lines)
 
 
 def _to_float(text: str) -> Optional[float]:

@@ -1,7 +1,8 @@
 """One apply path: every operator decision is a PlanStep, reviewed and run once.
 
 * the statement each operator executed equals the step rendered against the
-  same source table and columns (and so equals what the plan emits);
+  same source table and columns (and so equals what the plan emits), and a
+  clean executes no other statement;
 * a reviewer's edited mapping reaches the SQL, the repairs, the plan and the
   lineage of every step whose payload carries a mapping;
 * a malformed model answer degrades to "no mapping" instead of aborting.
@@ -59,16 +60,27 @@ def _runs():
 
 
 @pytest.fixture(scope="module")
-def cleaned():
-    return {name: CocoonCleaner().clean(table) for name, table in _runs()}
+def runs():
+    """name -> (result, the database the clean ran in)."""
+    out = {}
+    for name, table in _runs():
+        cleaner = CocoonCleaner()
+        out[name] = (cleaner.clean(table), cleaner.database)
+    return out
+
+
+@pytest.fixture(scope="module")
+def cleaned(runs):
+    return {name: result for name, (result, _db) in runs.items()}
 
 
 class TestBatchMatchesPlan:
-    def test_every_executed_statement_is_its_rendered_step(self, cleaned):
+    def test_every_executed_statement_is_its_rendered_step(self, runs):
         kinds = set()
-        for name, result in cleaned.items():
+        for name, (result, db) in runs.items():
             plan = extract_plan(result)
             applied = [op for op in result.operator_results if op.applied]
+            assert db.query_log.statements == [op.sql for op in applied], name
             assert [op.step for op in applied] == plan.steps, name
             source = result.base_table
             for op in applied:

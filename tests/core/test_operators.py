@@ -12,6 +12,8 @@ from repro.core.sqlgen import (
     select_with_replacements,
 )
 from repro.dataframe import Table
+from repro.llm.parsing import render_json
+from repro.llm.simulated import SimulatedSemanticLLM
 
 
 def clean_with(table: Table, issues):
@@ -170,3 +172,35 @@ class TestHumanInTheLoop:
         cleaner = CocoonCleaner(config=CleaningConfig(enabled_issues=["string_outliers"]), hil=reviewer)
         result = cleaner.clean(dirty_language_table)
         assert "en" in result.cleaned_table.column("article_language").values
+
+
+
+class _FixedPatternsLLM(SimulatedSemanticLLM):
+    """Answers every pattern-generation prompt with the same pattern list."""
+
+    def __init__(self, patterns):
+        super().__init__()
+        self.patterns = patterns
+
+    def _pattern_generation(self, prompt: str) -> str:
+        return render_json({"Patterns": self.patterns})
+
+
+class TestPatternOutlierOperator:
+    def _clean_phones(self, patterns):
+        table = Table.from_dict("t", {"phone": ["555-1234"] * 8 + ["5551234"] * 2})
+        config = CleaningConfig(enabled_issues=["pattern_outliers"])
+        (op,) = CocoonCleaner(llm=_FixedPatternsLLM(patterns), config=config).clean(table).operator_results
+        return op
+
+    def test_malformed_pattern_does_not_zero_valid_counts(self):
+        op = self._clean_phones(["[", r"\d{3}-\d{4}", r"\d{7}"])
+        assert op.finding.statistical_evidence == (
+            r"pattern distribution: '\\d{3}-\\d{4}' x8, '\\d{7}' x2"
+        )
+        assert op.finding.detected
+
+    def test_no_compilable_pattern_is_skipped(self):
+        op = self._clean_phones(["[", "(a"])
+        assert op.skipped_reason == "no usable patterns generated"
+        assert op.finding is None
