@@ -31,7 +31,7 @@ enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import ROW_ID_COLUMN
 from repro.core.dialects import DEFAULT_DIALECT, Dialect
@@ -50,7 +50,9 @@ from repro.core.sqlgen import (
 from repro.dataframe.table import Table
 from repro.obs import current_ref as obs_current_ref
 from repro.obs.lineage import LineageRecorder, lineage_step_id, values_strictly_differ
+from repro.sql.ast_nodes import Statement
 from repro.sql.database import Database
+from repro.sql.parser import parse
 
 #: Step kinds whose effect is a pure per-row function.
 ROW_LOCAL_KINDS = frozenset({"value_map", "null_values", "cast", "range", "fd_map"})
@@ -211,6 +213,11 @@ class CleaningPlan:
     column_names: List[str]
     steps: List[PlanStep] = field(default_factory=list)
     llm_calls_invested: int = 0
+    #: The rendered and parsed row-local replay chain, keyed on what it was
+    #: rendered from (see :meth:`_replay_chain`).
+    _replay_memo: Optional[Tuple[Tuple, List[Tuple[PlanStep, str, str, Statement]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.validate()
@@ -267,13 +274,34 @@ class CleaningPlan:
         base = f"{self.base_table}__replay"
         db.register(batch_with_ids.rename(base), replace=True)
         current = base
-        for index, step in enumerate(self.row_local_steps, start=1):
-            target = f"{base}_step{index}"
-            db.sql(step.render(current, target, self.column_names))
+        for step, target, query, statement in self._replay_chain(base):
+            db.sql(query, parsed=statement)
             if lineage is not None:
                 self._record_replay_step(db, current, target, step, lineage)
             current = target
         return db.table(current)
+
+    def _replay_chain(self, base: str) -> List[Tuple[PlanStep, str, str, Statement]]:
+        """``(step, target table, statement text, parsed statement)`` per row-local step.
+
+        Rendered and parsed once per plan, not once per batch.  The memo is
+        keyed on the steps' ids, the table names and the columns, so a
+        changed step list never replays a stale statement.  Sharing one AST
+        across batches is safe: executing a statement only memoises derived
+        lookups on it.
+        """
+        steps = self.row_local_steps
+        key = (base, tuple(self.column_names), tuple(step.step_id for step in steps))
+        if self._replay_memo is None or self._replay_memo[0] != key:
+            chain = []
+            current = base
+            for index, step in enumerate(steps, start=1):
+                target = f"{base}_step{index}"
+                query = step.render(current, target, self.column_names)
+                chain.append((step, target, query, parse(query)))
+                current = target
+            self._replay_memo = (key, chain)
+        return self._replay_memo[1]
 
     @staticmethod
     def _record_replay_step(

@@ -17,6 +17,7 @@ from repro.dataframe.table import Table
 from repro.obs import get_tracer
 from repro.obs import span as obs_span
 from repro.obs.report import render_explain
+from repro.sql.ast_nodes import Statement
 from repro.sql.catalog import Catalog
 from repro.sql.executor import Executor
 from repro.sql.parser import parse
@@ -79,11 +80,16 @@ class Database:
         return self.catalog.schema(name)
 
     # -- query execution ---------------------------------------------------------
-    def sql(self, query: str) -> Optional[Table]:
-        """Parse and execute a SQL statement, returning a result table (or None)."""
+    def sql(self, query: str, parsed: Optional[Statement] = None) -> Optional[Table]:
+        """Parse and execute a SQL statement, returning a result table (or None).
+
+        ``parsed`` is ``query``'s AST when the caller already holds it (a
+        plan replaying the same statements batch after batch); it is logged
+        and traced as ``query`` either way.
+        """
         self.query_log.record(query)
         with obs_span("sql.query", statement=summarise_sql(query)) as sp:
-            statement = parse(query)
+            statement = parse(query) if parsed is None else parsed
             result = self.executor.execute(statement)
             if result is not None:
                 sp.annotate(rows_out=result.num_rows)

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.llm.semantic import value_shape
 from repro.profiling.mergeable import MergeableColumnProfile
 
 #: How many top values per side enter the frequency comparison.
@@ -105,15 +104,11 @@ def _top_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
 
 
 def _shape_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
-    shapes: Dict[str, int] = {}
-    total = 0
-    for value, count in profile.counts.items():
-        shape = value_shape(value)
-        shapes[shape] = shapes.get(shape, 0) + count
-        total += count
+    # The profile folds the shape mix per batch, so no value is re-shaped here.
+    total = profile.non_null_count
     if not total:
         return {}
-    return {shape: count / total for shape, count in shapes.items()}
+    return {shape: count / total for shape, count in profile.shapes.items()}
 
 
 def _signals(profile: MergeableColumnProfile) -> _Signals:
@@ -142,7 +137,10 @@ def _new_value_mass(seen: FrozenSet[str], current: MergeableColumnProfile) -> fl
     total = current.non_null_count
     if not total:
         return 0.0
-    unseen = sum(count for value, count in current.counts.items() if value not in seen)
+    # O(plan-time distinct values), not O(current distinct values); exact
+    # integer arithmetic, so the order ``seen`` iterates in cannot matter.
+    counts = current.counts
+    unseen = total - sum(counts.get(value, 0) for value in seen)
     return unseen / total
 
 

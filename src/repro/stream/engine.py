@@ -299,8 +299,12 @@ class StreamingCleaner:
         self.plan = extract_plan(priming)
         self._table_state = TableLevelState(self.plan.table_level_steps, self.plan.column_names)
         if self.detector is not None:
+            # The live profiles already counted the window (and shaped its
+            # values); a window shorter than the ingest re-counts its rows.
             self.detector.set_baseline(
-                {c.name: MergeableColumnProfile.of(c) for c in prime_table.columns}
+                self._raw_profiles
+                if prime_table is raw
+                else {c.name: self._raw_profiles[c.name].prefix(c) for c in prime_table.columns}
             )
         # Feed every ingested row (priming window plus any straddle) through
         # the same replay path later batches take, so the cross-batch state
@@ -469,7 +473,7 @@ class StreamingCleaner:
         """
         steps = self._table_state.steps if self._table_state else []
         previous = previous_survivors or {}
-        # Keep-best refolds can resurface a row removed earlier; its stale
+        # A retraction upstream can resurface a row removed earlier; its stale
         # removal records must go before this delta's removals are written.
         self.lineage.discard_removals(row_id for row_id, _ in delta.kept)
         removals = [(row_id, "dropped") for row_id in delta.dropped_row_ids]
@@ -548,7 +552,7 @@ class StreamingCleaner:
     def _finish(self, result: StreamBatchResult, started: float) -> StreamBatchResult:
         result.seconds = time.perf_counter() - started
         result.cumulative_rows_emitted = (
-            len(self._table_state.survivors) if self._table_state else 0
+            self._table_state.survivor_count if self._table_state is not None else 0
         )
         self.batch_results.append(result)
         stats = self.stats

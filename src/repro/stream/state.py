@@ -14,11 +14,21 @@ for cell:
   in the executor;
 * output preserves input row order, like QUALIFY filtering a SELECT.
 
-Keep-first steps (dedup; uniqueness ordered by arrival) are *prefix-stable*:
-a row once emitted can never lose, so the fold is incremental and O(batch).
-Keep-best steps (uniqueness with ``ORDER BY col DESC``) are not — a later
-row can beat an already-emitted one, which surfaces as a **retraction** in
-the batch delta, the streaming-systems answer to non-monotonic operators.
+The fold is incremental per key, and its state is O(distinct keys):
+
+* a step with no keep-best step upstream sees an input that only grows, so
+  it keeps just each key's winner — the first row id (keep-first: dedup,
+  uniqueness ordered by arrival) or the row id and order value of the best
+  row (keep-best: uniqueness with ``ORDER BY col DESC``).  A keep-best step's
+  later row can beat an already-emitted one, which surfaces as a
+  **retraction** in the batch delta, the streaming-systems answer to
+  non-monotonic operators;
+* a step downstream of a keep-best step keeps every current input row as a
+  candidate of its key: when a retraction upstream removes its winner, the
+  next-best candidate resurfaces.
+
+Each batch's changes propagate step by step as net additions and removals,
+so a batch costs O(batch) plus the candidates of the keys it touches.
 """
 
 from __future__ import annotations
@@ -38,13 +48,119 @@ Row = Tuple[Any, ...]  # data-column values, in plan column order
 class TableLevelDelta:
     """What one batch did to the cumulative cleaned output."""
 
+    #: Rows that joined the output, sorted by row id.  A row an upstream
+    #: retraction lets resurface can be older than the batch.
     kept: List[Tuple[int, Row]] = field(default_factory=list)
+    #: This batch's rows that are not in the output, in batch order.
     dropped_row_ids: List[int] = field(default_factory=list)
-    #: Previously emitted rows that a later row displaced (keep-best only).
+    #: Previously emitted rows that a later row displaced (keep-best only), sorted.
     retracted_row_ids: List[int] = field(default_factory=list)
     #: row id → index (into the fold's step list) of the step that removed it,
     #: for dropped *and* retracted rows — the lineage layer's attribution.
     removed_by_step: Dict[int, int] = field(default_factory=dict)
+
+
+class _Changes:
+    """Net changes to one step's output within a batch."""
+
+    __slots__ = ("added", "removed")
+
+    def __init__(self) -> None:
+        self.added: Dict[int, Row] = {}
+        self.removed: Dict[int, None] = {}
+
+    def add(self, row_id: int, row: Row) -> None:
+        if row_id in self.removed:
+            # Re-adding a row removed earlier in the batch restores the old output.
+            del self.removed[row_id]
+        else:
+            self.added[row_id] = row
+
+    def remove(self, row_id: int) -> None:
+        if row_id in self.added:
+            # Removing a row added earlier in the batch leaves the old output.
+            del self.added[row_id]
+        else:
+            self.removed[row_id] = None
+
+
+class _StepFold:
+    """One table-level step's share of the fold.
+
+    ``winners`` maps each key to its winner's rank: the row id for
+    keep-first, ``(row id, order value)`` for keep-best.  The least
+    :meth:`_sort` form wins: ties go to the earlier row, as the executor's
+    stable sort does.  A step with ``candidates`` also keeps every current
+    input row, by row id (``members``) and by key (``groups``).
+    """
+
+    __slots__ = ("key_idx", "order", "winners", "members", "groups")
+
+    def __init__(self, key_idx: List[int], order: Optional[Tuple[int, bool]], candidates: bool):
+        self.key_idx = key_idx
+        self.order = order
+        self.winners: Dict[Tuple, Any] = {}
+        self.members: Optional[Dict[int, Tuple[Tuple, Row]]] = {} if candidates else None
+        self.groups: Dict[Tuple, Dict[int, Any]] = {}
+
+    def __len__(self) -> int:
+        return len(self.winners) if self.members is None else len(self.members)
+
+    def _winner_id(self, rank: Any) -> int:
+        return rank if self.order is None else rank[0]
+
+    def _sort(self, rank: Any) -> Any:
+        # Sort keys are derived on comparison rather than stored: a stored
+        # key per winner would copy every order value.
+        if self.order is None:
+            return rank
+        return _sort_key(rank[1], self.order[1]), rank[0]
+
+    def _ranks(self, rows: Sequence[Tuple[int, Row]]) -> List[Any]:
+        if self.order is None:
+            return [row_id for row_id, _ in rows]
+        order_idx = self.order[0]
+        return [(row_id, row[order_idx]) for row_id, row in rows]
+
+    def holds(self, row_id: int, row: Row) -> bool:
+        """Whether the row is in this step's current output."""
+        rank = self.winners.get(_batch_step_keys([row], [self.key_idx])[0][0])
+        return rank is not None and self._winner_id(rank) == row_id
+
+    def apply(
+        self, added: Sequence[Tuple[int, Row]], removed: Sequence[int]
+    ) -> _Changes:
+        """Fold net input changes; return the net output changes."""
+        out = _Changes()
+        winners, members, groups = self.winners, self.members, self.groups
+        for row_id in removed:
+            # Only candidate steps see removals: their upstream retracts.
+            key, _row = members.pop(row_id)
+            group = groups[key]
+            del group[row_id]
+            if self._winner_id(winners[key]) != row_id:
+                continue
+            out.remove(row_id)
+            if group:
+                best = winners[key] = min(group.values(), key=self._sort)
+                best_id = self._winner_id(best)
+                out.add(best_id, members[best_id][1])
+            else:
+                del winners[key], groups[key]
+        keys = _batch_step_keys([row for _, row in added], [self.key_idx])[0]
+        for (row_id, row), key, rank in zip(added, keys, self._ranks(added)):
+            if members is not None:
+                members[row_id] = (key, row)
+                groups.setdefault(key, {})[row_id] = rank
+            incumbent = winners.get(key)
+            if incumbent is None:
+                winners[key] = rank
+                out.add(row_id, row)
+            elif self._sort(rank) < self._sort(incumbent):
+                winners[key] = rank
+                out.remove(self._winner_id(incumbent))
+                out.add(row_id, row)
+        return out
 
 
 class TableLevelState:
@@ -52,10 +168,10 @@ class TableLevelState:
 
     ``apply_batch`` consumes rows *after* row-local replay, in row-id order,
     and returns the delta against the cumulative survivor set.  The
-    invariant (pinned by the parity tests): after any sequence of batches,
-    the surviving ``(row_id, row)`` pairs equal
-    :func:`table_level_survivors` — and therefore the QUALIFY SQL — applied
-    to the concatenation of all batches.
+    invariant (pinned by the differential tests against the QUALIFY SQL and
+    the whole-history oracle): after any sequence of batches, the surviving
+    ``(row_id, row)`` pairs equal :func:`table_level_survivors` — and
+    therefore the QUALIFY SQL — applied to the concatenation of all batches.
     """
 
     def __init__(self, steps: Sequence[PlanStep], column_names: Sequence[str]):
@@ -64,117 +180,85 @@ class TableLevelState:
                 raise ValueError(f"Step {step.kind}:{step.target} is row-local")
         self.steps = list(steps)
         self.column_names = list(column_names)
-        self._column_index = {name: i for i, name in enumerate(self.column_names)}
-        self._has_keep_best = any(self._order_spec(s)[1] is not None for s in self.steps)
-        # Keep-first fast path: per step, the set of partition keys already won.
-        self._seen: List[Dict[Tuple, int]] = [dict() for _ in self.steps]
-        # Slow path (keep-best): full post-row-local history to re-fold.
-        self._history: List[Tuple[int, Row]] = []
-        self._survivors: Dict[int, Row] = {}
-
-    # -- step decoding --------------------------------------------------------------
-    def _order_spec(self, step: PlanStep) -> Tuple[List[int], Optional[Tuple[int, bool]]]:
-        """(partition column indexes, (order column index, descending) or None).
-
-        ``None`` order means "first arrival wins" (ORDER BY the hidden row
-        id), which every dedup step and order-less uniqueness step uses.
-        """
-        if step.kind == "dedup":
-            cols = step.payload.get("columns") or self.column_names
-            return [self._column_index[c] for c in cols], None
-        if step.kind == "unique":
-            key = [self._column_index[step.payload["column"]]]
-            order_column = step.payload.get("order_column")
-            if order_column is None:
-                return key, None
-            return key, (self._column_index[order_column], True)
-        raise ValueError(f"Unknown table-level step kind {step.kind!r}")
+        self.reset()
 
     # -- folding ----------------------------------------------------------------------
     def apply_batch(self, rows: Sequence[Tuple[int, Row]]) -> TableLevelDelta:
         """Fold one batch of (row_id, values) pairs; row ids must be increasing."""
-        if not self.steps:
-            delta = TableLevelDelta(kept=list(rows))
+        if not self._folds:
             for row_id, row in rows:
                 self._survivors[row_id] = row
-            return delta
-        self._history.extend(rows)
-        if not self._has_keep_best:
-            return self._apply_keep_first(rows)
-        return self._refold(rows)
-
-    def _apply_keep_first(self, rows: Sequence[Tuple[int, Row]]) -> TableLevelDelta:
-        delta = TableLevelDelta()
-        key_indexes = [self._order_spec(step)[0] for step in self.steps]
-        # Column-major key building: each column referenced by any step is
-        # normalised once per batch, and per-step keys come out of zip —
-        # no per-row-per-step tuple comprehension.
-        step_keys = _batch_step_keys([row for _, row in rows], key_indexes)
-        for position, (row_id, row) in enumerate(rows):
-            won = True
-            # A row claims each step's key the moment it wins *that* step:
-            # a row kept by step 1 but dropped by step 2 still shadows later
-            # rows at step 1, exactly as the chained QUALIFY statements do.
-            for step_index, (keys, seen) in enumerate(zip(step_keys, self._seen)):
-                key = keys[position]
-                if key in seen:
-                    won = False
-                    delta.removed_by_step[row_id] = step_index
-                    break
-                seen[key] = row_id
-            if won:
-                self._survivors[row_id] = row
-                delta.kept.append((row_id, row))
-            else:
+            return TableLevelDelta(kept=list(rows))
+        added: Sequence[Tuple[int, Row]] = rows
+        removed: Sequence[int] = ()
+        for fold in self._folds:
+            changes = fold.apply(added, removed)
+            added, removed = list(changes.added.items()), list(changes.removed)
+        survivors = self._survivors
+        delta = TableLevelDelta(kept=sorted(added), retracted_row_ids=sorted(removed))
+        removals = [(row_id, survivors.pop(row_id)) for row_id in delta.retracted_row_ids]
+        survivors.update(delta.kept)
+        for row_id, row in rows:
+            if row_id not in survivors:
                 delta.dropped_row_ids.append(row_id)
-        return delta
-
-    def _refold(self, batch: Sequence[Tuple[int, Row]]) -> TableLevelDelta:
-        """Recompute survivors over the full history (keep-best steps).
-
-        Non-monotonic steps make incremental-only folding impossible without
-        keeping the full candidate set anyway, so correctness wins: re-fold
-        and report the delta.  ``kept`` may include *old* row ids when a
-        displacement upstream lets a previously shadowed row resurface in a
-        later step; ``retracted_row_ids`` lists previously emitted rows that
-        vanished; ``dropped_row_ids`` lists this batch's rows that never
-        surfaced.
-        """
-        previous = self._survivors
-        removed_by: Dict[int, int] = {}
-        new_survivors = dict(
-            table_level_survivors(
-                self.steps, self._history, self.column_names, removed_by_step=removed_by
-            )
-        )
-        delta = TableLevelDelta()
-        for row_id in sorted(new_survivors):
-            if row_id not in previous:
-                delta.kept.append((row_id, new_survivors[row_id]))
-        delta.retracted_row_ids = [
-            row_id for row_id in sorted(previous) if row_id not in new_survivors
-        ]
-        delta.dropped_row_ids = [
-            row_id for row_id, _ in batch if row_id not in new_survivors
-        ]
+                removals.append((row_id, row))
         delta.removed_by_step = {
-            row_id: removed_by[row_id]
-            for row_id in delta.retracted_row_ids + delta.dropped_row_ids
-            if row_id in removed_by
+            row_id: self._removing_step(row_id, row) for row_id, row in removals
         }
-        self._survivors = new_survivors
         return delta
+
+    def _removing_step(self, row_id: int, row: Row) -> int:
+        """Index of the first step whose output does not hold the row."""
+        for index, fold in enumerate(self._folds):
+            if not fold.holds(row_id, row):
+                return index
+        raise AssertionError(f"Row {row_id} survives every step")  # pragma: no cover
 
     # -- read side ----------------------------------------------------------------------
     @property
     def survivors(self) -> Dict[int, Row]:
         return dict(self._survivors)
 
+    @property
+    def survivor_count(self) -> int:
+        """``len(survivors)`` without copying them."""
+        return len(self._survivors)
+
+    def step_sizes(self) -> List[int]:
+        """Entries each step's fold holds: its winners, or its candidates
+        downstream of a keep-best step."""
+        return [len(fold) for fold in self._folds]
+
     def reset(self) -> None:
         """Forget everything (used when a re-plan rebuilds the output)."""
-        self._seen = [dict() for _ in self.steps]
-        self._history = []
-        self._survivors = {}
+        self._folds: List[_StepFold] = []
+        keep_best_upstream = False
+        for step in self.steps:
+            key_idx, order = _order_spec(step, self.column_names)
+            self._folds.append(_StepFold(key_idx, order, candidates=keep_best_upstream))
+            keep_best_upstream = keep_best_upstream or order is not None
+        self._survivors: Dict[int, Row] = {}
+
+
+def _order_spec(
+    step: PlanStep, column_names: Sequence[str]
+) -> Tuple[List[int], Optional[Tuple[int, bool]]]:
+    """(partition column indexes, (order column index, descending) or None).
+
+    ``None`` order means "first arrival wins" (ORDER BY the hidden row id),
+    which every dedup step and order-less uniqueness step uses.
+    """
+    column_index = {name: i for i, name in enumerate(column_names)}
+    if step.kind == "dedup":
+        cols = step.payload.get("columns") or column_names
+        return [column_index[c] for c in cols], None
+    if step.kind == "unique":
+        key = [column_index[step.payload["column"]]]
+        order_column = step.payload.get("order_column")
+        if order_column is None:
+            return key, None
+        return key, (column_index[order_column], True)
+    raise ValueError(f"Unknown table-level step kind {step.kind!r}")
 
 
 def _batch_step_keys(
@@ -208,27 +292,15 @@ def table_level_survivors(
     """Batch oracle: apply the table-level steps to ``rows`` in one pass.
 
     Semantically identical to chaining the operators' QUALIFY statements on a
-    table containing ``rows`` (in row-id order) — used by the streaming fold
-    as its keep-best path and by tests as the reference implementation.
+    table containing ``rows`` (in row-id order): the whole-history reference
+    the incremental fold is tested against.
 
     When ``removed_by_step`` is given, every filtered row id is recorded in it
     against the index of the step that removed it.
     """
-    column_index = {name: i for i, name in enumerate(column_names)}
     current = list(rows)
     for step_index, step in enumerate(steps):
-        if step.kind == "dedup":
-            cols = step.payload.get("columns") or list(column_names)
-            key_idx = [column_index[c] for c in cols]
-            order: Optional[Tuple[int, bool]] = None
-        elif step.kind == "unique":
-            key_idx = [column_index[step.payload["column"]]]
-            order_column = step.payload.get("order_column")
-            order = (column_index[order_column], True) if order_column is not None else None
-        else:
-            raise ValueError(f"Unknown table-level step kind {step.kind!r}")
-        # Vectorised key/sort-key building: one pass per referenced column,
-        # not one tuple comprehension per row.
+        key_idx, order = _order_spec(step, column_names)
         keys = _batch_step_keys([row for _, row in current], [key_idx])[0]
         sort_keys: Optional[List[Tuple]] = None
         if order is not None:

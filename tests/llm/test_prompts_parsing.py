@@ -90,6 +90,16 @@ class TestMappingYaml:
         _, mapping = parsing.parse_mapping_yaml(text)
         assert mapping == {"it's": "its"}
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a quoted key containing ':' is split at its first colon, so every "
+        "time-valued flights fd_map determinant carries keys that never match",
+    )
+    def test_quoted_key_with_colon(self):
+        text = "mapping:\n  '5:20 p.m.': AA-717-BOS-DFW\n"
+        _, mapping = parsing.parse_mapping_yaml(text)
+        assert mapping == {"5:20 p.m.": "AA-717-BOS-DFW"}
+
     def test_empty_mapping(self):
         _, mapping = parsing.parse_mapping_yaml(parsing.render_mapping_yaml("nothing", {}))
         assert mapping == {}

@@ -14,6 +14,7 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
+import drift_oracle
 from repro.dataframe import Column, ColumnType, Table
 from repro.profiling import (
     IncrementalDuplicateState,
@@ -23,6 +24,7 @@ from repro.profiling import (
     duplicate_row_count,
     profile_column,
 )
+from repro.stream import DriftConfig, profile_distance
 
 cell_text = st.text(
     alphabet=string.ascii_letters + string.digits + " .-_'",
@@ -67,6 +69,55 @@ class TestMergeableColumnProfile:
         assert incremental.row_count == batch.row_count
         assert incremental.null_count == batch.null_count
         assert incremental.counts.most_common() == batch.top_values
+
+    @given(values_and_cuts())
+    @settings(max_examples=120, deadline=None)
+    def test_folded_shapes_equal_whole_column_shape_mix(self, data):
+        values, cuts = data
+        incremental = MergeableColumnProfile("c")
+        for part in partitions(values, cuts):
+            incremental.update(part)
+        whole = MergeableColumnProfile.of(Column("c", values, ColumnType.VARCHAR))
+        # Insertion order too: the drift distance sums shapes in this order.
+        assert list(incremental.shapes.items()) == list(drift_oracle.shape_counts(whole).items())
+
+    @given(values_and_cuts(max_size=40), st.integers(min_value=0, max_value=40))
+    @settings(max_examples=120, deadline=None)
+    def test_prefix_profile_equals_fresh_profile(self, data, window):
+        values, _ = data
+        live = MergeableColumnProfile.of(Column("c", values, ColumnType.VARCHAR))
+        head = Column("c", values[:window], ColumnType.VARCHAR)
+        prefix, fresh = live.prefix(head), MergeableColumnProfile.of(head)
+        assert (prefix.row_count, prefix.null_count) == (fresh.row_count, fresh.null_count)
+        assert list(prefix.counts.items()) == list(fresh.counts.items())
+        assert list(prefix.shapes.items()) == list(fresh.shapes.items())
+
+
+# Short digit/letter strings with a few shapes, so baseline and current share
+# values and shapes and every drift signal takes non-trivial values.
+drift_value = st.one_of(
+    st.none(),
+    st.sampled_from(["a", "b", "ab", "A1", "12", "123", "x-1", "1.5"]),
+    st.integers(min_value=0, max_value=120),
+)
+
+
+class TestDriftSignalsMatchFullScan:
+    @given(
+        st.lists(drift_value, max_size=40),
+        st.lists(drift_value, max_size=60),
+        st.floats(min_value=0.0, max_value=0.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_column_drift_identical_to_full_scan(self, baseline_values, current_values, threshold):
+        baseline = MergeableColumnProfile("c").update(baseline_values)
+        # The live profile keeps folding after the plan was derived.
+        current = MergeableColumnProfile("c").update(baseline_values).update(current_values)
+        config = DriftConfig(threshold=threshold)
+        folded = profile_distance(baseline, current, config)
+        expected = drift_oracle.profile_distance(baseline, current, config)
+        assert folded == expected
+        assert folded.to_dict() == expected.to_dict()
 
 
 @st.composite

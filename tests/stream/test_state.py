@@ -14,12 +14,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fold_oracle import RefoldOracle
 from repro.core.context import ROW_ID_COLUMN
 from repro.core.plan import PlanStep
 from repro.dataframe import Column, ColumnType, Table
 from repro.sql import Database
+from repro.sql.executor import _hashable
 from repro.stream import TableLevelState, table_level_survivors
-from repro.stream.state import TableLevelDelta
 
 
 def dedup_step(columns):
@@ -81,6 +82,19 @@ step_chains = st.lists(
     min_size=1,
     max_size=3,
 )
+keep_best_step = st.sampled_from([unique_step("a", "o"), unique_step("b", "o")])
+any_step = st.one_of(
+    st.sampled_from([dedup_step(COLUMNS), dedup_step(["b"]), unique_step("a"), unique_step("b")]),
+    keep_best_step,
+)
+# Chains of up to three steps, at least two of them keep-best in the last two
+# shapes: steps downstream of a keep-best step hold candidates, and an
+# upstream retraction can resurface one of them.
+delta_chains = st.one_of(
+    step_chains,
+    st.lists(keep_best_step, min_size=2, max_size=3),
+    st.tuples(keep_best_step, any_step, any_step).map(list),
+)
 cell = st.one_of(st.none(), st.sampled_from(["x", "y", "z"]), st.integers(min_value=0, max_value=3))
 # A real order column is single-typed (the plan's cast step ran before the
 # table-level steps), so the strategy keeps it homogeneous: ints or NULL.
@@ -100,7 +114,7 @@ def rows_and_cuts(draw):
 
 
 class TestFoldMatchesQualifySql:
-    @given(step_chains, rows_and_cuts())
+    @given(delta_chains, rows_and_cuts())
     @settings(max_examples=60, deadline=None)
     def test_incremental_fold_equals_sql(self, steps, data):
         rows, cuts = data
@@ -120,6 +134,40 @@ class TestFoldMatchesQualifySql:
         assert sorted(table_level_survivors(steps, rows, COLUMNS)) == sorted(
             qualify_sql_survivors(steps, rows)
         )
+
+
+def step_key_count(step, rows):
+    """Distinct partition keys of ``step`` among ``rows``."""
+    columns = step.payload["columns"] if step.kind == "dedup" else [step.payload["column"]]
+    indexes = [COLUMNS.index(c) for c in columns]
+    return len({tuple(_hashable(row[i]) for i in indexes) for _, row in rows})
+
+
+class TestDeltaDifferential:
+    """Every batch's delta equals the whole-history refold's."""
+
+    @given(delta_chains, rows_and_cuts())
+    @settings(max_examples=200, deadline=None)
+    def test_every_batch_delta_equals_refold(self, steps, data):
+        rows, cuts = data
+        state = TableLevelState(steps, COLUMNS)
+        oracle = RefoldOracle(steps, COLUMNS)
+        bounds = [0] + cuts + [len(rows)]
+        for a, b in zip(bounds, bounds[1:]):
+            batch = rows[a:b]
+            assert state.apply_batch(batch) == oracle.apply_batch(batch)
+            assert state.survivors == oracle.survivors
+            assert state.survivor_count == len(oracle.survivors)
+            # State is bounded by keys, never by the rows seen so far: a step
+            # keeps one winner per key of its own, or — downstream of a
+            # keep-best step — the rows reaching it, one per upstream key.
+            for index, size in enumerate(state.step_sizes()):
+                reaching = table_level_survivors(steps[:index], rows[:b], COLUMNS)
+                if any(s.payload.get("order_column") for s in steps[:index]):
+                    upstream = table_level_survivors(steps[: index - 1], rows[:b], COLUMNS)
+                    assert size == len(reaching) <= step_key_count(steps[index - 1], upstream)
+                else:
+                    assert size == step_key_count(steps[index], reaching)
 
 
 class TestDeltaSemantics:
@@ -148,6 +196,22 @@ class TestDeltaSemantics:
         assert d3.kept == []
         assert d3.dropped_row_ids == [2]
         assert state.survivors == {1: ("k", "v2", 5)}
+
+    def test_upstream_retraction_resurfaces_next_candidate(self):
+        # unique(a) keeps the best o; unique(b) then keeps the first row per b.
+        steps = [unique_step("a", "o"), unique_step("b")]
+        state = TableLevelState(steps, COLUMNS)
+        d1 = state.apply_batch([(0, ("x", "p", 1)), (1, ("y", "p", 1))])
+        assert [r for r, _ in d1.kept] == [0]
+        assert d1.dropped_row_ids == [1] and d1.removed_by_step == {1: 1}
+        # Row 2 displaces row 0 at unique(a); row 0 leaves unique(b)'s input,
+        # so row 1 — shadowed there until now — resurfaces.
+        d2 = state.apply_batch([(2, ("x", "q", 5))])
+        assert d2.kept == [(1, ("y", "p", 1)), (2, ("x", "q", 5))]
+        assert d2.retracted_row_ids == [0]
+        assert d2.dropped_row_ids == []
+        assert d2.removed_by_step == {0: 0}
+        assert state.step_sizes() == [2, 2]
 
     def test_chained_keep_first_claims_apply_per_step(self):
         # A row kept by step 1 but dropped by step 2 must still shadow later
