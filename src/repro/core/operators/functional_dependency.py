@@ -17,6 +17,7 @@ from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator
 from repro.core.result import OperatorResult
 from repro.llm import prompts
+from repro.obs import span as obs_span
 from repro.profiling.fd import FDCandidate, fd_violation_groups
 
 
@@ -63,7 +64,8 @@ class FunctionalDependencyOperator(CleaningOperator):
         target = f"{candidate.determinant} -> {candidate.dependent}"
         result = OperatorResult(issue_type=self.issue_type, target=target)
         table = context.data_only_table()
-        violations = fd_violation_groups(table, candidate.determinant, candidate.dependent)
+        with obs_span("profile.fd_violations"):
+            violations = fd_violation_groups(table, candidate.determinant, candidate.dependent)
         if not violations:
             result.skipped_reason = "no violations remain"
             return result

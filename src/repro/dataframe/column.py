@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dataframe.schema import ColumnType, coerce_value, infer_storage_type, is_null
 
@@ -16,14 +16,20 @@ class Column:
     share them: a SQL projection that passes a column through unchanged puts
     the same object in its output.  :meth:`Table.copy` gives an independent
     copy.
+
+    Sharing is what makes :meth:`dictionary_codes` worth memoising: every
+    table version that holds this column reuses its one encoding.  So
+    ``values`` must not change once the codes have been read; build a new
+    column instead.
     """
 
-    __slots__ = ("name", "values", "dtype")
+    __slots__ = ("name", "values", "dtype", "_codes")
 
     def __init__(self, name: str, values: Sequence[Any], dtype: Optional[ColumnType] = None):
         self.name = name
         self.values: List[Any] = list(values)
         self.dtype = dtype if dtype is not None else infer_storage_type(self.values)
+        self._codes: Optional[Tuple[List[int], List[str]]] = None
 
     # -- basic protocol ----------------------------------------------------
     def __len__(self) -> int:
@@ -108,6 +114,24 @@ class Column:
         if not non_null:
             return 0.0
         return len(set(map(str, non_null))) / len(non_null)
+
+    def dictionary_codes(self) -> Tuple[List[int], List[str]]:
+        """``(codes, distinct)``: per row the index of ``str(value)`` in ``distinct``.
+
+        ``distinct`` lists the stringified non-null values in order of first
+        occurrence; a NULL (or NaN) cell is coded ``-1``.  Computed on the
+        first read and memoised.
+        """
+        if self._codes is None:
+            index: Dict[str, int] = {}
+            codes = []
+            for value in self.values:
+                if is_null(value):
+                    codes.append(-1)
+                else:
+                    codes.append(index.setdefault(str(value), len(index)))
+            self._codes = (codes, list(index))
+        return self._codes
 
     def value_counts(self) -> Counter:
         return Counter(str(v) for v in self.values if not is_null(v))

@@ -44,24 +44,34 @@ def edit_distance(a: str, b: str, limit: int = 3) -> int:
 
     Distances above ``limit`` are reported as ``limit + 1`` (the caller only
     ever asks "is it within the limit"), which keeps the function symmetric.
+    Only the ``2·limit + 1`` diagonals ``|i - j| <= limit`` of the table are
+    filled (Ukkonen 1985): a cell off that band has a distance above
+    ``limit``, so reading it as ``limit + 1`` changes no answer.
     """
     if a == b:
         return 0
-    if abs(len(a) - len(b)) > limit:
-        return limit + 1
-    previous = list(range(len(b) + 1))
+    cap = limit + 1
+    n = len(b)
+    if abs(len(a) - n) > limit:
+        return cap
+    # A cell right of the band is never written and keeps its start value >= cap.
+    previous = list(range(n + 1))
+    current = [cap] * (n + 1)
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        best = i
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            value = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            current.append(value)
-            best = min(best, value)
-        if best > limit:
-            return limit + 1
-        previous = current
-    return min(previous[-1], limit + 1)
+        lo = i - limit if i > limit else 1
+        hi = i + limit if i + limit < n else n
+        left = current[lo - 1] = i if lo == 1 else cap
+        for j in range(lo, hi + 1):
+            value = previous[j - 1] + (ca != b[j - 1])
+            if previous[j] < value:
+                value = previous[j] + 1
+            if left < value:
+                value = left + 1
+            current[j] = left = value
+        if min(current[lo - 1:hi + 1]) > limit:
+            return cap
+        previous, current = current, previous
+    return min(previous[n], cap)
 
 
 def normalise(value: str) -> str:

@@ -10,12 +10,7 @@ fits in a prompt, the profile does.
 
 from repro.profiling.column_profile import ColumnProfile, profile_column
 from repro.profiling.table_profile import TableProfile, profile_table
-from repro.profiling.fd import (
-    FDCandidate,
-    discover_fds,
-    fd_entropy_score,
-    fd_violation_groups,
-)
+from repro.profiling.fd import FDCandidate, discover_fds, fd_violation_groups
 from repro.profiling.duplicates import duplicate_row_count, duplicate_row_samples
 from repro.profiling.incremental import IncrementalDuplicateState, IncrementalFDState
 from repro.profiling.mergeable import MergeableColumnProfile
@@ -31,7 +26,6 @@ __all__ = [
     "profile_table",
     "FDCandidate",
     "discover_fds",
-    "fd_entropy_score",
     "fd_violation_groups",
     "duplicate_row_count",
     "duplicate_row_samples",

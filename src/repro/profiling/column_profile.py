@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from repro.dataframe.column import Column
-from repro.dataframe.schema import ColumnType, is_null
+from repro.dataframe.schema import ColumnType
 
 
 @dataclass
@@ -46,22 +46,17 @@ def profile_column(column: Column, max_values: int = 1000) -> ColumnProfile:
     ``max_values`` bounds how many distinct values are retained (ordered by
     frequency), mirroring the sampling the paper applies before prompting.
 
-    The column's value vector is walked **once**: null count, the non-null
-    values and the frequency counter all come out of the same pass (the
-    profiler used to re-scan the vector five times per column).  The derived
-    statistics are unchanged: the counter keys are exactly the distinct
-    non-null strings, so ``unique_ratio`` and ``distinct_count`` fall out of
-    ``len(counts)`` instead of extra set-building passes.
+    Value frequencies are counted over the column's memoised dictionary
+    codes (:meth:`~repro.dataframe.column.Column.dictionary_codes`), the
+    encoding FD discovery reads too.  Codes number the distinct strings in
+    first-occurrence order, so the counts line up with ``distinct`` and tie
+    in the order a per-row string ``Counter`` would meet them.
     """
-    counts: Counter = Counter()
-    non_null: List[Any] = []
-    null_count = 0
-    for value in column.values:
-        if is_null(value):
-            null_count += 1
-        else:
-            non_null.append(value)
-            counts[str(value)] += 1
+    codes, distinct = column.dictionary_codes()
+    code_counts = Counter(codes)
+    null_count = code_counts.pop(-1, 0)
+    counts = Counter(dict(zip(distinct, code_counts.values())))
+    non_null = [v for v, code in zip(column.values, codes) if code >= 0] if null_count else column.values
     top = counts.most_common(max_values)
     numeric = [v for v in non_null if isinstance(v, (int, float)) and not isinstance(v, bool)]
     minimum: Optional[Any] = None
@@ -73,16 +68,12 @@ def profile_column(column: Column, max_values: int = 1000) -> ColumnProfile:
         # fsum: the correctly-rounded true sum, so the mean does not depend
         # on the order the values are added in.
         mean = math.fsum(float(v) for v in numeric) / len(numeric)
-    elif non_null:
-        try:
-            as_strings = [str(v) for v in non_null]
-            minimum = min(as_strings)
-            maximum = max(as_strings)
-        except TypeError:  # pragma: no cover - mixed uncomparable values
-            minimum = maximum = None
+    elif distinct:
+        minimum = min(distinct)
+        maximum = max(distinct)
     avg_length = None
     if non_null:
-        avg_length = sum(len(str(v)) for v in non_null) / len(non_null)
+        avg_length = sum(len(text) * count for text, count in counts.items()) / len(non_null)
     return ColumnProfile(
         name=column.name,
         dtype=column.dtype,

@@ -6,21 +6,23 @@ entropy of the dependent given the determinant: an FD that holds exactly has
 conditional entropy 0, so the score ``1 - H(rhs | lhs) / H(rhs)`` is 1.0 for
 exact dependencies and decreases as violations grow.
 
-:func:`discover_fds` makes a single stringification pass over the table and
-shares one non-null value index per determinant across all dependents, then
-derives the entropy score and the violation groups for each pair from one
-joint pass.  ``tests/profiling/fd_oracle.py`` keeps the naive per-pair
-re-materialisation it replaces, as the parity oracle.
+Both kernels count over per-column dictionary codes
+(:meth:`~repro.dataframe.column.Column.dictionary_codes`, memoised on the
+column, so every table version that shares a column shares its codes): a
+pair is one ``Counter`` over the zipped code lists, the stripped-partition
+idea of TANE.  ``tests/profiling/fd_oracle.py`` keeps the per-pair string
+grouping they replace, as the parity oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 
 
@@ -51,30 +53,29 @@ def _entropy(counts: Sequence[int]) -> float:
     return entropy
 
 
-def fd_entropy_score(table: Table, determinant: str, dependent: str) -> float:
-    """Score ``determinant -> dependent`` in [0, 1]; 1.0 means the FD holds exactly."""
-    lhs = table.column(determinant).values
-    rhs = table.column(dependent).values
-    pairs = [
-        (str(l), str(r))
-        for l, r in zip(lhs, rhs)
-        if not is_null(l) and not is_null(r)
-    ]
-    if not pairs:
-        return 0.0
-    rhs_counts = Counter(r for _, r in pairs)
-    h_rhs = _entropy(list(rhs_counts.values()))
-    if h_rhs == 0.0:
-        return 1.0
-    groups: Dict[str, Counter] = defaultdict(Counter)
-    for l, r in pairs:
-        groups[l][r] += 1
-    total = len(pairs)
-    h_conditional = 0.0
-    for counter in groups.values():
-        group_total = sum(counter.values())
-        h_conditional += (group_total / total) * _entropy(list(counter.values()))
-    return max(0.0, 1.0 - h_conditional / h_rhs)
+def _value_entropy(codes: Iterable[int]) -> Tuple[float, int]:
+    """Entropy and number of the non-null codes, terms in first-occurrence order."""
+    counts = Counter(codes)
+    counts.pop(-1, None)
+    return _entropy(list(counts.values())), sum(counts.values())
+
+
+def _disagreeing_groups(det_codes: List[int], dep_codes: List[int]) -> List[List[int]]:
+    """The counts of each determinant value that has two or more dependent values.
+
+    Rows with a NULL on either side are left out.  Groups, and the counts in
+    each, come in first-occurrence order: ``Counter`` keeps insertion order.
+    """
+    groups: Dict[int, List[int]] = {}
+    for (det, dep), count in Counter(zip(det_codes, dep_codes)).items():
+        if det < 0 or dep < 0:
+            continue
+        group = groups.get(det)
+        if group is None:
+            groups[det] = [count]
+        else:
+            group.append(count)
+    return [counts for counts in groups.values() if len(counts) > 1]
 
 
 def fd_violation_groups(
@@ -83,19 +84,21 @@ def fd_violation_groups(
     """Groups of determinant values whose dependent values disagree.
 
     Each entry is ``(lhs_value, [(rhs_value, count), ...])`` with at least two
-    distinct dependent values, sorted by descending disagreement size.
+    distinct dependent values, sorted by descending disagreement size.  Values
+    are the cells' strings, each group's by descending count with ties in
+    first-occurrence order, as ``Counter.most_common`` orders them.
     """
-    lhs = table.column(determinant).values
-    rhs = table.column(dependent).values
-    groups: Dict[str, Counter] = defaultdict(Counter)
-    for l, r in zip(lhs, rhs):
-        if is_null(l) or is_null(r):
-            continue
-        groups[str(l)][str(r)] += 1
+    det_codes, det_values = table.column(determinant).dictionary_codes()
+    dep_codes, dep_values = table.column(dependent).dictionary_codes()
+    groups: Dict[int, List[Tuple[str, int]]] = {}
+    for (det, dep), count in Counter(zip(det_codes, dep_codes)).items():
+        if det >= 0 and dep >= 0:
+            groups.setdefault(det, []).append((dep_values[dep], count))
     violations = []
-    for lhs_value, counter in groups.items():
-        if len(counter) > 1:
-            violations.append((lhs_value, counter.most_common()))
+    for det, members in groups.items():
+        if len(members) > 1:
+            members.sort(key=itemgetter(1), reverse=True)
+            violations.append((det_values[det], members))
     violations.sort(key=lambda item: -sum(c for _, c in item[1]))
     return violations
 
@@ -112,87 +115,62 @@ def discover_fds(
     determines everything and offers no cleaning signal.  Dependents with a
     single distinct value are skipped for the symmetric reason.
 
-    Each column is stringified exactly once, each determinant's non-null
-    ``(row, value)`` index is built exactly once and shared across every
-    dependent, and the entropy score and violation groups of a pair come out
-    of one joint pass over that index — candidates are identical (to the
-    bit, including float scores and tie order) to the quadratic
-    re-materialising loop this replaces (the parity oracle in
-    ``tests/profiling/fd_oracle.py``).
+    Each pair is one ``Counter`` over the two columns' dictionary codes.  Its
+    groups, and the values in each group, come in first-occurrence order, so
+    the entropy terms are summed in the order of the string grouping in
+    ``tests/profiling/fd_oracle.py`` and the scores are equal to the bit.  A
+    group with one dependent value is skipped: its entropy is exactly 0.0.
+    Beside a NULL-free determinant, ``H(rhs)`` is the dependent's own.
     """
     names = list(columns) if columns else table.column_names
-    num_rows = table.num_rows
-    # One stringification pass per column; None marks a NULL cell.
-    col_strings: Dict[str, List] = {}
+    codes: Dict[str, List[int]] = {}
     distinct_ratio = {}
     distinct_count = {}
+    column_entropy: Dict[str, Tuple[float, int]] = {}
     for name in names:
-        values = table.column(name).values
-        strings = [None if is_null(v) else str(v) for v in values]
-        col_strings[name] = strings
-        non_null_count = num_rows - strings.count(None)
-        distinct = len(set(strings)) - (1 if non_null_count < num_rows else 0)
-        distinct_count[name] = distinct
-        distinct_ratio[name] = distinct / non_null_count if non_null_count else 0.0
+        column_codes, distinct = table.column(name).dictionary_codes()
+        codes[name] = column_codes
+        column_entropy[name] = _value_entropy(column_codes)
+        non_null_count = column_entropy[name][1]
+        distinct_count[name] = len(distinct)
+        distinct_ratio[name] = len(distinct) / non_null_count if non_null_count else 0.0
     candidates: List[FDCandidate] = []
     for determinant in names:
         if distinct_ratio[determinant] > max_determinant_distinct_ratio:
             continue
         if distinct_count[determinant] <= 1:
             continue
-        det_strings = col_strings[determinant]
-        # Shared per-determinant index: non-null cells in row order.
-        det_cells = [(i, value) for i, value in enumerate(det_strings) if value is not None]
+        det_codes = codes[determinant]
+        det_mask = [code >= 0 for code in det_codes] if -1 in det_codes else None
         for dependent in names:
             if dependent == determinant:
                 continue
             if distinct_count[dependent] <= 1:
                 continue
-            dep_strings = col_strings[dependent]
-            # Joint pass: determinant groups and dependent-value counts at once.
-            rhs_counts: Counter = Counter()
-            groups: Dict[str, Counter] = {}
-            total = 0
-            for i, lhs_value in det_cells:
-                rhs_value = dep_strings[i]
-                if rhs_value is None:
-                    continue
-                total += 1
-                rhs_counts[rhs_value] += 1
-                group = groups.get(lhs_value)
-                if group is None:
-                    group = groups[lhs_value] = Counter()
-                group[rhs_value] += 1
+            dep_codes = codes[dependent]
+            if det_mask is None:
+                h_rhs, total = column_entropy[dependent]
+            else:
+                h_rhs, total = _value_entropy(compress(dep_codes, det_mask))
+            violating = _disagreeing_groups(det_codes, dep_codes)
             if total == 0:
                 score = 0.0
+            elif h_rhs == 0.0:
+                score = 1.0
             else:
-                h_rhs = _entropy(list(rhs_counts.values()))
-                if h_rhs == 0.0:
-                    score = 1.0
-                else:
-                    h_conditional = 0.0
-                    for counter in groups.values():
-                        group_total = sum(counter.values())
-                        h_conditional += (group_total / total) * _entropy(list(counter.values()))
-                    score = max(0.0, 1.0 - h_conditional / h_rhs)
+                h_conditional = 0.0
+                for counts in violating:
+                    h_conditional += (sum(counts) / total) * _entropy(counts)
+                score = max(0.0, 1.0 - h_conditional / h_rhs)
             if score < min_score:
                 continue
-            violations = [
-                (lhs_value, counter.most_common())
-                for lhs_value, counter in groups.items()
-                if len(counter) > 1
-            ]
-            violations.sort(key=lambda item: -sum(c for _, c in item[1]))
-            violating_rows = sum(
-                sum(c for _, c in rhs[1:]) for _, rhs in violations
-            )
             candidates.append(
                 FDCandidate(
                     determinant=determinant,
                     dependent=dependent,
                     score=score,
-                    violating_groups=len(violations),
-                    violating_rows=violating_rows,
+                    violating_groups=len(violating),
+                    violating_rows=sum(sum(counts) - max(counts) for counts in violating),
                 )
             )
     candidates.sort(key=lambda c: (-c.score, c.determinant, c.dependent))

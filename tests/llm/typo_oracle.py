@@ -6,6 +6,10 @@ are the scans that index replaced, their logic copied unchanged, with one
 deliberate difference: the vocabulary fix replaces whole words, not bare
 substrings, so a correctly spelled word that contains the typo ("brewing"
 around "brewin") stays intact.  ``test_typo_index.py`` holds the index to these scans.
+
+The scans measure distance with :func:`edit_distance_full`, the full-table
+Levenshtein that ``repro.llm.semantic.edit_distance`` bands;
+``test_edit_distance.py`` holds the band to it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,31 @@ import re
 from typing import Optional, Sequence, Tuple
 
 from repro.llm.knowledge.vocabulary import DOMAIN_VOCABULARY, words_of
-from repro.llm.semantic import SemanticModel, edit_distance
+from repro.llm.semantic import SemanticModel
+
+
+def edit_distance_full(a: str, b: str, limit: int = 3) -> int:
+    """Levenshtein distance over the whole table, exiting early on a row minimum.
+
+    Distances above ``limit`` are reported as ``limit + 1``.
+    """
+    if a == b:
+        return 0
+    if abs(len(a) - len(b)) > limit:
+        return limit + 1
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        best = i
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            value = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            current.append(value)
+            best = min(best, value)
+        if best > limit:
+            return limit + 1
+        previous = current
+    return min(previous[-1], limit + 1)
 
 
 def typo_target_baseline(
@@ -54,7 +82,7 @@ def typo_target_baseline(
         if has_digits and re.sub(r"[^0-9]", "", text) != re.sub(r"[^0-9]", "", other_text):
             continue
         max_d = 1 if len(text) <= 5 else model.typo_max_distance
-        if edit_distance(text.lower(), other_text.lower(), max_d) <= max_d:
+        if edit_distance_full(text.lower(), other_text.lower(), max_d) <= max_d:
             if other_count > best_count:
                 best, best_count = other, other_count
     return best
@@ -77,11 +105,11 @@ def fix_vocabulary_typos_baseline(value: str) -> Optional[str]:
             for known in DOMAIN_VOCABULARY
             if abs(len(known) - len(word)) <= 1
             and len(known) >= 5
-            and edit_distance(word, known, 1) <= 1
+            and edit_distance_full(word, known, 1) <= 1
             and known.rstrip("s") != word.rstrip("s")
         ]
         if candidates:
-            known = min(candidates, key=lambda k: (edit_distance(word, k, 1), len(k), k))
+            known = min(candidates, key=lambda k: (edit_distance_full(word, k, 1), len(k), k))
             fixed_value = re.sub(
                 rf"(?<![A-Za-z]){re.escape(word)}(?![A-Za-z])", known, fixed_value, flags=re.IGNORECASE
             )

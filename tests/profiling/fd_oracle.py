@@ -1,16 +1,64 @@
-"""Parity oracle for FD discovery: the original per-pair discovery loop.
+"""Parity oracle for FD discovery: the original per-pair string grouping.
 
-``repro.profiling.fd.discover_fds`` replaced this loop with a single
-stringification pass; ``test_fd_parity.py`` holds the rewrite to this
-reference bit for bit.
+``repro.profiling.fd`` counts each column pair over per-column dictionary
+codes.  The definitions below group stringified cells per row, one string
+``Counter`` per determinant value, re-reading the table for every pair;
+``test_fd_parity.py`` holds the coded kernels to them bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from collections import Counter, defaultdict
+from typing import Dict, List, Sequence, Tuple
 
+from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
-from repro.profiling.fd import FDCandidate, fd_entropy_score, fd_violation_groups
+from repro.profiling.fd import FDCandidate, _entropy
+
+
+def fd_entropy_score(table: Table, determinant: str, dependent: str) -> float:
+    """Score ``determinant -> dependent`` in [0, 1]; 1.0 means the FD holds exactly."""
+    lhs = table.column(determinant).values
+    rhs = table.column(dependent).values
+    pairs = [
+        (str(l), str(r))
+        for l, r in zip(lhs, rhs)
+        if not is_null(l) and not is_null(r)
+    ]
+    if not pairs:
+        return 0.0
+    rhs_counts = Counter(r for _, r in pairs)
+    h_rhs = _entropy(list(rhs_counts.values()))
+    if h_rhs == 0.0:
+        return 1.0
+    groups: Dict[str, Counter] = defaultdict(Counter)
+    for l, r in pairs:
+        groups[l][r] += 1
+    total = len(pairs)
+    h_conditional = 0.0
+    for counter in groups.values():
+        group_total = sum(counter.values())
+        h_conditional += (group_total / total) * _entropy(list(counter.values()))
+    return max(0.0, 1.0 - h_conditional / h_rhs)
+
+
+def fd_violation_groups(
+    table: Table, determinant: str, dependent: str
+) -> List[Tuple[str, List[Tuple[str, int]]]]:
+    """Groups of determinant values whose dependent values disagree, by string ``Counter``."""
+    lhs = table.column(determinant).values
+    rhs = table.column(dependent).values
+    groups: Dict[str, Counter] = defaultdict(Counter)
+    for l, r in zip(lhs, rhs):
+        if is_null(l) or is_null(r):
+            continue
+        groups[str(l)][str(r)] += 1
+    violations = []
+    for lhs_value, counter in groups.items():
+        if len(counter) > 1:
+            violations.append((lhs_value, counter.most_common()))
+    violations.sort(key=lambda item: -sum(c for _, c in item[1]))
+    return violations
 
 
 def discover_fds_baseline(

@@ -1,24 +1,35 @@
-"""Single-pass FD discovery must reproduce the baseline bit for bit.
+"""The coded FD kernels must reproduce the string-grouping oracle bit for bit.
 
-``discover_fds`` was rewritten to stringify each column once and share one
-non-null index per determinant; ``discover_fds_baseline`` (in
-``fd_oracle.py``) is the original per-pair re-materialising loop.  The rewrite is only acceptable if its output
-is *byte-identical* — same candidates, same order, and float scores equal to
-the last bit (``repr`` equality, not approx) — on the seed datasets and on
-adversarial synthetic tables.
+``discover_fds`` and ``fd_violation_groups`` count over per-column
+dictionary codes; ``fd_oracle.py`` keeps the per-row string grouping they
+replaced.  The kernels are only acceptable if their output is
+*byte-identical* — same candidates, same order, float scores equal to the
+last bit (``repr`` equality, not approx), same violation groups in the same
+order — on the seed datasets and on adversarial synthetic tables.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dataframe import Table
 from repro.datasets import dataset_names, load_dataset
-from repro.profiling import discover_fds
+from repro.profiling import discover_fds, fd_violation_groups
 
-from fd_oracle import discover_fds_baseline
+from fd_oracle import discover_fds_baseline, fd_violation_groups as fd_violation_groups_baseline
+
+
+def assert_same_violation_groups(table):
+    for determinant in table.column_names:
+        for dependent in table.column_names:
+            if dependent != determinant:
+                assert fd_violation_groups(table, determinant, dependent) == fd_violation_groups_baseline(
+                    table, determinant, dependent
+                ), (determinant, dependent)
 
 
 def assert_byte_identical(new, old):
@@ -39,6 +50,45 @@ def test_seed_datasets_byte_identical(name):
         discover_fds(table, min_score=0.0), discover_fds_baseline(table, min_score=0.0)
     )
     assert_byte_identical(discover_fds(table), discover_fds_baseline(table))
+    assert_same_violation_groups(table)
+
+
+# Equal values with different strings (1, 1.0, True, "1"), NULL and NaN, and
+# a small alphabet so groups disagree and counts tie.
+hostile_cell = st.sampled_from([None, math.nan, 1, 1.0, True, "1", 0, False, "0", "a", "b"])
+
+
+@st.composite
+def hostile_tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=30))
+    n_cols = draw(st.integers(min_value=2, max_value=4))
+    return Table.from_dict(
+        "t",
+        {f"c{i}": draw(st.lists(hostile_cell, min_size=n_rows, max_size=n_rows)) for i in range(n_cols)},
+    )
+
+
+@given(hostile_tables())
+@settings(max_examples=200, deadline=None)
+def test_hostile_tables_byte_identical(table):
+    assert_byte_identical(
+        discover_fds(table, min_score=0.0, max_determinant_distinct_ratio=1.0),
+        discover_fds_baseline(table, min_score=0.0, max_determinant_distinct_ratio=1.0),
+    )
+    assert_same_violation_groups(table)
+
+
+def test_count_ties_keep_first_occurrence_order():
+    table = Table.from_dict(
+        "t",
+        {
+            "det": ["k"] * 6 + ["m"] * 4,
+            "dep": ["y", "x", "x", "y", "z", "z", 1, "1", 1.0, 1.0],
+        },
+    )
+    groups = fd_violation_groups(table, "det", "dep")
+    assert groups == [("k", [("y", 2), ("x", 2), ("z", 2)]), ("m", [("1", 2), ("1.0", 2)])]
+    assert groups == fd_violation_groups_baseline(table, "det", "dep")
 
 
 def test_column_subset_and_thresholds():
@@ -70,6 +120,7 @@ def test_nulls_mixed_types_and_ties():
     assert_byte_identical(
         discover_fds(table, min_score=0.0), discover_fds_baseline(table, min_score=0.0)
     )
+    assert_same_violation_groups(table)
 
 
 def test_all_null_and_constant_columns():
@@ -90,3 +141,4 @@ def test_all_null_and_constant_columns():
 def test_empty_table():
     table = Table.from_dict("t", {"a": [], "b": []})
     assert discover_fds(table) == discover_fds_baseline(table) == []
+    assert fd_violation_groups(table, "a", "b") == fd_violation_groups_baseline(table, "a", "b") == []

@@ -13,7 +13,7 @@ import pytest
 
 import repro.profiling.table_profile as table_profile_module
 from repro import CocoonCleaner, load_dataset, obs
-from repro.core.context import CleaningContext
+from repro.core.context import ROW_ID_COLUMN, CleaningContext
 from repro.core.plan import extract_plan
 from repro.dataframe import Column, Table
 from repro.dataframe.schema import ColumnType
@@ -85,6 +85,36 @@ def test_hospital_profiles_each_column_version_once(monkeypatch):
     assert calls["discover_fds"] == 1
     assert calls["duplicate_row_count"] == 1
     assert calls["profile_column"] <= dirty.num_columns + rewrites
+
+
+def test_hospital_encodes_each_column_object_once(monkeypatch):
+    """Column profiles, FD discovery and violation groups share one encoding per column object."""
+    encodings = {}
+    reads = Counter()
+    original = Column.dictionary_codes
+
+    def recording(self):
+        codes = original(self)
+        # Holding the column keeps its id from being reused by a later one.
+        _, results = encodings.setdefault(id(self), (self, set()))
+        results.add(id(codes))
+        reads[id(self)] += 1
+        return codes
+
+    monkeypatch.setattr(Column, "dictionary_codes", recording)
+    CocoonCleaner().clean(load_dataset("hospital", scale=0.2).dirty)
+    assert encodings
+    assert all(len(results) == 1 for _, results in encodings.values())
+    # Later readers (profiles, per-candidate violation groups) reuse earlier encodings.
+    assert sum(reads.values()) > len(encodings)
+
+
+def test_dropping_the_row_id_shares_codes():
+    table = load_dataset("hospital", scale=0.05).dirty
+    with_ids = table.with_column(Column(ROW_ID_COLUMN, list(range(table.num_rows))))
+    data_only = with_ids.drop([ROW_ID_COLUMN])
+    for name in data_only.column_names:
+        assert data_only.column(name).dictionary_codes() is with_ids.column(name).dictionary_codes()
 
 
 @pytest.mark.parametrize(
@@ -164,5 +194,6 @@ def test_lazy_work_is_traced_under_the_operator_that_paid_for_it():
     for root in roots:
         walk(root, None)
     assert owners["profile.fds"] == {"operator.functional_dependency"}
+    assert owners["profile.fd_violations"] == {"operator.functional_dependency"}
     assert owners["profile.duplicates"] == {"operator.duplication"}
     assert None not in owners["profile.column"]

@@ -11,7 +11,7 @@ from repro.evaluation import EvaluationConventions, evaluate_repairs, values_equ
 from repro.evaluation.metrics import error_cells
 from repro.llm import parsing
 from repro.llm.semantic import edit_distance, value_shape
-from repro.profiling.fd import fd_entropy_score
+from repro.profiling.fd import discover_fds
 from repro.sql import Database
 
 # -- strategies -------------------------------------------------------------------
@@ -143,17 +143,24 @@ class TestSemanticProperties:
 
 
 # -- FD scoring invariants ----------------------------------------------------------------
+def _fd_scores(table):
+    """Every scored pair's entropy score, near-unique determinants included."""
+    candidates = discover_fds(table, min_score=0.0, max_determinant_distinct_ratio=1.0)
+    return {(c.determinant, c.dependent): c.score for c in candidates}
+
+
 class TestFdProperties:
     @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xyz")), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_score_bounded(self, pairs):
         table = Table.from_dict("t", {"l": [p[0] for p in pairs], "r": [p[1] for p in pairs]})
-        score = fd_entropy_score(table, "l", "r")
-        assert 0.0 <= score <= 1.0
+        assert all(0.0 <= score <= 1.0 for score in _fd_scores(table).values())
 
     @given(st.lists(st.sampled_from("abc"), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_exact_dependency_scores_one(self, lhs):
         rhs = [value.upper() for value in lhs]
         table = Table.from_dict("t", {"l": lhs, "r": rhs})
-        assert fd_entropy_score(table, "l", "r") == 1.0
+        scores = _fd_scores(table)
+        # A one-value column is never a candidate; otherwise both directions hold exactly.
+        assert scores == ({("l", "r"): 1.0, ("r", "l"): 1.0} if len(set(lhs)) > 1 else {})
