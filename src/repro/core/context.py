@@ -69,7 +69,6 @@ class CleaningContext:
         # The profile of ``_profiled``, the table version it was built for.
         self._profile: Optional[TableProfile] = None
         self._profiled: Optional[Table] = None
-        self.sql_statements: List[str] = []
 
     # -- table versioning -----------------------------------------------------
     def current_table(self) -> Table:
@@ -80,10 +79,9 @@ class CleaningContext:
         safe_suffix = suffix.lower().replace(" ", "_")
         return f"{self.base_table}_step{self._step}_{safe_suffix}"
 
-    def advance(self, new_table_name: str, sql: str) -> None:
-        """Record an executed cleaning statement and move to the new table version."""
+    def advance(self, new_table_name: str) -> None:
+        """Move to the table version the last executed cleaning statement wrote."""
         self.current_table_name = new_table_name
-        self.sql_statements.append(sql)
 
     # -- profiling --------------------------------------------------------------
     def profile(self) -> TableProfile:

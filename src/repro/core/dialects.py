@@ -1,20 +1,23 @@
-"""SQL dialects: render one cleaning plan for different engines.
+"""SQL dialects: the one place a cleaning decision becomes SQL text.
 
 The paper's promise is that Cocoon's output is a *reusable SQL script* that
-pushes cleaning down to the database where the data lives.  Until now the
-generated scripts only targeted the in-process ``repro.sql`` engine; this
-module makes the emission layer pluggable, following the per-dialect
-generator shape of pytrilogy (SNIPPETS.md snippet 3).
+pushes cleaning down to the database where the data lives.  A dialect
+object renders whole cleaning statements — the projection that rewrites one
+column, the keep-first-row deduplication, and the CASE/CAST expressions
+inside them — following the per-dialect compiler shape of pytrilogy
+(SNIPPETS.md snippet 3).  :meth:`repro.core.plan.PlanStep.render` picks the
+statement for each step kind and calls the dialect; nothing else renders a
+cleaning statement.
 
 Two dialects ship:
 
-* :class:`ReproDialect` — the in-process engine.  Its output is
-  byte-identical to what the emitters produced before dialects existed, so
-  every golden corpus and recorded ``PlanStep.sql`` stays stable.
-* :class:`SqliteDialect` — stdlib ``sqlite3``.  It lowers the constructs
-  sqlite lacks: ``CREATE OR REPLACE TABLE`` becomes ``DROP TABLE IF
-  EXISTS`` + ``CREATE TABLE``, ``QUALIFY`` becomes a ``ROW_NUMBER()``
-  subquery, and the engine's forgiving ``CAST``
+* :class:`ReproDialect` — the in-process ``repro.sql`` engine and the
+  default.  Every golden corpus and recorded ``PlanStep`` statement is its
+  output.
+* :class:`SqliteDialect` — stdlib ``sqlite3``.  It overrides the hooks
+  sqlite spells differently: ``CREATE OR REPLACE TABLE`` becomes ``DROP
+  TABLE IF EXISTS`` + ``CREATE TABLE``, ``QUALIFY`` becomes a
+  ``ROW_NUMBER()`` subquery, and the engine's forgiving ``CAST``
   (:func:`repro.dataframe.schema.coerce_value`: failed casts become NULL)
   becomes guarded ``CASE``/``GLOB``/``CAST`` chains — sqlite's native CAST
   never fails, it parses numeric *prefixes*, so ``CAST('12abc' AS
@@ -34,33 +37,58 @@ golden scenarios; all verified by ``repro.sql.differential``):
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+import textwrap
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataframe.schema import _FALSE_STRINGS, _TRUE_STRINGS, ColumnType, parse_type
-from repro.sql.tokenizer import KEYWORDS
+from repro.sql.tokenizer import KEYWORDS, is_word
 
 
-class Dialect:
-    """Base dialect: the rendering rules shared by every target engine.
+def comment_block(lines: Iterable[str], width: int = 96) -> str:
+    """Render reasoning text as a SQL comment block."""
+    out: List[str] = []
+    for line in lines:
+        for wrapped in textwrap.wrap(line, width=width) or [""]:
+            out.append(f"-- {wrapped}")
+    return "\n".join(out)
 
-    Subclasses override only the constructs their engine spells differently;
-    everything here is the common denominator (and exactly what
-    :class:`ReproDialect` emits).
+
+def _header(comments: Sequence[str]) -> str:
+    """The comment block that leads a statement, with its newline (or nothing)."""
+    return comment_block(comments) + "\n" if comments else ""
+
+
+class ReproDialect:
+    """The in-process ``repro.sql`` engine, and the rules every dialect shares.
+
+    The statement builders render a whole cleaning statement through a few
+    spelling hooks (:meth:`quote_identifier`, :meth:`create_table_prelude`,
+    :meth:`keep_first_statement`, :meth:`case_subject`,
+    :meth:`cast_expression`, :meth:`threshold_condition`,
+    :meth:`in_token_condition`); another engine subclasses this and
+    overrides only the hooks it spells differently.
     """
 
-    name = "base"
+    name = "repro"
 
     # -- quoting ---------------------------------------------------------------
     def quote_identifier(self, name: str) -> str:
         """Double-quote an identifier unless it is a plain lowercase non-keyword word.
 
-        Column names that collide with SQL keywords (``select``, ``order``,
-        ``group``, ``from``, …) must be quoted in any case spelling: the
-        tokenizer keywordises words case-insensitively, so leaving them bare
-        would make the generated cleaning script fail to re-parse on exactly
-        the tables the paper promises it re-runs on.
+        A name stays bare only when the tokenizer reads it back as that one
+        word (:func:`repro.sql.tokenizer.is_word` — stricter than
+        ``str.isidentifier``, which admits combining marks such as NFD
+        "état"), it is lowercase, and it is no SQL keyword in any case
+        spelling: the tokenizer keywordises words case-insensitively, so a
+        bare ``select``/``order``/``group`` column would make the generated
+        cleaning script fail to re-parse.
         """
-        if name.isidentifier() and name == name.lower() and name.upper() not in KEYWORDS:
+        if (
+            name.isidentifier()
+            and is_word(name)
+            and name == name.lower()
+            and name.upper() not in KEYWORDS
+        ):
             return name
         escaped = name.replace('"', '""')
         return f'"{escaped}"'
@@ -87,10 +115,36 @@ class Dialect:
         escaped = str(value).replace("'", "''")
         return f"'{escaped}'"
 
-    # -- statement shell -------------------------------------------------------
+    # -- statements ------------------------------------------------------------
     def create_table_prelude(self, target_table: str) -> str:
         """The statement head that (re)creates ``target_table`` from a SELECT."""
         return f"CREATE OR REPLACE TABLE {self.quote_identifier(target_table)} AS"
+
+    def select_with_replacements(
+        self,
+        source_table: str,
+        target_table: str,
+        columns: Sequence[str],
+        replacements: Mapping[str, str],
+        comments: Sequence[str] = (),
+    ) -> str:
+        """``CREATE OR REPLACE TABLE target AS SELECT ...`` replacing some columns.
+
+        ``replacements`` maps a column name to the SQL expression that produces its
+        cleaned value; all other columns are passed through unchanged.
+        """
+        select_items = []
+        for column in columns:
+            col = self.quote_identifier(column)
+            if column in replacements:
+                select_items.append(f"    {replacements[column]} AS {col}")
+            else:
+                select_items.append(f"    {col}")
+        select_list = ",\n".join(select_items)
+        return (
+            f"{_header(comments)}{self.create_table_prelude(target_table)}\n"
+            f"SELECT\n{select_list}\nFROM {self.quote_identifier(source_table)}"
+        )
 
     def keep_first_statement(
         self,
@@ -98,25 +152,83 @@ class Dialect:
         target_table: str,
         partition_columns: Sequence[str],
         order_sql: str,
-        header: str = "",
+        comments: Sequence[str] = (),
         columns: Optional[Sequence[str]] = None,
     ) -> str:
         """Keep the first row per partition (duplication/uniqueness cleaning).
 
-        ``order_sql`` is a ready-rendered ORDER BY expression list; ``header``
-        is an already-rendered comment block (or empty).  ``columns`` — the
-        full output column list — is only needed by dialects that must lower
-        QUALIFY into a subquery and project the helper column away.
+        ``order_sql`` is a ready-rendered ORDER BY expression list.
+        ``columns`` — the full output column list — is only needed by
+        dialects that must lower QUALIFY into a subquery and project the
+        helper column away.
         """
         partition = ", ".join(self.quote_identifier(c) for c in partition_columns)
-        head = f"{header}\n" if header else ""
         return (
-            f"{head}{self.create_table_prelude(target_table)}\n"
+            f"{_header(comments)}{self.create_table_prelude(target_table)}\n"
             f"SELECT *\nFROM {self.quote_identifier(source_table)}\n"
             f"QUALIFY ROW_NUMBER() OVER (PARTITION BY {partition} ORDER BY {order_sql}) = 1"
         )
 
-    # -- expressions -----------------------------------------------------------
+    # -- cleaning expressions --------------------------------------------------
+    def case_when_mapping(self, column: str, mapping: Mapping[str, Optional[str]]) -> str:
+        """``CASE column WHEN 'old' THEN 'new' ... ELSE column END`` for a value mapping.
+
+        Values mapped to the empty string become NULL (the paper's convention for
+        "meaningless" values).
+        """
+        col = self.quote_identifier(column)
+        branches = []
+        for old, new in mapping.items():
+            value = "NULL" if new is None or new == "" else self.quote_literal(new)
+            branches.append(f"        WHEN {self.quote_literal(old)} THEN {value}")
+        body = "\n".join(branches)
+        return f"CASE {self.case_subject(col)}\n{body}\n        ELSE {col}\n    END"
+
+    def case_when_null(self, column: str, null_values: Sequence[str]) -> str:
+        """``CASE WHEN column IN (...) THEN NULL ELSE column END`` for DMV cleaning."""
+        col = self.quote_identifier(column)
+        return f"CASE WHEN {self.in_token_condition(col, null_values)} THEN NULL ELSE {col} END"
+
+    def case_when_threshold(
+        self, column: str, low: Optional[float], high: Optional[float]
+    ) -> str:
+        """``CASE WHEN column < low OR column > high THEN NULL ELSE column END``.
+
+        Non-finite bounds are dropped (a bare ``nan``/``inf`` would not
+        parse); with both bounds dropped the condition degrades to ``FALSE``
+        and the CASE passes everything through.
+        """
+        col = self.quote_identifier(column)
+        bounds = []
+        if low is not None and math.isfinite(low):
+            bounds.append(("<", low))
+        if high is not None and math.isfinite(high):
+            bounds.append((">", high))
+        return f"CASE WHEN {self.threshold_condition(col, bounds)} THEN NULL ELSE {col} END"
+
+    def cast_column(
+        self, column: str, target_type: str, value_mapping: Optional[Mapping[str, str]] = None
+    ) -> str:
+        """``CAST(column AS type)``, optionally of a value-normalising CASE."""
+        inner = (
+            self.case_when_mapping(column, value_mapping)
+            if value_mapping
+            else self.quote_identifier(column)
+        )
+        return self.cast_expression(inner, target_type)
+
+    def conditional_update_expression(
+        self, target_column: str, key_column: str, key_to_value: Mapping[str, str]
+    ) -> str:
+        """``CASE key_column WHEN 'k' THEN 'v' ... ELSE target END`` for FD repairs."""
+        key = self.case_subject(self.quote_identifier(key_column))
+        branches = "\n".join(
+            f"        WHEN {self.quote_literal(k)} THEN {self.quote_literal(v)}"
+            for k, v in key_to_value.items()
+        )
+        return f"CASE {key}\n{branches}\n        ELSE {self.quote_identifier(target_column)}\n    END"
+
+    # -- expression hooks ------------------------------------------------------
     def case_subject(self, column_sql: str) -> str:
         """The CASE/IN subject used to match a column against string literals."""
         return column_sql
@@ -145,28 +257,10 @@ class Dialect:
 
         The in-process engine evaluates ``IN`` through ``sql_equal``: numeric
         *storage* compares numerically against numeric-looking tokens, text
-        compares textually.  The base rendering is a plain IN list, which is
-        exactly that on the in-process engine.
+        compares textually.  A plain IN list is exactly that in-process.
         """
         literals = ", ".join(self.quote_literal(t) for t in tokens)
         return f"{column_sql} IN ({literals})"
-
-    def function_call(self, name: str, args_sql: Sequence[str]) -> str:
-        """Render a scalar function call, renaming/lowering where needed."""
-        return f"{name.upper()}({', '.join(args_sql)})"
-
-    def like_expression(self, operand_sql: str, pattern_sql: str, escape_sql: Optional[str] = None) -> str:
-        """``operand LIKE pattern [ESCAPE escape]`` (case-insensitive on both engines)."""
-        sql = f"{operand_sql} LIKE {pattern_sql}"
-        if escape_sql is not None:
-            sql += f" ESCAPE {escape_sql}"
-        return sql
-
-
-class ReproDialect(Dialect):
-    """The in-process ``repro.sql`` engine — the historical emission target."""
-
-    name = "repro"
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +345,7 @@ def _case(branches: Sequence[Tuple[str, str]], else_sql: str = "NULL") -> str:
     return f"CASE\n{body}\n    ELSE {else_sql}\nEND"
 
 
-class SqliteDialect(Dialect):
+class SqliteDialect(ReproDialect):
     """Stdlib ``sqlite3``: no QUALIFY, no CREATE OR REPLACE, no failing CAST.
 
     Every lowering mirrors the in-process semantics the differential harness
@@ -279,7 +373,7 @@ class SqliteDialect(Dialect):
         target_table: str,
         partition_columns: Sequence[str],
         order_sql: str,
-        header: str = "",
+        comments: Sequence[str] = (),
         columns: Optional[Sequence[str]] = None,
     ) -> str:
         if not columns:
@@ -290,9 +384,8 @@ class SqliteDialect(Dialect):
         partition = ", ".join(self.quote_identifier(c) for c in partition_columns)
         select_list = ", ".join(self.quote_identifier(c) for c in columns)
         rn = self.quote_identifier("_cocoon_rn")
-        head = f"{header}\n" if header else ""
         return (
-            f"{head}{self.create_table_prelude(target_table)}\n"
+            f"{_header(comments)}{self.create_table_prelude(target_table)}\n"
             f"SELECT {select_list}\n"
             f"FROM (\n"
             f"    SELECT *, ROW_NUMBER() OVER (PARTITION BY {partition} ORDER BY {order_sql}) AS {rn}\n"
@@ -421,31 +514,6 @@ class SqliteDialect(Dialect):
             f"THEN {numeric_match} ELSE {text_match} END"
         )
 
-    def function_call(self, name: str, args_sql: Sequence[str]) -> str:
-        upper = name.upper()
-        if upper == "TRY_CAST_DOUBLE":
-            # sqlite has no TRY_CAST; the guarded DOUBLE lowering *is* the
-            # CAST+NULLIF idiom (failures fall through to NULL).
-            if len(args_sql) != 1:
-                raise ValueError("TRY_CAST_DOUBLE takes exactly one argument")
-            return self.cast_expression(args_sql[0], "DOUBLE")
-        renames = {"LEN": "LENGTH", "CEILING": "CEIL", "NVL": "IFNULL"}
-        return f"{renames.get(upper, upper)}({', '.join(args_sql)})"
 
-
-#: The dialect every emitter uses when none is passed — current behaviour.
+#: The dialect a step renders with when none is passed.
 DEFAULT_DIALECT = ReproDialect()
-
-#: Registry for CLI-style lookup by name.
-DIALECTS = {
-    "repro": ReproDialect,
-    "sqlite": SqliteDialect,
-}
-
-
-def get_dialect(name: str) -> Dialect:
-    """Instantiate a dialect by registry name (``repro`` / ``sqlite``)."""
-    try:
-        return DIALECTS[name.lower()]()
-    except KeyError:
-        raise ValueError(f"Unknown dialect {name!r}; known: {sorted(DIALECTS)}") from None

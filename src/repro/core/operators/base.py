@@ -118,7 +118,7 @@ class CleaningOperator(abc.ABC):
         )
         if context.lineage is not None:
             self._record_lineage(context, before, after, result.removed_row_ids, step)
-        context.advance(target_table, sql)
+        context.advance(target_table)
         result.sql = sql
         result.step = step
         result.llm_calls = self.take_llm_calls()

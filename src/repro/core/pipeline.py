@@ -105,7 +105,9 @@ class CocoonCleaner:
             dirty_table=table,
             cleaned_table=cleaned,
             operator_results=operator_results,
-            sql_script=self._render_script(base_name, context.sql_statements),
+            sql_script=self._render_script(
+                base_name, [r.sql for r in operator_results if r.applied]
+            ),
             llm_calls=self.llm.call_count - llm_calls_before,
             base_table=base_name,
             lineage=lineage,

@@ -11,7 +11,10 @@ them is cheap and deterministic.
 Every decision is a :class:`PlanStep` from the start: the operator renders
 and executes it, and :class:`CleaningPlan` collects the applied steps in
 order so they can be *replayed* on new data with zero LLM calls — the heart
-of the ``repro.stream`` incremental engine.  Steps split into two classes:
+of the ``repro.stream`` incremental engine.  :meth:`PlanStep.render` is the
+only decision → SQL dispatch: it picks the statement for the step's kind
+and has a dialect (:mod:`repro.core.dialects`) render it.  Steps split into
+two classes:
 
 * **row-local** steps (string/pattern maps, DMV nulling, casts, numeric
   range nulling, FD ``CASE WHEN`` repairs): pure per-row functions.  They
@@ -34,19 +37,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import ROW_ID_COLUMN
-from repro.core.dialects import DEFAULT_DIALECT, Dialect
+from repro.core.dialects import DEFAULT_DIALECT, ReproDialect, comment_block
 from repro.core.result import CleaningResult
-from repro.core.sqlgen import (
-    case_when_mapping,
-    case_when_null,
-    case_when_threshold,
-    cast_expression,
-    comment_block,
-    conditional_update_expression,
-    keep_first_statement,
-    quote_identifier,
-    select_with_replacements,
-)
 from repro.dataframe.table import Table
 from repro.obs import current_ref as obs_current_ref
 from repro.obs.lineage import LineageRecorder, lineage_step_id, values_strictly_differ
@@ -108,27 +100,24 @@ class PlanStep:
             return str(self.payload["dependent"])
         return str(self.payload["column"])
 
-    def _expression(self, dialect: Optional[Dialect]) -> str:
+    def _expression(self, dialect: ReproDialect) -> str:
         """The SQL expression a row-local step rewrites its column with."""
         payload = self.payload
         if self.kind == "value_map":
-            return case_when_mapping(payload["column"], payload["mapping"], dialect=dialect)
+            return dialect.case_when_mapping(payload["column"], payload["mapping"])
         if self.kind == "null_values":
-            return case_when_null(payload["column"], payload["values"], dialect=dialect)
+            return dialect.case_when_null(payload["column"], payload["values"])
         if self.kind == "cast":
-            return cast_expression(
-                payload["column"],
-                payload["target_type"],
-                payload.get("mapping") or None,
-                dialect=dialect,
+            return dialect.cast_column(
+                payload["column"], payload["target_type"], payload.get("mapping") or None
             )
         if self.kind == "range":
-            return case_when_threshold(
-                payload["column"], payload.get("low"), payload.get("high"), dialect=dialect
+            return dialect.case_when_threshold(
+                payload["column"], payload.get("low"), payload.get("high")
             )
         if self.kind == "fd_map":
-            return conditional_update_expression(
-                payload["dependent"], payload["determinant"], payload["mapping"], dialect=dialect
+            return dialect.conditional_update_expression(
+                payload["dependent"], payload["determinant"], payload["mapping"]
             )
         raise PlanExtractionError(f"Unknown plan step kind {self.kind!r}")
 
@@ -138,51 +127,40 @@ class PlanStep:
         target_table: str,
         columns: List[str],
         comments: Optional[Sequence[str]] = None,
-        dialect: Optional[Dialect] = None,
+        dialect: Optional[ReproDialect] = None,
     ) -> str:
         """Render this step as one statement reading ``source_table``.
 
         ``columns`` are the data columns (the hidden row-id column is
         prepended).  ``comments`` lead the statement; the default names the
         step as a replay.  Row-local steps rewrite one column of a projection;
-        dedup/unique steps keep the first row per partition.
+        dedup/unique steps keep the first row per partition.  ``dialect``
+        (default :data:`~repro.core.dialects.DEFAULT_DIALECT`) spells it.
         """
+        dialect = dialect or DEFAULT_DIALECT
         if comments is None:
             comments = [f"Replayed {self.issue_type} step for {self.target}."]
         all_columns = [ROW_ID_COLUMN] + list(columns)
-        if self.kind == "dedup":
-            return keep_first_statement(
-                source_table,
-                target_table,
-                list(self.payload["columns"]),
-                ROW_ID_COLUMN,
-                comments=comments,
-                columns=all_columns,
-                dialect=dialect,
+        if self.kind in TABLE_LEVEL_KINDS:
+            if self.kind == "dedup":
+                partition, order_sql = list(self.payload["columns"]), ROW_ID_COLUMN
+            else:
+                order_column = self.payload.get("order_column")
+                partition = [self.payload["column"]]
+                order_sql = (
+                    f"{dialect.quote_identifier(order_column)} DESC"
+                    if order_column
+                    else ROW_ID_COLUMN
+                )
+            return dialect.keep_first_statement(
+                source_table, target_table, partition, order_sql, comments, all_columns
             )
-        if self.kind == "unique":
-            order_column = self.payload.get("order_column")
-            order_sql = (
-                f"{quote_identifier(order_column, dialect=dialect)} DESC"
-                if order_column
-                else ROW_ID_COLUMN
-            )
-            return keep_first_statement(
-                source_table,
-                target_table,
-                [self.payload["column"]],
-                order_sql,
-                comments=comments,
-                columns=all_columns,
-                dialect=dialect,
-            )
-        return select_with_replacements(
+        return dialect.select_with_replacements(
             source_table,
             target_table,
             all_columns,
             {self.rewritten_column: self._expression(dialect)},
-            comments=comments,
-            dialect=dialect,
+            comments,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -342,7 +320,7 @@ class CleaningPlan:
         """The table the emitted script leaves the cleaned rows in."""
         return self.steps[-1].target_table if self.steps else self.base_table
 
-    def emit(self, dialect: Optional[Dialect] = None) -> str:
+    def emit(self, dialect: Optional[ReproDialect] = None) -> str:
         """Render the whole plan as one SQL script for ``dialect``.
 
         The script reads ``base_table`` (which must carry the hidden row-id

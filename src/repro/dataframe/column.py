@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.dataframe.schema import ColumnType, coerce_value, infer_storage_type, is_null
+from repro.dataframe.schema import ColumnType, infer_storage_type, is_null
 
 
 class Column:
@@ -63,25 +63,6 @@ class Column:
         vals = self.values
         return Column(self.name, [vals[i] for i in indices], self.dtype)
 
-    def append_values(self, values: Iterable[Any]) -> "Column":
-        """A new column with ``values`` appended, keeping the declared dtype.
-
-        One list concatenation — no per-cell dispatch and no type
-        re-inference, so appending typed micro-batches cannot silently widen
-        the column.
-        """
-        return Column(self.name, self.values + list(values), self.dtype)
-
-    def null_mask(self) -> List[bool]:
-        """Per-row NULL flags as a parallel boolean vector."""
-        return [is_null(v) for v in self.values]
-
-    def map(self, func: Callable[[Any], Any], dtype: Optional[ColumnType] = None) -> "Column":
-        return Column(self.name, [func(v) for v in self.values], dtype)
-
-    def cast(self, target: ColumnType) -> "Column":
-        return Column(self.name, [coerce_value(v, target) for v in self.values], target)
-
     # -- statistics used throughout profiling -------------------------------
     def null_count(self) -> int:
         return sum(1 for v in self.values if is_null(v))
@@ -135,17 +116,3 @@ class Column:
 
     def value_counts(self) -> Counter:
         return Counter(str(v) for v in self.values if not is_null(v))
-
-    def min(self) -> Any:
-        non_null = self.non_null()
-        return min(non_null) if non_null else None
-
-    def max(self) -> Any:
-        non_null = self.non_null()
-        return max(non_null) if non_null else None
-
-    def mean(self) -> Optional[float]:
-        numeric = [float(v) for v in self.non_null() if isinstance(v, (int, float)) and not isinstance(v, bool)]
-        if not numeric:
-            return None
-        return sum(numeric) / len(numeric)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -183,42 +182,6 @@ class Table:
     def head(self, n: int) -> "Table":
         return self.take(list(range(min(n, self.num_rows))))
 
-    def filter(self, predicate: Callable[[Dict[str, Any]], bool]) -> "Table":
-        indices = [i for i in range(self.num_rows) if predicate(self.row(i))]
-        return self.take(indices)
-
-    def sort_by(self, column_names: Sequence[str], descending: bool = False) -> "Table":
-        def key(i: int) -> Tuple:
-            parts = []
-            for name in column_names:
-                v = self.cell(i, name)
-                # Sort NULLs last regardless of direction, mirroring SQL NULLS LAST.
-                parts.append((1, "") if is_null(v) else (0, v))
-            return tuple(parts)
-
-        indices = sorted(range(self.num_rows), key=key, reverse=descending)
-        return self.take(indices)
-
-    def distinct(self) -> "Table":
-        seen = set()
-        indices = []
-        for i, row in enumerate(self.row_tuples()):
-            key = tuple("\0null" if is_null(v) else str(v) for v in row)
-            if key in seen:
-                continue
-            seen.add(key)
-            indices.append(i)
-        return self.take(indices)
-
-    def group_by(self, column_names: Sequence[str]) -> Dict[Tuple[Any, ...], List[int]]:
-        """Group row indices by the values of ``column_names``."""
-        groups: Dict[Tuple[Any, ...], List[int]] = {}
-        for i in range(self.num_rows):
-            key = tuple(self.cell(i, name) for name in column_names)
-            key = tuple(None if is_null(v) else v for v in key)
-            groups.setdefault(key, []).append(i)
-        return groups
-
     def concat_rows(self, other: "Table") -> "Table":
         return self.concat(other, check_types=False)
 
@@ -281,37 +244,6 @@ class Table:
             self.name,
             [Column(c.name, values, c.dtype) for c, values in zip(self.columns, new_values)],
         )
-
-    def join(self, other: "Table", on: Sequence[str], how: str = "inner") -> "Table":
-        """Hash join on equality of the ``on`` columns.
-
-        Supports ``inner`` and ``left`` joins, which is all the baselines need.
-        Non-key columns from ``other`` that clash are suffixed with ``_right``.
-        """
-        if how not in ("inner", "left"):
-            raise ValueError(f"Unsupported join type: {how}")
-        right_index: Dict[Tuple[Any, ...], List[int]] = {}
-        for j in range(other.num_rows):
-            key = tuple(other.cell(j, k) for k in on)
-            right_index.setdefault(key, []).append(j)
-        left_cols = self.column_names
-        right_cols = [c for c in other.column_names if c not in on]
-        out_names = left_cols + [
-            c if c not in left_cols else f"{c}_right" for c in right_cols
-        ]
-        out_rows: List[List[Any]] = []
-        for i in range(self.num_rows):
-            key = tuple(self.cell(i, k) for k in on)
-            matches = right_index.get(key, [])
-            if matches:
-                for j in matches:
-                    out_rows.append(
-                        [self.cell(i, c) for c in left_cols]
-                        + [other.cell(j, c) for c in right_cols]
-                    )
-            elif how == "left":
-                out_rows.append([self.cell(i, c) for c in left_cols] + [None] * len(right_cols))
-        return Table.from_rows(self.name, out_names, out_rows)
 
     # -- conversion -------------------------------------------------------------
     def to_dict(self) -> Dict[str, List[Any]]:

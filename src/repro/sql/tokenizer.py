@@ -74,6 +74,13 @@ def _read_quoted(sql: str, start: int) -> Tuple[str, int]:
         i = end + 2
 
 
+def is_word(text: str) -> bool:
+    """Whether :func:`tokenize` reads all of ``text`` as one word token."""
+    return (text[:1].isalpha() or text[:1] == "_") and all(
+        ch.isalnum() or ch == "_" for ch in text
+    )
+
+
 def tokenize(sql: str) -> List[Token]:
     """Tokenize ``sql`` into a list of tokens ending with EOF."""
     tokens: List[Token] = []

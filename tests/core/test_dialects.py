@@ -6,30 +6,14 @@ import sqlite3
 import pytest
 
 from repro.core.context import ROW_ID_COLUMN
-from repro.core.dialects import (
-    DEFAULT_DIALECT,
-    DIALECTS,
-    Dialect,
-    ReproDialect,
-    SqliteDialect,
-    get_dialect,
-)
+from repro.core.dialects import DEFAULT_DIALECT, ReproDialect, SqliteDialect, comment_block
 from repro.core.pipeline import CocoonCleaner
 from repro.core.plan import extract_plan
-from repro.core.sqlgen import (
-    case_when_mapping,
-    case_when_null,
-    case_when_threshold,
-    cast_expression,
-    comment_block,
-    keep_first_statement,
-    quote_identifier,
-    quote_literal,
-    select_with_replacements,
-)
 from repro.dataframe.schema import ColumnType, coerce_value
 from repro.dataframe.table import Table
 from repro.sql.database import Database
+
+REPRO = ReproDialect()
 
 
 def sqlite_eval(expr: str, values):
@@ -51,24 +35,17 @@ class TestRegistry:
     def test_default_dialect_is_repro(self):
         assert isinstance(DEFAULT_DIALECT, ReproDialect)
 
-    def test_get_dialect(self):
-        assert isinstance(get_dialect("sqlite"), SqliteDialect)
-        assert isinstance(get_dialect("REPRO"), ReproDialect)
-        with pytest.raises(ValueError, match="Unknown dialect"):
-            get_dialect("oracle")
-        assert set(DIALECTS) == {"repro", "sqlite"}
-
 
 class TestReproByteIdentity:
     """The default dialect must render exactly what the emitters always did."""
 
     def test_quote_identifier_unchanged(self):
-        assert quote_identifier("city") == "city"
-        assert quote_identifier("select") == '"select"'
-        assert quote_identifier("My Col") == '"My Col"'
+        assert REPRO.quote_identifier("city") == "city"
+        assert REPRO.quote_identifier("select") == '"select"'
+        assert REPRO.quote_identifier("My Col") == '"My Col"'
 
     def test_case_when_mapping_unchanged(self):
-        sql = case_when_mapping("city", {"NYC ": "NYC", "bad": ""})
+        sql = REPRO.case_when_mapping("city", {"NYC ": "NYC", "bad": ""})
         assert sql == (
             "CASE city\n"
             "        WHEN 'NYC ' THEN 'NYC'\n"
@@ -78,10 +55,10 @@ class TestReproByteIdentity:
         )
 
     def test_case_when_threshold_unchanged_for_finite_bounds(self):
-        assert case_when_threshold("abv", 0.02, 0.12) == (
+        assert REPRO.case_when_threshold("abv", 0.02, 0.12) == (
             "CASE WHEN abv < 0.02 OR abv > 0.12 THEN NULL ELSE abv END"
         )
-        assert case_when_threshold("abv", None, None) == (
+        assert REPRO.case_when_threshold("abv", None, None) == (
             "CASE WHEN FALSE THEN NULL ELSE abv END"
         )
 
@@ -94,7 +71,7 @@ class TestReproByteIdentity:
             "SELECT *\nFROM t\n"
             f"QUALIFY ROW_NUMBER() OVER (PARTITION BY a, b ORDER BY {ROW_ID_COLUMN}) = 1"
         )
-        assert keep_first_statement("t", "t_dedup", ["a", "b"], ROW_ID_COLUMN, comments) == legacy
+        assert REPRO.keep_first_statement("t", "t_dedup", ["a", "b"], ROW_ID_COLUMN, comments) == legacy
 
     def test_plan_emit_repro_replays_identically(self):
         table = Table.from_rows(
@@ -127,12 +104,11 @@ class TestSqliteStatements:
     def test_identifiers_always_quoted(self):
         # 'index' passes the repro bare-word test but is a sqlite keyword.
         assert SqliteDialect().quote_identifier("index") == '"index"'
-        assert quote_identifier("index") == "index"
+        assert REPRO.quote_identifier("index") == "index"
 
     def test_keep_first_lowers_qualify(self):
-        sql = keep_first_statement(
-            "s", "t", ["k"], ROW_ID_COLUMN, columns=["_cocoon_row_id", "k", "v"],
-            dialect=SqliteDialect(),
+        sql = SqliteDialect().keep_first_statement(
+            "s", "t", ["k"], ROW_ID_COLUMN, columns=["_cocoon_row_id", "k", "v"]
         )
         assert "QUALIFY" not in sql
         assert "ROW_NUMBER() OVER" in sql and '"_cocoon_rn" = 1' in sql
@@ -151,17 +127,7 @@ class TestSqliteStatements:
 
     def test_keep_first_requires_columns(self):
         with pytest.raises(ValueError, match="column list"):
-            keep_first_statement("s", "t", ["k"], ROW_ID_COLUMN, dialect=SqliteDialect())
-
-    def test_function_renames(self):
-        d = SqliteDialect()
-        assert d.function_call("LEN", ["x"]) == "LENGTH(x)"
-        assert d.function_call("NVL", ["a", "b"]) == "IFNULL(a, b)"
-        assert "CASE" in d.function_call("TRY_CAST_DOUBLE", ["x"])
-
-    def test_like_escape_shared_shape(self):
-        for dialect in (ReproDialect(), SqliteDialect()):
-            assert dialect.like_expression("a", "'b%'", "'!'") == "a LIKE 'b%' ESCAPE '!'"
+            SqliteDialect().keep_first_statement("s", "t", ["k"], ROW_ID_COLUMN)
 
 
 CAST_BATTERY = [
@@ -218,14 +184,14 @@ class TestSqliteCastParity:
 class TestSqliteExpressionParity:
     def test_mapping_matches_numeric_storage_textually(self):
         # In-process CASE matches str(subject); sqlite needs the TEXT cast.
-        expr = case_when_mapping("v", {"120": "200"}, dialect=SqliteDialect())
+        expr = SqliteDialect().case_when_mapping("v", {"120": "200"})
         assert sqlite_eval(expr, [120, "120", 121]) == ["200", "200", 121]
 
     def test_in_list_matches_both_storage_classes(self):
-        expr = case_when_null("v", ["999"], dialect=SqliteDialect())
+        expr = SqliteDialect().case_when_null("v", ["999"])
         assert sqlite_eval(expr, [999, "999", 998]) == [None, None, 998]
         # Numeric storage matches numeric tokens by value, like sql_equal.
-        expr = case_when_null("v", ["0"], dialect=SqliteDialect())
+        expr = SqliteDialect().case_when_null("v", ["0"])
         assert sqlite_eval(expr, [0.0, "0.0", "0"]) == [None, "0.0", None]
 
     def test_threshold_matches_in_process_semantics(self):
@@ -233,14 +199,14 @@ class TestSqliteExpressionParity:
         # textually against str(bound), exactly like the in-process engine
         # ('abc' > '2.0' lexically, so it is nulled on both sides).
         values = [1.0, 3.0, 0.1, "1.5", "3.5", "abc", "", None]
-        expr = case_when_threshold("v", 0.5, 2.0, dialect=SqliteDialect())
+        expr = SqliteDialect().case_when_threshold("v", 0.5, 2.0)
         assert sqlite_eval(expr, values) == [
             1.0, None, None, "1.5", None, None, None, None,
         ]
         db = Database()
         db.register(Table.from_rows("t", ["v"], [[v] for v in values]), replace=True)
         in_process = db.column_values(
-            f"SELECT {case_when_threshold('v', 0.5, 2.0)} FROM t"
+            f"SELECT {REPRO.case_when_threshold('v', 0.5, 2.0)} FROM t"
         )
         assert in_process == [1.0, None, None, "1.5", None, None, None, None]
 
@@ -249,22 +215,22 @@ class TestLiteralHardening:
     """Satellite: non-finite floats must never render as bare tokens."""
 
     def test_finite_literals_unchanged(self):
-        assert quote_literal(3) == "3"
-        assert quote_literal(2.5) == "2.5"
-        assert quote_literal(True) == "TRUE"
-        assert quote_literal(None) == "NULL"
-        assert quote_literal("it's") == "'it''s'"
+        assert REPRO.quote_literal(3) == "3"
+        assert REPRO.quote_literal(2.5) == "2.5"
+        assert REPRO.quote_literal(True) == "TRUE"
+        assert REPRO.quote_literal(None) == "NULL"
+        assert REPRO.quote_literal("it's") == "'it''s'"
 
     def test_nan_renders_null(self):
-        assert quote_literal(float("nan")) == "NULL"
+        assert REPRO.quote_literal(float("nan")) == "NULL"
 
     def test_infinities_render_as_strings(self):
-        assert quote_literal(float("inf")) == "'inf'"
-        assert quote_literal(float("-inf")) == "'-inf'"
+        assert REPRO.quote_literal(float("inf")) == "'inf'"
+        assert REPRO.quote_literal(float("-inf")) == "'-inf'"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1.5, None, True, "x"])
     def test_round_trip_through_both_engines(self, value):
-        literal = quote_literal(value)
+        literal = REPRO.quote_literal(value)
         db = Database()
         db.register(Table.from_rows("one", ["a"], [[1]]), replace=True)
         in_process = db.scalar(f"SELECT {literal} FROM one")
@@ -280,24 +246,24 @@ class TestLiteralHardening:
 
     def test_threshold_drops_non_finite_bounds(self):
         # Previously rendered "abv < nan" — unparseable on every engine.
-        sql = case_when_threshold("abv", float("nan"), float("inf"))
+        sql = REPRO.case_when_threshold("abv", float("nan"), float("inf"))
         assert sql == "CASE WHEN FALSE THEN NULL ELSE abv END"
-        sql = case_when_threshold("abv", float("-inf"), 0.12)
+        sql = REPRO.case_when_threshold("abv", float("-inf"), 0.12)
         assert sql == "CASE WHEN abv > 0.12 THEN NULL ELSE abv END"
 
     def test_cast_expression_repro_unchanged(self):
-        assert cast_expression("n", "INTEGER") == "CAST(n AS INTEGER)"
+        assert REPRO.cast_column("n", "INTEGER") == "CAST(n AS INTEGER)"
 
 
 class TestDialectBaseIsAbstractEnough:
     def test_subclass_only_overrides(self):
         # Guard the extension contract documented in docs/dialects.md: a new
         # dialect only needs the hooks, not a rewrite of the builders.
-        class Upper(Dialect):
+        class Upper(ReproDialect):
             name = "upper"
 
             def create_table_prelude(self, target_table):
                 return f"CREATE TABLE {self.quote_identifier(target_table)} AS"
 
-        sql = select_with_replacements("s", "t", ["a"], {}, dialect=Upper())
+        sql = Upper().select_with_replacements("s", "t", ["a"], {})
         assert sql.startswith("CREATE TABLE t AS")

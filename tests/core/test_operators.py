@@ -1,19 +1,13 @@
 """Tests for individual cleaning operators and SQL generation."""
 
 from repro.core import CleaningConfig, CocoonCleaner
+from repro.core.dialects import ReproDialect
 from repro.core.hil import CallbackReviewer, ReviewDecision
-from repro.core.sqlgen import (
-    case_when_mapping,
-    case_when_null,
-    case_when_threshold,
-    cast_expression,
-    quote_identifier,
-    quote_literal,
-    select_with_replacements,
-)
 from repro.dataframe import Table
 from repro.llm.parsing import render_json
 from repro.llm.simulated import SimulatedSemanticLLM
+
+REPRO = ReproDialect()
 
 
 def clean_with(table: Table, issues):
@@ -23,36 +17,36 @@ def clean_with(table: Table, issues):
 
 class TestSqlGen:
     def test_quote_identifier(self):
-        assert quote_identifier("name") == "name"
-        assert quote_identifier("Weird Name") == '"Weird Name"'
+        assert REPRO.quote_identifier("name") == "name"
+        assert REPRO.quote_identifier("Weird Name") == '"Weird Name"'
 
     def test_quote_literal_escapes(self):
-        assert quote_literal("it's") == "'it''s'"
-        assert quote_literal(None) == "NULL"
-        assert quote_literal(3) == "3"
-        assert quote_literal(True) == "TRUE"
+        assert REPRO.quote_literal("it's") == "'it''s'"
+        assert REPRO.quote_literal(None) == "NULL"
+        assert REPRO.quote_literal(3) == "3"
+        assert REPRO.quote_literal(True) == "TRUE"
 
     def test_case_when_mapping_empty_string_becomes_null(self):
-        sql = case_when_mapping("c", {"bad": "good", "junk": ""})
+        sql = REPRO.case_when_mapping("c", {"bad": "good", "junk": ""})
         assert "WHEN 'junk' THEN NULL" in sql
         assert "WHEN 'bad' THEN 'good'" in sql
 
     def test_case_when_null(self):
-        assert "IN ('N/A', '--')" in case_when_null("c", ["N/A", "--"])
+        assert "IN ('N/A', '--')" in REPRO.case_when_null("c", ["N/A", "--"])
 
     def test_case_when_threshold(self):
-        sql = case_when_threshold("c", 0, 100)
+        sql = REPRO.case_when_threshold("c", 0, 100)
         assert "c < 0" in sql and "c > 100" in sql
 
     def test_cast_expression_with_mapping(self):
-        sql = cast_expression("c", "BOOLEAN", {"yes": "True"})
+        sql = REPRO.cast_column("c", "BOOLEAN", {"yes": "True"})
         assert sql.startswith("CAST(CASE c")
         assert sql.endswith("AS BOOLEAN)")
 
     def test_select_with_replacements_executes(self, db):
-        sql = select_with_replacements(
+        sql = REPRO.select_with_replacements(
             "people", "people2", ["name", "age", "city", "score"],
-            {"city": case_when_mapping("city", {"New York": "NY"})},
+            {"city": REPRO.case_when_mapping("city", {"New York": "NY"})},
             comments=["normalise city"],
         )
         db.sql(sql)

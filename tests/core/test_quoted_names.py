@@ -1,6 +1,6 @@
-"""Column names that must be quoted — containing ``"``, a space or ``-`` —
-survive a whole clean: the emitted script re-parses, runs in-process and on
-sqlite, and matches the pipeline's own output."""
+"""Column names that must be quoted — containing ``"``, a space or ``-``, or
+a combining accent — survive a whole clean: the emitted script re-parses,
+runs in-process and on sqlite, and matches the pipeline's own output."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ from repro.dataframe import Table
 from repro.sql.differential import run_differential
 
 QUOTE, SPACE, DASH = 'q"uote', "two words", "dash-ed"
+#: "état" in NFD: a valid Python identifier the SQL tokenizer splits at the accent.
+NFD_ETAT = "e\u0301tat"
 
 
 def _odd_names_table() -> Table:
@@ -35,3 +37,22 @@ def test_emitted_script_replays_on_both_engines():
     result = run_differential(_odd_names_table(), "odd names", "table")
     assert result.steps > 0
     assert result.ok, result.mismatches
+
+
+def _nfd_named_table() -> Table:
+    return Table.from_dict(
+        "etats",
+        {
+            NFD_ETAT: ["ok"] * 6 + ["OK", "N/A"],
+            "n": ["1", "2", "3", "4", "5", "6", "7", "x"],
+        },
+    )
+
+
+def test_clean_of_a_combining_accent_column_name():
+    result = CocoonCleaner().clean(_nfd_named_table())
+    assert result.cleaned_table.column_names == [NFD_ETAT, "n"]
+    assert any(r.applied for r in result.operator_results)
+    assert f'"{NFD_ETAT}"' in result.sql_script
+    differential = run_differential(_nfd_named_table(), "etats", "table")
+    assert differential.ok, differential.mismatches

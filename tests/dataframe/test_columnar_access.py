@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.dataframe.column import Column
-from repro.dataframe.schema import ColumnType
 from repro.dataframe.table import Table
 
 
@@ -56,29 +55,12 @@ class TestColumnHandles:
 
 
 class TestColumnVectorHelpers:
-    def test_null_mask(self):
-        col = Column("x", [1, None, float("nan"), "v"])
-        assert col.null_mask() == [False, True, True, False]
-
     def test_take_gathers_by_index(self):
         col = Column("x", [10, 20, 30, 40])
         taken = col.take([3, 1, 1])
         assert taken.values == [40, 20, 20]
         assert taken.name == "x"
         assert taken.dtype == col.dtype
-
-    def test_append_values_keeps_declared_dtype(self):
-        col = Column("x", [1, 2], ColumnType.INTEGER)
-        grown = col.append_values(["3", None])
-        # No re-inference: the batch does not widen INTEGER to TEXT.
-        assert grown.dtype == ColumnType.INTEGER
-        assert grown.values == [1, 2, "3", None]
-        # The original column is untouched (immutable by convention).
-        assert col.values == [1, 2]
-
-    def test_append_values_accepts_any_iterable(self):
-        col = Column("x", [1])
-        assert col.append_values(iter([2, 3])).values == [1, 2, 3]
 
 
 class TestRowTuples:

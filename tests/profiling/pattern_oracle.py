@@ -11,22 +11,24 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.sqlgen import quote_identifier, quote_literal
+from repro.core.dialects import ReproDialect
 from repro.sql import Database
+
+REPRO = ReproDialect()
 
 
 def pattern_counts_sql(db: Database, table_name: str, column: str, patterns: List[str]) -> List[Tuple[str, int]]:
     """Verify candidate patterns with SQL, as the paper prescribes."""
     counts: List[Tuple[str, int]] = []
     matched_clauses: List[str] = []
-    col = quote_identifier(column)
+    col = REPRO.quote_identifier(column)
     for pattern in patterns:
-        clause = f"REGEXP_FULL_MATCH({col}, {quote_literal(pattern)})"
+        clause = f"REGEXP_FULL_MATCH({col}, {REPRO.quote_literal(pattern)})"
         exclusion = " AND ".join(f"NOT {c}" for c in matched_clauses)
         where = clause if not matched_clauses else f"{clause} AND {exclusion}"
         try:
             count = db.scalar(
-                f"SELECT COUNT(*) FROM {quote_identifier(table_name)} WHERE {where}"
+                f"SELECT COUNT(*) FROM {REPRO.quote_identifier(table_name)} WHERE {where}"
             )
         except Exception:
             count = 0

@@ -131,7 +131,7 @@ def test_equal_but_not_identical_values_are_reprofiled(before, after):
 
     rewritten = Column("x", [after, 2.5], ColumnType.DOUBLE)
     context.db.register(Table("t_step1", [rewritten, untouched]))
-    context.advance("t_step1", "-- rewrite x")
+    context.advance("t_step1")
     second = context.profile()
 
     assert second is not first

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dialects import ReproDialect, SqliteDialect
-from repro.core.sqlgen import case_when_mapping, case_when_null, case_when_threshold
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql.database import Database
@@ -62,8 +61,8 @@ class TestMappingParity:
         st.lists(cells, min_size=1, max_size=8),
     )
     def test_value_map(self, mapping, values):
-        repro_expr = case_when_mapping("v", mapping, dialect=ReproDialect())
-        sqlite_expr = case_when_mapping("v", mapping, dialect=SqliteDialect())
+        repro_expr = ReproDialect().case_when_mapping("v", mapping)
+        sqlite_expr = SqliteDialect().case_when_mapping("v", mapping)
         assert_cells_agree(*run_both(repro_expr, sqlite_expr, values))
 
     @settings(max_examples=60, deadline=None)
@@ -72,8 +71,8 @@ class TestMappingParity:
         st.lists(cells, min_size=1, max_size=8),
     )
     def test_null_values(self, null_tokens, values):
-        repro_expr = case_when_null("v", null_tokens, dialect=ReproDialect())
-        sqlite_expr = case_when_null("v", null_tokens, dialect=SqliteDialect())
+        repro_expr = ReproDialect().case_when_null("v", null_tokens)
+        sqlite_expr = SqliteDialect().case_when_null("v", null_tokens)
         assert_cells_agree(*run_both(repro_expr, sqlite_expr, values))
 
 
@@ -82,8 +81,8 @@ class TestThresholdParity:
     @given(finite, finite, st.lists(st.one_of(st.none(), finite), min_size=1, max_size=8))
     def test_numeric_columns(self, low, high, values):
         low, high = min(low, high), max(low, high)
-        repro_expr = case_when_threshold("v", low, high, dialect=ReproDialect())
-        sqlite_expr = case_when_threshold("v", low, high, dialect=SqliteDialect())
+        repro_expr = ReproDialect().case_when_threshold("v", low, high)
+        sqlite_expr = SqliteDialect().case_when_threshold("v", low, high)
         assert_cells_agree(*run_both(repro_expr, sqlite_expr, values))
 
     @settings(max_examples=40, deadline=None)
@@ -92,8 +91,8 @@ class TestThresholdParity:
         # In-process, non-numeric text compares textually against str(bound);
         # the sqlite lowering must branch on storage class to reproduce that
         # (its native ordering puts every TEXT above every number).
-        repro_expr = case_when_threshold("v", bound, None, dialect=ReproDialect())
-        sqlite_expr = case_when_threshold("v", bound, None, dialect=SqliteDialect())
+        repro_expr = ReproDialect().case_when_threshold("v", bound, None)
+        sqlite_expr = SqliteDialect().case_when_threshold("v", bound, None)
         assert_cells_agree(*run_both(repro_expr, sqlite_expr, values))
 
 
