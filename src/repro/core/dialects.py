@@ -76,19 +76,14 @@ class ReproDialect:
         """Double-quote an identifier unless it is a plain lowercase non-keyword word.
 
         A name stays bare only when the tokenizer reads it back as that one
-        word (:func:`repro.sql.tokenizer.is_word` — stricter than
-        ``str.isidentifier``, which admits combining marks such as NFD
-        "état"), it is lowercase, and it is no SQL keyword in any case
-        spelling: the tokenizer keywordises words case-insensitively, so a
-        bare ``select``/``order``/``group`` column would make the generated
+        word (:func:`repro.sql.tokenizer.is_word`; ``str.isidentifier`` is
+        not enough, it admits combining marks such as NFD "état"), it is
+        lowercase, and it is no SQL keyword in any case spelling: the
+        tokenizer keywordises words case-insensitively, so a bare
+        ``select``/``order``/``group`` column would make the generated
         cleaning script fail to re-parse.
         """
-        if (
-            name.isidentifier()
-            and is_word(name)
-            and name == name.lower()
-            and name.upper() not in KEYWORDS
-        ):
+        if is_word(name) and name == name.lower() and name.upper() not in KEYWORDS:
             return name
         escaped = name.replace('"', '""')
         return f'"{escaped}"'

@@ -74,11 +74,17 @@ def _read_quoted(sql: str, start: int) -> Tuple[str, int]:
         i = end + 2
 
 
+def _starts_word(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _continues_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
 def is_word(text: str) -> bool:
     """Whether :func:`tokenize` reads all of ``text`` as one word token."""
-    return (text[:1].isalpha() or text[:1] == "_") and all(
-        ch.isalnum() or ch == "_" for ch in text
-    )
+    return _starts_word(text[:1]) and all(_continues_word(ch) for ch in text)
 
 
 def tokenize(sql: str) -> List[Token]:
@@ -127,9 +133,9 @@ def tokenize(sql: str) -> List[Token]:
             tokens.append(Token(TokenType.NUMBER, sql[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if _starts_word(ch):
             j = i
-            while j < n and (sql[j].isalnum() or sql[j] == "_"):
+            while j < n and _continues_word(sql[j]):
                 j += 1
             word = sql[i:j]
             if word.upper() in KEYWORDS:
