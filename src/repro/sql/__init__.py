@@ -3,28 +3,32 @@
 The paper's system executes all of its error detection and cleaning through
 SQL against a database (DuckDB in the authors' experiments) so the result is
 "scalable, interpretable, and reusable".  This package is the reproduction's
-database substrate: a from-scratch SQL engine covering exactly the surface
-that the Cocoon pipeline emits and the profiler issues —
+database substrate: a from-scratch SQL engine that runs exactly what the
+cleaner renders.  It has two consumers in the cleaning path, and both run
+:meth:`repro.core.plan.PlanStep.render` output and nothing else:
+``CleaningOperator.apply_step`` executes each step as an operator applies
+it, and ``CleaningPlan.replay`` re-runs the row-local steps on new rows.
+The test suite's pattern-count oracle adds one query shape, a filtered
+``COUNT(*)``.  The surface is:
 
-* single-table ``SELECT``: one named table or derived subquery in ``FROM``,
-  or no ``FROM`` at all (``JOIN`` is rejected at parse time)
-* select lists with arbitrary expressions, aliases and ``DISTINCT``
-* ``CASE WHEN … THEN … ELSE … END`` and ``CAST(expr AS type)``
-* ``IN`` / ``BETWEEN`` / ``IS NULL`` / ``LIKE … ESCAPE``
-* scalar functions (``UPPER``/``LOWER``/``TRIM``/``REGEXP_MATCHES``/
-  ``REGEXP_REPLACE``/``COALESCE``/``NULLIF`` …)
-* aggregates with ``GROUP BY`` / ``HAVING``
-* window functions (``ROW_NUMBER``/``RANK``/``DENSE_RANK`` and aggregates
-  ``OVER (PARTITION BY … ORDER BY …)``) with ``QUALIFY``
-* ``WHERE``, ``ORDER BY``, ``LIMIT``/``OFFSET``
-* ``CREATE [OR REPLACE] TABLE/VIEW … AS SELECT`` and ``DROP TABLE/VIEW``
+* ``CREATE [OR REPLACE] TABLE name AS SELECT`` and bare ``SELECT``
+* ``*`` or ``expr [AS alias]`` select items, or a lone ``COUNT(*)``
+* ``FROM`` one table name, or no ``FROM`` at all
+* ``WHERE`` and ``QUALIFY ROW_NUMBER() OVER (PARTITION BY … ORDER BY expr
+  [DESC]) = 1``
+* integer, float, string, ``NULL``, ``TRUE`` and ``FALSE`` literals, unary
+  minus, bare and double-quoted identifiers
+* simple and searched ``CASE``, ``CAST(expr AS type)``, ``[NOT] IN``
+* the comparison operators, ``AND``, ``OR``, ``NOT`` and
+  ``REGEXP_FULL_MATCH``
 
-The entry point is :class:`repro.sql.database.Database`; the layers beneath
-it are :mod:`repro.sql.tokenizer` → :mod:`repro.sql.parser` (AST in
+Anything else raises :class:`ParseError`.  The entry point is
+:class:`repro.sql.database.Database`; the layers beneath it are
+:mod:`repro.sql.tokenizer` → :mod:`repro.sql.parser` (AST in
 :mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.planner` →
 :mod:`repro.sql.executor` (expressions compiled by
-:mod:`repro.sql.compiler`) over a :mod:`repro.sql.catalog`.  ``docs/architecture.md`` places the package in
-the full system; ``docs/benchmarks.md`` tracks executor performance.
+:mod:`repro.sql.compiler`) over a :mod:`repro.sql.catalog`.
+``docs/architecture.md`` places the package in the full system.
 """
 
 from repro.sql.errors import SQLError, ParseError, ExecutionError, CatalogError

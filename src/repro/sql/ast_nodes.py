@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Union
 
 from repro.dataframe.schema import ColumnType
@@ -23,64 +23,35 @@ class Literal(Expression):
 @dataclass
 class ColumnRef(Expression):
     name: str
-    table: Optional[str] = None
-
-    @property
-    def qualified(self) -> str:
-        return f"{self.table}.{self.name}" if self.table else self.name
 
 
 @dataclass
 class Star(Expression):
-    """``*`` in a select list or within COUNT(*)."""
-    table: Optional[str] = None
+    """``*`` as a select item."""
+
+
+@dataclass
+class CountStar(Expression):
+    """``COUNT(*)``, the whole select list of a counting query."""
 
 
 @dataclass
 class UnaryOp(Expression):
-    op: str          # 'NOT', '-', '+'
+    op: str          # 'NOT', '-'
     operand: Expression
 
 
 @dataclass
 class BinaryOp(Expression):
-    op: str          # '=', '<>', '<', '>', '<=', '>=', 'AND', 'OR', '+', '-', '*', '/', '%', '||', 'LIKE'
+    op: str          # '=', '<>', '<', '>', '<=', '>=', 'AND', 'OR'
     left: Expression
     right: Expression
-
-
-@dataclass
-class Like(Expression):
-    """``operand LIKE pattern [ESCAPE escape]``.
-
-    ``escape`` names a single character that makes the following ``%``/``_``
-    (or the escape character itself) literal.  Plain ``LIKE`` may also appear
-    as ``BinaryOp('LIKE', …)`` when an AST is built by hand; the parser always
-    produces this node.
-    """
-    operand: Expression
-    pattern: Expression
-    escape: Optional[Expression] = None
-
-
-@dataclass
-class IsNull(Expression):
-    operand: Expression
-    negated: bool = False
 
 
 @dataclass
 class InList(Expression):
     operand: Expression
     items: List[Expression]
-    negated: bool = False
-
-
-@dataclass
-class Between(Expression):
-    operand: Expression
-    low: Expression
-    high: Expression
     negated: bool = False
 
 
@@ -102,20 +73,6 @@ class Cast(Expression):
 class FunctionCall(Expression):
     name: str
     args: List[Expression]
-    distinct: bool = False
-
-
-@dataclass
-class WindowSpec:
-    partition_by: List[Expression] = field(default_factory=list)
-    order_by: List["OrderItem"] = field(default_factory=list)
-
-
-@dataclass
-class WindowFunction(Expression):
-    name: str
-    args: List[Expression]
-    window: WindowSpec = field(default_factory=WindowSpec)
 
 
 # --------------------------------------------------------------------------
@@ -128,31 +85,19 @@ class SelectItem:
 
 
 @dataclass
-class OrderItem:
-    expression: Expression
+class FirstPerPartition:
+    """``QUALIFY ROW_NUMBER() OVER (PARTITION BY … ORDER BY expr [DESC]) = 1``."""
+    partition_by: List[Expression]
+    order_by: Expression
     descending: bool = False
-
-
-@dataclass
-class TableRef:
-    """A named table or a derived table (subquery) in FROM."""
-    name: Optional[str] = None
-    subquery: Optional["Select"] = None
-    alias: Optional[str] = None
 
 
 @dataclass
 class Select:
     items: List[SelectItem]
-    from_table: Optional[TableRef] = None
+    from_table: Optional[str] = None
     where: Optional[Expression] = None
-    group_by: List[Expression] = field(default_factory=list)
-    having: Optional[Expression] = None
-    qualify: Optional[Expression] = None
-    order_by: List[OrderItem] = field(default_factory=list)
-    limit: Optional[int] = None
-    offset: Optional[int] = None
-    distinct: bool = False
+    qualify: Optional[FirstPerPartition] = None
 
 
 @dataclass
@@ -160,13 +105,6 @@ class CreateTableAs:
     name: str
     query: Select
     or_replace: bool = False
-    is_view: bool = False
 
 
-@dataclass
-class DropTable:
-    name: str
-    if_exists: bool = False
-
-
-Statement = Union[Select, CreateTableAs, DropTable]
+Statement = Union[Select, CreateTableAs]

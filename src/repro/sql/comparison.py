@@ -1,13 +1,8 @@
 """Value comparison semantics shared across the SQL engine.
 
-One definition of "equal", "less than" and "sorts before" serves the whole
-engine: ``=`` / ``<`` / ``BETWEEN`` / ORDER BY in :mod:`repro.sql.executor`
-and its compiled closures, and the MIN/MAX aggregates in
-:mod:`repro.sql.functions`.  Before this module existed the aggregates
-compared with raw ``<`` / ``>``, so a mixed ``str``/``int`` column raised
-``TypeError`` and a NaN that arrived first stuck forever (every
-``value < nan`` is False) — MIN/MAX disagreed with ORDER BY over the very
-same column.
+One definition of "equal" and "less than" serves the whole engine: ``=``,
+``<>``, ``<``, ``>``, ``<=``, ``>=``, ``IN`` and simple ``CASE`` in
+:mod:`repro.sql.executor` and its compiled closures.
 
 The rules, in order:
 
@@ -16,15 +11,13 @@ The rules, in order:
   strings are text, matching PR 5's comparison fix).
 * Otherwise values compare textually via ``str()``.
 * The total order puts NaN after every real value in either direction, so
-  sort keys and MIN/MAX stay trichotomous over floats including NaN/inf.
+  comparisons stay trichotomous over floats including NaN/inf.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Optional, Tuple
-
-from repro.dataframe.schema import is_null
 
 
 def to_num(v: Any) -> Optional[float]:
@@ -79,12 +72,11 @@ def sql_equal(left: Any, right: Any) -> bool:
     return str(left) == str(right)
 
 
-def compare_values(left: Any, right: Any) -> Optional[int]:
+def compare_values(left: Any, right: Any) -> int:
     """Deterministic total order: -1/0/1, with NaN after every other value.
 
     NaN operands would otherwise fail all three probes below and read as
-    "equal to everything", collapsing ``>=``/``<=`` and ORDER BY into
-    nonsense.  NULL-semantics normally filter NaN out before it gets here,
+    "equal to everything", collapsing ``>=``/``<=`` into nonsense.  NULL-semantics normally filter NaN out before it gets here,
     but direct float NaN (or a non-finite arithmetic result) must still get
     a trichotomous answer.
     """
@@ -109,20 +101,3 @@ def compare_values(left: Any, right: Any) -> Optional[int]:
     if a > b:
         return 1
     return 0
-
-
-def sql_between(value: Any, low: Any, high: Any, negated: bool = False) -> Optional[bool]:
-    """SQL ``value [NOT] BETWEEN low AND high``; NULL when any operand is NULL.
-
-    Operands Python can order keep their native answer (exact int/float
-    comparison, textual str/str).  A pair Python cannot order, such as
-    ``5 BETWEEN 1 AND '10'``, compares under :func:`compare_values`, the rule
-    ``<=`` and ``>=`` use, instead of raising ``TypeError``.
-    """
-    if is_null(value) or is_null(low) or is_null(high):
-        return None
-    try:
-        inside = low <= value <= high
-    except TypeError:
-        inside = compare_values(low, value) <= 0 and compare_values(value, high) <= 0
-    return (not inside) if negated else inside

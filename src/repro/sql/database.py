@@ -3,8 +3,7 @@
 Cocoon "connects to databases" — Snowflake, DuckDB, BigQuery, SQL Server in
 the paper.  Here the same role is played by :class:`Database`, an in-process
 engine with the familiar ``register`` / ``sql`` / ``table`` API (mirroring
-DuckDB's Python API shape) so that the cleaning pipeline, the profiler and
-the baselines all issue real SQL.
+DuckDB's Python API shape) so that every cleaning step runs as real SQL.
 """
 
 from __future__ import annotations
@@ -80,8 +79,8 @@ class Database:
         return self.catalog.schema(name)
 
     # -- query execution ---------------------------------------------------------
-    def sql(self, query: str, parsed: Optional[Statement] = None) -> Optional[Table]:
-        """Parse and execute a SQL statement, returning a result table (or None).
+    def sql(self, query: str, parsed: Optional[Statement] = None) -> Table:
+        """Parse and execute a SQL statement, returning its result table.
 
         ``parsed`` is ``query``'s AST when the caller already holds it (a
         plan replaying the same statements batch after batch); it is logged
@@ -91,27 +90,24 @@ class Database:
         with obs_span("sql.query", statement=summarise_sql(query)) as sp:
             statement = parse(query) if parsed is None else parsed
             result = self.executor.execute(statement)
-            if result is not None:
-                sp.annotate(rows_out=result.num_rows)
+            sp.annotate(rows_out=result.num_rows)
         return result
 
-    def explain_analyze(self, query: str) -> Tuple[Optional[Table], str]:
+    def explain_analyze(self, query: str) -> Tuple[Table, str]:
         """Execute a statement under a forced trace root and report per-plan-node
         timings in an ``EXPLAIN ANALYZE``-style rendering.
 
         Works regardless of whether tracing is globally enabled: the root span
-        is forced, and the executor's stage spans (scan, filter,
-        aggregate, window, project, qualify, distinct, sort) nest beneath it.
+        is forced, and the executor's stage spans (scan, filter, qualify,
+        aggregate, project) nest beneath it.
         Returns ``(result_table, report_text)``.
         """
         self.query_log.record(query)
         with get_tracer().span(
             "sql.query", force=True, statement=summarise_sql(query)
         ) as sp:
-            statement = parse(query)
-            result = self.executor.execute(statement)
-            if result is not None:
-                sp.annotate(rows_out=result.num_rows)
+            result = self.executor.execute(parse(query))
+            sp.annotate(rows_out=result.num_rows)
         return result, render_explain(sp.to_dict())
 
     def execute_script(self, script: str) -> Optional[Table]:
@@ -125,14 +121,14 @@ class Database:
     def scalar(self, query: str) -> Any:
         """Run a query expected to return a single cell."""
         result = self.sql(query)
-        if result is None or result.num_rows == 0 or result.num_columns == 0:
+        if result.num_rows == 0 or result.num_columns == 0:
             return None
         return result.cell(0, result.column_names[0])
 
     def column_values(self, query: str) -> List[Any]:
         """Run a query and return the first output column as a list."""
         result = self.sql(query)
-        if result is None or result.num_columns == 0:
+        if result.num_columns == 0:
             return []
         return list(result.columns[0].values)
 

@@ -1,31 +1,17 @@
-"""Scalar and aggregate function implementations for the SQL engine.
+"""Scalar functions for the SQL engine: ``REGEXP_FULL_MATCH`` alone.
 
-All scalar functions follow SQL NULL semantics: a NULL input yields NULL
-unless the function is explicitly NULL-aware (COALESCE, NULLIF, IFNULL).
+The pattern-count oracle in the test suite filters on it; no cleaning
+statement calls a function.  It follows SQL NULL semantics: a NULL argument
+yields NULL.
 """
 
 from __future__ import annotations
 
-import math
 import re
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Sequence
 
 from repro.dataframe.schema import is_null
-from repro.sql.comparison import compare_values
 from repro.sql.errors import ExecutionError
-
-
-# --------------------------------------------------------------------------
-# Scalar functions
-# --------------------------------------------------------------------------
-def _null_safe(func: Callable[..., Any]) -> Callable[..., Any]:
-    def wrapper(*args: Any) -> Any:
-        if any(is_null(a) for a in args):
-            return None
-        return func(*args)
-
-    return wrapper
 
 
 def _to_str(value: Any) -> str:
@@ -36,343 +22,20 @@ def _to_str(value: Any) -> str:
     return str(value)
 
 
-def _substr(value: Any, start: int, length: Optional[int] = None) -> str:
-    text = _to_str(value)
-    begin = max(int(start) - 1, 0)
-    if length is None:
-        return text[begin:]
-    return text[begin: begin + int(length)]
-
-
-def _round(value: Any, digits: int = 0) -> float:
-    # SQL engines (sqlite, DuckDB, Postgres) round halves away from zero;
-    # Python's round() uses banker's rounding, so ROUND(2.5) diverged (2 vs 3).
-    # Decimal(str(x)) keeps the decimal digits the user sees, not the binary
-    # float expansion.
-    number = float(value)
-    if not math.isfinite(number):
-        return number
-    quantum = Decimal(1).scaleb(-int(digits))
-    try:
-        return float(Decimal(str(number)).quantize(quantum, rounding=ROUND_HALF_UP))
-    except InvalidOperation as exc:
-        raise ValueError(f"cannot round {value!r} to {digits} digits") from exc
-
-
-def _pad(value: Any, n: Any, pad: Any, left: bool) -> str:
-    """LPAD/RPAD with standard cycle-and-truncate semantics (sqlite/Postgres):
-    the pad string repeats as a whole and the result is truncated to exactly
-    ``n`` characters; an empty pad can only shorten, never extend."""
-    text = _to_str(value)
-    length = int(n)
-    if length <= len(text):
-        return text[:max(length, 0)]
-    fill = _to_str(pad)
-    if not fill:
-        return text
-    need = length - len(text)
-    filler = (fill * (need // len(fill) + 1))[:need]
-    return filler + text if left else text + filler
-
-
-def _regexp_matches(value: Any, pattern: str) -> bool:
-    return re.search(pattern, _to_str(value)) is not None
-
-def _regexp_full_match(value: Any, pattern: str) -> bool:
+def _regexp_full_match(*args: Any) -> Any:
+    if any(is_null(a) for a in args):
+        return None
+    value, pattern = args
     return re.fullmatch(pattern, _to_str(value)) is not None
 
 
-def _regexp_replace(value: Any, pattern: str, replacement: str, flags: str = "") -> str:
-    count = 0 if "g" in flags else 1
-    return re.sub(pattern, replacement, _to_str(value), count=count)
-
-
-def _regexp_extract(value: Any, pattern: str, group: int = 0) -> Optional[str]:
-    match = re.search(pattern, _to_str(value))
-    if match is None:
-        return None
-    try:
-        return match.group(int(group))
-    except IndexError:
-        return None
-
-
-def _coalesce(*args: Any) -> Any:
-    for arg in args:
-        if not is_null(arg):
-            return arg
-    return None
-
-
-def _nullif(a: Any, b: Any) -> Any:
-    if is_null(a):
-        return None
-    if not is_null(b) and a == b:
-        return None
-    return a
-
-
-def _ifnull(a: Any, b: Any) -> Any:
-    return b if is_null(a) else a
-
-
-def _try_float(value: Any) -> Optional[float]:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-
-
 SCALAR_FUNCTIONS: Dict[str, Callable[..., Any]] = {
-    "UPPER": _null_safe(lambda v: _to_str(v).upper()),
-    "LOWER": _null_safe(lambda v: _to_str(v).lower()),
-    "TRIM": _null_safe(lambda v: _to_str(v).strip()),
-    "LTRIM": _null_safe(lambda v: _to_str(v).lstrip()),
-    "RTRIM": _null_safe(lambda v: _to_str(v).rstrip()),
-    "LENGTH": _null_safe(lambda v: len(_to_str(v))),
-    "LEN": _null_safe(lambda v: len(_to_str(v))),
-    "SUBSTR": _null_safe(_substr),
-    "SUBSTRING": _null_safe(_substr),
-    "REPLACE": _null_safe(lambda v, a, b: _to_str(v).replace(_to_str(a), _to_str(b))),
-    "CONCAT": lambda *args: "".join(_to_str(a) for a in args if not is_null(a)),
-    "ABS": _null_safe(lambda v: abs(v)),
-    "ROUND": _null_safe(_round),
-    "FLOOR": _null_safe(lambda v: math.floor(float(v))),
-    "CEIL": _null_safe(lambda v: math.ceil(float(v))),
-    "CEILING": _null_safe(lambda v: math.ceil(float(v))),
-    "SQRT": _null_safe(lambda v: math.sqrt(float(v))),
-    "LN": _null_safe(lambda v: math.log(float(v))),
-    "LOG": _null_safe(lambda v: math.log10(float(v))),
-    "POWER": _null_safe(lambda a, b: float(a) ** float(b)),
-    "MOD": _null_safe(lambda a, b: a % b),
-    "REGEXP_MATCHES": _null_safe(_regexp_matches),
-    "REGEXP_FULL_MATCH": _null_safe(_regexp_full_match),
-    "REGEXP_REPLACE": _null_safe(_regexp_replace),
-    "REGEXP_EXTRACT": _null_safe(_regexp_extract),
-    "COALESCE": _coalesce,
-    "NULLIF": _nullif,
-    "IFNULL": _ifnull,
-    "NVL": _ifnull,
-    "REVERSE": _null_safe(lambda v: _to_str(v)[::-1]),
-    "LPAD": _null_safe(lambda v, n, p=" ": _pad(v, n, p, left=True)),
-    "RPAD": _null_safe(lambda v, n, p=" ": _pad(v, n, p, left=False)),
-    "LEFT": _null_safe(lambda v, n: _to_str(v)[: int(n)]),
-    "RIGHT": _null_safe(lambda v, n: _to_str(v)[-int(n):] if int(n) > 0 else ""),
-    "CONTAINS": _null_safe(lambda v, s: _to_str(s) in _to_str(v)),
-    "STARTS_WITH": _null_safe(lambda v, s: _to_str(v).startswith(_to_str(s))),
-    "ENDS_WITH": _null_safe(lambda v, s: _to_str(v).endswith(_to_str(s))),
-    "TRY_CAST_DOUBLE": _null_safe(_try_float),
-    "TYPEOF": lambda v: type(v).__name__ if not is_null(v) else "NULL",
+    "REGEXP_FULL_MATCH": _regexp_full_match,
 }
 
 
 def call_scalar(name: str, args: Sequence[Any]) -> Any:
-    func = SCALAR_FUNCTIONS.get(name.upper())
-    if func is None:
-        raise ExecutionError(f"Unknown scalar function: {name}")
     try:
-        return func(*args)
+        return SCALAR_FUNCTIONS[name](*args)
     except (ValueError, TypeError, re.error) as exc:
         raise ExecutionError(f"Error evaluating {name}({args!r}): {exc}") from exc
-
-
-# --------------------------------------------------------------------------
-# Aggregate functions
-# --------------------------------------------------------------------------
-def _numeric_addend(name: str, value: Any) -> Union[int, float]:
-    """The one numeric-coercion rule for SUM/AVG/STDDEV inputs.
-
-    Previously SUM('3') raised a bare TypeError while AVG('3') silently
-    coerced via float() — the same column summed and averaged under two
-    different type systems.  Now both accept bools (as 0/1), ints and floats
-    as-is (so SUM over ints stays an int), coerce numeric-looking *finite*
-    strings, and reject everything else with :class:`ExecutionError`.
-    Non-finite strings ('nan', 'inf') are text, matching comparison rules.
-    """
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)):
-        return value
-    try:
-        parsed = float(str(value).strip())
-    except (TypeError, ValueError):
-        raise ExecutionError(f"{name} requires numeric input, got {value!r}") from None
-    if not math.isfinite(parsed):
-        raise ExecutionError(f"{name} requires numeric input, got {value!r}")
-    return parsed
-
-
-class Aggregate:
-    """Incremental aggregate accumulator."""
-
-    #: Display name for error messages; set by :func:`make_aggregate`.
-    name: str = "AGGREGATE"
-
-    def add(self, value: Any) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def add_checked(self, value: Any) -> None:
-        """``add`` with errors wrapped in :class:`ExecutionError`.
-
-        Scalar calls were already wrapped by :func:`call_scalar`, but a bad
-        aggregate input used to escape as a raw TypeError; executors should
-        accumulate through this entry point.
-        """
-        try:
-            self.add(value)
-        except ExecutionError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ExecutionError(f"Error accumulating {self.name}({value!r}): {exc}") from exc
-
-    def result(self) -> Any:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class CountAgg(Aggregate):
-    def __init__(self, distinct: bool = False, count_star: bool = False):
-        self.distinct = distinct
-        self.count_star = count_star
-        self.count = 0
-        self.seen: set = set()
-
-    def add(self, value: Any) -> None:
-        if self.count_star:
-            self.count += 1
-            return
-        if is_null(value):
-            return
-        if self.distinct:
-            self.seen.add(str(value))
-        else:
-            self.count += 1
-
-    def result(self) -> int:
-        return len(self.seen) if self.distinct else self.count
-
-
-class SumAgg(Aggregate):
-    def __init__(self) -> None:
-        self.total: Optional[float] = None
-
-    def add(self, value: Any) -> None:
-        if is_null(value):
-            return
-        self.total = (self.total or 0) + _numeric_addend(self.name, value)
-
-    def result(self) -> Optional[float]:
-        return self.total
-
-
-class AvgAgg(Aggregate):
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
-    def add(self, value: Any) -> None:
-        if is_null(value):
-            return
-        self.total += float(_numeric_addend(self.name, value))
-        self.count += 1
-
-    def result(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-
-class MinAgg(Aggregate):
-    """MIN under the engine's total order (:func:`compare_values`).
-
-    Raw ``<`` raised TypeError on mixed str/int columns and disagreed with
-    ORDER BY's numeric/string coercion over the same values.
-    """
-
-    def __init__(self) -> None:
-        self.value: Any = None
-        self.empty = True
-
-    def add(self, value: Any) -> None:
-        if is_null(value):
-            return
-        if self.empty or compare_values(value, self.value) < 0:
-            self.value = value
-            self.empty = False
-
-    def result(self) -> Any:
-        return self.value
-
-
-class MaxAgg(Aggregate):
-    """MAX under the engine's total order — see :class:`MinAgg`."""
-
-    def __init__(self) -> None:
-        self.value: Any = None
-        self.empty = True
-
-    def add(self, value: Any) -> None:
-        if is_null(value):
-            return
-        if self.empty or compare_values(value, self.value) > 0:
-            self.value = value
-            self.empty = False
-
-    def result(self) -> Any:
-        return self.value
-
-
-class StddevAgg(Aggregate):
-    def __init__(self) -> None:
-        self.values: List[float] = []
-
-    def add(self, value: Any) -> None:
-        if is_null(value):
-            return
-        self.values.append(float(_numeric_addend(self.name, value)))
-
-    def result(self) -> Optional[float]:
-        n = len(self.values)
-        if n < 2:
-            return None
-        mean = sum(self.values) / n
-        variance = sum((v - mean) ** 2 for v in self.values) / (n - 1)
-        return math.sqrt(variance)
-
-
-class StringAgg(Aggregate):
-    def __init__(self, separator: str = ",") -> None:
-        self.separator = separator
-        self.parts: List[str] = []
-
-    def add(self, value: Any) -> None:
-        if is_null(value):
-            return
-        self.parts.append(_to_str(value))
-
-    def result(self) -> Optional[str]:
-        return self.separator.join(self.parts) if self.parts else None
-
-
-AGGREGATE_NAMES = {"COUNT", "SUM", "AVG", "MIN", "MAX", "STDDEV", "STDDEV_SAMP", "STRING_AGG", "GROUP_CONCAT"}
-WINDOW_NAMES = {"ROW_NUMBER", "RANK", "DENSE_RANK", "COUNT", "SUM", "MIN", "MAX", "AVG"}
-
-
-def make_aggregate(name: str, distinct: bool = False, count_star: bool = False, separator: str = ",") -> Aggregate:
-    upper = name.upper()
-    agg: Optional[Aggregate] = None
-    if upper == "COUNT":
-        agg = CountAgg(distinct=distinct, count_star=count_star)
-    elif upper == "SUM":
-        agg = SumAgg()
-    elif upper == "AVG":
-        agg = AvgAgg()
-    elif upper == "MIN":
-        agg = MinAgg()
-    elif upper == "MAX":
-        agg = MaxAgg()
-    elif upper in ("STDDEV", "STDDEV_SAMP"):
-        agg = StddevAgg()
-    elif upper in ("STRING_AGG", "GROUP_CONCAT"):
-        agg = StringAgg(separator)
-    if agg is None:
-        raise ExecutionError(f"Unknown aggregate function: {name}")
-    agg.name = upper
-    return agg

@@ -1,12 +1,24 @@
 """Recursive-descent parser producing :mod:`repro.sql.ast_nodes` trees.
 
-The module's entry points are :func:`parse` (one full statement — ``SELECT``,
-``CREATE [OR REPLACE] TABLE/VIEW … AS``, ``DROP TABLE/VIEW``) and
-:func:`parse_expression` (a standalone scalar expression, as used by tests
-and the SQL generator).  Both raise :class:`~repro.sql.errors.ParseError`
-with the offending position on malformed input.  Parsing is side-effect
-free: the returned AST references no catalog, so one parse can be executed
-against any :class:`~repro.sql.database.Database`.
+The grammar is what the cleaner renders plus the one count query its
+pattern oracle runs::
+
+    statement  := [CREATE [OR REPLACE] TABLE name AS] select [;]
+    select     := SELECT (COUNT(*) [AS name] | item {, item})
+                  [FROM name] [WHERE expr]
+                  [QUALIFY ROW_NUMBER() OVER (PARTITION BY expr {, expr}
+                                              ORDER BY expr [DESC]) = 1]
+    item       := * | expr [AS name]
+    expr       := OR / AND / NOT over comparisons (= <> != < > <= >=) and
+                  [NOT] IN (…), unary minus, literals, column names,
+                  CASE, CAST(expr AS type) and REGEXP_FULL_MATCH(expr, expr)
+
+Anything else (another statement, clause, operator or function) raises
+:class:`~repro.sql.errors.ParseError` with the offending position.  The
+module's entry points are :func:`parse` (one full statement) and
+:func:`parse_expression` (a standalone scalar expression, as used by tests).
+Parsing is side-effect free: the returned AST references no catalog, so one
+parse can be executed against any :class:`~repro.sql.database.Database`.
 """
 
 from __future__ import annotations
@@ -15,30 +27,25 @@ from typing import List, Optional
 
 from repro.dataframe.schema import parse_type
 from repro.sql.ast_nodes import (
-    Between,
     BinaryOp,
     CaseWhen,
     Cast,
     ColumnRef,
+    CountStar,
     CreateTableAs,
-    DropTable,
     Expression,
+    FirstPerPartition,
     FunctionCall,
     InList,
-    IsNull,
-    Like,
     Literal,
-    OrderItem,
     Select,
     SelectItem,
     Star,
     Statement,
-    TableRef,
     UnaryOp,
-    WindowFunction,
-    WindowSpec,
 )
 from repro.sql.errors import ParseError
+from repro.sql.functions import SCALAR_FUNCTIONS
 from repro.sql.tokenizer import Token, TokenType, tokenize
 
 
@@ -54,12 +61,7 @@ def parse(sql: str) -> Statement:
 
 
 def parse_expression(sql: str) -> Expression:
-    """Parse a standalone scalar expression (used by tests and the SQL generator).
-
-    The expression grammar is the same one ``SELECT`` items and ``WHERE``
-    clauses use: operators with SQL precedence, ``CASE``/``CAST``/function
-    calls, ``IN``/``BETWEEN``/``IS NULL``/``LIKE``.
-    """
+    """Parse a standalone scalar expression (the grammar of select items)."""
     return Parser(sql).parse_standalone_expression()
 
 
@@ -117,35 +119,43 @@ class Parser:
             return token.value
         return None
 
+    def _expect_operator(self, value: str) -> Token:
+        token = self._peek()
+        if token.type is not TokenType.OPERATOR or token.value != value:
+            raise ParseError(f"Expected {value!r}, found {token.value!r}", token.position, self.sql)
+        return self._advance()
+
     def _expect_identifier(self) -> str:
         token = self._peek()
-        if token.type is TokenType.IDENTIFIER:
-            self._advance()
-            return token.value
-        # Allow non-reserved keywords to be used as identifiers where sensible.
-        if token.type is TokenType.KEYWORD and token.value in ("TABLE", "VIEW", "ROWS"):
-            self._advance()
-            return token.value.lower()
-        raise ParseError(f"Expected identifier, found {token.value!r}", token.position, self.sql)
+        if token.type is not TokenType.IDENTIFIER:
+            raise ParseError(f"Expected identifier, found {token.value!r}", token.position, self.sql)
+        return self._advance().value
+
+    def _match_call(self, name: str) -> bool:
+        """Consume ``name(`` when the next two tokens spell it."""
+        token = self._peek()
+        following = self._peek(1)
+        if (
+            token.type is TokenType.IDENTIFIER
+            and token.value.upper() == name
+            and following.type is TokenType.PUNCT
+            and following.value == "("
+        ):
+            self.pos += 2
+            return True
+        return False
 
     # -- statements -----------------------------------------------------------
     def parse_statement(self) -> Statement:
-        statement = self._parse_statement_inner()
+        if self._check_keyword("CREATE"):
+            statement: Statement = self._parse_create()
+        else:
+            statement = self._parse_select()
         self._match_punct(";")
         token = self._peek()
         if token.type is not TokenType.EOF:
             raise ParseError(f"Unexpected trailing input: {token.value!r}", token.position, self.sql)
         return statement
-
-    def _parse_statement_inner(self) -> Statement:
-        if self._check_keyword("SELECT"):
-            return self._parse_select()
-        if self._check_keyword("CREATE"):
-            return self._parse_create()
-        if self._check_keyword("DROP"):
-            return self._parse_drop()
-        token = self._peek()
-        raise ParseError(f"Expected a statement, found {token.value!r}", token.position, self.sql)
 
     def parse_standalone_expression(self) -> Expression:
         expr = self._parse_expression()
@@ -160,134 +170,64 @@ class Parser:
         if self._match_keyword("OR"):
             self._expect_keyword("REPLACE")
             or_replace = True
-        is_view = False
-        if self._match_keyword("VIEW"):
-            is_view = True
-        else:
-            self._expect_keyword("TABLE")
+        self._expect_keyword("TABLE")
         name = self._expect_identifier()
         self._expect_keyword("AS")
         query = self._parse_select()
-        return CreateTableAs(name=name, query=query, or_replace=or_replace, is_view=is_view)
-
-    def _parse_drop(self) -> DropTable:
-        self._expect_keyword("DROP")
-        if not self._match_keyword("TABLE"):
-            self._expect_keyword("VIEW")
-        if_exists = False
-        if self._match_keyword("IF"):
-            self._expect_keyword("EXISTS")
-            if_exists = True
-        name = self._expect_identifier()
-        return DropTable(name=name, if_exists=if_exists)
+        return CreateTableAs(name=name, query=query, or_replace=or_replace)
 
     # -- SELECT ----------------------------------------------------------------
     def _parse_select(self) -> Select:
         self._expect_keyword("SELECT")
-        distinct = False
-        if self._match_keyword("DISTINCT"):
-            distinct = True
-        elif self._match_keyword("ALL"):
-            pass
-        items = [self._parse_select_item()]
-        while self._match_punct(","):
-            items.append(self._parse_select_item())
-        from_table: Optional[TableRef] = None
-        where = None
-        group_by: List[Expression] = []
-        having = None
-        qualify = None
-        order_by: List[OrderItem] = []
-        limit = None
-        offset = None
+        if self._match_call("COUNT"):
+            self._expect_operator("*")
+            self._expect_punct(")")
+            items = [SelectItem(CountStar(), self._parse_alias())]
+        else:
+            items = [self._parse_select_item()]
+            while self._match_punct(","):
+                items.append(self._parse_select_item())
+        select = Select(items=items)
         if self._match_keyword("FROM"):
-            from_table = self._parse_table_ref()
-            if self._check_keyword("JOIN", "INNER", "LEFT"):
-                token = self._peek()
-                raise ParseError(
-                    "JOIN is not supported: a query reads one table or subquery",
-                    token.position,
-                    self.sql,
-                )
+            select.from_table = self._expect_identifier()
         if self._match_keyword("WHERE"):
-            where = self._parse_expression()
-        if self._match_keyword("GROUP"):
-            self._expect_keyword("BY")
-            group_by.append(self._parse_expression())
-            while self._match_punct(","):
-                group_by.append(self._parse_expression())
-        if self._match_keyword("HAVING"):
-            having = self._parse_expression()
+            select.where = self._parse_expression()
         if self._match_keyword("QUALIFY"):
-            qualify = self._parse_expression()
-        if self._match_keyword("ORDER"):
-            self._expect_keyword("BY")
-            order_by.append(self._parse_order_item())
-            while self._match_punct(","):
-                order_by.append(self._parse_order_item())
-        if self._match_keyword("LIMIT"):
-            limit = self._parse_integer()
-        if self._match_keyword("OFFSET"):
-            offset = self._parse_integer()
-        return Select(
-            items=items,
-            from_table=from_table,
-            where=where,
-            group_by=group_by,
-            having=having,
-            qualify=qualify,
-            order_by=order_by,
-            limit=limit,
-            offset=offset,
-            distinct=distinct,
-        )
+            select.qualify = self._parse_first_per_partition()
+        return select
 
-    def _parse_integer(self) -> int:
-        token = self._peek()
-        if token.type is not TokenType.NUMBER:
-            raise ParseError(f"Expected integer, found {token.value!r}", token.position, self.sql)
-        self._advance()
-        return int(float(token.value))
+    def _parse_alias(self) -> Optional[str]:
+        return self._expect_identifier() if self._match_keyword("AS") else None
 
     def _parse_select_item(self) -> SelectItem:
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.value == "*":
-            self._advance()
+        if self._match_operator("*"):
             return SelectItem(Star())
         expr = self._parse_expression()
-        alias = None
-        if self._match_keyword("AS"):
-            alias = self._expect_identifier()
-        elif self._peek().type is TokenType.IDENTIFIER:
-            alias = self._expect_identifier()
-        return SelectItem(expr, alias)
+        return SelectItem(expr, self._parse_alias())
 
-    def _parse_order_item(self) -> OrderItem:
-        expr = self._parse_expression()
-        descending = False
-        if self._match_keyword("DESC"):
-            descending = True
-        elif self._match_keyword("ASC"):
-            pass
-        return OrderItem(expr, descending)
-
-    def _parse_table_ref(self) -> TableRef:
-        if self._match_punct("("):
-            query = self._parse_select()
-            self._expect_punct(")")
-            alias = None
-            if self._match_keyword("AS"):
-                alias = self._expect_identifier()
-            elif self._peek().type is TokenType.IDENTIFIER:
-                alias = self._expect_identifier()
-            return TableRef(subquery=query, alias=alias)
-        name = self._expect_identifier()
-        alias = None
-        if self._match_keyword("AS"):
-            alias = self._expect_identifier()
-        elif self._peek().type is TokenType.IDENTIFIER:
-            alias = self._expect_identifier()
-        return TableRef(name=name, alias=alias)
+    def _parse_first_per_partition(self) -> FirstPerPartition:
+        if not self._match_call("ROW_NUMBER"):
+            token = self._peek()
+            raise ParseError(f"Expected ROW_NUMBER(), found {token.value!r}", token.position, self.sql)
+        self._expect_punct(")")
+        self._expect_keyword("OVER")
+        self._expect_punct("(")
+        self._expect_keyword("PARTITION")
+        self._expect_keyword("BY")
+        partition_by = [self._parse_expression()]
+        while self._match_punct(","):
+            partition_by.append(self._parse_expression())
+        self._expect_keyword("ORDER")
+        self._expect_keyword("BY")
+        order_by = self._parse_expression()
+        descending = self._match_keyword("DESC")
+        self._expect_punct(")")
+        self._expect_operator("=")
+        token = self._peek()
+        if token.type is not TokenType.NUMBER or token.value != "1":
+            raise ParseError(f"Expected 1, found {token.value!r}", token.position, self.sql)
+        self._advance()
+        return FirstPerPartition(partition_by, order_by, descending)
 
     # -- expressions (precedence climbing) ---------------------------------------
     def _parse_expression(self) -> Expression:
@@ -311,69 +251,28 @@ class Parser:
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expression:
-        left = self._parse_additive()
+        left = self._parse_unary()
         while True:
             op = self._match_operator("=", "<>", "!=", "<", ">", "<=", ">=")
             if op is not None:
                 op = "<>" if op == "!=" else op
-                left = BinaryOp(op, left, self._parse_additive())
+                left = BinaryOp(op, left, self._parse_unary())
                 continue
-            if self._check_keyword("IS"):
+            negated = self._check_keyword("NOT") and self._peek(1).is_keyword("IN")
+            if negated:
                 self._advance()
-                negated = bool(self._match_keyword("NOT"))
-                self._expect_keyword("NULL")
-                left = IsNull(left, negated)
-                continue
-            if self._check_keyword("NOT") and self._peek(1).is_keyword("IN", "LIKE", "BETWEEN"):
-                self._advance()
-                left = self._parse_in_like_between(left, negated=True)
-                continue
-            if self._check_keyword("IN", "LIKE", "BETWEEN"):
-                left = self._parse_in_like_between(left, negated=False)
-                continue
-            return left
-
-    def _parse_in_like_between(self, left: Expression, negated: bool) -> Expression:
-        if self._match_keyword("IN"):
+            if not self._match_keyword("IN"):
+                return left
             self._expect_punct("(")
             items = [self._parse_expression()]
             while self._match_punct(","):
                 items.append(self._parse_expression())
             self._expect_punct(")")
-            return InList(left, items, negated)
-        if self._match_keyword("LIKE"):
-            right = self._parse_additive()
-            escape = None
-            if self._match_keyword("ESCAPE"):
-                escape = self._parse_additive()
-            expr: Expression = Like(left, right, escape)
-            return UnaryOp("NOT", expr) if negated else expr
-        self._expect_keyword("BETWEEN")
-        low = self._parse_additive()
-        self._expect_keyword("AND")
-        high = self._parse_additive()
-        return Between(left, low, high, negated)
-
-    def _parse_additive(self) -> Expression:
-        left = self._parse_multiplicative()
-        while True:
-            op = self._match_operator("+", "-", "||")
-            if op is None:
-                return left
-            left = BinaryOp(op, left, self._parse_multiplicative())
-
-    def _parse_multiplicative(self) -> Expression:
-        left = self._parse_unary()
-        while True:
-            op = self._match_operator("*", "/", "%")
-            if op is None:
-                return left
-            left = BinaryOp(op, left, self._parse_unary())
+            left = InList(left, items, negated)
 
     def _parse_unary(self) -> Expression:
-        op = self._match_operator("-", "+")
-        if op is not None:
-            return UnaryOp(op, self._parse_unary())
+        if self._match_operator("-"):
+            return UnaryOp("-", self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> Expression:
@@ -400,13 +299,11 @@ class Parser:
             return self._parse_case()
         if token.is_keyword("CAST"):
             return self._parse_cast()
-        if token.type is TokenType.PUNCT and token.value == "(":
-            self._advance()
+        if self._match_punct("("):
             expr = self._parse_expression()
             self._expect_punct(")")
             return expr
-        if token.type is TokenType.IDENTIFIER or token.is_keyword("LEFT", "REPLACE"):
-            # LEFT and REPLACE are both keywords and scalar function names.
+        if token.type is TokenType.IDENTIFIER:
             return self._parse_identifier_expression()
         raise ParseError(f"Unexpected token {token.value!r} in expression", token.position, self.sql)
 
@@ -434,54 +331,21 @@ class Parser:
         self._expect_punct("(")
         operand = self._parse_expression()
         self._expect_keyword("AS")
-        type_name = self._expect_identifier() if self._peek().type is TokenType.IDENTIFIER else self._advance().value
-        # Allow parameterised types such as VARCHAR(20).
-        if self._match_punct("("):
-            while not self._match_punct(")"):
-                self._advance()
+        target = parse_type(self._expect_identifier())
         self._expect_punct(")")
-        return Cast(operand, parse_type(type_name))
+        return Cast(operand, target)
 
     def _parse_identifier_expression(self) -> Expression:
         token = self._advance()
-        name = token.value
-        if self._peek().type is TokenType.PUNCT and self._peek().value == "(":
-            return self._parse_function_call(name)
-        if self._match_punct("."):
-            nxt = self._peek()
-            if nxt.type is TokenType.OPERATOR and nxt.value == "*":
-                self._advance()
-                return Star(table=name)
-            column = self._expect_identifier()
-            return ColumnRef(column, table=name)
-        return ColumnRef(name)
-
-    def _parse_function_call(self, name: str) -> Expression:
-        self._expect_punct("(")
-        distinct = bool(self._match_keyword("DISTINCT"))
+        if not self._match_punct("("):
+            return ColumnRef(token.value)
+        name = token.value.upper()
+        if name not in SCALAR_FUNCTIONS:
+            raise ParseError(f"Unknown function {token.value!r}", token.position, self.sql)
         args: List[Expression] = []
-        token = self._peek()
-        if token.type is TokenType.OPERATOR and token.value == "*":
-            self._advance()
-            args.append(Star())
-        elif not (token.type is TokenType.PUNCT and token.value == ")"):
+        if not self._match_punct(")"):
             args.append(self._parse_expression())
             while self._match_punct(","):
                 args.append(self._parse_expression())
-        self._expect_punct(")")
-        if self._match_keyword("OVER"):
-            self._expect_punct("(")
-            window = WindowSpec()
-            if self._match_keyword("PARTITION"):
-                self._expect_keyword("BY")
-                window.partition_by.append(self._parse_expression())
-                while self._match_punct(","):
-                    window.partition_by.append(self._parse_expression())
-            if self._match_keyword("ORDER"):
-                self._expect_keyword("BY")
-                window.order_by.append(self._parse_order_item())
-                while self._match_punct(","):
-                    window.order_by.append(self._parse_order_item())
             self._expect_punct(")")
-            return WindowFunction(name.upper(), args, window)
-        return FunctionCall(name.upper(), args, distinct)
+        return FunctionCall(name, args)

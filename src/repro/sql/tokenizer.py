@@ -25,8 +25,8 @@ class TokenType(enum.Enum):
     EOF = "EOF"
 
 
-# JOIN / ON / INNER / LEFT / OUTER stay reserved although the parser rejects
-# joins: identifier quoting keys off this set, so emitted SQL stays stable.
+# Words the grammar does not use (GROUP, LIKE, JOIN, ...) stay reserved:
+# identifier quoting keys off this set, so emitted SQL stays stable.
 KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
     "LIMIT", "OFFSET", "AS", "AND", "OR", "NOT", "IN", "IS", "NULL", "LIKE",
@@ -36,8 +36,8 @@ KEYWORDS = {
     "UNION", "ALL", "JOIN", "ON", "INNER", "LEFT", "OUTER", "QUALIFY",
 }
 
-_OPERATORS = ["<>", "!=", ">=", "<=", "||", "=", "<", ">", "+", "-", "*", "/", "%"]
-_PUNCT = ["(", ")", ",", ".", ";"]
+_OPERATORS = ["<>", "!=", ">=", "<=", "=", "<", ">", "-", "*"]
+_PUNCT = ["(", ")", ",", ";"]
 
 
 @dataclass

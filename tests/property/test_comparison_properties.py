@@ -1,8 +1,8 @@
 """Property tests for the executor's comparison and sort-key semantics.
 
 The regression behind these: ``_compare`` answered 0 for NaN against
-anything (all three probes False), so ``>=`` and ``<=`` both held and ORDER
-BY treated NaN as equal to every value.  The properties pin the repaired
+anything (all three probes False), so ``>=`` and ``<=`` both held and a
+sort treated NaN as equal to every value.  The properties pin the repaired
 contract: ``_compare`` is a deterministic *total order* over floats
 (including NaN and the infinities, with NaN greatest) and ``_sort_key``
 produces keys that are always mutually comparable, with NaN/NULL last.
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe.schema import is_null
-from repro.sql.executor import _compare, _sort_key
+from repro.sql.comparison import compare_values as _compare
+from repro.sql.executor import _sort_key
 
 all_floats = st.floats(allow_nan=True, allow_infinity=True)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

@@ -16,7 +16,6 @@ from repro.core.dialects import ReproDialect, SqliteDialect
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql.database import Database
-from repro.sql.functions import SCALAR_FUNCTIONS
 
 # Cells as the cleaning pipeline actually sees them: messy strings, numbers,
 # NULLs.  Text is drawn from a small alphabet so mapping keys collide with
@@ -94,41 +93,3 @@ class TestThresholdParity:
         repro_expr = ReproDialect().case_when_threshold("v", bound, None)
         sqlite_expr = SqliteDialect().case_when_threshold("v", bound, None)
         assert_cells_agree(*run_both(repro_expr, sqlite_expr, values))
-
-
-class TestPadProperties:
-    pad_text = st.text(alphabet="ab-0 ", min_size=0, max_size=6)
-
-    @settings(max_examples=100, deadline=None)
-    @given(pad_text, st.integers(min_value=-3, max_value=12), pad_text)
-    def test_spec(self, text, length, fill):
-        for name, left in (("LPAD", True), ("RPAD", False)):
-            out = SCALAR_FUNCTIONS[name](text, length, fill)
-            want = max(length, 0)
-            if len(text) >= want:
-                assert out == text[:want]
-            elif not fill:
-                assert out == text
-            else:
-                assert len(out) == want
-                body = out[want - len(text):] if left else out[: len(text)]
-                pad = out[: want - len(text)] if left else out[len(text):]
-                assert body == text
-                cycle = (fill * (want // len(fill) + 1))[: want - len(text)]
-                assert pad == cycle
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.text(alphabet="abc1", max_size=8), st.integers(min_value=0, max_value=12))
-    def test_space_lpad_matches_sqlite_printf(self, text, length):
-        # With the default single-space pad, LPAD must match sqlite's
-        # right-aligned printf — an independent reference implementation.
-        if len(text) > length:
-            return  # printf never truncates; that case is covered above
-        conn = sqlite3.connect(":memory:")
-        try:
-            reference = conn.execute(
-                "SELECT printf('%*s', ?, ?)", (length, text)
-            ).fetchone()[0]
-        finally:
-            conn.close()
-        assert SCALAR_FUNCTIONS["LPAD"](text, length, " ") == reference

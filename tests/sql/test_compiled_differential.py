@@ -13,8 +13,8 @@ Two layers:
 * a deterministic battery covering every expression node shape the compiler
   handles (plus the shapes that must raise, and the empty-table cases that
   must *not* raise);
-* a hypothesis layer generating random SELECTs — filters, group-bys,
-  windows, LIKE/ESCAPE, NaN and mixed-type columns — against randomly drawn
+* a hypothesis layer generating random SELECTs — filters, counts,
+  keep-first QUALIFYs, NaN and mixed-type columns — against randomly drawn
   tables.
 """
 
@@ -95,106 +95,57 @@ DETERMINISTIC_QUERIES = [
     # scans and projection
     "SELECT * FROM t",
     "SELECT k, val FROM t",
-    "SELECT k AS id, val * 2 AS doubled, -val AS neg FROM t",
+    "SELECT k AS id, -val AS neg FROM t",
     "SELECT k, k FROM t",  # duplicate output names get _1 suffixes
-    "SELECT 'lit' AS tag, 42 AS n, k FROM t",
-    # filters: comparison, 3VL AND/OR, arithmetic, division by zero
+    "SELECT 'lit' AS tag, 42 AS n, -2.5e-3 AS small, k FROM t",
+    # filters: comparison, 3VL AND/OR/NOT
     "SELECT k FROM t WHERE val > 1",
     "SELECT k FROM t WHERE val >= 1.5 AND grp = 'a'",
     "SELECT k FROM t WHERE grp = 'a' OR val < 0",
     "SELECT k FROM t WHERE NOT (grp = 'a')",
-    "SELECT k FROM t WHERE val + 1 > 2",
-    "SELECT k, val / 0 AS dz, val % 0 AS mz FROM t",
-    "SELECT k FROM t WHERE k % 2 = 0",
-    "SELECT k, grp || '-' || txt AS joined FROM t",
+    "SELECT k FROM t WHERE val > -1 AND NOT val <= 0",
     "SELECT k FROM t WHERE mixed = 1",
     "SELECT k FROM t WHERE mixed = 'True'",
     "SELECT k FROM t WHERE mixed <> 2",
-    # IS NULL / IN / BETWEEN / CASE / CAST
-    "SELECT k FROM t WHERE grp IS NULL",
-    "SELECT k FROM t WHERE grp IS NOT NULL",
+    "SELECT k FROM t WHERE mixed != val",
+    # IN / CASE / CAST / REGEXP_FULL_MATCH
     "SELECT k FROM t WHERE grp IN ('a', 'c')",
     "SELECT k FROM t WHERE grp NOT IN ('a', 'c')",
     "SELECT k FROM t WHERE grp IN ('a', NULL)",
-    "SELECT k FROM t WHERE k IN (1, 2, k + 1)",
-    "SELECT k FROM t WHERE k BETWEEN 2 AND 5",
-    "SELECT k FROM t WHERE k NOT BETWEEN 2 AND 5",
-    # mixed-type BETWEEN compares like <= / >= instead of raising TypeError
-    "SELECT k FROM t WHERE k BETWEEN 2 AND '5'",
-    "SELECT k FROM t WHERE '3' BETWEEN k AND 10",
-    "SELECT k, mixed BETWEEN 0 AND 'x' AS b, mixed NOT BETWEEN '1' AND 2 AS nb FROM t",
-    "SELECT k, txt BETWEEN 1 AND 'z' AS b, val BETWEEN '0' AND grp AS vb FROM t",
+    "SELECT k FROM t WHERE k IN (1, 2, val)",
     "SELECT k, CASE grp WHEN 'a' THEN 'first' WHEN 'b' THEN 'second' ELSE 'other' END AS label FROM t",
     "SELECT k, CASE grp WHEN 'a' THEN 1 END AS partial FROM t",
     "SELECT k, CASE WHEN val > 1 THEN 'big' WHEN val < 0 THEN 'neg' ELSE 'small' END AS bucket FROM t",
     "SELECT k, CASE grp WHEN txt THEN 'match' ELSE 'no' END AS dynamic FROM t",
     "SELECT k, CAST(k AS TEXT) AS s, CAST(val AS INTEGER) AS i FROM t",
-    # LIKE through every route: Like node, escape, null pattern
-    "SELECT k FROM t WHERE txt LIKE '%plain%'",
-    "SELECT k FROM t WHERE txt LIKE '5!% %' ESCAPE '!'",
-    "SELECT k FROM t WHERE txt LIKE 'under!_s%' ESCAPE '!'",
-    "SELECT k, txt LIKE 'p%' AS starts_p FROM t",
-    "SELECT k FROM t WHERE txt LIKE grp",
-    # scalar functions
-    "SELECT k, UPPER(txt) AS u, LENGTH(txt) AS n, COALESCE(grp, 'none') AS g FROM t",
-    "SELECT k, SUBSTR(txt, 1, 3) AS head, REPLACE(txt, '%', 'pct') AS r FROM t",
-    "SELECT k, ROUND(val, 1) AS r, ABS(val) AS a FROM t",
-    # aggregates: global, grouped, HAVING, DISTINCT, expression-of-aggregates
+    "SELECT k, CAST(CASE mixed WHEN 'two' THEN '2' ELSE mixed END AS DOUBLE) AS d FROM t",
+    "SELECT k, REGEXP_FULL_MATCH(txt, '[a-z]+') AS word FROM t",
+    "SELECT k FROM t WHERE REGEXP_FULL_MATCH(mixed, '\\d+') AND NOT REGEXP_FULL_MATCH(txt, 'p.*')",
+    # COUNT(*)
     "SELECT COUNT(*) FROM t",
-    "SELECT COUNT(val), SUM(val), MIN(val), MAX(val), AVG(val) FROM t",
-    "SELECT COUNT(DISTINCT grp) FROM t",
-    "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp",
-    "SELECT grp, SUM(val) AS total, AVG(val) AS mean FROM t GROUP BY grp",
-    "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp HAVING COUNT(*) > 1",
-    "SELECT grp, SUM(val) - COUNT(*) AS adjusted FROM t GROUP BY grp",
-    "SELECT grp, STRING_AGG(txt, '|') AS joined FROM t GROUP BY grp",
-    "SELECT grp, val, COUNT(*) AS n FROM t GROUP BY grp, val",
-    "SELECT UPPER(grp) AS g, COUNT(*) AS n FROM t GROUP BY UPPER(grp)",
-    # windows and QUALIFY
-    "SELECT k, ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val DESC) AS rn FROM t",
-    "SELECT k, RANK() OVER (ORDER BY val) AS r, DENSE_RANK() OVER (ORDER BY val) AS d FROM t",
-    "SELECT k, SUM(val) OVER (PARTITION BY grp) AS group_total, COUNT(*) OVER () AS total FROM t",
+    "SELECT COUNT(*) AS n FROM t WHERE val > 0",
+    # keep-first QUALIFY, NaN ordering (NULL/NaN last)
     "SELECT k, grp FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val DESC) = 1",
-    "SELECT k, ROW_NUMBER() OVER (ORDER BY val) AS rn FROM t "
-    "QUALIFY ROW_NUMBER() OVER (ORDER BY val) <= 3 ORDER BY k",
-    # DISTINCT / ORDER BY / LIMIT / OFFSET
-    "SELECT DISTINCT grp FROM t",
-    "SELECT DISTINCT grp, val FROM t ORDER BY grp",
-    "SELECT k, val FROM t ORDER BY val DESC, k",
-    "SELECT grp FROM t ORDER BY val",  # order by unprojected source column
-    "SELECT k FROM t ORDER BY 1 DESC",
-    "SELECT k FROM t ORDER BY k + 0",
-    "SELECT DISTINCT grp FROM t ORDER BY grp DESC",
-    "SELECT k FROM t ORDER BY val LIMIT 3",
-    "SELECT k FROM t ORDER BY k LIMIT 3 OFFSET 2",
-    "SELECT k FROM t LIMIT 2",
-    "SELECT k FROM t OFFSET 6",
-    # subqueries in FROM (inner SELECT is itself columnar-eligible)
-    "SELECT id FROM (SELECT k AS id, val FROM t WHERE val > 0) sub WHERE id > 2",
-    "SELECT grp, n FROM (SELECT grp, COUNT(*) AS n FROM t GROUP BY grp) counts ORDER BY n DESC, grp",
-    # NaN ordering exercises the total order (NULL/NaN last)
-    "SELECT val FROM t ORDER BY val DESC",
+    "SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val) = 1",
+    "SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp, val ORDER BY k) = 1",
+    "SELECT k FROM t WHERE k > 2 QUALIFY ROW_NUMBER() OVER (PARTITION BY txt ORDER BY k DESC) = 1",
 ]
 
 # Legacy error behaviours the interpreter has always had (TypeError on
-# uncomparable sort keys, aggregates inside CASE conditions, QUALIFY over an
-# output alias): the compiled engine must reproduce them exactly, whatever
-# the class and message.
+# uncomparable sort keys): the compiled engine must reproduce them exactly,
+# whatever the class and message.
 LEGACY_ERROR_PARITY_QUERIES = [
-    "SELECT mixed FROM t ORDER BY mixed",
-    "SELECT grp, CASE WHEN COUNT(*) > 2 THEN 'big' ELSE 'small' END AS size_label FROM t GROUP BY grp",
-    "SELECT k, ROW_NUMBER() OVER (ORDER BY val) AS rn FROM t QUALIFY rn <= 3",
+    "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY 1 ORDER BY mixed) = 1",
+    "SELECT k FROM t WHERE -txt = 1",
 ]
 
 ERROR_QUERIES = [
     "SELECT nope FROM t",
-    "SELECT t2.nope FROM t",
     "SELECT k FROM t WHERE nope = 1",
-    "SELECT k FROM t ORDER BY nope",
-    "SELECT k FROM t WHERE COUNT(k) > 1",
-    "SELECT k FROM t WHERE txt LIKE 'x!' ESCAPE '!'",
-    "SELECT k FROM t WHERE txt LIKE 'x' ESCAPE '!!'",
-    "SELECT k FROM t ORDER BY ROW_NUMBER() OVER (ORDER BY k)",
+    "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY nope ORDER BY k) = 1",
+    "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY nope) = 1",
+    "SELECT k FROM t WHERE REGEXP_FULL_MATCH(txt, '(')",
+    "SELECT REGEXP_FULL_MATCH(txt) FROM t",
 ]
 
 
@@ -249,7 +200,7 @@ def test_constant_comparison_matrix(op):
 
 
 def test_compiled_false_yields_reference_closures(monkeypatch):
-    expr = parse_expression("k + 1 > 2 AND grp LIKE 'a%'")
+    expr = parse_expression("k > 2 AND grp IN ('a')")
 
     def closure_name(executor):
         binding = ColumnarBinding(executor, ["k", "grp"], [[1, 2], ["a", "b"]])
@@ -270,8 +221,8 @@ def test_compiled_false_yields_reference_closures(monkeypatch):
 @pytest.mark.parametrize(
     "sql, kind",
     [
-        ("SELECT 1 + 1 AS two, 'x' || 'y' AS xy, 5 BETWEEN 1 AND '10' AS b", "table"),
-        ("SELECT COUNT(*) AS n, MAX(3) AS m, SUM(NULL) AS s", "table"),
+        ("SELECT 2 AS two, 'xy' AS xy, 5 < '10' AS b, -(1) AS neg", "table"),
+        ("SELECT COUNT(*) AS n", "table"),
         ("SELECT nope", "error"),
     ],
 )
@@ -298,8 +249,8 @@ class TestEmptyTableParity:
         [
             "SELECT nope FROM e",                              # unknown column, zero rows
             "SELECT a FROM e WHERE nope = 1",
-            "SELECT a FROM e WHERE b LIKE 'x!' ESCAPE '!'",    # malformed pattern, zero rows
-            "SELECT a FROM e ORDER BY ROW_NUMBER() OVER (ORDER BY a)",
+            "SELECT a FROM e WHERE REGEXP_FULL_MATCH(b, '(')",  # malformed pattern, zero rows
+            "SELECT a FROM e QUALIFY ROW_NUMBER() OVER (PARTITION BY nope ORDER BY a) = 1",
         ],
     )
     def test_would_raise_expressions_do_not_raise_on_empty(self, empty_catalog, sql):
@@ -307,9 +258,9 @@ class TestEmptyTableParity:
         assert result[0] == "table"
         assert result[1].num_rows == 0
 
-    def test_aggregates_over_empty_table(self, empty_catalog):
-        check(empty_catalog, "SELECT COUNT(*), SUM(a), MIN(a) FROM e")
-        check(empty_catalog, "SELECT a, COUNT(*) FROM e GROUP BY a")
+    def test_count_over_empty_table(self, empty_catalog):
+        result = check(empty_catalog, "SELECT COUNT(*) FROM e WHERE nope = 1")
+        assert result[1].to_dict() == {"count": [0]}
 
 
 # --------------------------------------------------------------------------
@@ -350,12 +301,9 @@ def tables(draw):
     )
 
 
-LITERALS = st.sampled_from(["0", "1", "2.5", "'a'", "'b'", "''", "'1'", "NULL"])
+LITERALS = st.sampled_from(["0", "1", "2.5", "-1", "'a'", "'b'", "''", "'1'", "NULL"])
 COLUMNS = st.sampled_from(["k", "grp", "val", "txt", "mixed"])
-BETWEEN_HIGHS = st.sampled_from(["2", "5.5", "'3'", "'b'"])
-LIKE_PATTERNS = st.sampled_from(
-    ["'%a%'", "'a%'", "'%b'", "'_'", "'a!%%' ESCAPE '!'", "'!_%' ESCAPE '!'", "''"]
-)
+PATTERNS = st.sampled_from(["'a.*'", "'[ab%_]*'", "'\\d+'", "'.'", "''"])
 
 
 @st.composite
@@ -363,23 +311,19 @@ def predicates(draw, depth=0):
     column = draw(COLUMNS)
     kind = draw(
         st.sampled_from(
-            ["cmp", "like", "null", "in", "between", "and", "or", "not"]
+            ["cmp", "regexp", "in", "and", "or", "not"]
             if depth < 2
-            else ["cmp", "like", "null", "in", "between"]
+            else ["cmp", "regexp", "in"]
         )
     )
     if kind == "cmp":
         op = draw(st.sampled_from(["=", "<>", "<", ">", "<=", ">="]))
         return f"{column} {op} {draw(LITERALS)}"
-    if kind == "like":
-        return f"{column} LIKE {draw(LIKE_PATTERNS)}"
-    if kind == "null":
-        return f"{column} IS {draw(st.sampled_from(['NULL', 'NOT NULL']))}"
+    if kind == "regexp":
+        return f"REGEXP_FULL_MATCH({column}, {draw(PATTERNS)})"
     if kind == "in":
         items = ", ".join(draw(st.lists(LITERALS, min_size=1, max_size=3)))
         return f"{column} {draw(st.sampled_from(['IN', 'NOT IN']))} ({items})"
-    if kind == "between":
-        return f"{column} BETWEEN 0 AND {draw(BETWEEN_HIGHS)}"
     if kind == "not":
         return f"NOT ({draw(predicates(depth + 1))})"
     joiner = "AND" if kind == "and" else "OR"
@@ -388,43 +332,26 @@ def predicates(draw, depth=0):
 
 @st.composite
 def select_queries(draw):
-    shape = draw(st.sampled_from(["plain", "group", "window"]))
     where = f" WHERE {draw(predicates())}" if draw(st.booleans()) else ""
-    if shape == "group":
-        having = " HAVING COUNT(*) >= 1" if draw(st.booleans()) else ""
-        order = " ORDER BY n DESC, grp" if draw(st.booleans()) else ""
-        return (
-            "SELECT grp, COUNT(*) AS n, SUM(val) AS total, MIN(txt) AS low "
-            f"FROM t{where} GROUP BY grp{having}{order}"
-        )
-    if shape == "window":
-        qualify = (
-            " QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val DESC, k) = 1"
-            if draw(st.booleans())
-            else ""
-        )
-        order = " ORDER BY k" if draw(st.booleans()) else ""
-        return (
-            "SELECT k, grp, RANK() OVER (PARTITION BY grp ORDER BY val) AS r "
-            f"FROM t{where}{qualify}{order}"
-        )
-    distinct = "DISTINCT " if draw(st.booleans()) else ""
+    if draw(st.booleans()):
+        return f"SELECT COUNT(*) AS n FROM t{where}"
     items = draw(
         st.sampled_from(
             [
                 "*",
                 "k, grp, val",
-                "grp, val * 2 AS v2",
-                "COALESCE(grp, 'none') AS g, txt",
+                "grp, -val AS neg",
+                "CAST(val AS INTEGER) AS i, txt",
                 "CASE WHEN val > 0 THEN 'pos' ELSE 'rest' END AS sign, k",
             ]
         )
     )
-    order = draw(st.sampled_from(["", " ORDER BY k", " ORDER BY val DESC, k", " ORDER BY 1"]))
-    if distinct and order == " ORDER BY 1":
-        order = ""
-    limit = draw(st.sampled_from(["", " LIMIT 3", " LIMIT 5 OFFSET 2"]))
-    return f"SELECT {distinct}{items} FROM t{where}{order}{limit}"
+    qualify = ""
+    if draw(st.booleans()):
+        partition = draw(st.sampled_from(["grp", "txt", "grp, mixed"]))
+        order = draw(st.sampled_from(["k", "val", "val DESC", "k DESC"]))
+        qualify = f" QUALIFY ROW_NUMBER() OVER (PARTITION BY {partition} ORDER BY {order}) = 1"
+    return f"SELECT {items} FROM t{where}{qualify}"
 
 
 @settings(max_examples=120, deadline=None)

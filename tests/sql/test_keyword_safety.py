@@ -92,5 +92,5 @@ class TestKeywordRoundTrip:
             replacements={"select": REPRO.case_when_null("select", ["N/A"])},
         )
         db.sql(statement)
-        result = db.sql('SELECT "select", "group" FROM dst ORDER BY "order"')
-        assert result.to_dict() == {"select": [None, "a"], "group": ["y", "x"]}
+        result = db.sql('SELECT "select", "group" FROM dst WHERE "order" < 2')
+        assert result.to_dict() == {"select": [None], "group": ["y"]}

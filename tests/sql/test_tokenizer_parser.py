@@ -9,12 +9,11 @@ from repro.sql.ast_nodes import (
     Cast,
     ColumnRef,
     CreateTableAs,
-    DropTable,
     FunctionCall,
+    InList,
     Literal,
     Select,
     Star,
-    WindowFunction,
 )
 from repro.sql.errors import ParseError
 from repro.sql.parser import parse, parse_expression
@@ -66,11 +65,11 @@ class TestTokenizer:
 
 class TestExpressionParsing:
     def test_precedence(self):
-        expr = parse_expression("1 + 2 * 3")
+        expr = parse_expression("a = 1 OR b = 2 AND c = 3")
         assert isinstance(expr, BinaryOp)
-        assert expr.op == "+"
+        assert expr.op == "OR"
         assert isinstance(expr.right, BinaryOp)
-        assert expr.right.op == "*"
+        assert expr.right.op == "AND"
 
     def test_case_when(self):
         expr = parse_expression("CASE WHEN a = 1 THEN 'x' ELSE 'y' END")
@@ -89,40 +88,34 @@ class TestExpressionParsing:
         assert expr.target is ColumnType.INTEGER
 
     def test_function_call(self):
-        expr = parse_expression("UPPER(name)")
+        expr = parse_expression("REGEXP_FULL_MATCH(name, 'x')")
         assert isinstance(expr, FunctionCall)
-        assert expr.name == "UPPER"
+        assert expr.name == "REGEXP_FULL_MATCH"
 
     def test_window_function(self):
-        expr = parse_expression("ROW_NUMBER() OVER (PARTITION BY a ORDER BY b DESC)")
-        assert isinstance(expr, WindowFunction)
-        assert len(expr.window.partition_by) == 1
-        assert expr.window.order_by[0].descending is True
+        stmt = parse("SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY a ORDER BY b DESC) = 1")
+        assert len(stmt.qualify.partition_by) == 1
+        assert stmt.qualify.descending is True
 
-    def test_in_list_and_between(self):
-        parse_expression("a IN (1, 2, 3)")
-        parse_expression("a NOT IN ('x')")
-        parse_expression("a BETWEEN 1 AND 10")
+    def test_in_list(self):
+        assert isinstance(parse_expression("a IN (1, 2, 3)"), InList)
+        assert parse_expression("a NOT IN ('x')").negated is True
 
-    def test_is_null(self):
-        parse_expression("a IS NULL")
-        parse_expression("a IS NOT NULL")
-
-    def test_qualified_column(self):
-        expr = parse_expression("t.col")
-        assert isinstance(expr, ColumnRef)
-        assert expr.table == "t"
+    def test_negative_literal(self):
+        expr = parse_expression("a < -2.5e-3")
+        assert expr.right.op == "-"
+        assert expr.right.operand == Literal(2.5e-3)
 
     def test_trailing_garbage_raises(self):
         with pytest.raises(ParseError):
-            parse_expression("1 + 2 extra stuff (")
+            parse_expression("a = 2 extra stuff (")
 
 
 class TestStatementParsing:
     def test_simple_select(self):
-        stmt = parse("SELECT a, b FROM t WHERE a > 1 ORDER BY b LIMIT 5")
+        stmt = parse("SELECT a, b FROM t WHERE a > 1")
         assert isinstance(stmt, Select)
-        assert stmt.limit == 5
+        assert stmt.from_table == "t"
         assert len(stmt.items) == 2
 
     def test_doubled_quote_in_identifier_names_one_column(self):
@@ -136,28 +129,6 @@ class TestStatementParsing:
         stmt = parse("SELECT * FROM t")
         assert isinstance(stmt.items[0].expression, Star)
 
-    def test_select_distinct(self):
-        assert parse("SELECT DISTINCT a FROM t").distinct is True
-
-    def test_group_by_having(self):
-        stmt = parse("SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 1")
-        assert len(stmt.group_by) == 1
-        assert stmt.having is not None
-
-    def test_subquery_in_from(self):
-        stmt = parse("SELECT x FROM (SELECT a AS x FROM t) sub")
-        assert stmt.from_table.subquery is not None
-        assert stmt.from_table.alias == "sub"
-
-    @pytest.mark.parametrize("join", ["JOIN", "INNER JOIN", "LEFT JOIN", "LEFT OUTER JOIN"])
-    def test_join_is_unsupported(self, join):
-        with pytest.raises(ParseError, match="JOIN is not supported"):
-            parse(f"SELECT * FROM a {join} b ON a.k = b.k")
-
-    def test_join_after_subquery_is_unsupported(self):
-        with pytest.raises(ParseError, match="JOIN"):
-            parse("SELECT * FROM (SELECT k FROM a) s JOIN b ON s.k = b.k")
-
     def test_qualify(self):
         stmt = parse("SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY a ORDER BY b) = 1")
         assert stmt.qualify is not None
@@ -168,11 +139,6 @@ class TestStatementParsing:
         assert stmt.or_replace is True
         assert stmt.name == "t2"
 
-    def test_drop_table(self):
-        stmt = parse("DROP TABLE IF EXISTS t")
-        assert isinstance(stmt, DropTable)
-        assert stmt.if_exists is True
-
     def test_unknown_statement_raises(self):
         with pytest.raises(ParseError):
             parse("UPDATE t SET a = 1")
@@ -180,3 +146,62 @@ class TestStatementParsing:
     def test_trailing_tokens_raise(self):
         with pytest.raises(ParseError):
             parse("SELECT 1 SELECT 2")
+
+
+REMOVED_FUNCTIONS = [
+    "UPPER", "LOWER", "TRIM", "LTRIM", "RTRIM", "LENGTH", "LEN", "SUBSTR", "SUBSTRING",
+    "REPLACE", "CONCAT", "ABS", "ROUND", "FLOOR", "CEIL", "CEILING", "SQRT", "LN", "LOG",
+    "POWER", "MOD", "REGEXP_MATCHES", "REGEXP_REPLACE", "REGEXP_EXTRACT", "COALESCE",
+    "NULLIF", "IFNULL", "NVL", "REVERSE", "LPAD", "RPAD", "LEFT", "RIGHT", "CONTAINS",
+    "STARTS_WITH", "ENDS_WITH", "TRY_CAST_DOUBLE", "TYPEOF",
+]
+
+# Each family of SQL the engine once ran and no cleaning statement renders,
+# with the statements that spell it.
+REMOVED_CONSTRUCTS = {
+    "distinct": ["SELECT DISTINCT a FROM t", "SELECT ALL a FROM t"],
+    "group_by": ["SELECT a FROM t GROUP BY a"],
+    "having": ["SELECT COUNT(*) FROM t HAVING COUNT(*) > 1"],
+    "order_by": ["SELECT a FROM t ORDER BY a", "SELECT a FROM t ORDER BY a DESC"],
+    "limit_offset": ["SELECT a FROM t LIMIT 1", "SELECT a FROM t OFFSET 1", "SELECT a FROM t LIMIT 1 OFFSET 1"],
+    "subquery": ["SELECT x FROM (SELECT a AS x FROM t)", "SELECT x FROM (SELECT a AS x FROM t) sub"],
+    "table_alias": ["SELECT a FROM t u", "SELECT a FROM t AS u"],
+    "qualified_column": ["SELECT t.a FROM t", "SELECT t.* FROM t"],
+    "join": [
+        f"SELECT * FROM a {join} b ON a.k = b.k"
+        for join in ("JOIN", "INNER JOIN", "LEFT JOIN", "LEFT OUTER JOIN")
+    ],
+    "drop": ["DROP TABLE t", "DROP TABLE IF EXISTS t", "DROP VIEW v"],
+    "view": ["CREATE VIEW v AS SELECT * FROM t", "CREATE OR REPLACE VIEW v AS SELECT * FROM t"],
+    "like": [
+        "SELECT a FROM t WHERE a LIKE 'x%'",
+        "SELECT a FROM t WHERE a NOT LIKE 'x%'",
+        "SELECT a FROM t WHERE a LIKE 'x!%' ESCAPE '!'",
+    ],
+    "between": ["SELECT a BETWEEN 1 AND 2", "SELECT a NOT BETWEEN 1 AND 2"],
+    "is_null": ["SELECT a IS NULL", "SELECT a IS NOT NULL"],
+    "arithmetic": [f"SELECT 2 {op} 1" for op in ("+", "-", "*", "/", "%", "||")] + ["SELECT +1"],
+    "scalar_functions": [f"SELECT {name}(a) FROM t" for name in REMOVED_FUNCTIONS],
+    "aggregates": [
+        f"SELECT {call} FROM t"
+        for call in (
+            "COUNT(a)", "COUNT(DISTINCT a)", "SUM(a)", "AVG(a)", "MIN(a)", "MAX(a)", "STDDEV(a)",
+            "STDDEV_SAMP(a)", "STRING_AGG(a, ',')", "GROUP_CONCAT(a)", "COUNT(*) + 1", "a, COUNT(*)",
+        )
+    ] + ["SELECT a FROM t WHERE COUNT(*) > 1"],
+    "windows": [
+        "SELECT RANK() OVER (ORDER BY a) FROM t",
+        "SELECT DENSE_RANK() OVER (ORDER BY a) FROM t",
+        "SELECT SUM(a) OVER (PARTITION BY b) FROM t",
+        "SELECT COUNT(*) OVER () FROM t",
+        "SELECT ROW_NUMBER() OVER (PARTITION BY a ORDER BY b) FROM t",
+        "SELECT * FROM t QUALIFY RANK() OVER (PARTITION BY a ORDER BY b) = 1",
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(REMOVED_CONSTRUCTS))
+def test_removed_construct_raises_parse_error(family):
+    for sql in REMOVED_CONSTRUCTS[family]:
+        with pytest.raises(ParseError):
+            parse(sql)
