@@ -335,6 +335,34 @@ def _date_branches(t: str) -> List[Tuple[str, str]]:
     return branches
 
 
+def _exact_real(value: float) -> str:
+    """A sqlite expression that evaluates to exactly the double ``value``.
+
+    sqlite's decimal parser misreads some shortest round-trip spellings by
+    an ulp (3.40.1 reads ``4.058564076247631e-302`` one ulp high; about one
+    random double in 200 misreads, most of all below 1e-300), and ``%.17g``
+    does not help.  An odd integer mantissa scaled by exact powers of two,
+    each at most 2**62 and written as an integer-valued REAL, has no
+    rounding step: 12.5 renders as ``(25.0 / 2.0)``.  Integers and
+    integral floats below 2**53 keep their own spelling.
+    """
+    if isinstance(value, int) or (value.is_integer() and abs(value) < 2 ** 53):
+        return str(value)
+    fraction, exponent = math.frexp(value)
+    mantissa, exponent = int(fraction * 2 ** 53), exponent - 53
+    while mantissa % 2 == 0:
+        mantissa //= 2
+        exponent += 1
+    op = "/" if exponent < 0 else "*"
+    factors = []
+    remaining = abs(exponent)
+    while remaining:
+        step = min(remaining, 62)
+        factors.append(f" {op} {2 ** step}.0")
+        remaining -= step
+    return f"({mantissa}.0{''.join(factors)})"
+
+
 def _case(branches: Sequence[Tuple[str, str]], else_sql: str = "NULL") -> str:
     body = "\n".join(f"    WHEN {cond} THEN {value}" for cond, value in branches)
     return f"CASE\n{body}\n    ELSE {else_sql}\nEND"
@@ -464,7 +492,8 @@ class SqliteDialect(ReproDialect):
         # sqlite's native ordering puts every TEXT above every number, so
         # each bound branches on the runtime storage class: numeric cells
         # (and fully-numeric text, per the same guard the casts use) compare
-        # through CAST AS REAL, other text compares against the bound's
+        # through CAST AS REAL against the bound spelled exactly
+        # (:func:`_exact_real`), other text compares against the bound's
         # string form.
         if not bounds:
             return "FALSE"
@@ -476,7 +505,7 @@ class SqliteDialect(ReproDialect):
         for op, value in bounds:
             parts.append(
                 f"CASE WHEN {numeric} "
-                f"THEN CAST({column_sql} AS REAL) {op} {self.quote_literal(value)} "
+                f"THEN CAST({column_sql} AS REAL) {op} {_exact_real(value)} "
                 f"ELSE CAST({column_sql} AS TEXT) {op} {self.quote_literal(str(value))} END"
             )
         return " OR ".join(parts)

@@ -1,12 +1,14 @@
 """Dialect layer: repro byte-identity, sqlite lowerings, literal hardening."""
 
 import math
+import random
 import sqlite3
+import struct
 
 import pytest
 
 from repro.core.context import ROW_ID_COLUMN
-from repro.core.dialects import DEFAULT_DIALECT, ReproDialect, SqliteDialect, comment_block
+from repro.core.dialects import DEFAULT_DIALECT, ReproDialect, SqliteDialect, _exact_real, comment_block
 from repro.core.pipeline import CocoonCleaner
 from repro.core.plan import extract_plan
 from repro.dataframe.schema import ColumnType, coerce_value
@@ -209,6 +211,32 @@ class TestSqliteExpressionParity:
             f"SELECT {REPRO.case_when_threshold('v', 0.5, 2.0)} FROM t"
         )
         assert in_process == [1.0, None, None, "1.5", None, None, None, None]
+
+
+class TestSqliteExactBounds:
+    """sqlite misreads some shortest round-trip spellings by an ulp, so
+    non-integral threshold bounds render as exact power-of-two quotients."""
+
+    def test_spellings(self):
+        assert _exact_real(12.5) == "(25.0 / 2.0)"
+        assert _exact_real(-0.75) == "(-3.0 / 4.0)"
+        assert _exact_real(70) == "70"
+        assert _exact_real(70.0) == "70.0"
+        assert _exact_real(2.0 ** 60) == "(1.0 * 1152921504606846976.0)"
+
+    def test_sqlite_reads_every_spelling_exactly(self):
+        rng = random.Random(0)
+        values = [4.058564076247631e-302, 5e-324, 2.2250738585072014e-308, 0.1, -12.5, 1.7976931348623157e308]
+        while len(values) < 3000:
+            value = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+            if math.isfinite(value):
+                values.append(value)
+        conn = sqlite3.connect(":memory:")
+        try:
+            for value in values:
+                assert conn.execute(f"SELECT {_exact_real(value)}").fetchone()[0] == value, value
+        finally:
+            conn.close()
 
 
 class TestLiteralHardening:

@@ -9,7 +9,7 @@ end-to-end differential suite.
 
 import sqlite3
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dialects import ReproDialect, SqliteDialect
@@ -78,6 +78,7 @@ class TestMappingParity:
 class TestThresholdParity:
     @settings(max_examples=60, deadline=None)
     @given(finite, finite, st.lists(st.one_of(st.none(), finite), min_size=1, max_size=8))
+    @example(low=4.058564076247631e-302, high=1.0, values=[4.058564076247631e-302])
     def test_numeric_columns(self, low, high, values):
         low, high = min(low, high), max(low, high)
         repro_expr = ReproDialect().case_when_threshold("v", low, high)
