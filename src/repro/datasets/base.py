@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dataframe.table import Table
 from repro.dataframe.schema import is_null
+from repro.obs.lineage import values_strictly_differ
 
 
 class ErrorType(enum.Enum):
@@ -96,17 +97,7 @@ class BenchmarkDataset:
         return f"{self.name} ({self.shape_label}) — {parts}"
 
 
-def strict_differs(dirty_value: object, clean_value: object) -> bool:
-    """The cell-difference predicate every ground-truth diff is defined over.
-
-    Strings are compared textually and NULL only equals NULL, so a value that
-    merely changed surface representation (``"7" `` vs ``"7.0"``) *is* an
-    error — matching the benchmarks' convention.  The scenario generator
-    (:mod:`repro.scenarios`) uses the same predicate, so its diffs agree with
-    :meth:`BenchmarkDataset.error_cells` by construction.
-    """
-    if is_null(dirty_value) and is_null(clean_value):
-        return False
-    if is_null(dirty_value) != is_null(clean_value):
-        return True
-    return str(dirty_value) != str(clean_value)
+#: The cell-difference predicate every ground-truth diff is defined over
+#: (NULL only equals NULL, everything else compares by ``str``); the scenario
+#: generator and the lineage contract use the same function.
+strict_differs = values_strictly_differ

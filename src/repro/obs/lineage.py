@@ -39,8 +39,8 @@ edit records, restricted to surviving rows — equals exactly the
 records, no unexplained changes.
 
 The per-step predicate is deliberately the *strict* one
-(:func:`values_strictly_differ`, a dependency-free twin of
-``repro.datasets.base.strict_differs``), not the operators' canonical-text
+(:func:`values_strictly_differ`, which ``repro.datasets.base`` names
+``strict_differs``), not the operators' canonical-text
 repair predicate: a cast that turns ``'12'`` into ``12.0`` is not a repair,
 but it *is* a change the audit trail must explain.
 """
@@ -50,8 +50,9 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.dataframe.schema import is_null
 
 __all__ = [
     "CellEditRecord",
@@ -73,26 +74,19 @@ REMOVAL_MODES = ("dropped", "retracted")
 CellEditRecord = Dict[str, Any]
 
 
-def _is_null(value: Any) -> bool:
-    """SQL NULL semantics (None or NaN) — mirrors ``repro.dataframe.schema.is_null``."""
-    if value is None:
-        return True
-    if isinstance(value, float) and math.isnan(value):
-        return True
-    return False
-
-
 def values_strictly_differ(before: Any, after: Any) -> bool:
-    """The strict cell-difference predicate the lineage contract is defined over.
+    """The cell-difference predicate the lineage contract and every ground-truth diff are defined over.
 
-    Identical to :func:`repro.datasets.base.strict_differs` (NULL only equals
-    NULL, everything else compares by ``str``), re-implemented here so the
-    observability layer stays free of upper-layer imports; the differential
-    tests assert the two agree.
+    Strings are compared textually and NULL only equals NULL, so a value that
+    merely changed surface representation (``"7"`` vs ``"7.0"``) *is* a
+    difference — matching the benchmarks' convention.
+    :mod:`repro.datasets.base` exports it as ``strict_differs``, which the
+    dataset error cells and the scenario generator use, so their diffs and
+    the lineage agree by construction.
     """
-    if _is_null(before) and _is_null(after):
+    if is_null(before) and is_null(after):
         return False
-    if _is_null(before) != _is_null(after):
+    if is_null(before) != is_null(after):
         return True
     return str(before) != str(after)
 
