@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +54,6 @@ BOUNDS = st.one_of(
     st.sampled_from([0, -1, 70, -2.5, 1e-5, -3.5e10, 4.058564076247631e-302, 1.5e300]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-MAPPINGS = st.dictionaries(TOKENS, TARGETS, max_size=4)
 
 
 @st.composite
@@ -66,24 +66,33 @@ def tables(draw):
     return Table.from_dict("src", data), columns
 
 
+KINDS = ["value_map", "null_values", "cast", "range", "fd_map", "dedup", "unique"]
+
+
 @st.composite
-def steps(draw, columns):
-    kind = draw(st.sampled_from(["value_map", "null_values", "cast", "range", "fd_map", "dedup", "unique"]))
+def steps(draw, kind, table, columns):
     column, other = draw(st.permutations(columns))[:2]
+    # Keys and bounds are drawn from the column's own cells as well, so CASE
+    # branches match and cells sit exactly on a bound.
+    cells = table.column(column).values
+    keys = st.one_of(TOKENS, st.sampled_from([str(v) for v in cells])) if cells else TOKENS
+    numbers = [v for v in cells if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    bounds = st.one_of(BOUNDS, st.sampled_from(numbers)) if numbers else BOUNDS
+    mappings = st.dictionaries(keys, TARGETS, max_size=4)
     if kind == "value_map":
-        payload = {"column": column, "mapping": draw(MAPPINGS.filter(bool))}
+        payload = {"column": column, "mapping": draw(mappings.filter(bool))}
     elif kind == "null_values":
-        payload = {"column": column, "values": draw(st.lists(TOKENS, min_size=1, max_size=4, unique=True))}
+        payload = {"column": column, "values": draw(st.lists(keys, min_size=1, max_size=4, unique=True))}
     elif kind == "cast":
         payload = {
             "column": column,
             "target_type": draw(st.sampled_from([t.value for t in ColumnType])),
-            "mapping": draw(MAPPINGS),
+            "mapping": draw(mappings),
         }
     elif kind == "range":
-        payload = {"column": column, "low": draw(BOUNDS), "high": draw(BOUNDS)}
+        payload = {"column": column, "low": draw(bounds), "high": draw(bounds)}
     elif kind == "fd_map":
-        payload = {"determinant": column, "dependent": other, "mapping": draw(MAPPINGS.filter(bool))}
+        payload = {"determinant": column, "dependent": other, "mapping": draw(mappings.filter(bool))}
     elif kind == "dedup":
         payload = {"columns": draw(st.lists(st.sampled_from(columns), min_size=1, unique=True))}
     else:
@@ -116,11 +125,12 @@ def assert_identical(statement, compiled, reference):
             assert type(a) is type(b) and a == b, (statement, row, col_c.name, a, b)
 
 
-@settings(max_examples=300, deadline=None)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_every_step_kind_runs_alike_on_both_engines(data):
+def test_every_step_kind_runs_alike_on_both_engines(kind, data):
     table, columns = data.draw(tables())
-    step = data.draw(steps(columns))
+    step = data.draw(steps(kind, table, columns))
     comments = data.draw(st.lists(st.text(max_size=20), max_size=2))
     statement = step.render("src", "dst", columns, comments, dialect=REPRO)
     parse(statement)
