@@ -1,7 +1,7 @@
 """Recursive-descent parser producing :mod:`repro.sql.ast_nodes` trees.
 
-The grammar is what the cleaner renders plus the one count query its
-pattern oracle runs::
+The grammar is what the cleaner renders plus the filtered count query of
+the test suite's pattern-count oracle::
 
     statement  := [CREATE [OR REPLACE] TABLE name AS] select [;]
     select     := SELECT (COUNT(*) [AS name] | item {, item})
