@@ -129,6 +129,80 @@ DETERMINISTIC_QUERIES = [
     "SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY val) = 1",
     "SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp, val ORDER BY k) = 1",
     "SELECT k FROM t WHERE k > 2 QUALIFY ROW_NUMBER() OVER (PARTITION BY txt ORDER BY k DESC) = 1",
+    # quoted identifiers; TRUE/FALSE/NULL literals, also as whole predicates
+    'SELECT "k" AS "select", "grp" FROM t',
+    "SELECT k, TRUE AS yes, FALSE AS no, NULL AS nothing FROM t",
+    "SELECT k FROM t WHERE TRUE",
+    "SELECT k FROM t WHERE FALSE",
+    "SELECT k FROM t WHERE NULL",
+    # NULL operands and 3VL AND/OR/NOT
+    "SELECT k FROM t WHERE val = NULL",
+    "SELECT k FROM t WHERE NOT (val = NULL)",
+    "SELECT k FROM t WHERE grp = 'a' OR NULL",
+    "SELECT k FROM t WHERE grp = 'a' AND NULL",
+    "SELECT k FROM t WHERE NOT (grp = 'a' AND val > 0)",
+    "SELECT k FROM t WHERE NOT (grp = 'a' OR val > 0)",
+    # column-to-column comparisons, literal on the left, exponents, booleans, text order
+    "SELECT k FROM t WHERE val < k",
+    "SELECT k FROM t WHERE grp = txt",
+    "SELECT k FROM t WHERE mixed >= k",
+    "SELECT k FROM t WHERE mixed < val",
+    "SELECT k FROM t WHERE val < 1e2 AND val > -2.5e0",
+    "SELECT k FROM t WHERE 1 < val",
+    "SELECT k FROM t WHERE 'a' = grp",
+    "SELECT k FROM t WHERE mixed = TRUE",
+    "SELECT k FROM t WHERE mixed = FALSE",
+    "SELECT k FROM t WHERE txt > 'p'",
+    "SELECT k FROM t WHERE txt <= ''",
+    # IN / NOT IN over mixed types and NULL items
+    "SELECT k FROM t WHERE mixed NOT IN ('two', NULL)",
+    "SELECT k FROM t WHERE mixed IN (1, 'two', TRUE)",
+    "SELECT k FROM t WHERE val IN (1.5, -2, 1e2)",
+    "SELECT k FROM t WHERE k NOT IN (val, 1)",
+    "SELECT k, mixed IN ('1', 2) AS hit, grp NOT IN ('a') AS miss FROM t",
+    # CASE: nested, NULL conditions and operands, mixed result types, and the
+    # value-map, null-values and range shapes the cleaning steps render
+    "SELECT k, CASE WHEN grp IN ('a', 'b') THEN 'ab' END AS ab FROM t",
+    "SELECT k, CASE grp WHEN 'a' THEN CASE WHEN val > 0 THEN 'a+' ELSE 'a-' END ELSE grp END AS nested FROM t",
+    "SELECT k, CASE WHEN NULL THEN 'never' ELSE 'always' END AS c FROM t",
+    "SELECT k, CASE grp WHEN NULL THEN 'null' ELSE 'other' END AS c FROM t",
+    "SELECT k, CASE WHEN val > 1 THEN k ELSE val END AS mixed_result FROM t",
+    "SELECT k, CASE mixed WHEN 1 THEN 'one' WHEN '2' THEN 'two' WHEN 'True' THEN 'yes' ELSE mixed END AS m FROM t",
+    "SELECT k, CASE WHEN val < 0 OR val > 10 THEN NULL ELSE val END AS val FROM t",
+    "SELECT k, CASE WHEN txt IN ('', 'x!y') THEN NULL ELSE txt END AS txt FROM t",
+    "SELECT k, CASE \"txt\" WHEN '5% off' THEN 'five' WHEN 'PLAIN' THEN 'plain' ELSE \"txt\" END AS \"txt\" FROM t",
+    "SELECT k FROM t WHERE CASE WHEN grp = 'a' THEN val > 1 ELSE k > 6 END",
+    # CAST to each of the six column types, over mixed, text and NULL input
+    "SELECT k, CAST(mixed AS VARCHAR) AS s FROM t",
+    "SELECT k, CAST(mixed AS INTEGER) AS i FROM t",
+    "SELECT k, CAST(mixed AS DOUBLE) AS d FROM t",
+    "SELECT k, CAST(mixed AS BOOLEAN) AS b FROM t",
+    "SELECT k, CAST(txt AS DATE) AS d FROM t",
+    "SELECT k, CAST(txt AS TIMESTAMP) AS ts FROM t",
+    "SELECT k, CAST(val AS BOOLEAN) AS b, CAST(val AS VARCHAR) AS s FROM t",
+    "SELECT k, CAST(NULL AS INTEGER) AS n, CAST('2020-01-02' AS DATE) AS d FROM t",
+    "SELECT k FROM t WHERE CAST(mixed AS DOUBLE) > 1",
+    # unary minus
+    "SELECT k, -(-val) AS same, -k AS neg FROM t",
+    "SELECT k, -CAST(mixed AS DOUBLE) AS neg FROM t",
+    # REGEXP_FULL_MATCH over numbers, booleans, column and NULL patterns
+    "SELECT k, REGEXP_FULL_MATCH(val, '-?\\d+') AS whole FROM t",
+    "SELECT k, REGEXP_FULL_MATCH(mixed, 'True|1') AS m FROM t",
+    "SELECT k, REGEXP_FULL_MATCH(txt, grp) AS dyn FROM t",
+    "SELECT k, REGEXP_FULL_MATCH(txt, NULL) AS n FROM t",
+    "SELECT k FROM t WHERE REGEXP_FULL_MATCH(txt, '.*%.*')",
+    "SELECT k, CASE WHEN REGEXP_FULL_MATCH(txt, '[a-z_]+') THEN 'word' ELSE 'other' END AS kind FROM t",
+    # COUNT(*) over filters and keep-first QUALIFY
+    "SELECT COUNT(*) AS n FROM t WHERE grp IN ('a', 'b') AND NOT REGEXP_FULL_MATCH(txt, 'p.*')",
+    "SELECT COUNT(*) AS n FROM t WHERE NULL",
+    "SELECT COUNT(*) AS n FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY k) = 1",
+    # keep-first QUALIFY over expression partitions and sort keys
+    "SELECT k, grp FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY CAST(val AS INTEGER) ORDER BY k) = 1",
+    "SELECT k, grp FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY -k) = 1",
+    "SELECT k, grp FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY CASE WHEN val > 1 THEN 0 ELSE 1 END) = 1",
+    "SELECT k AS id, mixed FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY mixed ORDER BY k DESC) = 1",
+    "SELECT k, CASE grp WHEN 'a' THEN 'A' ELSE grp END AS grp FROM t WHERE val > -5 QUALIFY ROW_NUMBER() OVER (PARTITION BY txt ORDER BY val DESC) = 1",
+    "SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY CAST(mixed AS VARCHAR) ORDER BY val DESC) = 1",
 ]
 
 # Legacy error behaviours the interpreter has always had (TypeError on
@@ -137,6 +211,7 @@ DETERMINISTIC_QUERIES = [
 LEGACY_ERROR_PARITY_QUERIES = [
     "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY 1 ORDER BY mixed) = 1",
     "SELECT k FROM t WHERE -txt = 1",
+    "SELECT -txt FROM t",
 ]
 
 ERROR_QUERIES = [
@@ -146,6 +221,12 @@ ERROR_QUERIES = [
     "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY nope) = 1",
     "SELECT k FROM t WHERE REGEXP_FULL_MATCH(txt, '(')",
     "SELECT REGEXP_FULL_MATCH(txt) FROM t",
+    "SELECT k FROM t WHERE REGEXP_FULL_MATCH(txt, 'a', 'b')",
+    "SELECT k FROM t WHERE REGEXP_FULL_MATCH(txt, '[')",
+    "SELECT k FROM t WHERE nope IN (1, 2)",
+    "SELECT CASE WHEN nope THEN 1 END FROM t",
+    "SELECT CAST(nope AS INTEGER) FROM t",
+    "SELECT k FROM t WHERE val > 0 QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY CAST(nope AS INTEGER)) = 1",
 ]
 
 

@@ -52,6 +52,40 @@ class TestProjectionAndFilter:
         assert db.scalar("SELECT COUNT(*) FROM t WHERE v > 10") == 1
 
 
+class TestRangeMixedTypes:
+    """The range step's ``v < low OR v > high`` compares a mixed pair the
+    way every comparison does, instead of leaking Python's ``TypeError``."""
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize(
+        "value, low, high, inside",
+        [
+            ("5", "1", "'10'", True),
+            ("'7'", "5", "10", True),
+            ("7", "'5'", "'10'", True),
+            ("11", "1", "'10'", False),
+            ("'abc'", "1", "5", False),
+            ("TRUE", "0", "'1'", True),
+            ("NULL", "1", "'10'", None),
+            ("5", "NULL", "'10'", None),
+        ],
+    )
+    def test_mixed_operands(self, value, low, high, inside, compiled):
+        sql = f"SELECT NOT ({value} < {low} OR {value} > {high})"
+        assert Database(compiled=compiled).scalar(sql) is inside
+
+    def test_matches_the_inclusive_comparisons(self):
+        db = Database()
+        assert db.scalar("SELECT NOT (7 < '5' OR 7 > '10')") == db.scalar("SELECT 7 >= '5' AND 7 <= '10'")
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_mixed_column_range_step(self, compiled):
+        db = Database(compiled=compiled)
+        db.register(Table.from_dict("t", {"v": [1, "3", "x", 7.5, None, True]}))
+        values = db.column_values("SELECT CASE WHEN v < 1 OR v > '5' THEN NULL ELSE v END AS v FROM t")
+        assert values == [1, "3", None, None, None, True]
+
+
 class TestAggregation:
     def test_count_star(self, db):
         result = db.sql("SELECT COUNT(*) AS n FROM people")

@@ -79,3 +79,21 @@ class TestCompareTotalOrder:
         descending = sorted(values, key=lambda v: _sort_key(v, True))
         assert math.isnan(descending[-1])
         assert descending[:4] == [float("inf"), 3.0, 1.0, -2.0]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    @pytest.mark.parametrize("descending, kept", [(False, ["c", "x"]), (True, ["a", "x"])])
+    def test_keep_first_never_picks_a_nan_row(self, compiled, descending, kept):
+        # The keep-first QUALIFY sorts each partition by the same total
+        # order: a NaN sort key comes last whichever the direction.
+        db = Database(compiled=compiled)
+        db.register(
+            Table.from_dict(
+                "m",
+                {"g": [1, 1, 1, 2], "k": ["a", "b", "c", "x"], "v": [2.0, float("nan"), 1.0, float("nan")]},
+            )
+        )
+        order = "v DESC" if descending else "v"
+        result = db.sql(
+            f"SELECT k FROM m QUALIFY ROW_NUMBER() OVER (PARTITION BY g ORDER BY {order}) = 1"
+        )
+        assert result.to_dict() == {"k": kept}

@@ -62,6 +62,16 @@ SHAPES = [
     ("SELECT k, m FROM {src} WHERE k < 3", {"k", "m"}, True),
     ("SELECT k, f FROM {src} QUALIFY ROW_NUMBER() OVER (PARTITION BY k ORDER BY k) = 1", {"k", "f"}, True),
     ("SELECT k, f FROM {src} QUALIFY ROW_NUMBER() OVER (PARTITION BY b ORDER BY k DESC) = 1", {"k", "f"}, True),
+    ("SELECT * FROM {src} QUALIFY ROW_NUMBER() OVER (PARTITION BY m ORDER BY k) = 1", {"k", "m", "i", "f", "b", "d"}, True),
+    ("SELECT * FROM {src} WHERE REGEXP_FULL_MATCH(m, '\\d+')", {"k", "m", "i", "f", "b", "d"}, True),
+    ("SELECT k, m FROM {src} WHERE NOT (k IN (1, 3))", {"k", "m"}, True),
+    ("SELECT \"k\", \"m\" AS \"m\" FROM {src}", {"k", "m"}, False),
+    ("SELECT k, CASE m WHEN 1 THEN 'one' ELSE m END AS m, i FROM {src}", {"k", "i"}, False),
+    ("SELECT k, CASE WHEN f IN (0.0, '') THEN NULL ELSE f END AS f, b FROM {src}", {"k", "b"}, False),
+    ("SELECT k, CASE WHEN f < -1 OR f > 1 THEN NULL ELSE f END AS f FROM {src}", {"k"}, False),
+    ("SELECT k, CAST(m AS VARCHAR) AS m, d FROM {src}", {"k", "d"}, False),
+    ("SELECT -k AS k, i FROM {src}", {"i"}, False),
+    ("SELECT COUNT(*) FROM {src}", set(), False),
 ]
 
 
