@@ -34,6 +34,7 @@ enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.context import ROW_ID_COLUMN
@@ -42,9 +43,7 @@ from repro.core.result import CleaningResult
 from repro.dataframe.table import Table
 from repro.obs import current_ref as obs_current_ref
 from repro.obs.lineage import LineageRecorder, lineage_step_id, values_strictly_differ
-from repro.sql.ast_nodes import Statement
-from repro.sql.database import Database
-from repro.sql.parser import parse
+from repro.sql.database import Database, PreparedStatement
 
 #: Step kinds whose effect is a pure per-row function.
 ROW_LOCAL_KINDS = frozenset({"value_map", "null_values", "cast", "range", "fd_map"})
@@ -63,6 +62,8 @@ class PlanStep:
     Operators build a step, render it with :meth:`render` and execute that
     statement (:meth:`repro.core.operators.base.CleaningOperator.apply_step`);
     plan replay and emission render the same step against other tables.
+    A step is a value: a changed decision (a reviewer's edited mapping) is a
+    new step, never a payload edited in place.
     """
 
     kind: str
@@ -75,12 +76,13 @@ class PlanStep:
     def row_local(self) -> bool:
         return self.kind in ROW_LOCAL_KINDS
 
-    @property
+    @cached_property
     def step_id(self) -> str:
         """Stable lineage id of this decision.
 
         The batch application and every replay of this step record lineage
-        under it, so their records carry bit-identical step ids.
+        under it, so their records carry bit-identical step ids.  Hashed once
+        per step.
         """
         return lineage_step_id(
             self.kind, self.issue_type, self.target, self.target_table, self.payload
@@ -191,9 +193,9 @@ class CleaningPlan:
     column_names: List[str]
     steps: List[PlanStep] = field(default_factory=list)
     llm_calls_invested: int = 0
-    #: The rendered and parsed row-local replay chain, keyed on what it was
-    #: rendered from (see :meth:`_replay_chain`).
-    _replay_memo: Optional[Tuple[Tuple, List[Tuple[PlanStep, str, str, Statement]]]] = field(
+    #: The prepared row-local replay chain, keyed on what it was rendered
+    #: from (see :meth:`_replay_chain`).
+    _replay_memo: Optional[Tuple[Tuple, List[Tuple[PlanStep, str, PreparedStatement]]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -252,31 +254,31 @@ class CleaningPlan:
         base = f"{self.base_table}__replay"
         db.register(batch_with_ids.rename(base), replace=True)
         current = base
-        for step, target, query, statement in self._replay_chain(base):
-            db.sql(query, parsed=statement)
+        for step, target, prepared in self._replay_chain(base):
+            db.sql(prepared)
             if lineage is not None:
                 self._record_replay_step(db, current, target, step, lineage)
             current = target
         return db.table(current)
 
-    def _replay_chain(self, base: str) -> List[Tuple[PlanStep, str, str, Statement]]:
-        """``(step, target table, statement text, parsed statement)`` per row-local step.
+    def _replay_chain(self, base: str) -> List[Tuple[PlanStep, str, PreparedStatement]]:
+        """``(step, target table, prepared statement)`` per row-local step.
 
-        Rendered and parsed once per plan, not once per batch.  The memo is
-        keyed on the steps' ids, the table names and the columns, so a
-        changed step list never replays a stale statement.  Sharing one AST
-        across batches is safe: executing a statement only memoises derived
-        lookups on it.
+        Rendered and prepared once per plan, not once per batch: each batch
+        only runs the prepared statements.  The memo is keyed on the step
+        objects themselves (steps are values: a changed decision is a new
+        step), the table names and the columns, so a changed step list never
+        replays a stale statement.
         """
         steps = self.row_local_steps
-        key = (base, tuple(self.column_names), tuple(step.step_id for step in steps))
+        key = (base, tuple(self.column_names), tuple(map(id, steps)))
         if self._replay_memo is None or self._replay_memo[0] != key:
             chain = []
             current = base
             for index, step in enumerate(steps, start=1):
                 target = f"{base}_step{index}"
                 query = step.render(current, target, self.column_names)
-                chain.append((step, target, query, parse(query)))
+                chain.append((step, target, PreparedStatement(query)))
                 current = target
             self._replay_memo = (key, chain)
         return self._replay_memo[1]

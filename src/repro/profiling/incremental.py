@@ -1,19 +1,25 @@
-"""Incrementally maintained table-level statistics (FDs, duplicate rows).
+"""Incrementally maintained table-level statistics (duplicate rows, FDs).
 
-The batch profilers re-scan the whole table: :func:`~repro.profiling.fd.discover_fds`
-rebuilds every determinant index and :func:`~repro.profiling.duplicates.duplicate_row_count`
-re-hashes every row.  The streaming layer instead folds each micro-batch into
-persistent counters:
+The batch profilers re-scan the whole table: :func:`~repro.profiling.duplicates.duplicate_row_count`
+re-hashes every row and :func:`~repro.profiling.fd.discover_fds` rebuilds
+every determinant index.  Folding each micro-batch into persistent counters
+avoids the rescan:
 
+* :class:`IncrementalDuplicateState` counts exact duplicate rows across
+  batches, matching ``duplicate_row_count``; it keeps one key per distinct
+  row and no row copies.  The streaming engine folds every batch into one
+  and reports the count in its stats.
 * :class:`IncrementalFDState` keeps, for every ordered column pair, the
   determinant → dependent co-occurrence counters that entropy scoring and
   violation grouping need.  :meth:`IncrementalFDState.candidates` then
   reproduces ``discover_fds`` on the union of all batches *exactly* — same
   float scores (the counters are consumed in the same first-occurrence order,
-  so the float accumulation order matches), same violation tie order.
-* :class:`IncrementalDuplicateState` counts exact duplicate rows across
-  batches, matching ``duplicate_row_count``; it keeps one key per distinct
-  row and no row copies.
+  so the float accumulation order matches), same violation tie order.  No
+  cleaning path reads FD candidates of a stream (the plan reuses the
+  priming run's FD decisions), so the streaming engine no longer keeps one;
+  the class stays only while the end-to-end benchmark's layer split names
+  its ``update`` as an entry point, and goes with that benchmark's next
+  change.
 
 Both are O(batch) per update.  Memory is proportional to the number of
 distinct values (FD state: per column pair), which the registry benchmarks
@@ -33,7 +39,13 @@ from repro.profiling.fd import FDCandidate, _entropy
 
 
 class IncrementalFDState:
-    """Mergeable co-occurrence counters behind single-attribute FD discovery."""
+    """Mergeable co-occurrence counters behind single-attribute FD discovery.
+
+    Nothing in the cleaning path reads it: it is kept, with its property
+    test, only because the end-to-end benchmark's layer split names
+    :meth:`update` as an entry point, and it goes with that benchmark's next
+    change.
+    """
 
     def __init__(self, columns: Sequence[str]):
         if len(set(columns)) != len(columns):

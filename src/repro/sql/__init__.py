@@ -23,7 +23,9 @@ The test suite's pattern-count oracle adds one query shape, a filtered
   ``REGEXP_FULL_MATCH``
 
 Anything else raises :class:`ParseError`.  The entry point is
-:class:`repro.sql.database.Database`; the layers beneath it are
+:class:`repro.sql.database.Database`, whose ``sql`` runs statement text or a
+:class:`PreparedStatement` (parsed, planned and compiled once, for a caller
+that runs the same statement many times); the layers beneath it are
 :mod:`repro.sql.tokenizer` → :mod:`repro.sql.parser` (AST in
 :mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.planner` →
 :mod:`repro.sql.executor` (expressions compiled by
@@ -32,11 +34,12 @@ Anything else raises :class:`ParseError`.  The entry point is
 """
 
 from repro.sql.errors import SQLError, ParseError, ExecutionError, CatalogError
-from repro.sql.database import Database
+from repro.sql.database import Database, PreparedStatement
 from repro.sql.parser import parse, parse_expression
 
 __all__ = [
     "Database",
+    "PreparedStatement",
     "SQLError",
     "ParseError",
     "ExecutionError",

@@ -1,14 +1,15 @@
 """Expression compilation for the executor's stage pipeline.
 
-:class:`ColumnarBinding` binds a set of column vectors (parallel value
-lists, one per column) and :meth:`ColumnarBinding.compile` turns an AST
-expression into ``fn(i) -> value``, the value of the expression at row
-``i``.
+:class:`ColumnarBinding` names the column slots of one source schema and
+:meth:`ColumnarBinding.compile` turns an AST expression into ``fn(i) ->
+value``, the value of the expression at row ``i`` of the vectors currently
+loaded into the binding (:meth:`ColumnarBinding.load`).
 
-Compilation happens **once per query**: literals are constant-folded, column
-references resolve to a direct ``list.__getitem__`` on their vector, and
-CASE literal branches become a dictionary built at compile time.  Per-row
-work reduces to closure calls over pre-bound vectors.
+Compilation happens **once per prepared statement and source schema**:
+literals are constant-folded, column references resolve to a slot, and CASE
+literal branches become a dictionary built at compile time.  Running the
+statement on another table of the same schema only loads that table's
+vectors; per-row work reduces to closure calls over the loaded vectors.
 
 Parity with the reference interpreter (``Executor._eval``) is the contract,
 not speed at any cost:
@@ -23,9 +24,9 @@ not speed at any cost:
   closure that calls ``Executor._eval`` on a row dict materialised for that
   row only — behavioural parity is the gate, not coverage.
 
-With ``Executor(compiled=False)`` every expression compiles to that
-fallback closure, which is how the compiled differential holds the
-specialised closures to the interpreter over the one pipeline.
+With ``compiled=False`` every expression compiles to that fallback closure,
+which is how the compiled differential holds the specialised closures to the
+interpreter over the one pipeline.
 """
 
 from __future__ import annotations
@@ -53,34 +54,40 @@ ScalarFn = Callable[[int], Any]
 
 
 class ColumnarBinding:
-    """Column vectors for one pipeline stage, plus the expression compiler.
+    """The column slots of one source schema, plus the expression compiler.
 
-    A binding is created per stage because filtering replaces the vectors:
-    closures compiled against a binding index into *its* vectors, so the
-    executor rebinds after every gather.
+    Closures compiled against a binding read the vectors loaded into it at
+    call time, so one compilation serves every table of the schema and every
+    pipeline stage: the executor loads the scanned vectors, then reloads
+    after each gather.  A binding holds the vectors of one run at a time.
     """
 
-    def __init__(self, executor: Any, names: Sequence[str], vectors: Sequence[List[Any]]):
-        self.executor = executor
+    def __init__(self, names: Sequence[str], compiled: bool):
         self.names: List[str] = list(names)
-        self.vectors: List[List[Any]] = list(vectors)
-        self._by_name: Dict[str, List[Any]] = dict(zip(self.names, self.vectors))
+        self.compiled = compiled
+        # Loaded in place, never rebound: every closure holds this list.
+        self.vectors: List[List[Any]] = []
+        self._slots: Dict[str, int] = {name: j for j, name in enumerate(self.names)}
+
+    def load(self, vectors: Sequence[List[Any]]) -> None:
+        """Point every compiled closure at ``vectors`` (one per column slot)."""
+        self.vectors[:] = vectors
 
     # -- row materialisation (fallback path only) ---------------------------
     def make_row(self, i: int) -> Dict[str, Any]:
         """The row dict the interpreter would see for row ``i``."""
         return {name: vec[i] for name, vec in zip(self.names, self.vectors)}
 
-    def vector_for(self, ref: ColumnRef) -> Optional[List[Any]]:
-        """The vector a column reference resolves to, or None if unknown."""
-        return self._by_name.get(ref.name)
+    def slot(self, ref: ColumnRef) -> Optional[int]:
+        """The slot a column reference resolves to, or None if unknown."""
+        return self._slots.get(ref.name)
 
     # -- scalar compilation -------------------------------------------------
     def compile(self, expr: Expression) -> ScalarFn:
-        """Compile ``expr`` to ``fn(i) -> value`` over this binding's vectors."""
+        """Compile ``expr`` to ``fn(i) -> value`` over the loaded vectors."""
         from repro.sql.executor import _apply_unary, _truthy  # local import: executor imports this module
 
-        if not self.executor.compiled:
+        if not self.compiled:
             return self._fallback(expr)
 
         if isinstance(expr, Literal):
@@ -88,9 +95,10 @@ class ColumnarBinding:
             return lambda i: value
 
         if isinstance(expr, ColumnRef):
-            vec = self.vector_for(expr)
-            if vec is not None:
-                return vec.__getitem__
+            slot = self.slot(expr)
+            if slot is not None:
+                vectors = self.vectors
+                return lambda i: vectors[slot][i]
             key = expr.name
             available = sorted(self.names)
 
@@ -266,10 +274,12 @@ class ColumnarBinding:
         return case_searched_fn
 
     def _fallback(self, expr: Expression) -> ScalarFn:
-        executor = self.executor
+        from repro.sql.executor import Executor
+
+        evaluate = Executor._eval
 
         def fallback_fn(i: int) -> Any:
-            return executor._eval(expr, self.make_row(i))
+            return evaluate(expr, self.make_row(i))
 
         return fallback_fn
 

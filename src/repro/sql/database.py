@@ -8,28 +8,15 @@ DuckDB's Python API shape) so that every cleaning step runs as real SQL.
 
 from __future__ import annotations
 
-import re
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.dataframe.schema import ColumnType
 from repro.dataframe.table import Table
 from repro.obs import get_tracer
 from repro.obs import span as obs_span
 from repro.obs.report import render_explain
-from repro.sql.ast_nodes import Statement
 from repro.sql.catalog import Catalog
-from repro.sql.executor import Executor
-from repro.sql.parser import parse
-
-
-def summarise_sql(query: str, limit: int = 120) -> str:
-    """One-line summary of a statement for span attributes: comments stripped,
-    whitespace collapsed, truncated with an ellipsis."""
-    no_comments = re.sub(r"--[^\n]*", " ", query)
-    collapsed = " ".join(no_comments.split())
-    if len(collapsed) > limit:
-        return collapsed[: limit - 1] + "…"
-    return collapsed
+from repro.sql.executor import Executor, PreparedStatement
 
 
 class QueryLog:
@@ -79,17 +66,18 @@ class Database:
         return self.catalog.schema(name)
 
     # -- query execution ---------------------------------------------------------
-    def sql(self, query: str, parsed: Optional[Statement] = None) -> Table:
-        """Parse and execute a SQL statement, returning its result table.
+    def sql(self, query: Union[str, PreparedStatement]) -> Table:
+        """Execute a SQL statement, returning its result table.
 
-        ``parsed`` is ``query``'s AST when the caller already holds it (a
-        plan replaying the same statements batch after batch); it is logged
-        and traced as ``query`` either way.
+        ``query`` is statement text, or a :class:`PreparedStatement` when
+        the caller runs the same statement many times (a plan replaying its
+        steps batch after batch): a string is prepared and run once.  Either
+        way the statement is logged and traced by its text.
         """
-        self.query_log.record(query)
-        with obs_span("sql.query", statement=summarise_sql(query)) as sp:
-            statement = parse(query) if parsed is None else parsed
-            result = self.executor.execute(statement)
+        prepared = query if isinstance(query, PreparedStatement) else PreparedStatement(query)
+        self.query_log.record(prepared.text)
+        with obs_span("sql.query", statement=prepared.summary) as sp:
+            result = self.executor.execute(prepared)
             sp.annotate(rows_out=result.num_rows)
         return result
 
@@ -102,11 +90,10 @@ class Database:
         aggregate, project) nest beneath it.
         Returns ``(result_table, report_text)``.
         """
+        prepared = PreparedStatement(query)
         self.query_log.record(query)
-        with get_tracer().span(
-            "sql.query", force=True, statement=summarise_sql(query)
-        ) as sp:
-            result = self.executor.execute(parse(query))
+        with get_tracer().span("sql.query", force=True, statement=prepared.summary) as sp:
+            result = self.executor.execute(prepared)
             sp.annotate(rows_out=result.num_rows)
         return result, render_explain(sp.to_dict())
 

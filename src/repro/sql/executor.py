@@ -1,21 +1,24 @@
-"""Query executor: evaluates parsed statements against the catalog.
+"""Query executor: runs prepared statements against the catalog.
 
 The executor runs the AST produced by :mod:`repro.sql.parser` against the
 tables registered in a :class:`repro.sql.catalog.Catalog`.  Every statement
 reads at most one ``FROM`` table.
 
-One stage pipeline
-------------------
-Every SELECT is first **planned** (:func:`repro.sql.planner.plan_select`)
-into an explicit stage pipeline, then run over column vectors: scan →
-filter → qualify → count | project.  Each expression is compiled *once per
-query* into a closure by :mod:`repro.sql.compiler`, the filter and the
-qualify stage gather vectors by index, projection reuses source vectors
-where it can, and rows exist as dicts only inside the reference
-interpreter.  Every table the executor builds types each column from its
-values, so a projection over such a table passes an unchanged column
-through as the same (immutable) ``Column`` object.  A SELECT without
-``FROM`` runs the same pipeline over one zero-column row.
+Prepare once, run many times
+----------------------------
+Every statement runs as a :class:`PreparedStatement`: its text is parsed
+and **planned** (:func:`repro.sql.planner.plan_select`) into an explicit
+stage pipeline once — scan → filter → qualify → count | project — and its
+expressions compile once per source schema into closures
+(:mod:`repro.sql.compiler`).  A one-shot query is prepared and run once; a
+plan replaying the same statements batch after batch prepares them once and
+each batch only scans its table and evaluates the closures over its column
+vectors.  The filter and the qualify stage gather vectors by index,
+projection reuses source vectors where it can, and rows exist as dicts only
+inside the reference interpreter.  Every table the executor builds types
+each column from its values, so a projection over such a table passes an
+unchanged column through as the same (immutable) ``Column`` object.  A
+SELECT without ``FROM`` runs the same pipeline over one zero-column row.
 
 :meth:`Executor._eval` is that reference interpreter: the compiler falls
 back to it for any node it does not specialise, and ``compiled=False``
@@ -26,8 +29,10 @@ compiled differential pins expression semantics over the one pipeline.
 from __future__ import annotations
 
 import os
+import re
+import threading
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataframe.column import Column
 from repro.dataframe.schema import coerce_value, is_null
@@ -40,7 +45,6 @@ from repro.sql.ast_nodes import (
     CountStar,
     CreateTableAs,
     Expression,
-    FirstPerPartition,
     FunctionCall,
     InList,
     Literal,
@@ -52,16 +56,101 @@ from repro.sql.ast_nodes import (
 from repro.obs import span as obs_span
 from repro.sql.catalog import Catalog
 from repro.sql.comparison import compare_values, sql_equal
-from repro.sql.compiler import ColumnarBinding
+from repro.sql.compiler import ColumnarBinding, ScalarFn
 from repro.sql.errors import ExecutionError
 from repro.sql.functions import call_scalar
-from repro.sql.planner import plan_select
+from repro.sql.parser import parse
+from repro.sql.planner import SelectPlan, plan_select
 
 Row = Dict[str, Any]
 
 
+def summarise_sql(query: str, limit: int = 120) -> str:
+    """One-line summary of a statement for span attributes: comments stripped,
+    whitespace collapsed, truncated with an ellipsis."""
+    no_comments = re.sub(r"--[^\n]*", " ", query)
+    collapsed = " ".join(no_comments.split())
+    if len(collapsed) > limit:
+        return collapsed[: limit - 1] + "…"
+    return collapsed
+
+
+class PreparedStatement:
+    """One statement, parsed, planned and summarised once, run many times.
+
+    The statement's expressions compile once per source schema and
+    expression engine (:meth:`program`); a later run on a table of that
+    schema only scans the table and evaluates the closures.  Parsing waits
+    for the first run, so a one-shot query parses inside its ``sql.query``
+    span.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        #: The one-line span summary of :attr:`text`.
+        self.summary = summarise_sql(text)
+        self._statement: Optional[Statement] = None
+        self._plan: Optional[SelectPlan] = None
+        self._programs: Dict[Tuple[bool, Tuple[str, ...]], _Program] = {}
+
+    @property
+    def statement(self) -> Statement:
+        if self._statement is None:
+            self._statement = parse(self.text)
+        return self._statement
+
+    @property
+    def plan(self) -> SelectPlan:
+        """The stage plan of the statement's SELECT."""
+        if self._plan is None:
+            statement = self.statement
+            select = statement.query if isinstance(statement, CreateTableAs) else statement
+            self._plan = plan_select(select)
+        return self._plan
+
+    def program(self, names: Sequence[str], compiled: bool) -> "_Program":
+        """The compiled closures for a source table with columns ``names``."""
+        key = (compiled, tuple(names))
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = _Program(self.plan, names, compiled)
+        return program
+
+
+class _Program:
+    """A planned SELECT compiled against one source schema.
+
+    Each project item is ``None`` for ``*``, the slot of a column passed
+    through, or a closure.  ``lock`` serialises runs, because the binding
+    holds the vectors of one run at a time.
+    """
+
+    def __init__(self, plan: SelectPlan, names: Sequence[str], compiled: bool):
+        binding = self.binding = ColumnarBinding(names, compiled)
+        self.lock = threading.Lock()
+        self.filter = binding.compile(plan.filter.predicate) if plan.filter is not None else None
+        self.partition: List[ScalarFn] = []
+        self.order: Optional[ScalarFn] = None
+        self.descending = False
+        if plan.qualify is not None:
+            first = plan.qualify.first
+            self.partition = [binding.compile(e) for e in first.partition_by]
+            self.order = binding.compile(first.order_by)
+            self.descending = first.descending
+        self.counts = plan.count is not None
+        self.out_names = _output_names(plan.select, names)
+        self.items: List[Union[None, int, ScalarFn]] = []
+        for item in plan.project.items if plan.project is not None else ():
+            expression = item.expression
+            if isinstance(expression, Star):
+                self.items.append(None)
+                continue
+            slot = binding.slot(expression) if isinstance(expression, ColumnRef) else None
+            self.items.append(slot if slot is not None else binding.compile(expression))
+
+
 class Executor:
-    """Evaluates statements produced by :mod:`repro.sql.parser`.
+    """Runs :class:`PreparedStatement` objects against a catalog.
 
     Parameters
     ----------
@@ -87,64 +176,76 @@ class Executor:
         self._emitted: "weakref.WeakValueDictionary[int, Table]" = weakref.WeakValueDictionary()
 
     # -- public API -----------------------------------------------------------
-    def execute(self, statement: Statement) -> Table:
+    def execute(self, prepared: PreparedStatement) -> Table:
+        statement = prepared.statement
         if isinstance(statement, CreateTableAs):
-            table = self._execute_select(statement.query, result_name=statement.name)
+            table = self._execute_select(prepared, result_name=statement.name)
             self.catalog.register(table, replace=statement.or_replace)
             return table
-        return self._execute_select(statement, result_name="result")
+        return self._execute_select(prepared, result_name="result")
 
     # -- SELECT pipeline --------------------------------------------------------
-    def _execute_select(self, select: Select, result_name: str) -> Table:
-        """Run one planned SELECT over column vectors.
+    def _execute_select(self, prepared: PreparedStatement, result_name: str) -> Table:
+        """Run one prepared SELECT over the column vectors of its FROM table."""
+        carried: Dict[int, Column] = {}
+        names, vectors, n = self._scan(prepared.plan.select.from_table, carried)
+        program = prepared.program(names, self.compiled)
+        with program.lock:
+            try:
+                program.binding.load(vectors)
+                return self._run(program, result_name, vectors, n, carried)
+            finally:
+                # Drop the run's vectors: a prepared statement outlives its tables.
+                program.binding.load(())
+
+    def _run(
+        self,
+        program: _Program,
+        result_name: str,
+        vectors: List[List[Any]],
+        n: int,
+        carried: Dict[int, Column],
+    ) -> Table:
+        """The stages after the scan.
 
         Rows are represented as an index into parallel vectors until the
         very end; every stage emits its observability span.
         """
-        plan = plan_select(select)
-        carried: Dict[int, Column] = {}
-        names, vectors, n = self._scan(select.from_table, carried)
-
-        if plan.filter is not None:
-            predicate = ColumnarBinding(self, names, vectors).compile(plan.filter.predicate)
+        binding = program.binding
+        if program.filter is not None:
+            predicate = program.filter
             with obs_span("sql.filter", rows_in=n) as sp:
                 keep = [i for i in range(n) if _truthy(predicate(i))]
                 vectors, n = _gather(vectors, keep, n)
+                binding.load(vectors)
                 sp.annotate(rows_out=n)
 
-        if plan.qualify is not None:
-            binding = ColumnarBinding(self, names, vectors)
+        if program.order is not None:
             with obs_span("sql.qualify", rows_in=n) as sp:
-                keep = _first_per_partition(plan.qualify.first, binding, n)
+                keep = _first_per_partition(program, n)
                 vectors, n = _gather(vectors, keep, n)
+                binding.load(vectors)
                 sp.annotate(rows_out=n)
 
-        if plan.count is not None:
+        if program.counts:
             with obs_span("sql.aggregate", rows_in=n):
-                name = self._output_names(select, names)[0]
-                return self._emit(Table(result_name, [Column(name, [n])]))
+                return self._emit(Table(result_name, [Column(program.out_names[0], [n])]))
 
-        binding = ColumnarBinding(self, names, vectors)
         with obs_span("sql.project", rows_in=n) as sp:
-            out_names = self._output_names(select, names)
             out_vectors: List[List[Any]] = []
-            for item in select.items:
-                if isinstance(item.expression, Star):
+            for item in program.items:
+                if item is None:
                     out_vectors.extend(vectors)
-                    continue
-                if isinstance(item.expression, ColumnRef):
-                    vec = binding.vector_for(item.expression)
-                    if vec is not None:
-                        out_vectors.append(vec)
-                        continue
-                fn = binding.compile(item.expression)
-                out_vectors.append([fn(i) for i in range(n)])
-            sp.annotate(columns=len(out_names))
+                elif isinstance(item, int):
+                    out_vectors.append(vectors[item])
+                else:
+                    out_vectors.append([item(i) for i in range(n)])
+            sp.annotate(columns=len(program.out_names))
 
         # A vector that is still a carried column's own list passes through:
         # the same Column under its own name, its dtype under an alias.
         columns = []
-        for name, vec in zip(out_names, out_vectors):
+        for name, vec in zip(program.out_names, out_vectors):
             source = carried.get(id(vec))
             if source is None:
                 columns.append(Column(name, vec))
@@ -177,32 +278,9 @@ class Executor:
             sp.annotate(rows_out=n)
         return list(table.column_names), vectors, n
 
-    def _output_names(self, select: Select, source_columns: List[str]) -> List[str]:
-        names: List[str] = []
-        for item in select.items:
-            if isinstance(item.expression, Star):
-                names.extend(source_columns)
-                continue
-            if item.alias:
-                names.append(item.alias)
-            elif isinstance(item.expression, ColumnRef):
-                names.append(item.expression.name)
-            else:
-                names.append(_expression_label(item.expression, len(names)))
-        # De-duplicate while preserving order (SQL allows duplicate output names; Table does not).
-        seen: Dict[str, int] = {}
-        unique: List[str] = []
-        for name in names:
-            if name in seen:
-                seen[name] += 1
-                unique.append(f"{name}_{seen[name]}")
-            else:
-                seen[name] = 0
-                unique.append(name)
-        return unique
-
     # -- reference interpreter --------------------------------------------------------------
-    def _eval(self, expr: Expression, row: Row) -> Any:
+    @staticmethod
+    def _eval(expr: Expression, row: Row) -> Any:
         """Evaluate ``expr`` on one row dict (column name -> value).
 
         The compiled closures in :mod:`repro.sql.compiler` must agree with
@@ -215,47 +293,48 @@ class Executor:
                 return row[expr.name]
             raise ExecutionError(f"Unknown column {expr.name!r}; available: {sorted(row)}")
         if isinstance(expr, UnaryOp):
-            return _apply_unary(expr.op, self._eval(expr.operand, row))
+            return _apply_unary(expr.op, Executor._eval(expr.operand, row))
         if isinstance(expr, BinaryOp):
             if expr.op == "AND":
-                left = self._eval(expr.left, row)
+                left = Executor._eval(expr.left, row)
                 if left is False:
                     return False
-                right = self._eval(expr.right, row)
+                right = Executor._eval(expr.right, row)
                 if right is False:
                     return False
                 if is_null(left) or is_null(right):
                     return None
                 return _truthy(left) and _truthy(right)
             if expr.op == "OR":
-                left = self._eval(expr.left, row)
+                left = Executor._eval(expr.left, row)
                 if _truthy(left):
                     return True
-                right = self._eval(expr.right, row)
+                right = Executor._eval(expr.right, row)
                 if _truthy(right):
                     return True
                 if is_null(left) or is_null(right):
                     return None
                 return False
-            return _apply_binary(expr.op, self._eval(expr.left, row), self._eval(expr.right, row))
+            return _apply_binary(expr.op, Executor._eval(expr.left, row), Executor._eval(expr.right, row))
         if isinstance(expr, InList):
-            value = self._eval(expr.operand, row)
+            value = Executor._eval(expr.operand, row)
             if is_null(value):
                 return None
-            items = [self._eval(i, row) for i in expr.items]
+            items = [Executor._eval(i, row) for i in expr.items]
             found = any((not is_null(i)) and sql_equal(value, i) for i in items)
             return (not found) if expr.negated else found
         if isinstance(expr, CaseWhen):
-            return self._eval_case(expr, row)
+            return Executor._eval_case(expr, row)
         if isinstance(expr, Cast):
-            return coerce_value(self._eval(expr.operand, row), expr.target)
+            return coerce_value(Executor._eval(expr.operand, row), expr.target)
         if isinstance(expr, FunctionCall):
-            return call_scalar(expr.name, [self._eval(a, row) for a in expr.args])
+            return call_scalar(expr.name, [Executor._eval(a, row) for a in expr.args])
         raise ExecutionError(f"Unsupported expression node: {type(expr).__name__}")
 
-    def _eval_case(self, expr: CaseWhen, row: Row) -> Any:
+    @staticmethod
+    def _eval_case(expr: CaseWhen, row: Row) -> Any:
         if expr.operand is not None:
-            subject = self._eval(expr.operand, row)
+            subject = Executor._eval(expr.operand, row)
             # Fast path: CASE col WHEN <literal> THEN ... with literal branches is a
             # dictionary lookup; cleaning queries generate hundreds of branches.
             lookup = getattr(expr, "_literal_lookup", None)
@@ -264,18 +343,18 @@ class Executor:
                 setattr(expr, "_literal_lookup", lookup)
             if lookup is not None:
                 if not is_null(subject) and str(subject) in lookup:
-                    return self._eval(lookup[str(subject)], row)
+                    return Executor._eval(lookup[str(subject)], row)
             else:
                 for condition, result in expr.whens:
-                    candidate = self._eval(condition, row)
+                    candidate = Executor._eval(condition, row)
                     if not is_null(subject) and not is_null(candidate) and sql_equal(subject, candidate):
-                        return self._eval(result, row)
+                        return Executor._eval(result, row)
         else:
             for condition, result in expr.whens:
-                if _truthy(self._eval(condition, row)):
-                    return self._eval(result, row)
+                if _truthy(Executor._eval(condition, row)):
+                    return Executor._eval(result, row)
         if expr.default is not None:
-            return self._eval(expr.default, row)
+            return Executor._eval(expr.default, row)
         return None
 
 
@@ -289,20 +368,20 @@ def _gather(vectors: List[List[Any]], keep: List[int], n: int) -> Tuple[List[Lis
     return vectors, len(keep)
 
 
-def _first_per_partition(first: FirstPerPartition, binding: ColumnarBinding, n: int) -> List[int]:
+def _first_per_partition(program: _Program, n: int) -> List[int]:
     """The rows ``ROW_NUMBER() OVER (PARTITION BY … ORDER BY …) = 1`` keeps, in row order.
 
-    Each partition's rows are sorted stably by the order key, so ties keep
-    their row order and the first of them wins.
+    Each partition keeps its least row under :func:`_sort_key`; ``min``
+    returns the first of equal keys, so ties keep the earliest row, as a
+    stable sort does.
     """
-    partition_fns = [binding.compile(e) for e in first.partition_by]
-    order_fn = binding.compile(first.order_by)
+    partition_fns, order_fn, descending = program.partition, program.order, program.descending
     partitions: Dict[Tuple, List[int]] = {}
     for i in range(n):
         key = tuple(_hashable(fn(i)) for fn in partition_fns)
         partitions.setdefault(key, []).append(i)
     firsts = [
-        sorted(indices, key=lambda i: _sort_key(order_fn(i), first.descending))[0]
+        min(indices, key=lambda i: _sort_key(order_fn(i), descending))
         for indices in partitions.values()
     ]
     return sorted(firsts)
@@ -322,19 +401,36 @@ def _hashable(value: Any) -> Any:
     return value
 
 
+class _Descending:
+    """Text that sorts in reverse code-point order: the DESC key of a string."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __eq__(self, other: "_Descending") -> bool:  # type: ignore[override]
+        return self.text == other.text
+
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.text < self.text
+
+
 def _sort_key(value: Any, descending: bool) -> Tuple:
-    # NULL and NaN (is_null covers both) sort after every real value in
-    # either direction, so sort keys stay total over floats incl. NaN/inf.
+    """The ORDER BY key of one value: the least key comes first.
+
+    One total order over every value, as SQL engines order storage classes:
+    numbers (bools as 0/1) by value, before text (``str`` of anything else)
+    by code point, so ``'ab'`` follows ``'a'``.  ``descending`` reverses
+    both, and NULL and NaN (``is_null`` covers both) come last either way.
+    """
     if is_null(value):
-        return (1, "")
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, (int, float)):
-        return (0, -value) if descending else (0, value)
-    key = str(value)
-    if descending:
-        key = "".join(chr(0x10FFFF - ord(c)) for c in key)
-    return (0, key)
+        return (2,)
+    if isinstance(value, (bool, int, float)):
+        number = int(value) if isinstance(value, bool) else value
+        return (1, -number) if descending else (0, number)
+    text = str(value)
+    return (0, _Descending(text)) if descending else (1, text)
 
 
 def _apply_unary(op: str, value: Any) -> Any:
@@ -355,6 +451,31 @@ def _apply_binary(op: str, left: Any, right: Any) -> Any:
         return not sql_equal(left, right)
     cmp = compare_values(left, right)
     return {"<": cmp < 0, ">": cmp > 0, "<=": cmp <= 0, ">=": cmp >= 0}[op]
+
+
+def _output_names(select: Select, source_columns: Sequence[str]) -> List[str]:
+    names: List[str] = []
+    for item in select.items:
+        if isinstance(item.expression, Star):
+            names.extend(source_columns)
+            continue
+        if item.alias:
+            names.append(item.alias)
+        elif isinstance(item.expression, ColumnRef):
+            names.append(item.expression.name)
+        else:
+            names.append(_expression_label(item.expression, len(names)))
+    # De-duplicate while preserving order (SQL allows duplicate output names; Table does not).
+    seen: Dict[str, int] = {}
+    unique: List[str] = []
+    for name in names:
+        if name in seen:
+            seen[name] += 1
+            unique.append(f"{name}_{seen[name]}")
+        else:
+            seen[name] = 0
+            unique.append(name)
+    return unique
 
 
 def _expression_label(expr: Expression, index: int) -> str:

@@ -8,7 +8,8 @@ incremental profiles for exactly those failure modes and reports a
 per-column distance, the mean of four signals:
 
 * **frequency shift** — total-variation distance between the top-value
-  distributions at plan time and now (a flipped majority can invalidate the
+  distributions (each profile's ``TOP_K`` most frequent values) at plan
+  time and now (a flipped majority can invalidate the
   canonical-representation choices);
 * **null shift** — absolute change of the null fraction;
 * **pattern shift** — total-variation distance between the character-class
@@ -31,8 +32,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.profiling.mergeable import MergeableColumnProfile
 
-#: How many top values per side enter the frequency comparison.
-TOP_K = 20
 #: Below this many cumulative rows the detector stays silent: micro-batch
 #: statistics are too noisy to re-prompt on.
 MIN_ROWS = 30
@@ -96,7 +95,9 @@ _Baseline = Tuple[_Signals, FrozenSet[str]]
 
 
 def _top_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
-    top = profile.counts.most_common(TOP_K)
+    # The profile keeps its TOP_K values ranked as it folds: no scan of
+    # every distinct value here.
+    top = profile.top()
     total = sum(count for _, count in top)
     if not total:
         return {}

@@ -7,12 +7,14 @@ continuously running service primitive:
    (profile → prompt → SQL) once; the per-column LLM decisions are extracted
    into a :class:`~repro.core.plan.CleaningPlan`.
 2. **Replay** — every further batch replays the cached plan: row-local steps
-   re-execute as regenerated SQL on just the new rows, table-level steps
-   (dedup, uniqueness) fold through :class:`~repro.stream.state.TableLevelState`.
+   re-execute as SQL on just the new rows, through statements the plan
+   prepared (parsed, planned and compiled) once; table-level steps (dedup,
+   uniqueness) fold through :class:`~repro.stream.state.TableLevelState`.
    Zero LLM calls; the engine asserts it.
 3. **Drift** — per-column :class:`~repro.profiling.mergeable.MergeableColumnProfile`
-   counts feed a :class:`~repro.stream.drift.DriftDetector`, which froze
-   each column's plan-time signals when the plan was derived.  When a
+   counts (and their top values, ranked as they fold) feed a
+   :class:`~repro.stream.drift.DriftDetector`, which froze each column's
+   plan-time signals when the plan was derived.  When a
    column's profile distance crosses the threshold, *only that column* is
    re-prompted (its column-level operators re-run over the accumulated raw
    rows), the new steps are spliced into the plan, and the cumulative output
@@ -25,6 +27,11 @@ derived from the priming batch equals the whole-table plan when the priming
 statistics agree (that is what "no drift" means), (b) row-local steps are
 pure per-row functions, and (c) the table-level fold mirrors the QUALIFY
 semantics bit for bit.
+
+A batch folds only what a consumer reads: the raw values (re-plans read
+them), the column profiles (drift reads them), the duplicate-row count (the
+stats report it) and the table-level fold (the output).  No FD state is
+kept, because nothing reads FD candidates after the prime.
 
 Known limitation, by design: FD corrections and the dedup/uniqueness
 *decisions* are reused from the priming run even after a column re-plan; a
@@ -49,7 +56,7 @@ from repro.llm.base import LLMClient
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import span as obs_span
 from repro.obs.lineage import LineageRecorder
-from repro.profiling.incremental import IncrementalDuplicateState, IncrementalFDState
+from repro.profiling.incremental import IncrementalDuplicateState
 from repro.profiling.mergeable import MergeableColumnProfile
 from repro.sql.database import Database
 from repro.stream.drift import ColumnDrift, DriftConfig, DriftDetector
@@ -189,7 +196,6 @@ class StreamingCleaner:
         self._raw_values: Optional[List[List[Any]]] = None
         self._raw_profiles: Dict[str, MergeableColumnProfile] = {}
         self._duplicates = IncrementalDuplicateState()
-        self._fd_state: Optional[IncrementalFDState] = None
         self._table_state: Optional[TableLevelState] = None
         self._cleaned_dtypes: Optional[List[ColumnType]] = None
         self._replans = 0
@@ -265,12 +271,6 @@ class StreamingCleaner:
         ]
         return Table(self.name, columns)
 
-    def fd_candidates(self, min_score: float = 0.9):
-        """Incrementally maintained FD candidates over all raw rows so far."""
-        if self._fd_state is None:
-            return []
-        return self._fd_state.candidates(min_score=min_score)
-
     def reset(self) -> None:
         """Forget the plan and all state; the next batch primes afresh."""
         self.plan = None
@@ -279,7 +279,6 @@ class StreamingCleaner:
         self._raw_values = None
         self._raw_profiles = {}
         self._duplicates = IncrementalDuplicateState()
-        self._fd_state = None
         self._table_state = None
         self._cleaned_dtypes = None
         self.lineage.reset()
@@ -409,7 +408,6 @@ class StreamingCleaner:
     def _ingest_raw(self, batch: Table) -> None:
         if self._raw_values is None:
             self._raw_values = [list(c.values) for c in batch.columns]
-            self._fd_state = IncrementalFDState(batch.column_names)
             for column in batch.columns:
                 self._raw_profiles[column.name] = MergeableColumnProfile(column.name)
         else:
@@ -418,7 +416,6 @@ class StreamingCleaner:
         for column in batch.columns:
             self._raw_profiles[column.name].update(column)
         self._duplicates.update(batch)
-        self._fd_state.update(batch)
 
     def _raw_row_count(self) -> int:
         return len(self._raw_values[0]) if self._raw_values else 0

@@ -8,10 +8,10 @@ for cell:
 
 * partition keys use the executor's ``_hashable`` normalisation (NULL folds
   to one key; unhashable values stringify);
-* keep-order uses the executor's ``_sort_key`` (NULLs last, numerics by
-  value, strings lexicographic, DESC inverted) with Python's stable sort, so
-  ties keep the earliest row — exactly what ``ORDER BY`` + stable sort does
-  in the executor;
+* keep-order uses the executor's ``_sort_key`` (numbers by value before
+  text by code point, DESC reversing both, NULL and NaN last either way)
+  and the least key wins, ties going to the earliest row — exactly the row
+  the executor's QUALIFY keeps;
 * output preserves input row order, like QUALIFY filtering a SELECT.
 
 The fold is incremental per key, and its state is O(distinct keys):

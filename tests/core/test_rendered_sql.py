@@ -51,7 +51,7 @@ def rendered_sql_hashes(name: str) -> Dict[str, str]:
         "sql_script": result.sql_script,
         "emit": plan.emit(),
         "emit_sqlite": plan.emit(SqliteDialect()),
-        "replay_chain": "\n;\n".join(query for _, _, query, _ in chain),
+        "replay_chain": "\n;\n".join(prepared.text for _, _, prepared in chain),
     }
     return {key: hashlib.sha256(text.encode("utf-8")).hexdigest() for key, text in texts.items()}
 

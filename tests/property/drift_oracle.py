@@ -1,25 +1,38 @@
 """Full-scan oracle for the drift detector's folded signals.
 
-The detector reads each profile's shape mix from the counter the profile
-folds per batch, and counts new-value mass over the plan-time values.  The
-functions here are the whole-column versions they replaced: re-shape every
-distinct value, scan every current value.  Tests require identical results.
+The detector reads each profile's top values and shape mix from what the
+profile folds per batch, and counts new-value mass over the plan-time
+values.  The functions here are the whole-column versions they replaced:
+rank every distinct value with ``most_common``, re-shape every distinct
+value, scan every current value.  Tests require identical results.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.llm.semantic import value_shape
-from repro.profiling.mergeable import MergeableColumnProfile
+from repro.profiling.mergeable import TOP_K, MergeableColumnProfile
 from repro.stream.drift import (
     MAX_UNIQUE_RATIO,
     MIN_ROWS,
     ColumnDrift,
     DriftConfig,
-    _top_distribution,
     _total_variation,
 )
+
+
+def top_values(profile: MergeableColumnProfile) -> List[Tuple[str, int]]:
+    """The ``TOP_K`` most common values, ranked by a scan of every count."""
+    return profile.counts.most_common(TOP_K)
+
+
+def top_distribution(profile: MergeableColumnProfile) -> Dict[str, float]:
+    top = top_values(profile)
+    total = sum(count for _, count in top)
+    if not total:
+        return {}
+    return {value: count / total for value, count in top}
 
 
 def shape_counts(profile: MergeableColumnProfile) -> Dict[str, int]:
@@ -62,7 +75,7 @@ def profile_distance(
     def null_fraction(profile: MergeableColumnProfile) -> float:
         return profile.null_count / profile.row_count if profile.row_count else 0.0
 
-    frequency = _total_variation(_top_distribution(baseline), _top_distribution(current))
+    frequency = _total_variation(top_distribution(baseline), top_distribution(current))
     null_shift = abs(null_fraction(baseline) - null_fraction(current))
     pattern = _total_variation(shape_distribution(baseline), shape_distribution(current))
     new_mass = new_value_mass(frozenset(baseline.counts), current)

@@ -6,6 +6,8 @@ sort treated NaN as equal to every value.  The properties pin the repaired
 contract: ``_compare`` is a deterministic *total order* over floats
 (including NaN and the infinities, with NaN greatest) and ``_sort_key``
 produces keys that are always mutually comparable, with NaN/NULL last.
+Over mixed storage types the keys order numbers before text, text by code
+point (a prefix first), and DESC reverses exactly that, NULLs still last.
 """
 
 import functools
@@ -20,6 +22,22 @@ from repro.sql.executor import _sort_key
 
 all_floats = st.floats(allow_nan=True, allow_infinity=True)
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+mixed_values = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.text(alphabet="ab\x00é0", max_size=4),
+)
+
+
+def _storage_rank(value):
+    """Reference order of non-null values: numbers by value, then text by code point."""
+    if isinstance(value, (bool, int, float)):
+        return (0, int(value) if isinstance(value, bool) else value)
+    return (1, str(value))
 
 
 def _rank(value: float):
@@ -94,8 +112,23 @@ class TestSortKeyTotality:
 
     @given(all_floats)
     def test_nan_and_null_share_the_last_bucket(self, value):
-        key = _sort_key(value, False)
-        if is_null(value):
-            assert key == (1, "")
-        else:
-            assert key[0] == 0
+        for descending in (False, True):
+            key, last = _sort_key(value, descending), _sort_key(None, descending)
+            if is_null(value):
+                assert key == last
+            else:
+                assert key < last
+
+    @settings(max_examples=200)
+    @given(st.lists(mixed_values, max_size=20))
+    def test_mixed_types_sort_like_storage_classes_in_both_directions(self, values):
+        ascending = sorted(values, key=lambda v: _sort_key(v, False))
+        descending = sorted(values, key=lambda v: _sort_key(v, True))
+        real = [v for v in ascending if not is_null(v)]
+        assert ascending[len(real):] == [v for v in values if is_null(v)]
+        assert descending[len(real):] == [v for v in values if is_null(v)]
+        assert [_storage_rank(v) for v in real] == sorted(_storage_rank(v) for v in values if not is_null(v))
+        # DESC is the reverse order; equal keys keep their input order.
+        assert [_storage_rank(v) for v in descending[: len(real)]] == sorted(
+            (_storage_rank(v) for v in real), reverse=True
+        )

@@ -24,6 +24,7 @@ from repro.profiling import (
     duplicate_row_count,
     profile_column,
 )
+from repro.profiling.mergeable import TOP_K
 from repro.stream import DriftConfig, profile_distance
 
 cell_text = st.text(
@@ -91,6 +92,31 @@ class TestMergeableColumnProfile:
         assert (prefix.row_count, prefix.null_count) == (fresh.row_count, fresh.null_count)
         assert list(prefix.counts.items()) == list(fresh.counts.items())
         assert list(prefix.shapes.items()) == list(fresh.shapes.items())
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=TOP_K, max_value=200),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_incremental_top_equals_most_common_of_whole_column(self, rng, size, extra, window):
+        # A few more distinct values than the profile ranks, drawn evenly,
+        # plus NULLs and numbers that stringify like text: the top fills,
+        # counts tie at its boundary, and values that lagged catch up with
+        # its last member.
+        pool = [None, 1, "1", 2.5] + [f"v{i}" for i in range(TOP_K + extra - 2)]
+        values = [rng.choice(pool) for _ in range(size)]
+        cuts = sorted(rng.randrange(size + 1) for _ in range(rng.randrange(5)))
+        incremental = MergeableColumnProfile("c")
+        for part in partitions(values, cuts):
+            incremental.update(part)
+        whole = MergeableColumnProfile.of(Column("c", values, ColumnType.VARCHAR))
+        assert incremental.top() == drift_oracle.top_values(whole)
+        assert incremental.top() == drift_oracle.top_values(incremental)
+        head = Column("c", values[:window], ColumnType.VARCHAR)
+        prefix = incremental.prefix(head)
+        assert prefix.top() == drift_oracle.top_values(MergeableColumnProfile.of(head))
 
 
 # Short digit/letter strings with a few shapes, so baseline and current share

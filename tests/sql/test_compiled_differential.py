@@ -29,8 +29,8 @@ from repro.dataframe.table import Table
 from repro.sql.catalog import Catalog
 from repro.sql.compiler import ColumnarBinding
 from repro.sql.errors import ExecutionError
-from repro.sql.executor import Executor
-from repro.sql.parser import parse, parse_expression
+from repro.sql.executor import Executor, PreparedStatement
+from repro.sql.parser import parse_expression
 
 
 def make_catalog(tables):
@@ -56,7 +56,7 @@ def mixed_table():
 def run_engine(catalog, sql, compiled):
     executor = Executor(catalog, compiled=compiled)
     try:
-        result = executor.execute(parse(sql))
+        result = executor.execute(PreparedStatement(sql))
     except Exception as error:  # noqa: BLE001 - errors are part of the contract
         return ("error", type(error), str(error))
     return ("table", result)
@@ -203,13 +203,16 @@ DETERMINISTIC_QUERIES = [
     "SELECT k AS id, mixed FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY mixed ORDER BY k DESC) = 1",
     "SELECT k, CASE grp WHEN 'a' THEN 'A' ELSE grp END AS grp FROM t WHERE val > -5 QUALIFY ROW_NUMBER() OVER (PARTITION BY txt ORDER BY val DESC) = 1",
     "SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY CAST(mixed AS VARCHAR) ORDER BY val DESC) = 1",
+    # sort keys over a mixed-type column: numbers before text, NULL/NaN last
+    "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY 1 ORDER BY mixed) = 1",
+    "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY 1 ORDER BY mixed DESC) = 1",
+    "SELECT k, mixed FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY grp ORDER BY mixed DESC) = 1",
 ]
 
 # Legacy error behaviours the interpreter has always had (TypeError on
-# uncomparable sort keys): the compiled engine must reproduce them exactly,
-# whatever the class and message.
+# negated text): the compiled engine must reproduce them exactly, whatever
+# the class and message.
 LEGACY_ERROR_PARITY_QUERIES = [
-    "SELECT k FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY 1 ORDER BY mixed) = 1",
     "SELECT k FROM t WHERE -txt = 1",
     "SELECT -txt FROM t",
 ]
@@ -284,8 +287,9 @@ def test_compiled_false_yields_reference_closures(monkeypatch):
     expr = parse_expression("k > 2 AND grp IN ('a')")
 
     def closure_name(executor):
-        binding = ColumnarBinding(executor, ["k", "grp"], [[1, 2], ["a", "b"]])
+        binding = ColumnarBinding(["k", "grp"], executor.compiled)
         fn = binding.compile(expr)
+        binding.load([[1, 2], ["a", "b"]])
         assert [fn(0), fn(1)] == [False, False]
         return fn.__name__
 

@@ -14,18 +14,20 @@ must parse, and must produce the same table (or the same error) under
 from __future__ import annotations
 
 import math
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import ROW_ID_COLUMN
-from repro.core.dialects import ReproDialect
+from repro.core.dialects import ReproDialect, SqliteDialect
 from repro.core.plan import PlanStep
 from repro.dataframe.schema import ColumnType, is_null
 from repro.dataframe.table import Table
 from repro.sql.database import Database
 from repro.sql.parser import parse
+from repro.stream.state import TableLevelState, table_level_survivors
 
 REPRO = ReproDialect()
 
@@ -137,3 +139,83 @@ def test_every_step_kind_runs_alike_on_both_engines(kind, data):
     compiled = run(table, statement, compiled=True)
     reference = run(table, statement, compiled=False)
     assert_identical(statement, compiled, reference)
+
+
+# Keep-best uniqueness orders each key's rows by the order column, DESC, and
+# keeps the first.  The order is one total order over storage classes, as
+# SQL engines sort: numbers by value before text by code point (so a prefix
+# sorts first), NULL and NaN last in both directions.  The stream fold keeps
+# its winners by the same key.
+KEEP_BEST_CASES = [
+    # (order values of one key, row the step keeps)
+    (["a", "ab"], 1),
+    (["ab", "a"], 0),
+    (["", "a"], 1),
+    ([1, "x"], 1),
+    (["x", 1], 0),
+    ([10, "9"], 1),
+    ([2.5, 3, True], 1),
+    ([None, "a"], 1),
+    ([math.nan, -1], 1),
+    ([None, math.nan], 0),
+    (["b", "b"], 0),
+    (["é", "é", "z"], 0),
+]
+
+
+def _keep_best(order_values, compiled):
+    n = len(order_values)
+    table = Table.from_dict("src", {ROW_ID_COLUMN: list(range(n)), "k": ["k"] * n, "o": list(order_values)})
+    step = PlanStep("unique", "surface", "k", "dst", {"column": "k", "order_column": "o"})
+    kind, result = run(table, step.render("src", "dst", ["k", "o"], dialect=REPRO), compiled)[:2]
+    assert kind == "table", result
+    return step, table, result.column(ROW_ID_COLUMN).values
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("order_values, kept", KEEP_BEST_CASES)
+def test_keep_best_desc_orders_text_prefixes_and_mixed_types(order_values, kept, compiled):
+    step, table, kept_ids = _keep_best(order_values, compiled)
+    assert kept_ids == [kept]
+    rows = [(i, (k, o)) for i, k, o in zip(*(c.values for c in table.columns))]
+    assert [row_id for row_id, _ in table_level_survivors([step], rows, ["k", "o"])] == [kept]
+    state = TableLevelState([step], ["k", "o"])
+    for row in rows:
+        state.apply_batch([row])
+    assert list(state.survivors) == [kept]
+
+
+# Order values sqlite stores as they are in an untyped column: no affinity
+# converts them, so both engines compare the same storage classes.  Values
+# are distinct (1 and 1.0 count as equal), because SQL leaves the winner
+# among equal order values unspecified.
+SQLITE_ORDER_VALUES = st.lists(
+    st.one_of(
+        st.none(),
+        st.integers(-(2**62), 2**62),
+        st.floats(allow_nan=False, allow_infinity=True),
+        st.text(alphabet="aAbz09 é中", max_size=4),
+    ),
+    max_size=10,
+    unique_by=lambda v: ("n", float(v)) if isinstance(v, (int, float)) else ("t", v),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_values=SQLITE_ORDER_VALUES, keys=st.lists(st.sampled_from("ab"), min_size=10, max_size=10))
+def test_keep_best_keeps_the_row_sqlite_keeps(order_values, keys):
+    n = len(order_values)
+    keys = keys[:n]
+    step = PlanStep("unique", "surface", "k", "dst", {"column": "k", "order_column": "o"})
+    table = Table.from_dict("src", {ROW_ID_COLUMN: list(range(n)), "k": keys, "o": order_values})
+    kind, result = run(table, step.render("src", "dst", ["k", "o"], dialect=REPRO), True)[:2]
+    assert kind == "table", result
+    connection = sqlite3.connect(":memory:")
+    try:
+        connection.execute(f'CREATE TABLE src ("{ROW_ID_COLUMN}", k, o)')
+        connection.executemany("INSERT INTO src VALUES (?, ?, ?)", zip(range(n), keys, order_values))
+        connection.executescript(step.render("src", "dst", ["k", "o"], dialect=SqliteDialect()))
+        from_sqlite = sorted(row[0] for row in connection.execute(f'SELECT "{ROW_ID_COLUMN}" FROM dst'))
+    finally:
+        connection.close()
+    assert result.column(ROW_ID_COLUMN).values == from_sqlite, order_values

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import CocoonCleaner, CleaningPlan, PlanExtractionError, PlanStep, extract_plan
@@ -92,3 +94,26 @@ class TestReplay:
         plan = extract_plan(result)
         with pytest.raises(ValueError, match="do not match plan columns"):
             plan.replay_row_local(ds.dirty)  # missing the row-id column
+
+    def test_replay_prepares_once_and_follows_a_replaced_step(self, hospital_run):
+        ds, result = hospital_run
+        plan = extract_plan(result)
+        working = CocoonCleaner._with_row_ids(ds.dirty, plan.base_table)
+        before = plan.replay_row_local(working)
+        chain = plan._replay_chain(f"{plan.base_table}__replay")
+        plan.replay_row_local(working)
+        assert plan._replay_chain(f"{plan.base_table}__replay") is chain
+
+        # A reviewer's edit is a new step: the next replay renders it afresh.
+        index, step = next(
+            (i, s) for i, s in enumerate(plan.steps) if s.kind == "value_map" and s.payload["mapping"]
+        )
+        old = next(iter(step.payload["mapping"]))
+        edited = dataclasses.replace(step, payload={**step.payload, "mapping": {old: "EDITED"}})
+        plan.steps[index] = edited
+        after = plan.replay_row_local(working)
+        assert plan._replay_chain(f"{plan.base_table}__replay") is not chain
+        column = step.payload["column"]
+        rows = [i for i, v in enumerate(working.column(column).values) if str(v) == old]
+        assert rows and all(after.column(column).values[i] == "EDITED" for i in rows)
+        assert all(before.column(column).values[i] != "EDITED" for i in rows)

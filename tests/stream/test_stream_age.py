@@ -4,18 +4,23 @@ Counts work rather than timing it, over a long upsert-style stream: a
 backfill primes the plan (``unique(record_id) ORDER BY updated_at DESC``,
 the keep-best fold), then 200 micro-batches re-send backfill rows as new
 records or as updates of earlier ones.  The stream is stationary, so every
-batch replays the plan.
+batch replays the plan, and a replayed batch only runs what the prime
+prepared: it renders, parses, plans and compiles nothing, hashes no step
+id, ranks no value counts and folds nothing no consumer reads.
 """
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
 
 import repro.core.plan
+import repro.profiling.incremental
 import repro.profiling.mergeable
-import repro.sql.database
+import repro.sql.compiler
+import repro.sql.executor
 from repro.dataframe import Column, ColumnType, Table
 from repro.dataframe.schema import is_null
 from repro.datasets import load_dataset
@@ -82,8 +87,7 @@ class TestStreamAgeWork:
     def test_value_shape_once_per_distinct_value_and_no_replay_parses(self, monkeypatch, stream_input):
         backfill, batches = stream_input
         shapes = counting(monkeypatch, repro.profiling.mergeable, "value_shape")
-        parses = counting(monkeypatch, repro.sql.database, "parse")
-        parses_in_plan = counting(monkeypatch, repro.core.plan, "parse")
+        parses = counting(monkeypatch, repro.sql.executor, "parse")
 
         stream = StreamingCleaner(backfill.name)
         assert stream.process_batch(backfill).primed
@@ -92,7 +96,7 @@ class TestStreamAgeWork:
             for s in stream.plan.steps
         ), [s.to_dict() for s in stream.plan.table_level_steps]
         assert stream.plan.row_local_steps
-        parses_after_prime = len(parses) + len(parses_in_plan)
+        parses_after_prime = len(parses)
         assert parses_after_prime > 0
 
         results = [stream.process_batch(batch) for batch in batches]
@@ -102,7 +106,7 @@ class TestStreamAgeWork:
 
         # The replay chain was parsed during the prime's replay; no later
         # batch parses a statement again.
-        assert len(parses) + len(parses_in_plan) == parses_after_prime
+        assert len(parses) == parses_after_prime
 
         # Each column's distinct values are shaped once, over prime and
         # replay alike: priming does not re-shape its window for the baseline
@@ -112,6 +116,31 @@ class TestStreamAgeWork:
             for j in range(backfill.num_columns)
         )
         assert len(shapes) == distinct
+
+    def test_replayed_batches_prepare_rank_and_fold_nothing_unread(self, monkeypatch, stream_input):
+        backfill, batches = stream_input
+        stream = StreamingCleaner(backfill.name)
+        assert stream.process_batch(backfill).primed
+
+        # Counted from the first replay on: the prime replayed its window.
+        work = {
+            "plan_select": counting(monkeypatch, repro.sql.executor, "plan_select"),
+            "ColumnarBinding.compile": counting(
+                monkeypatch, repro.sql.compiler.ColumnarBinding, "compile"
+            ),
+            "PlanStep.render": counting(monkeypatch, repro.core.plan.PlanStep, "render"),
+            "lineage_step_id": counting(monkeypatch, repro.core.plan, "lineage_step_id"),
+            "Counter.most_common": counting(monkeypatch, collections.Counter, "most_common"),
+            "IncrementalFDState.update": counting(
+                monkeypatch, repro.profiling.incremental.IncrementalFDState, "update"
+            ),
+        }
+        results = [stream.process_batch(batch) for batch in batches]
+        assert len(results) == BATCHES
+        assert all(r.replayed and not r.drifted_columns for r in results)
+        assert stream.stats.retractions > 0
+        assert any(r.drift for r in results)
+        assert {name: len(calls) for name, calls in work.items()} == dict.fromkeys(work, 0)
 
     def test_fold_state_bounded_by_keys(self, stream_input):
         backfill, batches = stream_input
