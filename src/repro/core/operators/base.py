@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import compress
+from operator import is_not, itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.context import ROW_ID_COLUMN, CleaningContext
 from repro.core.hil import HumanInTheLoop
@@ -113,11 +115,15 @@ class CleaningOperator(abc.ABC):
         before = context.current_table()
         context.db.sql(sql)
         after = context.db.table(target_table)
-        result.repairs, result.removed_row_ids = diff_tables(
-            before, after, issue_type=self.issue_type, reason=finding.llm_summary
-        )
+        with obs_span("core.diff"):
+            result.repairs, result.removed_row_ids = diff_tables(
+                before, after, issue_type=self.issue_type, reason=finding.llm_summary
+            )
         if context.lineage is not None:
-            self._record_lineage(context, before, after, result.removed_row_ids, step)
+            # Records join the target's span, not the recording span.
+            span_ref = obs_current_ref()
+            with obs_span("lineage.record"):
+                self._record_lineage(context, before, after, result.removed_row_ids, step, span_ref)
         context.advance(target_table)
         result.sql = sql
         result.step = step
@@ -131,10 +137,10 @@ class CleaningOperator(abc.ABC):
         after: Table,
         removed: List[int],
         step: PlanStep,
+        span_ref: Optional[Tuple[str, int]],
     ) -> None:
         """Record this step's strict cell diff + removals into the context recorder."""
         step_id = step.step_id
-        span_ref = obs_current_ref()
         # The last ``_llm_calls`` history entries are exactly this target's
         # calls (take_llm_calls resets the counter after every target).
         history = context.llm.history
@@ -194,35 +200,18 @@ def diff_tables(
     reason: str,
 ) -> Tuple[List[CellRepair], List[int]]:
     """Cell-level diff between two versions of a table keyed by the row-id column."""
-    shared_columns = _compared_columns(before, after)
-    after_index: Dict[Any, int] = {}
-    after_ids = after.column(ROW_ID_COLUMN).values
-    for i, row_id in enumerate(after_ids):
-        after_index[row_id] = i
-    repairs: List[CellRepair] = []
-    removed: List[int] = []
-    before_ids = before.column(ROW_ID_COLUMN).values
-    before_cols = {c: before.column(c).values for c in shared_columns}
-    after_cols = {c: after.column(c).values for c in shared_columns}
-    for i, row_id in enumerate(before_ids):
-        j = after_index.get(row_id)
-        if j is None:
-            removed.append(int(row_id))
-            continue
-        for column in shared_columns:
-            old = before_cols[column][i]
-            new = after_cols[column][j]
-            if _cell_changed(old, new):
-                repairs.append(
-                    CellRepair(
-                        row_id=int(row_id),
-                        column=column,
-                        old_value=old,
-                        new_value=new,
-                        issue_type=issue_type,
-                        reason=reason,
-                    )
-                )
+    removed, cells = _step_diff(before, after, _cell_changed)
+    repairs = [
+        CellRepair(
+            row_id=row_id,
+            column=column,
+            old_value=old,
+            new_value=new,
+            issue_type=issue_type,
+            reason=reason,
+        )
+        for row_id, column, old, new in cells
+    ]
     return repairs, removed
 
 
@@ -236,24 +225,50 @@ def strict_table_edits(before: Table, after: Table) -> List[Tuple[int, str, Any,
     representation changes such as a cast turning ``'12'`` into ``12.0``.
     Rows absent from ``after`` are skipped (they are recorded as removals).
     """
-    shared_columns = _compared_columns(before, after)
-    after_index: Dict[Any, int] = {}
-    for i, row_id in enumerate(after.column(ROW_ID_COLUMN).values):
-        after_index[row_id] = i
+    return _step_diff(before, after, values_strictly_differ)[1]
+
+
+def _step_diff(
+    before: Table, after: Table, predicate: Callable[[Any, Any], bool]
+) -> Tuple[List[int], List[Tuple[int, str, Any, Any]]]:
+    """``(removed, cells)`` between two versions keyed by the row-id column.
+
+    ``removed`` lists the row ids ``after`` lacks; ``cells`` holds
+    ``(row_id, column, old, new)`` per compared cell ``predicate`` flags.
+    Both come in the order of a row-by-row, column-by-column scan of
+    ``before``.  The predicate is called only where the two cells are
+    different objects.  That is exact for both step predicates over the
+    values a table holds: on ``x is x``, a NULL (None or float NaN) returns
+    early as unchanged, ``x != x`` is False for every other builtin, and
+    ``str(x) != str(x)`` always is, so neither can flag a cell whose object
+    a statement handed back — as a value-map ``CASE … ELSE col`` does for
+    every cell it leaves alone.  The one value for which this is not so,
+    ``decimal.Decimal('NaN')`` (unequal to itself but not a NULL), is never
+    stored by the engine.
+    """
+    columns = _compared_columns(before, after)
     before_ids = before.column(ROW_ID_COLUMN).values
-    before_cols = {c: before.column(c).values for c in shared_columns}
-    after_cols = {c: after.column(c).values for c in shared_columns}
-    edits: List[Tuple[int, str, Any, Any]] = []
-    for i, row_id in enumerate(before_ids):
-        j = after_index.get(row_id)
-        if j is None:
-            continue
-        for column in shared_columns:
-            old = before_cols[column][i]
-            new = after_cols[column][j]
-            if values_strictly_differ(old, new):
-                edits.append((int(row_id), column, old, new))
-    return edits
+    kept: Optional[List[int]] = None
+    removed: List[int] = []
+    if before.column(ROW_ID_COLUMN) is not after.column(ROW_ID_COLUMN):
+        after_ids = after.column(ROW_ID_COLUMN).values
+        after_index = dict(zip(after_ids, range(len(after_ids))))
+        positions = list(map(after_index.get, before_ids))
+        kept = [i for i, j in enumerate(positions) if j is not None]
+        at = [positions[i] for i in kept]
+        removed = [int(before_ids[i]) for i, j in enumerate(positions) if j is None]
+    hits: List[Tuple[int, int, str, Any, Any]] = []
+    for rank, column in enumerate(columns):
+        olds = before.column(column).values
+        news = after.column(column).values
+        if kept is not None:
+            olds = [olds[i] for i in kept]
+            news = [news[j] for j in at]
+        for k in compress(range(len(olds)), map(is_not, olds, news)):
+            if predicate(olds[k], news[k]):
+                hits.append((k if kept is None else kept[k], rank, column, olds[k], news[k]))
+    hits.sort(key=itemgetter(0, 1))
+    return removed, [(int(before_ids[i]), column, old, new) for i, _rank, column, old, new in hits]
 
 
 def _compared_columns(before: Table, after: Table) -> List[str]:

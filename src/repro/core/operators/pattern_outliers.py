@@ -48,7 +48,8 @@ class PatternOutlierOperator(CleaningOperator):
         if not value_counts or profile.distinct_count <= 1:
             result.skipped_reason = "not enough distinct values for pattern analysis"
             return result
-        values = context.current_table().column(column_name).values
+        # The helpers read the dictionary codes the column's profile encoded.
+        column = context.current_table().column(column_name)
 
         patterns: List[str] = []
         for _round in range(self.max_generation_rounds):
@@ -57,10 +58,10 @@ class PatternOutlierOperator(CleaningOperator):
             if generated is None:
                 break
             patterns = [p for p in generated.get("Patterns", []) if isinstance(p, str) and p.strip()]
-            if match_fraction(values, patterns) >= self.coverage_threshold:
+            if match_fraction(column, patterns) >= self.coverage_threshold:
                 break
         # Empty when no pattern compiles: pattern_counts drops the ones that do not.
-        counts = pattern_counts(values, patterns)
+        counts = pattern_counts(column, patterns)
         if not counts:
             result.skipped_reason = "no usable patterns generated"
             result.llm_calls = self.take_llm_calls()
@@ -86,7 +87,7 @@ class PatternOutlierOperator(CleaningOperator):
             return result
 
         standard_pattern = str(consistency.get("StandardPattern", "")) if consistency else ""
-        outliers = non_matching_values(values, standard_pattern)
+        outliers = non_matching_values(column, standard_pattern)
         if not outliers:
             result.llm_calls = self.take_llm_calls()
             return result

@@ -12,6 +12,7 @@ import datetime as _dt
 import enum
 import math
 import re
+from collections import Counter
 from typing import Any, Iterable, Optional
 
 
@@ -114,13 +115,58 @@ def parse_timestamp(text: str) -> Optional[_dt.datetime]:
     return None
 
 
+#: The runtime types whose storage type follows from the type alone.
+_STORAGE_TYPES = {
+    bool: ColumnType.BOOLEAN,
+    int: ColumnType.INTEGER,
+    float: ColumnType.DOUBLE,
+    _dt.datetime: ColumnType.TIMESTAMP,
+    _dt.date: ColumnType.DATE,
+    str: ColumnType.VARCHAR,
+}
+
+
 def infer_storage_type(values: Iterable[Any]) -> ColumnType:
     """Infer a column type from the *runtime* Python types of the values.
 
     Unlike :func:`infer_type`, digit strings stay VARCHAR: this describes how
     the values are currently stored, which is what the database catalog
     reports and what the column-type cleaning operator reasons about.
+
+    NULL (None or NaN) and ``""`` are skipped.  When every value is ``None``
+    or of one of the six builtin types above, the answer follows from the set
+    of types: only a ``float`` (is one not NaN?) and a ``str`` (is one not
+    empty?) need a look at the cells.  Any other type — a subclass, an
+    ``IntEnum``, a ``Decimal`` — is classified value by value.
     """
+    values = values if isinstance(values, list) else list(values)
+    counts = Counter(map(type, values))
+    counts.pop(type(None), None)
+    if counts.keys() <= _STORAGE_TYPES.keys():
+        saw = {_STORAGE_TYPES[kind] for kind in counts}
+        if float in counts and not any(v == v for v in values if type(v) is float):
+            saw.discard(ColumnType.DOUBLE)
+        if str in counts and values.count("") == counts[str]:
+            saw.discard(ColumnType.VARCHAR)
+    else:
+        saw = _storage_types_per_value(values)
+    if not saw:
+        return ColumnType.VARCHAR
+    if saw == {ColumnType.BOOLEAN}:
+        return ColumnType.BOOLEAN
+    if saw <= {ColumnType.INTEGER}:
+        return ColumnType.INTEGER
+    if saw <= {ColumnType.INTEGER, ColumnType.DOUBLE}:
+        return ColumnType.DOUBLE
+    if saw == {ColumnType.DATE}:
+        return ColumnType.DATE
+    if saw <= {ColumnType.DATE, ColumnType.TIMESTAMP}:
+        return ColumnType.TIMESTAMP
+    return ColumnType.VARCHAR
+
+
+def _storage_types_per_value(values: Iterable[Any]) -> set:
+    """The storage types of the non-NULL, non-``""`` values, classified one by one."""
     saw: set = set()
     for value in values:
         if is_null(value) or value == "":
@@ -137,19 +183,7 @@ def infer_storage_type(values: Iterable[Any]) -> ColumnType:
             saw.add(ColumnType.DATE)
         else:
             saw.add(ColumnType.VARCHAR)
-    if not saw:
-        return ColumnType.VARCHAR
-    if saw == {ColumnType.BOOLEAN}:
-        return ColumnType.BOOLEAN
-    if saw <= {ColumnType.INTEGER}:
-        return ColumnType.INTEGER
-    if saw <= {ColumnType.INTEGER, ColumnType.DOUBLE}:
-        return ColumnType.DOUBLE
-    if saw == {ColumnType.DATE}:
-        return ColumnType.DATE
-    if saw <= {ColumnType.DATE, ColumnType.TIMESTAMP}:
-        return ColumnType.TIMESTAMP
-    return ColumnType.VARCHAR
+    return saw
 
 
 def infer_type(values: Iterable[Any]) -> ColumnType:

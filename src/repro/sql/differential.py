@@ -132,12 +132,15 @@ def run_plan_sqlite(plan: CleaningPlan, dirty_with_ids: Table) -> List[Dict[str,
     Returns the final table's rows as dicts.  The dirty data is loaded with
     typed columns so sqlite's storage classes mirror the in-process column
     types (bools as 0/1, dates as ISO text — sqlite has no richer classes).
+    A column whose values mix numbers and text is declared with no type
+    (BLOB affinity), so each cell keeps its storage class as it does in
+    process; TEXT affinity would turn its numbers into text.
     """
     dialect = SqliteDialect()
     connection = sqlite3.connect(":memory:")
     try:
         column_defs = ", ".join(
-            f"{dialect.quote_identifier(col.name)} {_SQLITE_TYPES.get(col.dtype, 'TEXT')}"
+            f"{dialect.quote_identifier(col.name)} {_sqlite_type(col)}".rstrip()
             for col in dirty_with_ids.columns
         )
         table_sql = dialect.quote_identifier(plan.base_table)
@@ -157,6 +160,16 @@ def run_plan_sqlite(plan: CleaningPlan, dirty_with_ids: Table) -> List[Dict[str,
         return [dict(zip(names, row)) for row in cursor.fetchall()]
     finally:
         connection.close()
+
+
+def _sqlite_type(column: Column) -> str:
+    """The declared sqlite type of a loaded column; empty for mixed numbers and text."""
+    declared = _SQLITE_TYPES.get(column.dtype, "TEXT")
+    values = column.values
+    if declared == "TEXT" and str in map(type, values):
+        if any(type(v) in (int, float) and v == v for v in values):
+            return ""
+    return declared
 
 
 def _bind_value(value: Any) -> Any:

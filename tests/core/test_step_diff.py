@@ -113,6 +113,71 @@ class TestParityWithFullDiff:
         assert [(row, col) for row, col, _, _ in edits] == [(0, "b"), (1, "b"), (2, "b")]
 
 
+class TestIdentityFilter:
+    """The diffs call their predicates only on cells whose objects differ.
+
+    Equal values held as distinct objects must still reach the predicates,
+    the very same object (NaN included) on both sides must not be reported,
+    and a cast column, all new objects, is compared cell by cell.
+    """
+
+    @staticmethod
+    def _assert_parity(before, after):
+        repairs, removed = diff_tables(before, after, "t", "r")
+        expected_repairs, expected_removed = diff_tables_baseline(before, after, "t", "r")
+        assert _repair_keys(repairs) == _repair_keys(expected_repairs)
+        assert removed == expected_removed
+        edits = strict_table_edits(before, after)
+        assert _edit_keys(edits) == _edit_keys(strict_table_edits_baseline(before, after))
+        return repairs, edits
+
+    @pytest.mark.parametrize("same_rows", [True, False], ids=["shared-ids", "copied-ids"])
+    def test_equal_values_as_distinct_objects(self, same_rows):
+        # Built at run time, so each value is its own object.
+        olds = ["".join(["a", "b"]), int("1000"), float("2.5"), float("nan"), str(12)]
+        news = ["".join(["a", "b"]), int("1000"), float("2.5"), float("nan"), 12.0]
+        assert all(old is not new for old, new in zip(olds, news))
+        ids = Column(ROW_ID_COLUMN, list(range(len(olds))))
+        after_ids = ids if same_rows else Column(ROW_ID_COLUMN, list(ids.values))
+        before = Table("before", [ids, Column("a", olds)])
+        after = Table("after", [after_ids, Column("a", news)])
+        repairs, edits = self._assert_parity(before, after)
+        assert _repair_keys(repairs) == []
+        assert [(row, col) for row, col, _, _ in edits] == [(4, "a")]
+
+    def test_same_nan_object_on_both_sides(self):
+        nan = float("nan")
+        ids = Column(ROW_ID_COLUMN, [0, 1, 2])
+        before = Table("before", [ids, Column("a", [nan, 1, nan])])
+        after = Table("after", [ids, Column("a", [nan, 2, None])])
+        repairs, edits = self._assert_parity(before, after)
+        assert [(r.row_id, r.column) for r in repairs] == [(1, "a")]
+        assert [(row, col) for row, col, _, _ in edits] == [(1, "a")]
+
+    def test_cast_column_all_new_objects(self):
+        texts = ["12", " 7", "x", None, "3.5", "0"]
+        ids = Column(ROW_ID_COLUMN, list(range(len(texts))))
+        other = Column("b", ["p", "q", "r", "s", "t", "u"])
+        before = Table("before", [ids, Column("a", texts), other])
+        cast = [None if t is None or t == "x" else float(t) for t in texts]
+        after = Table("after", [ids, Column("a", cast), other])
+        repairs, edits = self._assert_parity(before, after)
+        # Only the failed cast changes the canonical text; "3.5" → 3.5 prints alike.
+        assert [r.row_id for r in repairs] == [2]
+        assert [row for row, _, _, _ in edits] == [0, 1, 2, 5]
+
+    def test_removed_and_reordered_rows_keep_scan_order(self):
+        ids = Column(ROW_ID_COLUMN, [10, 11, 12, 13])
+        before = Table("before", [ids, Column("a", [1, 2, 3, 4]), Column("b", ["w", "x", "y", "z"])])
+        after = Table(
+            "after",
+            [Column(ROW_ID_COLUMN, [13, 10, 12]), Column("b", ["Z", "w", "Y"]), Column("a", [40, 1, 3])],
+        )
+        repairs, edits = self._assert_parity(before, after)
+        assert [(r.row_id, r.column) for r in repairs] == [(12, "b"), (13, "b"), (13, "a")]
+        assert diff_tables(before, after, "t", "r")[1] == [11]
+
+
 class TestMissingRowIds:
     """Both diffs reject a table without the row-id column the same way."""
 

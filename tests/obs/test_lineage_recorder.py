@@ -302,6 +302,32 @@ class TestSpanRefs:
         assert traced, "lineage records must carry trace refs when tracing is on"
         assert {r["span_id"] for r in traced} <= _span_ids(tracer)
 
+    def test_step_diff_spans_and_the_span_records_name(self, hospital, tracer):
+        """Each applied step opens ``core.diff`` and ``lineage.record`` under its
+        operator's span; the step's records name that operator span, not the
+        recording span."""
+        obs.configure(enabled=True)
+        result = CocoonCleaner().clean(hospital)
+        spans = {}
+        parents = {}
+
+        def walk(span, parent):
+            spans[span.span_id] = span
+            parents[span.span_id] = parent
+            for child in span.children:
+                walk(child, span)
+
+        for trace_id in tracer.trace_ids():
+            for fragment in tracer.fragments(trace_id):
+                walk(fragment, None)
+        steps = sum(op.step is not None for op in result.operator_results)
+        for name in ("core.diff", "lineage.record"):
+            opened = [s for s in spans.values() if s.name == name]
+            assert len(opened) == steps > 0
+            assert all(parents[s.span_id].name.startswith("operator.") for s in opened)
+        named = {spans[r["span_id"]].name for r in result.lineage.records}
+        assert named and all(n.startswith("operator.") for n in named)
+
     def test_tracing_disabled_leaves_refs_null(self, hospital, tracer):
         obs.configure(enabled=False)
         result = CocoonCleaner().clean(hospital)

@@ -14,9 +14,19 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.context import ROW_ID_COLUMN
+from repro.core.plan import CleaningPlan, PlanStep
+from repro.dataframe.table import Table
 from repro.datasets.registry import dataset_names
 from repro.scenarios.catalog import builtin_specs
-from repro.sql.differential import run_dataset, run_scenario
+from repro.sql.differential import (
+    DifferentialResult,
+    compare_tables,
+    run_dataset,
+    run_plan_in_process,
+    run_plan_sqlite,
+    run_scenario,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -42,6 +52,32 @@ def test_dataset_differential(name):
 @pytest.mark.parametrize("name", sorted(builtin_specs()))
 def test_scenario_differential(name):
     assert_clean(run_scenario(name))
+
+
+# A keep-best order column mixing numbers and text: sqlite must order the
+# numbers as numbers (before text), as the in-process engine does, so the
+# loaded column keeps each cell's storage class.
+MIXED_ORDER_CASES = [
+    ([9, "10"], [1]),
+    (["10", 9], [0]),
+    ([2.5, "a", 3], [1]),
+    ([100, "2", None, 7.5], [1]),
+]
+
+
+@pytest.mark.parametrize("order_values, kept", MIXED_ORDER_CASES)
+def test_mixed_number_and_text_order_column(order_values, kept):
+    n = len(order_values)
+    dirty = Table.from_dict("base", {ROW_ID_COLUMN: list(range(n)), "k": ["k"] * n, "o": order_values})
+    step = PlanStep("unique", "uniqueness", "k", "base_unique", {"column": "k", "order_column": "o"})
+    plan = CleaningPlan(base_table="base", column_names=["k", "o"], steps=[step])
+    reference = run_plan_in_process(plan, dirty)
+    sqlite_rows = run_plan_sqlite(plan, dirty)
+    assert reference.column(ROW_ID_COLUMN).values == kept
+    assert [row[ROW_ID_COLUMN] for row in sqlite_rows] == kept
+    result = DifferentialResult("mixed", "dataset", rows=n, columns=2, steps=1)
+    compare_tables(reference, sqlite_rows, result)
+    assert_clean(result)
 
 
 def test_cli_reports_success():
