@@ -69,7 +69,7 @@ class RetCleanSystem(CleaningSystem):
         avg_words = sum(len(words_of(v)) for v in non_null) / len(non_null)
         return avg_words >= self.min_word_count
 
-    def _fallback_repairs(self, dirty: Table) -> Dict[Cell, object]:
+    def _misspelling_repairs(self, dirty: Table) -> Dict[Cell, object]:
         repairs: Dict[Cell, object] = {}
         for column in dirty.columns:
             if not self._is_text_column(column.values):
@@ -98,7 +98,7 @@ class RetCleanSystem(CleaningSystem):
     def repair(self, dirty: Table, context: SystemContext) -> SystemOutput:
         repairs = self._retrieve_repairs(dirty, context)
         if not repairs:
-            repairs = self._fallback_repairs(dirty)
+            repairs = self._misspelling_repairs(dirty)
             notes = "no reference tables; fallback typo fixes only"
         else:
             notes = f"retrieved repairs from {len(context.reference_tables)} reference tables"

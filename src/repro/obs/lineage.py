@@ -124,6 +124,8 @@ class LineageRecorder:
             raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
         self.phase = phase
         self.records: List[CellEditRecord] = []
+        # Removal records per row id, so a batch's discard checks only its rows.
+        self._removals: Dict[int, int] = {}
         self._seq = 0
 
     def __len__(self) -> int:
@@ -133,6 +135,12 @@ class LineageRecorder:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _append(self, record: CellEditRecord) -> None:
+        self.records.append(record)
+        if record["event"] == "remove":
+            row_id = record["row_id"]
+            self._removals[row_id] = self._removals.get(row_id, 0) + 1
 
     def record_edit(
         self,
@@ -168,7 +176,7 @@ class LineageRecorder:
             "span_id": span_ref[1] if span_ref else None,
             "mode": None,
         }
-        self.records.append(record)
+        self._append(record)
         return record
 
     def record_removal(
@@ -203,7 +211,7 @@ class LineageRecorder:
             "span_id": span_ref[1] if span_ref else None,
             "mode": mode,
         }
-        self.records.append(record)
+        self._append(record)
         return record
 
     def record_step_edits(
@@ -246,18 +254,18 @@ class LineageRecorder:
         so the fold discards them when the row is re-emitted.  Returns the
         number of records discarded.
         """
-        ids = set(row_ids) & self.removed_row_ids()
+        ids = {row_id for row_id in row_ids if row_id in self._removals}
         if not ids:
             return 0
-        before = len(self.records)
         self.records = [
             r for r in self.records if not (r["event"] == "remove" and r["row_id"] in ids)
         ]
-        return before - len(self.records)
+        return sum(self._removals.pop(row_id) for row_id in ids)
 
     def reset(self) -> None:
         """Forget everything (a stream re-plan rebuilds lineage from scratch)."""
         self.records = []
+        self._removals = {}
         self._seq = 0
 
     # -- query / explain ---------------------------------------------------------
@@ -277,7 +285,7 @@ class LineageRecorder:
 
     def removed_row_ids(self) -> Set[int]:
         """Rows carrying a removal record (dropped or retracted)."""
-        return {r["row_id"] for r in self.records if r["event"] == "remove"}
+        return set(self._removals)
 
     def changed_cells(self) -> Dict[Tuple[int, str], Tuple[Any, Any]]:
         """Net per-cell change over all edit records, restricted to surviving rows.
@@ -475,6 +483,6 @@ def records_from_docs(docs: Iterable[CellEditRecord]) -> LineageRecorder:
     ordered = sorted(docs, key=lambda r: r["seq"])
     for doc in ordered:
         copied = dict(doc)
-        recorder.records.append(copied)
+        recorder._append(copied)
         recorder._seq = max(recorder._seq, copied["seq"])
     return recorder

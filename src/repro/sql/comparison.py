@@ -2,7 +2,7 @@
 
 One definition of "equal" and "less than" serves the whole engine: ``=``,
 ``<>``, ``<``, ``>``, ``<=``, ``>=``, ``IN`` and simple ``CASE`` in
-:mod:`repro.sql.executor` and its compiled closures.
+:mod:`repro.sql.compiler`'s closures and in the tests' interpreter oracle.
 
 The rules, in order:
 

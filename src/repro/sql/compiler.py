@@ -11,22 +11,18 @@ literal branches become a dictionary built at compile time.  Running the
 statement on another table of the same schema only loads that table's
 vectors; per-row work reduces to closure calls over the loaded vectors.
 
-Parity with the reference interpreter (``Executor._eval``) is the contract,
-not speed at any cost:
+Compile-time work never changes what a statement means:
 
-* every null/short-circuit/error behaviour is mirrored node for node, using
-  the *same* helper functions (``_apply_unary``, ``sql_equal``,
-  ``compare_values``, ``coerce_value``, ``call_scalar``);
-* errors stay **eval-time**: an unknown column compiles into a *raising
-  closure*, so a query over an empty table raises exactly when the
-  interpreter would (never), with identical messages;
-* any expression node the compiler does not recognise falls back to a
-  closure that calls ``Executor._eval`` on a row dict materialised for that
-  row only — behavioural parity is the gate, not coverage.
+* every null/short-circuit/error behaviour follows SQL's three-valued logic
+  through the same shared helpers (``sql_equal``, ``compare_values``,
+  ``coerce_value``, ``call_scalar``);
+* errors stay **eval-time**: an unknown column, or an expression node the
+  compiler does not know, compiles into a *raising closure*, so a query
+  over an empty table raises exactly when a row is evaluated (never).
 
-With ``compiled=False`` every expression compiles to that fallback closure,
-which is how the compiled differential holds the specialised closures to the
-interpreter over the one pipeline.
+``tests/sql/interpreter_oracle.py`` keeps a tree-walking interpreter of the
+same expressions; the compiled differential holds every closure to it, and
+``repro.sql.differential`` holds the whole engine to sqlite3.
 """
 
 from __future__ import annotations
@@ -62,9 +58,8 @@ class ColumnarBinding:
     after each gather.  A binding holds the vectors of one run at a time.
     """
 
-    def __init__(self, names: Sequence[str], compiled: bool):
+    def __init__(self, names: Sequence[str]):
         self.names: List[str] = list(names)
-        self.compiled = compiled
         # Loaded in place, never rebound: every closure holds this list.
         self.vectors: List[List[Any]] = []
         self._slots: Dict[str, int] = {name: j for j, name in enumerate(self.names)}
@@ -73,11 +68,6 @@ class ColumnarBinding:
         """Point every compiled closure at ``vectors`` (one per column slot)."""
         self.vectors[:] = vectors
 
-    # -- row materialisation (fallback path only) ---------------------------
-    def make_row(self, i: int) -> Dict[str, Any]:
-        """The row dict the interpreter would see for row ``i``."""
-        return {name: vec[i] for name, vec in zip(self.names, self.vectors)}
-
     def slot(self, ref: ColumnRef) -> Optional[int]:
         """The slot a column reference resolves to, or None if unknown."""
         return self._slots.get(ref.name)
@@ -85,11 +75,6 @@ class ColumnarBinding:
     # -- scalar compilation -------------------------------------------------
     def compile(self, expr: Expression) -> ScalarFn:
         """Compile ``expr`` to ``fn(i) -> value`` over the loaded vectors."""
-        from repro.sql.executor import _apply_unary, _truthy  # local import: executor imports this module
-
-        if not self.compiled:
-            return self._fallback(expr)
-
         if isinstance(expr, Literal):
             value = expr.value
             return lambda i: value
@@ -208,8 +193,8 @@ class ColumnarBinding:
                 value = operand_fn(i)
                 if is_null(value):
                     return None
-                # Evaluate every item, like the interpreter's list comprehension
-                # (an item that raises must raise even after a match).
+                # Evaluate every item: an item that raises must raise even
+                # after a match.
                 items = [fn(i) for fn in item_fns]
                 found = any((not is_null(item)) and sql_equal(value, item) for item in items)
                 return (not found) if negated else found
@@ -229,18 +214,20 @@ class ColumnarBinding:
             arg_fns = [self.compile(a) for a in expr.args]
             return lambda i: call_scalar(name, [fn(i) for fn in arg_fns])
 
-        # Unknown node: fall back to the reference interpreter for this row.
-        return self._fallback(expr)
+        message = f"Unsupported expression node: {type(expr).__name__}"
+
+        def unsupported(i: int) -> Any:
+            raise ExecutionError(message)
+
+        return unsupported
 
     def _compile_case(self, expr: CaseWhen) -> ScalarFn:
-        from repro.sql.executor import _truthy
-
         default_fn = self.compile(expr.default) if expr.default is not None else None
         if expr.operand is not None:
             subject_fn = self.compile(expr.operand)
             if all(isinstance(cond, Literal) for cond, _ in expr.whens):
                 # CASE col WHEN <literal> ... with literal branches compiles to a
-                # dict lookup (duplicate keys: last wins, like the interpreter).
+                # dict lookup (duplicate keys: last wins, like the interpreter oracle).
                 lookup = {str(cond.value): self.compile(result) for cond, result in expr.whens}
 
                 def case_lookup_fn(i: int) -> Any:
@@ -273,15 +260,19 @@ class ColumnarBinding:
 
         return case_searched_fn
 
-    def _fallback(self, expr: Expression) -> ScalarFn:
-        from repro.sql.executor import Executor
 
-        evaluate = Executor._eval
+def _truthy(value: Any) -> bool:
+    if is_null(value):
+        return False
+    return bool(value)
 
-        def fallback_fn(i: int) -> Any:
-            return evaluate(expr, self.make_row(i))
 
-        return fallback_fn
+def _apply_unary(op: str, value: Any) -> Any:
+    if is_null(value):
+        return None
+    if op == "NOT":
+        return not _truthy(value)
+    return -value
 
 
 def _compile_const_compare(left_fn: ScalarFn, op: str, lit: Any) -> Optional[ScalarFn]:
@@ -291,7 +282,7 @@ def _compile_const_compare(left_fn: ScalarFn, op: str, lit: Any) -> Optional[Sca
     the per-row work of the common ``col = 'x'`` / ``col < 5`` predicates
     drops to a type check and a direct comparison.  Every branch mirrors
     ``sql_equal``/``compare_values`` exactly — numeric operands compare as
-    floats (so oversized ints keep the interpreter's float rounding), NaN
+    floats (so oversized ints keep ``compare_values``' float rounding), NaN
     values read as NULL, and any operand type outside the fast paths falls
     through to the shared helpers.  Literal shapes this function does not
     cover return None and compile through the generic closures.

@@ -35,12 +35,10 @@ class QueryLog:
 class Database:
     """An in-memory SQL database."""
 
-    def __init__(self, name: str = "memory", compiled: Optional[bool] = None) -> None:
-        """``compiled`` passes through to :class:`Executor` (None reads the
-        ``REPRO_SQL_COMPILED`` environment variable)."""
+    def __init__(self, name: str = "memory") -> None:
         self.name = name
         self.catalog = Catalog()
-        self.executor = Executor(self.catalog, compiled=compiled)
+        self.executor = Executor(self.catalog)
         self.query_log = QueryLog()
 
     # -- table management -----------------------------------------------------

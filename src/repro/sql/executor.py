@@ -13,32 +13,25 @@ expressions compile once per source schema into closures
 (:mod:`repro.sql.compiler`).  A one-shot query is prepared and run once; a
 plan replaying the same statements batch after batch prepares them once and
 each batch only scans its table and evaluates the closures over its column
-vectors.  The filter and the qualify stage gather vectors by index,
-projection reuses source vectors where it can, and rows exist as dicts only
-inside the reference interpreter.  Every table the executor builds types
-each column from its values, so a projection over such a table passes an
-unchanged column through as the same (immutable) ``Column`` object.  A
-SELECT without ``FROM`` runs the same pipeline over one zero-column row.
-
-:meth:`Executor._eval` is that reference interpreter: the compiler falls
-back to it for any node it does not specialise, and ``compiled=False``
-compiles *every* expression to its ``_eval`` fallback closure, so the
-compiled differential pins expression semantics over the one pipeline.
+vectors.  The filter and the qualify stage gather vectors by index, and
+projection reuses source vectors where it can; no stage builds a row dict.
+Every table the executor builds types each column from its values, so a
+projection over such a table passes an unchanged column through as the same
+(immutable) ``Column`` object.  A SELECT without ``FROM`` runs the same
+pipeline over one zero-column row.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dataframe.column import Column
-from repro.dataframe.schema import coerce_value, is_null
+from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql.ast_nodes import (
-    BinaryOp,
     CaseWhen,
     Cast,
     ColumnRef,
@@ -46,23 +39,15 @@ from repro.sql.ast_nodes import (
     CreateTableAs,
     Expression,
     FunctionCall,
-    InList,
-    Literal,
     Select,
     Star,
     Statement,
-    UnaryOp,
 )
 from repro.obs import span as obs_span
 from repro.sql.catalog import Catalog
-from repro.sql.comparison import compare_values, sql_equal
-from repro.sql.compiler import ColumnarBinding, ScalarFn
-from repro.sql.errors import ExecutionError
-from repro.sql.functions import call_scalar
+from repro.sql.compiler import ColumnarBinding, ScalarFn, _truthy
 from repro.sql.parser import parse
 from repro.sql.planner import SelectPlan, plan_select
-
-Row = Dict[str, Any]
 
 
 def summarise_sql(query: str, limit: int = 120) -> str:
@@ -78,11 +63,10 @@ def summarise_sql(query: str, limit: int = 120) -> str:
 class PreparedStatement:
     """One statement, parsed, planned and summarised once, run many times.
 
-    The statement's expressions compile once per source schema and
-    expression engine (:meth:`program`); a later run on a table of that
-    schema only scans the table and evaluates the closures.  Parsing waits
-    for the first run, so a one-shot query parses inside its ``sql.query``
-    span.
+    The statement's expressions compile once per source schema
+    (:meth:`program`); a later run on a table of that schema only scans the
+    table and evaluates the closures.  Parsing waits for the first run, so a
+    one-shot query parses inside its ``sql.query`` span.
     """
 
     def __init__(self, text: str):
@@ -91,7 +75,7 @@ class PreparedStatement:
         self.summary = summarise_sql(text)
         self._statement: Optional[Statement] = None
         self._plan: Optional[SelectPlan] = None
-        self._programs: Dict[Tuple[bool, Tuple[str, ...]], _Program] = {}
+        self._programs: Dict[Tuple[str, ...], _Program] = {}
 
     @property
     def statement(self) -> Statement:
@@ -108,12 +92,12 @@ class PreparedStatement:
             self._plan = plan_select(select)
         return self._plan
 
-    def program(self, names: Sequence[str], compiled: bool) -> "_Program":
+    def program(self, names: Sequence[str]) -> "_Program":
         """The compiled closures for a source table with columns ``names``."""
-        key = (compiled, tuple(names))
+        key = tuple(names)
         program = self._programs.get(key)
         if program is None:
-            program = self._programs[key] = _Program(self.plan, names, compiled)
+            program = self._programs[key] = _Program(self.plan, names)
         return program
 
 
@@ -125,8 +109,8 @@ class _Program:
     holds the vectors of one run at a time.
     """
 
-    def __init__(self, plan: SelectPlan, names: Sequence[str], compiled: bool):
-        binding = self.binding = ColumnarBinding(names, compiled)
+    def __init__(self, plan: SelectPlan, names: Sequence[str]):
+        binding = self.binding = ColumnarBinding(names)
         self.lock = threading.Lock()
         self.filter = binding.compile(plan.filter.predicate) if plan.filter is not None else None
         self.partition: List[ScalarFn] = []
@@ -150,27 +134,11 @@ class _Program:
 
 
 class Executor:
-    """Runs :class:`PreparedStatement` objects against a catalog.
+    """Runs :class:`PreparedStatement` objects against a catalog, the
+    table registry queries resolve names against."""
 
-    Parameters
-    ----------
-    catalog:
-        The table registry queries resolve names against.
-    compiled:
-        When True (default), each expression compiles to a specialised
-        closure; when False every expression compiles to the closure that
-        calls the reference interpreter (:meth:`_eval`), inside the same
-        stage pipeline.  ``None`` reads the ``REPRO_SQL_COMPILED``
-        environment variable (any value other than ``"0"`` enables), so
-        differential CI jobs can select the reference closures without
-        touching call sites.
-    """
-
-    def __init__(self, catalog: Catalog, compiled: Optional[bool] = None):
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        if compiled is None:
-            compiled = os.environ.get("REPRO_SQL_COMPILED", "1") != "0"
-        self.compiled = compiled
         # Tables this executor built, by id: their column dtypes are inferred
         # from their values, so a projection may carry those columns over.
         self._emitted: "weakref.WeakValueDictionary[int, Table]" = weakref.WeakValueDictionary()
@@ -189,7 +157,7 @@ class Executor:
         """Run one prepared SELECT over the column vectors of its FROM table."""
         carried: Dict[int, Column] = {}
         names, vectors, n = self._scan(prepared.plan.select.from_table, carried)
-        program = prepared.program(names, self.compiled)
+        program = prepared.program(names)
         with program.lock:
             try:
                 program.binding.load(vectors)
@@ -278,85 +246,6 @@ class Executor:
             sp.annotate(rows_out=n)
         return list(table.column_names), vectors, n
 
-    # -- reference interpreter --------------------------------------------------------------
-    @staticmethod
-    def _eval(expr: Expression, row: Row) -> Any:
-        """Evaluate ``expr`` on one row dict (column name -> value).
-
-        The compiled closures in :mod:`repro.sql.compiler` must agree with
-        this function on every value and every error.
-        """
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, ColumnRef):
-            if expr.name in row:
-                return row[expr.name]
-            raise ExecutionError(f"Unknown column {expr.name!r}; available: {sorted(row)}")
-        if isinstance(expr, UnaryOp):
-            return _apply_unary(expr.op, Executor._eval(expr.operand, row))
-        if isinstance(expr, BinaryOp):
-            if expr.op == "AND":
-                left = Executor._eval(expr.left, row)
-                if left is False:
-                    return False
-                right = Executor._eval(expr.right, row)
-                if right is False:
-                    return False
-                if is_null(left) or is_null(right):
-                    return None
-                return _truthy(left) and _truthy(right)
-            if expr.op == "OR":
-                left = Executor._eval(expr.left, row)
-                if _truthy(left):
-                    return True
-                right = Executor._eval(expr.right, row)
-                if _truthy(right):
-                    return True
-                if is_null(left) or is_null(right):
-                    return None
-                return False
-            return _apply_binary(expr.op, Executor._eval(expr.left, row), Executor._eval(expr.right, row))
-        if isinstance(expr, InList):
-            value = Executor._eval(expr.operand, row)
-            if is_null(value):
-                return None
-            items = [Executor._eval(i, row) for i in expr.items]
-            found = any((not is_null(i)) and sql_equal(value, i) for i in items)
-            return (not found) if expr.negated else found
-        if isinstance(expr, CaseWhen):
-            return Executor._eval_case(expr, row)
-        if isinstance(expr, Cast):
-            return coerce_value(Executor._eval(expr.operand, row), expr.target)
-        if isinstance(expr, FunctionCall):
-            return call_scalar(expr.name, [Executor._eval(a, row) for a in expr.args])
-        raise ExecutionError(f"Unsupported expression node: {type(expr).__name__}")
-
-    @staticmethod
-    def _eval_case(expr: CaseWhen, row: Row) -> Any:
-        if expr.operand is not None:
-            subject = Executor._eval(expr.operand, row)
-            # Fast path: CASE col WHEN <literal> THEN ... with literal branches is a
-            # dictionary lookup; cleaning queries generate hundreds of branches.
-            lookup = getattr(expr, "_literal_lookup", None)
-            if lookup is None and all(isinstance(cond, Literal) for cond, _ in expr.whens):
-                lookup = {str(cond.value): result for cond, result in expr.whens}
-                setattr(expr, "_literal_lookup", lookup)
-            if lookup is not None:
-                if not is_null(subject) and str(subject) in lookup:
-                    return Executor._eval(lookup[str(subject)], row)
-            else:
-                for condition, result in expr.whens:
-                    candidate = Executor._eval(condition, row)
-                    if not is_null(subject) and not is_null(candidate) and sql_equal(subject, candidate):
-                        return Executor._eval(result, row)
-        else:
-            for condition, result in expr.whens:
-                if _truthy(Executor._eval(condition, row)):
-                    return Executor._eval(result, row)
-        if expr.default is not None:
-            return Executor._eval(expr.default, row)
-        return None
-
 
 # --------------------------------------------------------------------------
 # helpers
@@ -385,12 +274,6 @@ def _first_per_partition(program: _Program, n: int) -> List[int]:
         for indices in partitions.values()
     ]
     return sorted(firsts)
-
-
-def _truthy(value: Any) -> bool:
-    if is_null(value):
-        return False
-    return bool(value)
 
 
 def _hashable(value: Any) -> Any:
@@ -431,26 +314,6 @@ def _sort_key(value: Any, descending: bool) -> Tuple:
         return (1, -number) if descending else (0, number)
     text = str(value)
     return (0, _Descending(text)) if descending else (1, text)
-
-
-def _apply_unary(op: str, value: Any) -> Any:
-    if is_null(value):
-        return None
-    if op == "NOT":
-        return not _truthy(value)
-    return -value
-
-
-def _apply_binary(op: str, left: Any, right: Any) -> Any:
-    """A comparison operator over two values; NULL when either is NULL."""
-    if is_null(left) or is_null(right):
-        return None
-    if op == "=":
-        return sql_equal(left, right)
-    if op == "<>":
-        return not sql_equal(left, right)
-    cmp = compare_values(left, right)
-    return {"<": cmp < 0, ">": cmp > 0, "<=": cmp <= 0, ">=": cmp >= 0}[op]
 
 
 def _output_names(select: Select, source_columns: Sequence[str]) -> List[str]:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.dataframe import Table
 from repro.sql import Database
+
+# The SQL interpreter oracle serves tests outside tests/sql as well.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "sql"))
 
 
 @pytest.fixture

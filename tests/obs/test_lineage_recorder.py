@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import CocoonCleaner
@@ -146,6 +148,40 @@ class TestRecorder:
         assert len(rec) == 0
         edit(rec, 0, "c", "a", "b")
         assert rec.records[0]["seq"] == 1
+
+
+ROW_IDS = st.integers(0, 5)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("edit"), ROW_IDS),
+        st.tuples(st.just("remove"), ROW_IDS),
+        st.tuples(st.just("discard"), st.lists(ROW_IDS, max_size=3)),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("rebuild"), st.none()),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=OPERATIONS)
+def test_removal_index_equals_the_scan_over_records(operations):
+    rec = LineageRecorder()
+    for operation, arg in operations:
+        if operation == "edit":
+            edit(rec, arg, "c", "a", "b")
+        elif operation == "remove":
+            rec.record_removal(arg, operator="duplication", target="t", kind="dedup", step_id="b" * 16)
+        elif operation == "discard":
+            before = len(rec.records)
+            assert rec.discard_removals(iter(arg)) == before - len(rec.records)
+        elif operation == "reset":
+            rec.reset()
+        else:
+            rec = records_from_docs(rec.records)
+        removals = [r["row_id"] for r in rec.records if r["event"] == "remove"]
+        assert rec._removals == {row_id: removals.count(row_id) for row_id in removals}
+        assert rec.removed_row_ids() == set(removals)
 
 
 class TestSchema:

@@ -1,9 +1,10 @@
 """``pattern_counts`` answers like the per-pattern SQL count queries.
 
 The oracle in ``pattern_oracle.py`` runs one ``REGEXP_FULL_MATCH … AND NOT …``
-count per pattern: under both expression engines in the randomised test, and
-under the one ``REPRO_SQL_COMPILED`` selects in the named cases.  On columns of non-blank strings,
-``None`` and NaN with compilable patterns the two must agree exactly.  They
+count per pattern: on the compiled closures and under the SQL interpreter
+oracle (``tests/sql/interpreter_oracle.py``) in the randomised test, and on
+the closures in the named cases.  On columns of non-blank strings, ``None``
+and NaN with compilable patterns the two must agree exactly.  They
 differ on purpose in two named cases: blank values are not counted, and a
 pattern that does not compile is dropped instead of zeroing the counts of
 every pattern after it.
@@ -22,6 +23,7 @@ from repro.dataframe.table import Table
 from repro.profiling.patterns import pattern_counts
 from repro.sql import Database
 
+from interpreter_oracle import engine
 from pattern_oracle import pattern_counts_sql
 
 PATTERNS = [
@@ -40,10 +42,11 @@ TEXTS = st.text(alphabet="0123456789-AZaz x", min_size=1, max_size=9).filter(str
 VALUES = st.one_of(TEXTS, st.sampled_from(["123", "555-1234", "Abc", "ab cd", " 12 "]), st.none(), st.just(math.nan))
 
 
-def _oracle(values, patterns, compiled=None):
-    db = Database(compiled=compiled)
+def _oracle(values, patterns, compiled=True):
+    db = Database()
     db.register(Table("t", [Column("c", values, ColumnType.VARCHAR)]))
-    return pattern_counts_sql(db, "t", "c", patterns)
+    with engine(compiled):
+        return pattern_counts_sql(db, "t", "c", patterns)
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "reference"])

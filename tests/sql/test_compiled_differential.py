@@ -1,12 +1,15 @@
 """Differential suite: compiled closures vs the reference interpreter.
 
 Every query here runs twice over the same catalog and the same stage
-pipeline — ``Executor(compiled=True)``, where expressions compile to
-specialised closures, and ``Executor(compiled=False)``, where every
-expression compiles to the closure that calls ``Executor._eval`` — and the
+pipeline — once on the closures :mod:`repro.sql.compiler` builds, and once
+under the interpreter oracle (``interpreter_oracle.interpreted``), where
+every expression compiles to a closure that calls the interpreter — and the
 results must be cell-identical: same column names, same row order, and per
 cell either both NULL (``is_null``, which also covers NaN) or equal with
 the same type.  Errors must match too: same exception class, same message.
+Whenever the query evaluates an expression on a row, the oracle must count
+that evaluation, so no comparison silently pits the closures against
+themselves.
 
 Two layers:
 
@@ -16,9 +19,14 @@ Two layers:
 * a hypothesis layer generating random SELECTs — filters, counts,
   keep-first QUALIFYs, NaN and mixed-type columns — against randomly drawn
   tables.
+
+Three faults planted into a copy of the compiler's source must each fail
+the battery, so the oracle cannot be a vacuous copy of the closures.
 """
 
+import inspect
 import math
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +34,13 @@ from hypothesis import strategies as st
 
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
+from repro.sql import compiler, executor
+from repro.sql.ast_nodes import ColumnRef, Star
 from repro.sql.catalog import Catalog
-from repro.sql.compiler import ColumnarBinding
 from repro.sql.errors import ExecutionError
 from repro.sql.executor import Executor, PreparedStatement
-from repro.sql.parser import parse_expression
+
+from interpreter_oracle import interpreted
 
 
 def make_catalog(tables):
@@ -53,13 +63,33 @@ def mixed_table():
     )
 
 
-def run_engine(catalog, sql, compiled):
-    executor = Executor(catalog, compiled=compiled)
+def run_engine(catalog, sql):
+    executor = Executor(catalog)
     try:
         result = executor.execute(PreparedStatement(sql))
     except Exception as error:  # noqa: BLE001 - errors are part of the contract
         return ("error", type(error), str(error))
     return ("table", result)
+
+
+def evaluates(catalog, sql):
+    """Whether running ``sql`` evaluates some expression on some row.
+
+    Every stage evaluates its expressions on each row it reads; only column
+    references the scan resolves (and ``*``) cost no evaluation.
+    """
+    plan = PreparedStatement(sql).plan
+    source = plan.select.from_table
+    if source is None:
+        names, rows = [], 1
+    else:
+        table = catalog.get(source)
+        names, rows = table.column_names, table.num_rows
+    items = [] if plan.project is None else [item.expression for item in plan.project.items]
+    evaluated = [
+        e for e in items if not isinstance(e, Star) and not (isinstance(e, ColumnRef) and e.name in names)
+    ]
+    return rows > 0 and bool(plan.filter or plan.qualify or (plan.count is None and evaluated))
 
 
 def assert_cell_identical(sql, compiled_result, interpreted_result):
@@ -85,9 +115,11 @@ def assert_cell_identical(sql, compiled_result, interpreted_result):
 
 
 def check(catalog, sql):
-    compiled_result = run_engine(catalog, sql, compiled=True)
-    interpreted_result = run_engine(catalog, sql, compiled=False)
+    compiled_result = run_engine(catalog, sql)
+    with interpreted() as oracle:
+        interpreted_result = run_engine(catalog, sql)
     assert_cell_identical(sql, compiled_result, interpreted_result)
+    assert (oracle.calls > 0) == evaluates(catalog, sql), (sql, oracle.calls)
     return compiled_result
 
 
@@ -283,24 +315,36 @@ def test_constant_comparison_matrix(op):
         assert result[0] == "table", (lit, result)
 
 
-def test_compiled_false_yields_reference_closures(monkeypatch):
-    expr = parse_expression("k > 2 AND grp IN ('a')")
+# Faults planted into the compiler's source, each of which the battery must
+# catch: the oracle is a second implementation, not a copy of the closures.
+EQ_NULLS = "return None\n                    return sql_equal(left, right)"
+NULLS_EQUAL = EQ_NULLS.replace("None", "True if is_null(left) and is_null(right) else None")
+PLANTED_FAULTS = {
+    "flipped < against a number": ("(fv < lit_num) if below", "(fv > lit_num) if below"),
+    "CASE lookup answers the default": ("branch = lookup.get(str(subject))", "branch = None"),
+    "NULL = NULL is TRUE": (EQ_NULLS, NULLS_EQUAL),
+}
 
-    def closure_name(executor):
-        binding = ColumnarBinding(["k", "grp"], executor.compiled)
-        fn = binding.compile(expr)
-        binding.load([[1, 2], ["a", "b"]])
-        assert [fn(0), fn(1)] == [False, False]
-        return fn.__name__
 
-    assert closure_name(Executor(Catalog(), compiled=False)) == "fallback_fn"
-    assert closure_name(Executor(Catalog(), compiled=True)) != "fallback_fn"
-    monkeypatch.setenv("REPRO_SQL_COMPILED", "0")
-    assert closure_name(Executor(Catalog())) == "fallback_fn"
-    monkeypatch.setenv("REPRO_SQL_COMPILED", "1")
-    assert closure_name(Executor(Catalog())) != "fallback_fn"
-    monkeypatch.delenv("REPRO_SQL_COMPILED")
-    assert Executor(Catalog()).compiled is True
+def mutant_binding(old, new):
+    """``ColumnarBinding`` of a copy of the compiler with ``old`` replaced by ``new``."""
+    source = inspect.getsource(compiler)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("mutant_compiler")
+    exec(compile(source.replace(old, new), compiler.__file__, "exec"), module.__dict__)
+    return module.ColumnarBinding
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_planted_fault_fails_the_battery(monkeypatch, catalog, fault):
+    monkeypatch.setattr(executor, "ColumnarBinding", mutant_binding(*PLANTED_FAULTS[fault]))
+    caught = 0
+    for sql in DETERMINISTIC_QUERIES:
+        try:
+            check(catalog, sql)
+        except AssertionError:
+            caught += 1
+    assert caught > 0, fault
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ from repro.dataframe import Table
 from repro.sql import Database
 from repro.sql.errors import CatalogError, ExecutionError
 
+from interpreter_oracle import engine
+
 
 class TestProjectionAndFilter:
     def test_select_star(self, db):
@@ -72,7 +74,8 @@ class TestRangeMixedTypes:
     )
     def test_mixed_operands(self, value, low, high, inside, compiled):
         sql = f"SELECT NOT ({value} < {low} OR {value} > {high})"
-        assert Database(compiled=compiled).scalar(sql) is inside
+        with engine(compiled):
+            assert Database().scalar(sql) is inside
 
     def test_matches_the_inclusive_comparisons(self):
         db = Database()
@@ -80,9 +83,10 @@ class TestRangeMixedTypes:
 
     @pytest.mark.parametrize("compiled", [True, False])
     def test_mixed_column_range_step(self, compiled):
-        db = Database(compiled=compiled)
+        db = Database()
         db.register(Table.from_dict("t", {"v": [1, "3", "x", 7.5, None, True]}))
-        values = db.column_values("SELECT CASE WHEN v < 1 OR v > '5' THEN NULL ELSE v END AS v FROM t")
+        with engine(compiled):
+            values = db.column_values("SELECT CASE WHEN v < 1 OR v > '5' THEN NULL ELSE v END AS v FROM t")
         assert values == [1, "3", None, None, None, True]
 
 
@@ -150,8 +154,8 @@ def orders():
     )
 
 
-def _orders_db(orders, compiled=None):
-    db = Database(compiled=compiled)
+def _orders_db(orders):
+    db = Database()
     db.register(orders)
     return db
 
@@ -173,14 +177,16 @@ class TestScanKeyHygiene:
 
 @pytest.mark.parametrize("compiled", [True, False])
 class TestColumnEquality:
-    """``=`` between two columns, in the compiled and the reference-closure
-    mode: the same coercions the cleaner's equality checks rely on."""
+    """``=`` between two columns, on the compiled closures and under the
+    interpreter oracle: the same coercions the cleaner's equality checks
+    rely on."""
 
     @staticmethod
     def _matches(compiled, left, right):
-        db = Database(compiled=compiled)
+        db = Database()
         db.register(Table.from_dict("t", {"a": left, "b": right, "i": list(range(len(left)))}))
-        return db.column_values("SELECT i FROM t WHERE a = b")
+        with engine(compiled):
+            return db.column_values("SELECT i FROM t WHERE a = b")
 
     def test_numeric_string_coercion(self, compiled):
         # '=' implicitly casts number-vs-numeric-string.

@@ -17,6 +17,8 @@ from repro.sql.comparison import compare_values as _compare
 from repro.sql.database import Database
 from repro.sql.executor import _sort_key
 
+from interpreter_oracle import engine
+
 
 @pytest.fixture
 def db():
@@ -85,7 +87,7 @@ class TestCompareTotalOrder:
     def test_keep_first_never_picks_a_nan_row(self, compiled, descending, kept):
         # The keep-first QUALIFY sorts each partition by the same total
         # order: a NaN sort key comes last whichever the direction.
-        db = Database(compiled=compiled)
+        db = Database()
         db.register(
             Table.from_dict(
                 "m",
@@ -93,7 +95,8 @@ class TestCompareTotalOrder:
             )
         )
         order = "v DESC" if descending else "v"
-        result = db.sql(
-            f"SELECT k FROM m QUALIFY ROW_NUMBER() OVER (PARTITION BY g ORDER BY {order}) = 1"
-        )
+        with engine(compiled):
+            result = db.sql(
+                f"SELECT k FROM m QUALIFY ROW_NUMBER() OVER (PARTITION BY g ORDER BY {order}) = 1"
+            )
         assert result.to_dict() == {"k": kept}

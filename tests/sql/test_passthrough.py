@@ -5,7 +5,8 @@ its values.  A projection that passes such a column through unchanged puts
 the same ``Column`` object in its output (or, under an alias, a column with
 the same dtype); everything else — computed or filtered vectors, and every
 column of a table registered from outside — is built and typed afresh.  The dtype invariant must hold on every emitted
-table, under either expression engine (``REPRO_SQL_COMPILED`` 1 or 0).
+table, on the compiled closures and under the interpreter oracle
+(``interpreter_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.dataframe.column import Column
 from repro.dataframe.schema import ColumnType, infer_storage_type
 from repro.dataframe.table import Table
 from repro.sql import Database
+
+from interpreter_oracle import engine
 
 MIXED = st.one_of(
     st.none(),
@@ -84,10 +87,16 @@ def _shared(result: Table, source: Table):
     return {c.name for c in result.columns if any(c is s for s in source.columns)}
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "oracle"])
 @pytest.mark.parametrize("sql, passthrough, filters", SHAPES)
 @given(table=tables())
 @settings(max_examples=40, deadline=None)
-def test_projection_shares_only_unfiltered_passthrough(sql, passthrough, filters, table):
+def test_projection_shares_only_unfiltered_passthrough(sql, passthrough, filters, compiled, table):
+    with engine(compiled):
+        _check_projection(sql, passthrough, filters, table)
+
+
+def _check_projection(sql, passthrough, filters, table):
     db = Database()
     db.register(table)
     emitted = db.sql("CREATE TABLE e AS SELECT * FROM t")

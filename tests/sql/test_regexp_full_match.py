@@ -1,7 +1,7 @@
 """``REGEXP_FULL_MATCH``, the one scalar function the engine keeps.
 
 The pattern-count oracle filters on it, so its answers must be the same
-under both expression engines: the whole text must match (not a prefix or
+on the compiled closures and under the interpreter oracle: the whole text must match (not a prefix or
 a substring), a NULL argument yields NULL, a non-text value is matched
 through its text form, and ``%``/``_`` are plain characters.
 """
@@ -11,6 +11,8 @@ import pytest
 from repro.dataframe.table import Table
 from repro.sql import Database
 from repro.sql.errors import ExecutionError
+
+from interpreter_oracle import engine
 
 ENGINES = pytest.mark.parametrize("compiled", [True, False])
 
@@ -39,25 +41,27 @@ ENGINES = pytest.mark.parametrize("compiled", [True, False])
 )
 def test_scalar_answers(value, pattern, expected, compiled):
     sql = f"SELECT REGEXP_FULL_MATCH({value}, {pattern})"
-    assert Database(compiled=compiled).scalar(sql) is expected
+    with engine(compiled):
+        assert Database().scalar(sql) is expected
 
 
 @ENGINES
 def test_malformed_pattern_raises_execution_error(compiled):
-    with pytest.raises(ExecutionError, match="REGEXP_FULL_MATCH"):
-        Database(compiled=compiled).scalar("SELECT REGEXP_FULL_MATCH('a', '(')")
+    with engine(compiled), pytest.raises(ExecutionError, match="REGEXP_FULL_MATCH"):
+        Database().scalar("SELECT REGEXP_FULL_MATCH('a', '(')")
 
 
 @ENGINES
 def test_wrong_argument_count_raises_execution_error(compiled):
-    with pytest.raises(ExecutionError, match="REGEXP_FULL_MATCH"):
-        Database(compiled=compiled).scalar("SELECT REGEXP_FULL_MATCH('a', 'a', 'a')")
+    with engine(compiled), pytest.raises(ExecutionError, match="REGEXP_FULL_MATCH"):
+        Database().scalar("SELECT REGEXP_FULL_MATCH('a', 'a', 'a')")
 
 
 @ENGINES
 def test_null_rows_pass_neither_filter(compiled):
-    db = Database(compiled=compiled)
+    db = Database()
     db.register(Table.from_dict("t", {"k": [1, 2, 3, 4], "v": ["ab", None, "12", 7]}))
-    matched = db.column_values("SELECT k FROM t WHERE REGEXP_FULL_MATCH(v, '\\d+')")
-    unmatched = db.column_values("SELECT k FROM t WHERE NOT REGEXP_FULL_MATCH(v, '\\d+')")
+    with engine(compiled):
+        matched = db.column_values("SELECT k FROM t WHERE REGEXP_FULL_MATCH(v, '\\d+')")
+        unmatched = db.column_values("SELECT k FROM t WHERE NOT REGEXP_FULL_MATCH(v, '\\d+')")
     assert (matched, unmatched) == ([3, 4], [1])

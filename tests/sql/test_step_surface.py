@@ -1,4 +1,4 @@
-"""Every statement a plan step can render runs alike on both expression engines.
+"""Every statement a plan step can render runs alike on the closures and the oracle.
 
 The in-process engine exists to run what the cleaner renders, so this test
 draws the dialect's whole output space rather than the registry's: a
@@ -7,8 +7,9 @@ casts to each column type with and without a value mapping, numeric ranges,
 FD repairs, deduplication, keep-first and keep-best uniqueness) over tables
 whose column names need quoting and whose cells mix every storage type.
 Each step is rendered with :class:`~repro.core.dialects.ReproDialect`,
-must parse, and must produce the same table (or the same error) under
-``Database(compiled=True)`` and ``Database(compiled=False)``.
+must parse, and must produce the same table (or the same error) on the
+compiled closures and under the interpreter oracle
+(``interpreter_oracle.py``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from repro.dataframe.table import Table
 from repro.sql.database import Database
 from repro.sql.parser import parse
 from repro.stream.state import TableLevelState, table_level_survivors
+
+from interpreter_oracle import engine, interpreted
 
 REPRO = ReproDialect()
 
@@ -102,8 +105,8 @@ def steps(draw, kind, table, columns):
     return PlanStep(kind, "surface", column, "dst", payload)
 
 
-def run(table, statement, compiled):
-    db = Database(compiled=compiled)
+def run(table, statement):
+    db = Database()
     db.register(table)
     try:
         return ("table", db.sql(statement))
@@ -136,9 +139,12 @@ def test_every_step_kind_runs_alike_on_both_engines(kind, data):
     comments = data.draw(st.lists(st.text(max_size=20), max_size=2))
     statement = step.render("src", "dst", columns, comments, dialect=REPRO)
     parse(statement)
-    compiled = run(table, statement, compiled=True)
-    reference = run(table, statement, compiled=False)
+    compiled = run(table, statement)
+    with interpreted() as oracle:
+        reference = run(table, statement)
     assert_identical(statement, compiled, reference)
+    # Every step statement evaluates an expression on each row it reads.
+    assert (oracle.calls > 0) == (table.num_rows > 0), statement
 
 
 # Keep-best uniqueness orders each key's rows by the order column, DESC, and
@@ -167,7 +173,8 @@ def _keep_best(order_values, compiled):
     n = len(order_values)
     table = Table.from_dict("src", {ROW_ID_COLUMN: list(range(n)), "k": ["k"] * n, "o": list(order_values)})
     step = PlanStep("unique", "surface", "k", "dst", {"column": "k", "order_column": "o"})
-    kind, result = run(table, step.render("src", "dst", ["k", "o"], dialect=REPRO), compiled)[:2]
+    with engine(compiled):
+        kind, result = run(table, step.render("src", "dst", ["k", "o"], dialect=REPRO))[:2]
     assert kind == "table", result
     return step, table, result.column(ROW_ID_COLUMN).values
 
@@ -208,7 +215,7 @@ def test_keep_best_keeps_the_row_sqlite_keeps(order_values, keys):
     keys = keys[:n]
     step = PlanStep("unique", "surface", "k", "dst", {"column": "k", "order_column": "o"})
     table = Table.from_dict("src", {ROW_ID_COLUMN: list(range(n)), "k": keys, "o": order_values})
-    kind, result = run(table, step.render("src", "dst", ["k", "o"], dialect=REPRO), True)[:2]
+    kind, result = run(table, step.render("src", "dst", ["k", "o"], dialect=REPRO))[:2]
     assert kind == "table", result
     connection = sqlite3.connect(":memory:")
     try:

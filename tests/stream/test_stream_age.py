@@ -6,7 +6,8 @@ the keep-best fold), then 200 micro-batches re-send backfill rows as new
 records or as updates of earlier ones.  The stream is stationary, so every
 batch replays the plan, and a replayed batch only runs what the prime
 prepared: it renders, parses, plans and compiles nothing, hashes no step
-id, ranks no value counts and folds nothing no consumer reads.
+id, ranks no value counts, folds nothing no consumer reads and scans no
+lineage history.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 import pytest
 
 import repro.core.plan
+import repro.obs.lineage
 import repro.profiling.incremental
 import repro.profiling.mergeable
 import repro.sql.compiler
@@ -133,6 +135,10 @@ class TestStreamAgeWork:
             "Counter.most_common": counting(monkeypatch, collections.Counter, "most_common"),
             "IncrementalFDState.update": counting(
                 monkeypatch, repro.profiling.incremental.IncrementalFDState, "update"
+            ),
+            # The set of every removed row id, built over the whole history.
+            "LineageRecorder.removed_row_ids": counting(
+                monkeypatch, repro.obs.lineage.LineageRecorder, "removed_row_ids"
             ),
         }
         results = [stream.process_batch(batch) for batch in batches]
