@@ -8,7 +8,7 @@ Each experiment module regenerates one artifact:
   column-type and DMV errors count.
 * :mod:`repro.experiments.figures` — the F1 comparison series derived from Table 1.
 * :mod:`repro.experiments.matrix` — the parallel experiment-matrix engine:
-  the (table × dataset × system) grid as jobs on the shared worker pool,
+  the (table × dataset × system) grid as jobs on a thread pool,
   with repair dedup, a namespaced shared prompt cache, an incremental
   resumable results store, and the golden regression corpus
   (``GOLDEN_experiments.json``).

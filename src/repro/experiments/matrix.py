@@ -2,13 +2,15 @@
 
 The paper's evaluation is a grid: (table × dataset × system) cells, each a
 deterministic function of ``(seed, scale)``.  This module turns that grid
-into jobs dispatched onto the generic :class:`~repro.service.pool.WorkerPool`
-(the same pool the batch-cleaning service runs on), with:
+into jobs run on a :class:`~concurrent.futures.ThreadPoolExecutor`, with:
 
 * **Repair dedup** — Table 1 and Table 3 score the *same* system run under
   different conventions, so cells sharing a repair unit
   ``(dataset, system, seed, scale)`` are grouped into one job that repairs
   once and scores once per table.
+* **Longest jobs first** — jobs are submitted in order of a row-count cost
+  hint (a stable sort, so equal costs keep grid order), and the executor
+  starts them in submission order, so the long poles never start last.
 * **A shared prompt cache** — all Cocoon cells share one thread-safe
   :class:`~repro.llm.cache.PromptCacheStore`, namespaced per repair unit.
   The namespace is what keeps the parallel grid byte-identical to the
@@ -34,6 +36,7 @@ import tempfile
 import threading
 import time
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -51,8 +54,6 @@ from repro.experiments.table2 import census_of
 from repro.llm.base import LLMClient
 from repro.llm.cache import PromptCacheStore, cached_client
 from repro.llm.simulated import SimulatedSemanticLLM
-from repro.service.jobs import JobStatus
-from repro.service.pool import WorkerPool
 
 SCHEMA_VERSION = 1
 
@@ -252,32 +253,21 @@ class ResultsStore:
         with self._lock:
             return self._cells.get(cell_id)
 
-    def completed_ids(self) -> List[str]:
-        with self._lock:
-            return sorted(self._cells)
-
     def record(self, result: CellResult) -> None:
         with self._lock:
             self._cells[result.cell_id] = result.to_dict()
         self._persist()
-
-    def to_document(self) -> Dict[str, object]:
-        with self._lock:
-            return self._document_locked()
-
-    def _document_locked(self) -> Dict[str, object]:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "config": dict(self._config),
-            "cells": {cell_id: self._cells[cell_id] for cell_id in sorted(self._cells)},
-        }
 
     def _persist(self) -> None:
         if self.path is None:
             return
         with self._write_lock:
             with self._lock:
-                document = self._document_locked()
+                document = {
+                    "schema_version": SCHEMA_VERSION,
+                    "config": dict(self._config),
+                    "cells": {cell_id: self._cells[cell_id] for cell_id in sorted(self._cells)},
+                }
             directory = self.path.parent
             directory.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(
@@ -305,44 +295,6 @@ class ResultsStore:
 
 class MatrixJobError(RuntimeError):
     """One or more matrix jobs failed; the message lists every failure."""
-
-
-@dataclass(eq=False)
-class MatrixJob:
-    """One pool job: a repair unit covering every cell that shares it.
-
-    For system cells the job repairs once and scores once per covered table;
-    for a table2 cell it computes the error census.  Lifecycle mirrors
-    :class:`~repro.service.jobs.CleaningJob`, which is what lets it ride the
-    same :class:`~repro.service.pool.WorkerPool`.
-    """
-
-    cells: List[CellSpec]
-    priority: int = 0
-    status: JobStatus = JobStatus.PENDING
-    results: List[CellResult] = field(default_factory=list)
-    error: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        self._done = threading.Event()
-        self._lock = threading.Lock()
-
-    def mark_running(self) -> bool:
-        with self._lock:
-            if self.status is not JobStatus.PENDING:
-                return False
-            self.status = JobStatus.RUNNING
-        return True
-
-    def finish(self, results: List[CellResult], error: Optional[str] = None) -> None:
-        with self._lock:
-            self.status = JobStatus.FAILED if error else JobStatus.SUCCEEDED
-        self.results = results
-        self.error = error
-        self._done.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._done.wait(timeout)
 
 
 # -- the engine ------------------------------------------------------------------
@@ -415,7 +367,7 @@ class MatrixRun:
 
 
 class ExperimentMatrix:
-    """Runs the (table × dataset × system) grid on a worker pool.
+    """Runs the (table × dataset × system) grid on a thread pool.
 
     ``workers=1`` is the sequential reference; any worker count produces
     byte-identical deterministic fields (see the module docstring for why).
@@ -491,20 +443,26 @@ class ExperimentMatrix:
             else:
                 pending.append(spec)
 
-        jobs = self._build_jobs(pending)
+        jobs = _repair_groups(pending)
         job_results: Dict[str, CellResult] = {}
         failures: List[str] = []
+        llm_calls = 0
         if jobs:
-            pool = WorkerPool(min(self.workers, len(jobs)), execute=self._execute, thread_name="repro-matrix")
-            with pool:
-                for job in jobs:
-                    pool.submit(job)
-                for job in jobs:
-                    job.wait()
-            for job in jobs:
-                if job.error:
-                    failures.append(job.error)
-                for result in job.results:
+            with ThreadPoolExecutor(
+                min(self.workers, len(jobs)), thread_name_prefix="repro-matrix"
+            ) as executor:
+                futures = [executor.submit(self._run_job, cells) for cells in jobs]
+            for cells, future in zip(jobs, futures):
+                error = future.exception()
+                if error is not None:
+                    trace = "".join(traceback.format_exception(error))
+                    failures.append(f"cells {[c.cell_id for c in cells]}:\n{trace}")
+                    continue
+                results = future.result()
+                # One repair per job: cells sharing it carry the same
+                # llm_calls, so count each job once rather than per cell.
+                llm_calls += int(results[0].deterministic.get("llm_calls", 0))
+                for result in results:
                     job_results[result.cell_id] = result
         self.cache.flush()
 
@@ -530,53 +488,22 @@ class ExperimentMatrix:
             job_seconds_total=sum(
                 result.timing.get("job_seconds", 0.0) for result in job_results.values()
             ),
-            # One repair per job: cells sharing it carry the same llm_calls,
-            # so count each job once rather than summing over cells.
-            llm_calls=sum(
-                int(job.results[0].deterministic.get("llm_calls", 0))
-                for job in jobs
-                if job.results
-            ),
+            llm_calls=llm_calls,
         )
         cache_stats = self.cache.stats()
         stats.cache_hits = int(cache_stats["hits"])
         stats.cache_misses = int(cache_stats["misses"])
         return MatrixRun(cells=cells, stats=stats, config=self.config_dict())
 
-    # -- job construction --------------------------------------------------------
-    def _build_jobs(self, pending: List[CellSpec]) -> List[MatrixJob]:
-        """Group pending cells by repair unit; longest expected jobs first."""
-        groups: Dict[str, List[CellSpec]] = {}
-        order: List[str] = []
-        for spec in pending:
-            key = spec.repair_key
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(spec)
-        jobs = []
-        for key in order:
-            cells = groups[key]
-            first = cells[0]
-            cost = _COST_HINT.get(first.dataset, 1000) * len(cells)
-            if first.system == "Cocoon":
-                cost *= 4  # LLM-bound cells are the long poles of the grid
-            jobs.append(MatrixJob(cells=cells, priority=-cost))
-        return jobs
-
     # -- execution ---------------------------------------------------------------
-    def _execute(self, job: MatrixJob) -> None:
+    def _run_job(self, cells: List[CellSpec]) -> List[CellResult]:
         started = time.perf_counter()
-        try:
-            results = self._run_cells(job.cells)
-            job_seconds = time.perf_counter() - started
-            for result in results:
-                result.timing["job_seconds"] = job_seconds / len(results)
-                self.store.record(result)
-        except Exception:
-            job.finish([], error=f"cells {[c.cell_id for c in job.cells]}:\n{traceback.format_exc()}")
-            return
-        job.finish(results)
+        results = self._run_cells(cells)
+        job_seconds = time.perf_counter() - started
+        for result in results:
+            result.timing["job_seconds"] = job_seconds / len(results)
+            self.store.record(result)
+        return results
 
     def _run_cells(self, cells: List[CellSpec]) -> List[CellResult]:
         first = cells[0]
@@ -634,6 +561,22 @@ class ExperimentMatrix:
     def _cocoon_llm(self, namespace: str) -> LLMClient:
         inner = SimulatedSemanticLLM(latency_seconds=self.llm_latency)
         return cached_client(inner, self.cache, namespace=namespace)
+
+
+def _repair_groups(pending: List[CellSpec]) -> List[List[CellSpec]]:
+    """Group pending cells by repair unit, one job each, longest expected first."""
+    groups: Dict[str, List[CellSpec]] = {}
+    for spec in pending:
+        groups.setdefault(spec.repair_key, []).append(spec)
+    return sorted(groups.values(), key=lambda cells: -_cost_hint(cells))
+
+
+def _cost_hint(cells: List[CellSpec]) -> int:
+    first = cells[0]
+    cost = _COST_HINT.get(first.dataset, 1000) * len(cells)
+    if first.system == "Cocoon":
+        cost *= 4  # LLM-bound cells are the long poles of the grid
+    return cost
 
 
 # -- golden corpus ----------------------------------------------------------------

@@ -154,6 +154,3 @@ class LLMClient(abc.ABC):
 
     def calls_for(self, purpose: str) -> List[CallRecord]:
         return [c for c in self.history if c.purpose == purpose]
-
-    def reset_history(self) -> None:
-        self.history.clear()

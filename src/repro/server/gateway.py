@@ -134,7 +134,6 @@ class CleaningGateway:
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> "CleaningGateway":
         self.service.start()
-        self.streams.pool.start()
         return self
 
     def shutdown(self, wait: bool = True) -> None:
@@ -433,7 +432,7 @@ class CleaningGateway:
                 "batches_submitted": stream_stats.batches_submitted,
                 "batches_completed": stream_stats.batches_completed,
                 "batches_failed": stream_stats.batches_failed,
-                "queue_depth": self.streams.pool.queue.pending_count(),
+                "queue_depth": self.streams.queue_depth,
                 "pending_per_stream": {
                     name: info.get("pending", 0)
                     for name, info in stream_stats.per_stream.items()
@@ -460,8 +459,8 @@ class CleaningGateway:
             "repro_service_queue_depth", help="Cleaning jobs waiting in the run queue"
         ).set(self.service.queue_depth)
         self.registry.gauge(
-            "repro_stream_queue_depth", help="Stream micro-batches waiting in the pool queue"
-        ).set(self.streams.pool.queue.pending_count())
+            "repro_stream_queue_depth", help="Stream micro-batches waiting to start"
+        ).set(self.streams.queue_depth)
         prometheus_gauges_from(
             self.registry,
             "repro_cache",

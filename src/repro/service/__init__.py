@@ -1,16 +1,14 @@
 """Concurrent batch-cleaning service on top of the Cocoon pipeline.
 
-The seed system cleans one table per synchronous call.  This package is the
-scaling layer the ROADMAP's production north-star asks for:
+:class:`~repro.core.pipeline.CocoonCleaner` cleans one table per
+synchronous call.  This package runs many such calls concurrently:
 
 * :mod:`repro.service.jobs` — job objects with lifecycle, timing and
   per-job LLM accounting;
-* :mod:`repro.service.queue` — a priority FIFO queue with O(1) cancellation;
-* :mod:`repro.service.pool` — :class:`WorkerPool`, the generic thread pool
-  the cleaning service and the experiment matrix both dispatch onto;
-* :mod:`repro.service.scheduler` — :class:`CleaningService`, a thread worker
-  pool giving every job an isolated database/context/LLM while sharing one
-  thread-safe prompt cache;
+* :mod:`repro.service.scheduler` — :class:`CleaningService`: a priority heap
+  (FIFO within a priority, cancelled jobs skipped) drained by a
+  ``concurrent.futures`` thread pool, giving every job an isolated
+  database/context/LLM while sharing one thread-safe prompt cache;
 * :mod:`repro.service.stats` — throughput / latency / cache metrics,
   rendered by :func:`repro.core.report.render_service_summary`;
 * :mod:`repro.service.cli` — ``python -m repro.service`` for cleaning a
@@ -18,8 +16,6 @@ scaling layer the ROADMAP's production north-star asks for:
 """
 
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
-from repro.service.pool import WorkerPool
-from repro.service.queue import JobQueue, QueueClosed
 from repro.service.scheduler import CleaningService, ServiceSaturated
 from repro.service.stats import ServiceStats, StatsCollector
 
@@ -29,9 +25,6 @@ __all__ = [
     "CleaningJob",
     "JobResult",
     "JobStatus",
-    "JobQueue",
-    "QueueClosed",
-    "WorkerPool",
     "ServiceStats",
     "StatsCollector",
 ]

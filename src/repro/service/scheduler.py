@@ -1,9 +1,9 @@
-"""The concurrent cleaning service: a worker pool over the job queue.
+"""The concurrent cleaning service: a priority heap over a thread pool.
 
 ``CleaningService`` turns the single-shot :class:`~repro.core.pipeline.CocoonCleaner`
 into a long-lived service: jobs are submitted (optionally with priorities and
-per-job configs), a configurable pool of worker threads executes them, and
-every job gets a fully isolated :class:`~repro.sql.database.Database`,
+per-job configs), a :class:`~concurrent.futures.ThreadPoolExecutor` runs them,
+and every job gets a fully isolated :class:`~repro.sql.database.Database`,
 :class:`~repro.core.context.CleaningContext` and LLM instance — only the
 prompt-response cache (:class:`~repro.llm.cache.PromptCacheStore`) is shared,
 so concurrent jobs amortise each other's LLM calls without sharing any
@@ -22,10 +22,13 @@ where two jobs share a detection prompt but diverge afterwards.  Pass
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 import time
 import traceback
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
@@ -41,7 +44,6 @@ from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import span as obs_span
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
-from repro.service.pool import WorkerPool
 from repro.service.stats import ServiceStats, StatsCollector
 from repro.sql.database import Database
 
@@ -59,7 +61,7 @@ class ServiceSaturated(RuntimeError):
 
 
 class CleaningService:
-    """Schedules and executes many cleaning jobs on a thread worker pool.
+    """Schedules and executes many cleaning jobs on a thread pool.
 
     Typical batch use::
 
@@ -67,7 +69,11 @@ class CleaningService:
             jobs = [service.submit(t) for t in tables]
             results = service.wait_all()
 
-    Workers start lazily on the first submission.
+    Jobs wait in a heap of ``(priority, sequence, job)``: lower priority
+    numbers run first, FIFO within a priority.  Each submission hands the
+    executor one task, and a task runs whichever queued job is best when a
+    worker frees up, so the executor's own FIFO never decides the order.
+    Cancelled jobs stay in the heap and are skipped when popped.
     """
 
     def __init__(
@@ -103,7 +109,10 @@ class CleaningService:
         else:
             self.cache = None
 
-        self._pool = WorkerPool(workers, execute=self._run_job)
+        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="repro-worker")
+        self._queued: List[tuple] = []  # heap of (priority, sequence, job)
+        self._sequence = itertools.count()
+        self._closed = False
         self._jobs: List[CleaningJob] = []
         # Lookup registry keyed by job id: unsettled jobs are always present;
         # settled ones are retained (oldest-first eviction beyond
@@ -114,18 +123,20 @@ class CleaningService:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> "CleaningService":
-        """Spawn the worker threads (idempotent; submit() calls this lazily)."""
-        self._pool.start()
+        """Kept for symmetry with :meth:`shutdown`; threads start on demand."""
         return self
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs; with ``wait`` drain the queue and join workers."""
+        """Stop accepting jobs; with ``wait`` drain the queue and join workers.
+
+        Jobs already queued run either way; ``wait`` only decides whether
+        this call blocks until they have.
+        """
         with self._lock:
-            if self._pool.closed:
+            if self._closed:
                 return
-            self._pool.shutdown(wait=False)
-        if wait:
-            self._pool.shutdown(wait=True)
+            self._closed = True
+        self._executor.shutdown(wait=wait)
         if self.cache is not None:
             self.cache.flush()
 
@@ -158,7 +169,7 @@ class CleaningService:
             metadata=dict(metadata) if metadata else {},
         )
         with self._lock:
-            if self._pool.closed:
+            if self._closed:
                 raise RuntimeError("service has been shut down")
             if self.max_pending_jobs is not None:
                 pending = sum(1 for tracked in self._jobs_by_id.values() if not tracked.done)
@@ -187,8 +198,9 @@ class CleaningService:
                     break
                 del self._jobs_by_id[oldest_settled]
             # Enqueue under the lock: shutdown() also takes it before closing
-            # the pool, so a job can never be tracked but unqueued.
-            self._pool.submit(job)
+            # the executor, so a job can never be tracked but unqueued.
+            heapq.heappush(self._queued, (priority, next(self._sequence), job))
+            self._executor.submit(self._run_next)
         self._stats.record_submitted()
         return job
 
@@ -234,8 +246,9 @@ class CleaningService:
 
     @property
     def queue_depth(self) -> int:
-        """Jobs sitting in the worker queue, not yet claimed by a worker."""
-        return self._pool.queue.pending_count()
+        """Jobs waiting to run, not yet claimed by a worker."""
+        with self._lock:
+            return sum(1 for _, _, job in self._queued if job.status is JobStatus.PENDING)
 
     def wait_all(self, timeout: Optional[float] = None) -> List[JobResult]:
         """Block until every current-batch job is terminal; results in submit order."""
@@ -260,6 +273,17 @@ class CleaningService:
         return self._stats.snapshot(cache_stats)
 
     # -- execution ---------------------------------------------------------------
+    def _run_next(self) -> None:
+        """Run the best queued job; one call per submission, so none is missed."""
+        with self._lock:
+            while self._queued:
+                _, _, job = heapq.heappop(self._queued)
+                if job.mark_running():
+                    break
+            else:
+                return  # every remaining entry was cancelled
+        self._run_job(job)
+
     def _run_job(self, job: CleaningJob) -> None:
         started = time.perf_counter()
         wait_seconds = started - job.submitted_at

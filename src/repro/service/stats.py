@@ -48,10 +48,6 @@ class ServiceStats:
     cache_size: int = 0
 
     @property
-    def jobs_finished(self) -> int:
-        return self.jobs_succeeded + self.jobs_failed + self.jobs_cancelled
-
-    @property
     def jobs_per_second(self) -> float:
         return self.jobs_succeeded / self.wall_seconds if self.wall_seconds > 0 else 0.0
 

@@ -14,9 +14,9 @@ continuous-ingestion workload of the ROADMAP's production north-star:
   per-column counts of :class:`~repro.profiling.mergeable.MergeableColumnProfile`
   against baselines frozen at plan time, triggering selective re-prompting
   of only the drifted columns;
-* :mod:`repro.stream.service` — :class:`StreamService`: many streams on the
-  shared :class:`~repro.service.pool.WorkerPool` with bounded-queue
-  backpressure;
+* :mod:`repro.stream.service` — :class:`StreamService`: many streams on one
+  ``concurrent.futures`` thread pool, each stream's batches in order and
+  bounded per stream (backpressure);
 * :mod:`repro.stream.source` — micro-batch sources (table slices, chunked
   CSV reads, landing-directory tailing);
 * :mod:`repro.stream.cli` — ``python -m repro.stream``.

@@ -1,4 +1,4 @@
-"""Many concurrent streams on one shared worker pool, with backpressure.
+"""Many concurrent streams on one thread pool, with backpressure.
 
 One :class:`~repro.stream.engine.StreamingCleaner` is inherently sequential
 — batch *n+1* replays against state batch *n* built.  A service ingesting
@@ -6,13 +6,12 @@ many independent streams (one per table / tenant / landing directory) still
 wants them cleaned concurrently.  :class:`StreamService` does exactly that:
 
 * every stream gets its own :class:`StreamingCleaner`;
-* micro-batches become :class:`StreamBatchJob` objects dispatched on the
-  shared :class:`~repro.service.pool.WorkerPool` (the same pool machinery
-  the batch cleaning service and the experiment matrix use);
-* per-stream order is enforced by sequence numbers — a worker that pops
-  batch *n+1* before *n* finished blocks on the stream's condition variable
-  (safe: the FIFO queue pops in submission order, so the running set is
-  always a contiguous prefix and batch *n* is already on a worker);
+* micro-batches become :class:`StreamBatchJob` objects in their stream's
+  deque, and a :class:`~concurrent.futures.ThreadPoolExecutor` runs them;
+* **per-stream order without turn-taking**: at most one executor task per
+  stream is queued or running.  The task runs the stream's next batch and
+  re-queues the stream only if more batches are waiting, so no worker ever
+  waits on another stream's batch and streams take turns on the pool;
 * **bounded-queue backpressure**: each stream holds at most
   ``max_pending_batches`` unfinished batches.  ``submit`` blocks the
   producer (or raises :class:`StreamBackpressure` with ``block=False`` /
@@ -24,15 +23,15 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.context import CleaningConfig
 from repro.dataframe.table import Table
 from repro.llm.base import LLMClient
 from repro.obs.metrics import MetricsRegistry
-from repro.service.jobs import JobStatus
-from repro.service.pool import WorkerPool
 from repro.stream.engine import StreamBatchResult, StreamingCleaner
 
 
@@ -41,29 +40,17 @@ class StreamBackpressure(RuntimeError):
 
 
 class StreamBatchJob:
-    """One micro-batch queued for a stream (implements the PoolJob protocol)."""
+    """One micro-batch submitted to a stream; ``sequence`` is its index in it."""
 
-    def __init__(self, stream: "ManagedStream", batch: Table, sequence: int, priority: int):
+    def __init__(self, stream: "ManagedStream", batch: Table, sequence: int):
         self.stream = stream
         self.batch = batch
         self.sequence = sequence
-        self.priority = priority
-        self.status = JobStatus.PENDING
         self.result: Optional[StreamBatchResult] = None
         self.error: Optional[str] = None
-        self._lock = threading.Lock()
         self._done = threading.Event()
 
-    def mark_running(self) -> bool:
-        with self._lock:
-            if self.status is not JobStatus.PENDING:
-                return False
-            self.status = JobStatus.RUNNING
-        return True
-
     def finish(self, result: Optional[StreamBatchResult], error: Optional[str]) -> None:
-        with self._lock:
-            self.status = JobStatus.FAILED if error else JobStatus.SUCCEEDED
         self.result = result
         self.error = error
         self._done.set()
@@ -78,42 +65,28 @@ class StreamBatchJob:
 
 
 class ManagedStream:
-    """A named stream plus its ordering/backpressure state.
-
-    ``priority`` is fixed per stream, not per batch: within one stream every
-    job must pop in submission order (a higher-priority later batch could
-    otherwise be handed to the only worker, which would then wait forever
-    for the earlier batch still in the queue).
-    """
+    """A named stream plus its batch deque and backpressure state."""
 
     #: Completed jobs kept for inspection; older ones are trimmed so a
     #: long-running stream does not grow memory without bound.
     max_retained_jobs = 1024
 
-    def __init__(
-        self,
-        name: str,
-        cleaner: StreamingCleaner,
-        max_pending_batches: int,
-        priority: int = 0,
-    ):
+    def __init__(self, name: str, cleaner: StreamingCleaner, max_pending_batches: int):
         self.name = name
         self.cleaner = cleaner
         self.max_pending_batches = max_pending_batches
-        self.priority = priority
         self.jobs: List[StreamBatchJob] = []
         self.failed = False
         self.failure: Optional[str] = None
+        self._waiting: Deque[StreamBatchJob] = deque()
+        # True while an executor task for this stream is queued or running.
+        self._scheduled = False
         self._submitted = 0
         self._completed = 0
         self._failed_count = 0
         self._lock = threading.Lock()
-        self._turn = threading.Condition(self._lock)
+        self._settled = threading.Condition(self._lock)
         self._capacity = threading.Semaphore(max_pending_batches)
-        # Held across sequence assignment *and* pool enqueue: the worker-side
-        # ordering wait is deadlock-free only if jobs reach the pool queue in
-        # sequence order (the running set must stay a contiguous prefix).
-        self._submit_lock = threading.Lock()
 
     # -- producer side -----------------------------------------------------------
     def reserve(self, block: bool, timeout: Optional[float]) -> None:
@@ -127,17 +100,26 @@ class ManagedStream:
                 f"stream {self.name!r} already has {self.max_pending_batches} pending batches"
             )
 
-    def next_sequence(self) -> int:
+    def enqueue(self, batch: Table) -> Tuple[StreamBatchJob, bool]:
+        """Append one batch; True when the stream needs an executor task."""
         with self._lock:
-            sequence = self._submitted
+            job = StreamBatchJob(self, batch, self._submitted)
             self._submitted += 1
-            return sequence
+            self.jobs.append(job)
+            self._waiting.append(job)
+            needs_task = not self._scheduled
+            self._scheduled = True
+            return job, needs_task
 
     # -- worker side --------------------------------------------------------------
-    def run_in_order(self, job: StreamBatchJob) -> None:
-        with self._turn:
-            while self._completed < job.sequence:
-                self._turn.wait()
+    def run_next(self) -> Tuple[StreamBatchJob, bool]:
+        """Run the oldest waiting batch; True when more batches are waiting.
+
+        Only the stream's single executor task calls this, so batches run
+        one at a time and in submission order.
+        """
+        with self._lock:
+            job = self._waiting.popleft()
         error: Optional[str] = None
         result: Optional[StreamBatchResult] = None
         if self.failed:
@@ -153,7 +135,7 @@ class ManagedStream:
         # The input table is no longer needed once processed; dropping the
         # reference keeps long-running streams from pinning every batch.
         job.batch = None
-        with self._turn:
+        with self._settled:
             self._completed += 1
             if error:
                 self._failed_count += 1
@@ -163,10 +145,19 @@ class ManagedStream:
                 len(self.jobs) > self.max_retained_jobs and self.jobs and self.jobs[0].done
             ):
                 self.jobs.pop(0)
-            self._turn.notify_all()
+            more = bool(self._waiting)
+            self._scheduled = more
+            self._settled.notify_all()
         self._capacity.release()
+        return job, more
 
     # -- introspection ---------------------------------------------------------------
+    @property
+    def waiting_batches(self) -> int:
+        """Batches submitted but not yet started."""
+        with self._lock:
+            return len(self._waiting)
+
     @property
     def pending_batches(self) -> int:
         with self._lock:
@@ -189,12 +180,12 @@ class ManagedStream:
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._turn:
+        with self._settled:
             while self._completed < self._submitted:
                 remaining = None if deadline is None else deadline - time.perf_counter()
                 if remaining is not None and remaining <= 0:
                     return False
-                self._turn.wait(timeout=remaining)
+                self._settled.wait(timeout=remaining)
             return True
 
 
@@ -219,7 +210,7 @@ class StreamServiceStats:
 
 
 class StreamService:
-    """Dispatch micro-batches of many streams onto a shared worker pool."""
+    """Run the micro-batches of many streams on one thread pool."""
 
     def __init__(
         self,
@@ -231,6 +222,8 @@ class StreamService:
         prime_rows: int = 0,
         metrics_registry: Optional[MetricsRegistry] = None,
     ):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending_batches < 1:
             raise ValueError(f"max_pending_batches must be >= 1, got {max_pending_batches}")
         self.max_pending_batches = max_pending_batches
@@ -245,7 +238,7 @@ class StreamService:
         )
         self._batch_seconds = self.registry.histogram(
             "repro_stream_batch_seconds",
-            help="Per-batch processing time (ordering wait excluded)",
+            help="Per-batch processing time (queue wait excluded)",
             max_samples=4096,
         )
         self.llm_factory = llm_factory
@@ -254,11 +247,8 @@ class StreamService:
         self.prime_rows = prime_rows
         self._streams: Dict[str, ManagedStream] = {}
         self._lock = threading.Lock()
-        self.pool = WorkerPool(
-            workers=workers,
-            execute=self._execute,
-            thread_name="repro-stream",
-        )
+        self._closed = False
+        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="repro-stream")
 
     # -- stream management ----------------------------------------------------------
     def create_stream(
@@ -267,7 +257,6 @@ class StreamService:
         llm: Optional[LLMClient] = None,
         config: Optional[CleaningConfig] = None,
         max_pending_batches: Optional[int] = None,
-        priority: int = 0,
         prime_rows: Optional[int] = None,
     ) -> ManagedStream:
         """Register a new named stream (its cleaner primes on the first batch,
@@ -284,12 +273,7 @@ class StreamService:
                 detect_drift=self.detect_drift,
                 prime_rows=self.prime_rows if prime_rows is None else prime_rows,
             )
-            stream = ManagedStream(
-                name,
-                cleaner,
-                max_pending_batches or self.max_pending_batches,
-                priority=priority,
-            )
+            stream = ManagedStream(name, cleaner, max_pending_batches or self.max_pending_batches)
             self._streams[name] = stream
             return stream
 
@@ -326,10 +310,6 @@ class StreamService:
         with self._lock:
             return name in self._streams
 
-    def stream_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._streams)
-
     # -- submission -------------------------------------------------------------------
     def submit(
         self,
@@ -347,21 +327,19 @@ class StreamService:
         stream = self.stream(stream_name)
         stream.reserve(block=block, timeout=timeout)
         try:
-            # Sequence assignment and enqueue must be one atomic step: if a
-            # concurrent producer enqueued sequence n+1 before n, a lone
-            # worker could pop n+1 first and wait forever for n.
-            with stream._submit_lock:
-                job = StreamBatchJob(stream, batch, stream.next_sequence(), stream.priority)
-                stream.jobs.append(job)
-                self.pool.submit(job)
+            # Checked and enqueued under the lock shutdown() takes before
+            # closing the executor, so no accepted batch is left unscheduled.
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("stream service has been shut down")
+                job, needs_task = stream.enqueue(batch)
+                if needs_task:
+                    self._executor.submit(self._run_stream, stream)
         except BaseException:
             stream._capacity.release()
             raise
         self._submitted_counter.inc()
         return job
-
-    def submit_all(self, stream_name: str, batches: Iterable[Table]) -> List[StreamBatchJob]:
-        return [self.submit(stream_name, batch) for batch in batches]
 
     # -- lifecycle ----------------------------------------------------------------------
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
@@ -376,16 +354,25 @@ class StreamService:
         return True
 
     def shutdown(self, wait: bool = True) -> None:
-        self.pool.shutdown(wait=wait)
+        """Stop accepting batches; with ``wait`` block until every stream drains."""
+        with self._lock:
+            self._closed = True
+        self._executor.shutdown(wait=wait)
 
     def __enter__(self) -> "StreamService":
-        self.pool.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(wait=exc_type is None)
 
     # -- introspection ---------------------------------------------------------------------
+    @property
+    def queue_depth(self) -> int:
+        """Batches waiting across all streams, not yet started by a worker."""
+        with self._lock:
+            streams = list(self._streams.values())
+        return sum(stream.waiting_batches for stream in streams)
+
     def stats(self) -> StreamServiceStats:
         with self._lock:
             streams = dict(self._streams)
@@ -401,9 +388,23 @@ class StreamService:
             }
         return snapshot
 
-    # -- pool callback ------------------------------------------------------------------------
-    def _execute(self, job: StreamBatchJob) -> None:
-        job.stream.run_in_order(job)
-        self._batches_counter.inc(status="failed" if job.error else "succeeded")
-        if job.result is not None:
-            self._batch_seconds.observe(job.result.seconds)
+    # -- execution ---------------------------------------------------------------------------
+    def _run_stream(self, stream: ManagedStream) -> None:
+        """Run one batch, then hand the stream back to the pool if more wait.
+
+        Re-queueing (rather than looping) lets other streams' batches run in
+        between.  Once the executor is shut down it refuses new tasks; the
+        stream's remaining batches then drain on this thread.
+        """
+        more = True
+        while more:
+            job, more = stream.run_next()
+            self._batches_counter.inc(status="failed" if job.error else "succeeded")
+            if job.result is not None:
+                self._batch_seconds.observe(job.result.seconds)
+            if more:
+                try:
+                    self._executor.submit(self._run_stream, stream)
+                    return
+                except RuntimeError:
+                    pass

@@ -1,9 +1,12 @@
 """Gateway unit tests: the application object, no sockets involved."""
 
+import threading
+
 import pytest
 
 from repro.core import CocoonCleaner
 from repro.dataframe.io import read_csv_text, to_csv_text
+from repro.llm.simulated import SimulatedSemanticLLM
 from repro.server.gateway import BadRequest, CleaningGateway, ResultNotReady
 from repro.service.scheduler import ServiceSaturated
 from repro.stream.service import StreamBackpressure
@@ -158,6 +161,44 @@ class TestObservability:
         assert metrics["jobs"]["pending"] == 0
         assert set(metrics["cache"]) == {"hits", "misses", "hit_rate", "size"}
         assert metrics["cache"]["misses"] > 0, "the cleaning run must have hit the shared store"
+
+    def test_queue_depths_count_waiting_work(self):
+        gate, entered = threading.Event(), threading.Semaphore(0)
+
+        class GatedLLM(SimulatedSemanticLLM):
+            def _complete(self, prompt, system=None):
+                entered.release()
+                assert gate.wait(timeout=30), "test gate was never opened"
+                return super()._complete(prompt, system=system)
+
+        def depths(gw):
+            metrics = gw.metrics()
+            return metrics["jobs"]["queue_depth"], metrics["streams"]["queue_depth"]
+
+        gw = CleaningGateway(workers=1, stream_workers=1, llm_factory=GatedLLM).start()
+        try:
+            assert depths(gw) == (0, 0)
+            running = gw.submit_job({"csv": DIRTY_CSV, "name": "running"})
+            assert entered.acquire(timeout=30)
+            gw.submit_job({"csv": DIRTY_CSV, "name": "queued"})
+            gw.submit_stream_batch("s", {"csv": DIRTY_CSV})
+            assert entered.acquire(timeout=30)  # the stream worker is held too
+            gw.submit_stream_batch("s", {"csv": DIRTY_CSV})
+            gw.submit_stream_batch("t", {"csv": DIRTY_CSV})
+            assert depths(gw) == (1, 2)
+            scraped = [
+                line.split()[1]
+                for line in gw.metrics_text().splitlines()
+                if line.startswith("repro_stream_queue_depth ")
+            ]
+            assert [float(value) for value in scraped] == [2.0]
+        finally:
+            gate.set()
+            gw.service.wait_all(timeout=60)
+            gw.streams.wait_idle(timeout=60)
+            gw.shutdown(wait=True)
+        assert gw.service.job(running["job_id"]).done
+        assert depths(gw) == (0, 0)
 
     def test_shared_cache_spans_batch_and_stream(self, gateway):
         submitted = gateway.submit_job({"csv": DIRTY_CSV, "name": "cities"})

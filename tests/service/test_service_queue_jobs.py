@@ -1,4 +1,11 @@
-"""Unit tests for the job queue and job lifecycle objects."""
+"""Run order through the service, and the job lifecycle objects.
+
+:class:`~repro.service.CleaningService` keeps queued jobs in a priority heap
+that its thread pool drains: lower priority numbers run first, FIFO within
+a priority, and a job cancelled while queued never runs.  Each test parks
+one worker on a gated model so the jobs behind it queue up, then opens the
+gate and reads the order back from ``started_at``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,8 @@ import threading
 import pytest
 
 from repro.dataframe import Table
-from repro.service import CleaningJob, JobQueue, JobStatus, QueueClosed
+from repro.llm import SimulatedSemanticLLM
+from repro.service import CleaningJob, CleaningService, JobStatus
 
 
 def _job(name: str, priority: int = 0) -> CleaningJob:
@@ -15,65 +23,99 @@ def _job(name: str, priority: int = 0) -> CleaningJob:
     return CleaningJob(table=table, priority=priority, name=name)
 
 
-class TestJobQueue:
-    def test_fifo_within_priority(self):
-        queue = JobQueue()
-        jobs = [_job(f"j{i}") for i in range(5)]
-        for job in jobs:
-            queue.put(job)
-        popped = [queue.get() for _ in range(5)]
-        assert [j.name for j in popped] == [f"j{i}" for i in range(5)]
+def _table(name: str) -> Table:
+    return Table.from_dict(
+        name, {"lang": ["eng"] * 6 + ["English"] * 2, "note": ["ok"] * 6 + ["N/A"] * 2}
+    )
 
-    def test_lower_priority_number_pops_first(self):
-        queue = JobQueue()
-        low = _job("low-urgency", priority=10)
-        high = _job("high-urgency", priority=1)
-        mid = _job("mid-urgency", priority=5)
-        for job in (low, high, mid):
-            queue.put(job)
-        names = [queue.get().name for _ in range(3)]
-        assert names == ["high-urgency", "mid-urgency", "low-urgency"]
 
-    def test_cancelled_jobs_are_skipped(self):
-        queue = JobQueue()
-        first, second = _job("first"), _job("second")
-        queue.put(first)
-        queue.put(second)
-        assert first.cancel()
-        assert queue.get().name == "second"
-        assert len(queue) == 0
+class _GatedLLM(SimulatedSemanticLLM):
+    """A simulated model that blocks until the test opens the gate."""
 
-    def test_get_returns_none_when_closed_and_drained(self):
-        queue = JobQueue()
-        job = _job("only")
-        queue.put(job)
-        queue.close()
-        assert queue.get() is job
-        assert queue.get() is None
+    def __init__(self, gate: threading.Event, entered: threading.Event):
+        super().__init__()
+        self._gate = gate
+        self._entered = entered
 
-    def test_put_after_close_raises(self):
-        queue = JobQueue()
-        queue.close()
-        with pytest.raises(QueueClosed):
-            queue.put(_job("late"))
+    def _complete(self, prompt, system=None):
+        self._entered.set()
+        assert self._gate.wait(timeout=30), "test gate was never opened"
+        return super()._complete(prompt, system=system)
 
-    def test_close_wakes_blocked_consumer(self):
-        queue = JobQueue()
-        seen = []
 
-        def consume():
-            seen.append(queue.get())
+@pytest.fixture
+def gated():
+    """A one-worker service whose first job holds the worker until ``gate`` opens."""
+    gate, entered = threading.Event(), threading.Event()
+    service = CleaningService(
+        workers=1, llm_factory=lambda: _GatedLLM(gate, entered), share_cache=False
+    )
+    service.submit(_table("blocker"))
+    assert entered.wait(timeout=30), "the blocker never reached the model"
+    try:
+        yield service, gate
+    finally:
+        gate.set()
+        service.shutdown()
 
-        thread = threading.Thread(target=consume)
-        thread.start()
-        queue.close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-        assert seen == [None]
 
-    def test_get_timeout_returns_none(self):
-        queue = JobQueue()
-        assert queue.get(timeout=0.05) is None
+def _run_order(service, jobs):
+    service.wait_all(timeout=60)
+    ran = [job for job in jobs if job.started_at is not None]
+    return [job.name for job in sorted(ran, key=lambda job: job.started_at)]
+
+
+class TestRunOrder:
+    def test_fifo_within_priority(self, gated):
+        service, gate = gated
+        jobs = [service.submit(_table(f"j{i}"), priority=3) for i in range(5)]
+        gate.set()
+        assert _run_order(service, jobs) == [f"j{i}" for i in range(5)]
+
+    def test_lower_priority_number_runs_first(self, gated):
+        service, gate = gated
+        jobs = [
+            service.submit(_table(name), priority=priority)
+            for name, priority in (("low-urgency", 10), ("high-urgency", 1), ("mid-urgency", 5))
+        ]
+        gate.set()
+        assert _run_order(service, jobs) == ["high-urgency", "mid-urgency", "low-urgency"]
+
+    def test_cancelled_job_is_skipped(self, gated):
+        service, gate = gated
+        first, second = service.submit(_table("first")), service.submit(_table("second"))
+        assert service.queue_depth == 2
+        assert service.cancel(first)
+        assert service.queue_depth == 1
+        gate.set()
+        assert _run_order(service, [first, second]) == ["second"]
+        assert first.status is JobStatus.CANCELLED
+        assert second.status is JobStatus.SUCCEEDED
+        assert service.queue_depth == 0
+
+    def test_shutdown_drains_queued_jobs(self, gated):
+        service, gate = gated
+        jobs = [service.submit(_table(f"q{i}")) for i in range(2)]
+        gate.set()
+        service.shutdown(wait=True)
+        assert [job.status for job in jobs] == [JobStatus.SUCCEEDED] * 2
+
+    def test_submit_after_shutdown_raises_while_jobs_drain(self, gated):
+        service, gate = gated
+        queued = service.submit(_table("queued"))
+        service.shutdown(wait=False)
+        with pytest.raises(RuntimeError, match="shut down"):
+            service.submit(_table("late"))
+        gate.set()
+        assert queued.wait(timeout=60).status is JobStatus.SUCCEEDED
+
+    def test_shutdown_of_an_idle_service_returns(self):
+        service = CleaningService(workers=2)
+        service.submit(_table("only")).wait(timeout=60)
+        closer = threading.Thread(target=service.shutdown)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive()
 
 
 class TestCleaningJob:

@@ -17,11 +17,12 @@ Two layers:
   handles (plus the shapes that must raise, and the empty-table cases that
   must *not* raise);
 * a hypothesis layer generating random SELECTs — filters, counts,
-  keep-first QUALIFYs, NaN and mixed-type columns — against randomly drawn
-  tables.
+  keep-first QUALIFYs, NaN and mixed-type columns, comparisons of a column
+  with a literal or with another column — against randomly drawn tables.
 
 Three faults planted into a copy of the compiler's source must each fail
-the battery, so the oracle cannot be a vacuous copy of the closures.
+the battery, so the oracle cannot be a vacuous copy of the closures; the
+``NULL = NULL`` fault must also fail the hypothesis layer on a fixed seed.
 """
 
 import inspect
@@ -29,7 +30,7 @@ import math
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.dataframe.schema import is_null
@@ -447,7 +448,10 @@ def predicates(draw, depth=0):
     )
     if kind == "cmp":
         op = draw(st.sampled_from(["=", "<>", "<", ">", "<=", ">="]))
-        return f"{column} {op} {draw(LITERALS)}"
+        # A non-NULL literal on the right takes the constant-comparison
+        # closures; a column or NULL takes the general ones (eq_fn, ne_fn,
+        # cmp_fn).
+        return f"{column} {op} {draw(st.one_of(LITERALS, COLUMNS))}"
     if kind == "regexp":
         return f"REGEXP_FULL_MATCH({column}, {draw(PATTERNS)})"
     if kind == "in":
@@ -457,6 +461,14 @@ def predicates(draw, depth=0):
         return f"NOT ({draw(predicates(depth + 1))})"
     joiner = "AND" if kind == "and" else "OR"
     return f"({draw(predicates(depth + 1))} {joiner} {draw(predicates(depth + 1))})"
+
+
+@st.composite
+def column_comparisons(draw):
+    """``column op column``: the general comparison closures, nested or not."""
+    op = draw(st.sampled_from(["=", "<>", "<", ">", "<=", ">="]))
+    comparison = f"{draw(COLUMNS)} {op} {draw(COLUMNS)}"
+    return f"NOT ({comparison})" if draw(st.booleans()) else comparison
 
 
 @st.composite
@@ -490,8 +502,35 @@ def test_random_selects_match_interpreter(table, sql):
     check(catalog, sql)
 
 
-@settings(max_examples=60, deadline=None)
-@given(table=tables(), predicate=predicates())
-def test_random_predicates_match_interpreter(table, predicate):
+def check_predicate(table, predicate):
+    """Hold ``predicate`` to the oracle as a filter and as a projected value.
+
+    The projection shows its three-valued result per row, so a NULL that
+    should have been TRUE differs even under NOT or inside AND/OR.
+    """
     catalog = make_catalog([table])
     check(catalog, f"SELECT k FROM t WHERE {predicate}")
+    check(catalog, f"SELECT k, {predicate} AS p FROM t")
+
+
+test_random_predicates_match_interpreter = settings(max_examples=60, deadline=None)(
+    given(table=tables(), predicate=predicates())(check_predicate)
+)
+test_random_column_comparisons_match_interpreter = settings(max_examples=100, deadline=None)(
+    given(table=tables(), predicate=column_comparisons())(check_predicate)
+)
+
+
+def test_planted_null_equality_fails_the_hypothesis_layer(monkeypatch):
+    # The battery catches this fault with one query; the column comparisons
+    # must catch it on their own, here on a fixed seed's examples.
+    monkeypatch.setattr(
+        executor, "ColumnarBinding", mutant_binding(*PLANTED_FAULTS["NULL = NULL is TRUE"])
+    )
+    seeded = seed(0)(
+        settings(max_examples=60, deadline=None, database=None, phases=[Phase.generate])(
+            given(table=tables(), predicate=column_comparisons())(check_predicate)
+        )
+    )
+    with pytest.raises(AssertionError, match="SELECT k"):
+        seeded()

@@ -57,9 +57,8 @@ class TestDispatchAndOrdering:
             assert firsts == sorted(firsts)
 
     def test_concurrent_producers_on_one_stream_do_not_deadlock(self):
-        # Sequence assignment and enqueue are atomic: even racing producers
-        # cannot put batch n+1 ahead of batch n in the pool queue, which with
-        # one worker would deadlock the ordering wait.
+        # Sequence assignment and enqueue are one step under the stream's
+        # lock, so racing producers on one worker neither reorder nor stall.
         with StreamService(workers=1, max_pending_batches=8, detect_drift=False) as service:
             service.create_stream("raced")
             errors = []
@@ -81,6 +80,36 @@ class TestDispatchAndOrdering:
             stream = service.stream("raced")
             assert stream.completed_batches == 12
             assert stream.failed_batches == 0
+
+    def test_a_blocked_stream_does_not_hold_back_another(self):
+        # a0 blocks one worker and a1 must wait for it; the other worker must
+        # still be free for b0 rather than sit behind a1.
+        gate, entered = threading.Event(), threading.Event()
+        with StreamService(workers=2, detect_drift=False) as service:
+            stream_a = service.create_stream("a")
+            service.create_stream("b")
+            original = stream_a.cleaner.process_batch
+
+            def gated(batch):
+                entered.set()
+                assert gate.wait(timeout=30), "test gate was never opened"
+                return original(batch)
+
+            stream_a.cleaner.process_batch = gated
+            try:
+                a0 = service.submit("a", make_table(6, "a"))
+                assert entered.wait(timeout=30)
+                a1 = service.submit("a", make_table(6, "a", offset=6))
+                b0 = service.submit("b", make_table(6, "b"))
+                assert b0.wait(timeout=10) is not None, "b0 queued behind stream a"
+                assert b0.error is None
+                assert not a0.done and not a1.done
+                assert service.queue_depth == 1  # a1, behind the running a0
+            finally:
+                gate.set()
+            assert service.wait_idle(timeout=60)
+        assert a0.error is None and a1.error is None
+        assert a0.result.batch_index < a1.result.batch_index
 
     def test_unknown_stream_rejected(self):
         with StreamService(workers=1) as service:
@@ -132,6 +161,40 @@ class TestBackpressure:
                 service.submit("slow", make_table(6, offset=6), timeout=0.05)
             gate.set()
             assert service.wait_idle(timeout=60)
+
+    def test_submit_after_shutdown_raises_and_frees_capacity(self):
+        service = StreamService(workers=1, detect_drift=False)
+        stream = service.create_stream("late", max_pending_batches=1)
+        service.shutdown()
+        with pytest.raises(RuntimeError, match="shut down"):
+            service.submit("late", make_table(6))
+        assert stream.pending_batches == 0
+        stream.reserve(block=False, timeout=None)  # the slot was handed back
+
+    def test_shutdown_without_wait_still_drains_waiting_batches(self):
+        # Once shut down the executor refuses the stream's re-queue; the
+        # batches still waiting then run on the worker that holds the stream.
+        gate, entered = threading.Event(), threading.Event()
+        service = StreamService(workers=1, detect_drift=False)
+        stream = service.create_stream("tail")
+        original = stream.cleaner.process_batch
+
+        def gated(batch):
+            entered.set()
+            assert gate.wait(timeout=30), "test gate was never opened"
+            return original(batch)
+
+        stream.cleaner.process_batch = gated
+        try:
+            jobs = [service.submit("tail", make_table(6, offset=6 * i)) for i in range(3)]
+            assert entered.wait(timeout=30)
+            service.shutdown(wait=False)
+        finally:
+            gate.set()
+        service.shutdown(wait=True)
+        assert stream.wait_idle(timeout=60)
+        assert [job.error for job in jobs] == [None, None, None]
+        assert [job.result.batch_index for job in jobs] == [0, 1, 2]
 
     def test_invalid_max_pending_rejected(self):
         with pytest.raises(ValueError):
