@@ -448,14 +448,24 @@ class ExperimentMatrix:
         failures: List[str] = []
         llm_calls = 0
         if jobs:
-            with ThreadPoolExecutor(
+            executor = ThreadPoolExecutor(
                 min(self.workers, len(jobs)), thread_name_prefix="repro-matrix"
-            ) as executor:
+            )
+            try:
                 futures = [executor.submit(self._run_job, cells) for cells in jobs]
+                executor.shutdown(wait=True)
+            except BaseException:
+                # An interrupt (Ctrl-C) drops the jobs not yet started, so the
+                # process exits once the running ones finish; the store keeps
+                # every cell already recorded for a resumed run.
+                executor.shutdown(wait=False, cancel_futures=True)
+                raise
             for cells, future in zip(jobs, futures):
                 error = future.exception()
                 if error is not None:
-                    trace = "".join(traceback.format_exception(error))
+                    trace = "".join(
+                        traceback.format_exception(type(error), error, error.__traceback__)
+                    )
                     failures.append(f"cells {[c.cell_id for c in cells]}:\n{trace}")
                     continue
                 results = future.result()

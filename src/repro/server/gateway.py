@@ -132,10 +132,6 @@ class CleaningGateway:
         )
 
     # -- lifecycle ---------------------------------------------------------------
-    def start(self) -> "CleaningGateway":
-        self.service.start()
-        return self
-
     def shutdown(self, wait: bool = True) -> None:
         """Drain both services (with ``wait``) and flush the shared cache."""
         self._draining = True
@@ -144,10 +140,14 @@ class CleaningGateway:
         self.cache.flush()
 
     def __enter__(self) -> "CleaningGateway":
-        return self.start()
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown(wait=exc_type is None)
+        # Each service's own exit cancels its unstarted work on an exception.
+        self._draining = True
+        self.service.__exit__(exc_type, exc, tb)
+        self.streams.__exit__(exc_type, exc, tb)
+        self.cache.flush()
 
     @property
     def draining(self) -> bool:

@@ -337,5 +337,4 @@ def make_server(
     verbose: bool = False,
 ) -> GatewayHTTPServer:
     """Bind the gateway to an address (``port=0`` picks an ephemeral port)."""
-    gateway.start()
     return GatewayHTTPServer((host, port), gateway, verbose=verbose)

@@ -122,10 +122,6 @@ class CleaningService:
         self._stats = StatsCollector(registry=metrics_registry)
 
     # -- lifecycle -------------------------------------------------------------
-    def start(self) -> "CleaningService":
-        """Kept for symmetry with :meth:`shutdown`; threads start on demand."""
-        return self
-
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs; with ``wait`` drain the queue and join workers.
 
@@ -141,10 +137,18 @@ class CleaningService:
             self.cache.flush()
 
     def __enter__(self) -> "CleaningService":
-        return self.start()
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(wait=exc_type is None)
+        if exc_type is not None:
+            # An exception (Ctrl-C included) is unwinding the block: cancel
+            # the jobs not yet started, so only the running ones hold up the
+            # process's exit (executor threads are joined at exit).
+            with self._lock:
+                queued, self._queued = self._queued, []
+            for _, _, job in queued:
+                self.cancel(job)
 
     # -- submission -------------------------------------------------------------
     def submit(

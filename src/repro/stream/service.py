@@ -112,13 +112,16 @@ class ManagedStream:
             return job, needs_task
 
     # -- worker side --------------------------------------------------------------
-    def run_next(self) -> Tuple[StreamBatchJob, bool]:
+    def run_next(self) -> Tuple[Optional[StreamBatchJob], bool]:
         """Run the oldest waiting batch; True when more batches are waiting.
 
         Only the stream's single executor task calls this, so batches run
         one at a time and in submission order.
         """
         with self._lock:
+            if not self._waiting:  # cancelled by an exiting service meanwhile
+                self._scheduled = False
+                return None, False
             job = self._waiting.popleft()
         error: Optional[str] = None
         result: Optional[StreamBatchResult] = None
@@ -150,6 +153,19 @@ class ManagedStream:
             self._settled.notify_all()
         self._capacity.release()
         return job, more
+
+    def cancel_waiting(self) -> None:
+        """Settle every batch not yet started as failed, without running it."""
+        with self._settled:
+            cancelled = list(self._waiting)
+            self._waiting.clear()
+            for job in cancelled:
+                job.finish(None, "cancelled: stream service shut down")
+            self._completed += len(cancelled)
+            self._failed_count += len(cancelled)
+            self._settled.notify_all()
+        for _ in cancelled:
+            self._capacity.release()
 
     # -- introspection ---------------------------------------------------------------
     @property
@@ -364,6 +380,14 @@ class StreamService:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown(wait=exc_type is None)
+        if exc_type is not None:
+            # An exception (Ctrl-C included) is unwinding the block: cancel
+            # the batches not yet started, so only the running ones hold up
+            # the process's exit (executor threads are joined at exit).
+            with self._lock:
+                streams = list(self._streams.values())
+            for stream in streams:
+                stream.cancel_waiting()
 
     # -- introspection ---------------------------------------------------------------------
     @property
@@ -399,6 +423,8 @@ class StreamService:
         more = True
         while more:
             job, more = stream.run_next()
+            if job is None:
+                return
             self._batches_counter.inc(status="failed" if job.error else "succeeded")
             if job.result is not None:
                 self._batch_seconds.observe(job.result.seconds)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -193,6 +195,45 @@ class TestFailuresAndDiff:
         with pytest.raises(MatrixJobError) as excinfo:
             matrix.run()
         assert "synthetic failure" in str(excinfo.value)
+
+    def test_interrupt_cancels_jobs_not_yet_started(self, monkeypatch):
+        gate, entered = threading.Event(), threading.Event()
+        started = []
+        executors = []
+
+        def gated_job(self, cells):
+            started.append(cells)
+            entered.set()
+            assert gate.wait(timeout=30), "test gate was never opened"
+            return []
+
+        class InterruptedExecutor(ThreadPoolExecutor):
+            """Raises KeyboardInterrupt, as Ctrl-C would, while the grid runs."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+            def shutdown(self, wait=True, **kwargs):
+                if wait and not gate.is_set():
+                    assert entered.wait(timeout=30)
+                    raise KeyboardInterrupt
+                super().shutdown(wait=wait, **kwargs)
+
+        monkeypatch.setattr("repro.experiments.matrix.ThreadPoolExecutor", InterruptedExecutor)
+        monkeypatch.setattr(ExperimentMatrix, "_run_job", gated_job)
+        matrix = ExperimentMatrix(
+            tables=["table1"], datasets=["hospital", "beers", "flights"], systems=["RetClean"],
+            seed=SEED, scale=SCALE, workers=1,
+        )
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                matrix.run()
+        finally:
+            gate.set()
+        (executor,) = executors
+        executor.shutdown(wait=True)
+        assert len(started) == 1
 
     def test_diff_golden_reports_field_level_changes(self):
         cells = [CellResult("table1", "hospital", "Cocoon", 0, 0.1, {"f1": 0.9, "notes": "x"})]

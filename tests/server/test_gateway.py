@@ -22,7 +22,7 @@ DIRTY_CSV = (
 
 @pytest.fixture
 def gateway():
-    gw = CleaningGateway(workers=2, stream_workers=1).start()
+    gw = CleaningGateway(workers=2, stream_workers=1)
     yield gw
     gw.shutdown(wait=True)
 
@@ -88,7 +88,7 @@ class TestJobs:
             gateway.job_status(999_999_999)
 
     def test_result_not_ready(self, gateway):
-        gw = CleaningGateway(workers=1, llm_factory=_slow_llm_factory(0.2)).start()
+        gw = CleaningGateway(workers=1, llm_factory=_slow_llm_factory(0.2))
         try:
             first = gw.submit_job({"csv": DIRTY_CSV})
             second = gw.submit_job({"csv": DIRTY_CSV, "name": "queued"})
@@ -101,7 +101,7 @@ class TestJobs:
     def test_bounded_admission_saturates(self):
         gw = CleaningGateway(
             workers=1, max_pending_jobs=1, llm_factory=_slow_llm_factory(0.2)
-        ).start()
+        )
         try:
             gw.submit_job({"csv": DIRTY_CSV})
             with pytest.raises(ServiceSaturated):
@@ -126,7 +126,7 @@ class TestStreams:
             stream_workers=1,
             max_pending_batches=1,
             llm_factory=_slow_llm_factory(0.2),
-        ).start()
+        )
         try:
             gw.submit_stream_batch("hot", {"csv": DIRTY_CSV})
             with pytest.raises(StreamBackpressure):
@@ -175,7 +175,7 @@ class TestObservability:
             metrics = gw.metrics()
             return metrics["jobs"]["queue_depth"], metrics["streams"]["queue_depth"]
 
-        gw = CleaningGateway(workers=1, stream_workers=1, llm_factory=GatedLLM).start()
+        gw = CleaningGateway(workers=1, stream_workers=1, llm_factory=GatedLLM)
         try:
             assert depths(gw) == (0, 0)
             running = gw.submit_job({"csv": DIRTY_CSV, "name": "running"})

@@ -84,7 +84,6 @@ def test_result_is_read_only(server):
 
 def test_pending_batches_are_409():
     gateway = CleaningGateway(workers=1, stream_workers=1)
-    gateway.start()
     try:
         gateway.submit_stream_batch("slow", {"csv": BATCH_CSV})
         # Synchronously: the batch may or may not have been picked up yet;

@@ -109,6 +109,25 @@ class TestRunOrder:
         gate.set()
         assert queued.wait(timeout=60).status is JobStatus.SUCCEEDED
 
+    def test_exception_in_the_block_cancels_queued_jobs(self):
+        gate, entered = threading.Event(), threading.Event()
+        service = CleaningService(
+            workers=1, llm_factory=lambda: _GatedLLM(gate, entered), share_cache=False
+        )
+        try:
+            with pytest.raises(KeyboardInterrupt), service:
+                blocker = service.submit(_table("blocker"))
+                queued = [service.submit(_table(f"q{i}")) for i in range(2)]
+                assert entered.wait(timeout=30), "the blocker never reached the model"
+                raise KeyboardInterrupt
+            # Settled before the running job lets go of the worker.
+            assert [job.status for job in queued] == [JobStatus.CANCELLED] * 2
+            assert service.queue_depth == 0
+        finally:
+            gate.set()
+        assert blocker.wait(timeout=60).status is JobStatus.SUCCEEDED
+        assert [job.started_at for job in queued] == [None, None]
+
     def test_shutdown_of_an_idle_service_returns(self):
         service = CleaningService(workers=2)
         service.submit(_table("only")).wait(timeout=60)

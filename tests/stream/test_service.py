@@ -196,6 +196,36 @@ class TestBackpressure:
         assert [job.error for job in jobs] == [None, None, None]
         assert [job.result.batch_index for job in jobs] == [0, 1, 2]
 
+    def test_exception_in_the_block_cancels_waiting_batches(self):
+        gate, entered = threading.Event(), threading.Event()
+        service = StreamService(workers=1, detect_drift=False)
+        stream = service.create_stream("tail")
+        original = stream.cleaner.process_batch
+        processed = []
+
+        def gated(batch):
+            processed.append(batch)
+            entered.set()
+            assert gate.wait(timeout=30), "test gate was never opened"
+            return original(batch)
+
+        stream.cleaner.process_batch = gated
+        try:
+            with pytest.raises(KeyboardInterrupt), service:
+                jobs = [service.submit("tail", make_table(6, offset=6 * i)) for i in range(3)]
+                assert entered.wait(timeout=30)
+                raise KeyboardInterrupt
+            # Settled before the running batch lets go of the worker.
+            assert [job.done for job in jobs] == [False, True, True]
+            assert all("cancelled" in job.error for job in jobs[1:])
+            assert service.queue_depth == 0
+        finally:
+            gate.set()
+        assert stream.wait_idle(timeout=60)
+        assert jobs[0].error is None and jobs[0].result.batch_index == 0
+        assert len(processed) == 1
+        stream.reserve(block=False, timeout=None)  # the slots were handed back
+
     def test_invalid_max_pending_rejected(self):
         with pytest.raises(ValueError):
             StreamService(max_pending_batches=0)
