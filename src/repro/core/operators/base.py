@@ -2,11 +2,15 @@
 
 Every operator follows the same three-step shape from Figure 1(b):
 statistical detection → semantic detection (LLM) → semantic cleaning (LLM),
-and finally hands its decision to :meth:`CleaningOperator.apply_step`, which
-renders it as the :class:`~repro.core.plan.PlanStep` statement that
-materialises the next version of the table.  The base class provides the LLM
-helpers, that one apply path and the cell-level diff that turns a table
-rewrite into a list of :class:`~repro.core.result.CellRepair` objects.
+one target (column, table or FD candidate) at a time.
+:meth:`CleaningOperator.run` is the one target loop: it gives each target its
+:class:`~repro.core.result.OperatorResult`, its span and its LLM call count,
+and records the lineage of an applied step.  An operator names its targets
+and cleans one, handing its decision to :meth:`CleaningOperator.apply_step`,
+which renders it as the :class:`~repro.core.plan.PlanStep` statement that
+materialises the next version of the table.  The base class also provides
+the LLM helpers and the cell-level diff that turns a table rewrite into a
+list of :class:`~repro.core.result.CellRepair` objects.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import abc
 from dataclasses import replace
 from itertools import compress
 from operator import is_not, itemgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.context import ROW_ID_COLUMN, CleaningContext
 from repro.core.hil import HumanInTheLoop
@@ -23,6 +27,7 @@ from repro.core.plan import PlanStep
 from repro.core.result import CellRepair, DetectionFinding, OperatorResult
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
+from repro.llm.base import CallRecord
 from repro.llm.parsing import ResponseParseError, extract_json, parse_mapping_yaml
 from repro.obs import current_ref as obs_current_ref
 from repro.obs import span as obs_span
@@ -34,27 +39,52 @@ class CleaningOperator(abc.ABC):
 
     issue_type: str = "abstract"
 
-    def __init__(self) -> None:
-        self._llm_calls = 0
+    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
+        """Detect and clean this operator's issue type across its targets.
 
-    def target_span(self, target: str, **attrs: Any):
-        """Span covering the work on one target (column, table or FD candidate).
-
-        Nested under the per-operator span opened by
-        :func:`repro.core.pipeline.run_operators`, so traces read
-        ``operator.dmv`` → ``operator.dmv.target`` per column.
+        Each target is cleaned inside an ``operator.<issue_type>.target``
+        span, nested under the per-operator span opened by
+        :func:`repro.core.pipeline.run_operators`.  The target's LLM calls
+        are the ``context.llm.history`` entries appended while it is
+        cleaned: their number is ``result.llm_calls``, and they are the
+        ``llm`` provenance of the lineage an applied step records.
         """
-        return obs_span(f"operator.{self.issue_type}.target", target=target, **attrs)
+        results: List[OperatorResult] = []
+        for target, item in self.targets(context):
+            result = OperatorResult(issue_type=self.issue_type, target=target)
+            first_call = len(context.llm.history)
+            before = context.current_table()
+            with obs_span(f"operator.{self.issue_type}.target", target=target):
+                self.clean_target(context, hil, result, item)
+                calls = context.llm.history[first_call:]
+                if result.applied and context.lineage is not None:
+                    # Records join the target's span, not the recording span.
+                    span_ref = obs_current_ref()
+                    with obs_span("lineage.record"):
+                        self._record_lineage(context, before, result, calls, span_ref)
+            result.llm_calls = len(calls)
+            results.append(result)
+        return results
 
     # -- abstract interface -------------------------------------------------------
     @abc.abstractmethod
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        """Detect and clean this operator's issue type across its targets."""
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, Any]]:
+        """Yield ``(target name, item)`` for each target, lazily.
+
+        Each target is chosen when the previous one is done, so a check on
+        ``context.profile()`` reads the table version that target left.
+        ``item`` is what :meth:`clean_target` needs besides the result.
+        """
+
+    @abc.abstractmethod
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, item: Any
+    ) -> None:
+        """Detect and clean one target, filling in ``result``."""
 
     # -- LLM helpers -----------------------------------------------------------------
     def ask_json(self, context: CleaningContext, prompt: str, purpose: str) -> Optional[Dict[str, Any]]:
         """Call the model and parse a JSON response; None when unparseable."""
-        self._llm_calls += 1
         response = context.llm.complete(prompt, purpose=purpose)
         try:
             return extract_json(response.text)
@@ -63,15 +93,8 @@ class CleaningOperator(abc.ABC):
 
     def ask_mapping(self, context: CleaningContext, prompt: str, purpose: str) -> Tuple[str, Dict[str, str]]:
         """Call the model and parse the Figure 3 explanation/mapping response."""
-        self._llm_calls += 1
         response = context.llm.complete(prompt, purpose=purpose)
         return parse_mapping_yaml(response.text)
-
-    def take_llm_calls(self) -> int:
-        """Return and reset the number of LLM calls made since the last call."""
-        calls = self._llm_calls
-        self._llm_calls = 0
-        return calls
 
     # -- applying a decision ---------------------------------------------------------
     def apply_step(
@@ -83,7 +106,7 @@ class CleaningOperator(abc.ABC):
         suffix: str,
         payload: Dict[str, Any],
         comments: List[str],
-    ) -> OperatorResult:
+    ) -> None:
         """Review, render, execute and record one cleaning decision.
 
         The decision becomes a :class:`~repro.core.plan.PlanStep` writing the
@@ -92,9 +115,7 @@ class CleaningOperator(abc.ABC):
         edited mapping replaces the payload's ``mapping`` and the statement is
         re-rendered.  The executed step is diffed into ``result.repairs`` and
         ``result.removed_row_ids`` — row identity is carried by the hidden
-        row-id column, so repairs survive reordering and row removal — and,
-        when the context carries a lineage recorder, every strict cell change
-        and removed row is recorded under :attr:`PlanStep.step_id`.
+        row-id column, so repairs survive reordering and row removal.
         """
         finding = result.finding
         source_table = context.current_table_name
@@ -105,8 +126,7 @@ class CleaningOperator(abc.ABC):
         decision = hil.review_cleaning(finding, step.review_mapping, sql)
         if not decision.approved:
             result.skipped_reason = "cleaning rejected by reviewer"
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
         if decision.edited_mapping is not None and "mapping" in payload:
             step = replace(step, payload={**payload, "mapping": dict(decision.edited_mapping)})
             edited = f"{comments[0].removesuffix('.')} (reviewer-edited mapping)."
@@ -119,78 +139,56 @@ class CleaningOperator(abc.ABC):
             result.repairs, result.removed_row_ids = diff_tables(
                 before, after, issue_type=self.issue_type, reason=finding.llm_summary
             )
-        if context.lineage is not None:
-            # Records join the target's span, not the recording span.
-            span_ref = obs_current_ref()
-            with obs_span("lineage.record"):
-                self._record_lineage(context, before, after, result.removed_row_ids, step, span_ref)
         context.advance(target_table)
         result.sql = sql
         result.step = step
-        result.llm_calls = self.take_llm_calls()
-        return result
 
     def _record_lineage(
         self,
         context: CleaningContext,
         before: Table,
-        after: Table,
-        removed: List[int],
-        step: PlanStep,
+        result: OperatorResult,
+        calls: Sequence[CallRecord],
         span_ref: Optional[Tuple[str, int]],
     ) -> None:
-        """Record this step's strict cell diff + removals into the context recorder."""
-        step_id = step.step_id
-        # The last ``_llm_calls`` history entries are exactly this target's
-        # calls (take_llm_calls resets the counter after every target).
-        history = context.llm.history
-        llm_info = (
-            [
-                {"cache_key": rec.cache_key, "hit": rec.cache_hit, "purpose": rec.purpose}
-                for rec in history[len(history) - self._llm_calls :]
-            ]
-            if self._llm_calls
-            else []
-        )
+        """Record an applied step's strict cell diff and removals, each
+        carrying the target's own LLM ``calls`` as provenance."""
+        step = result.step
         context.lineage.record_step_edits(
-            strict_table_edits(before, after),
+            strict_table_edits(before, context.current_table()),
             operator=step.issue_type,
             target=step.target,
             kind=step.kind,
-            step_id=step_id,
+            step_id=step.step_id,
             decision=dict(step.payload),
-            llm=llm_info,
+            llm=[{"cache_key": c.cache_key, "hit": c.cache_hit, "purpose": c.purpose} for c in calls],
             span_ref=span_ref,
         )
-        for row_id in removed:
+        for row_id in result.removed_row_ids:
             context.lineage.record_removal(
                 row_id,
                 operator=step.issue_type,
                 target=step.target,
                 kind=step.kind,
-                step_id=step_id,
+                step_id=step.step_id,
                 mode="dropped",
                 span_ref=span_ref,
             )
 
-    # -- misc helpers ----------------------------------------------------------------------
-    @staticmethod
-    def make_finding(
-        issue_type: str,
-        target: str,
-        statistical_evidence: str,
-        detected: bool,
-        llm_reasoning: str = "",
-        llm_summary: str = "",
-    ) -> DetectionFinding:
-        return DetectionFinding(
-            issue_type=issue_type,
-            target=target,
-            statistical_evidence=statistical_evidence,
-            detected=detected,
-            llm_reasoning=llm_reasoning,
-            llm_summary=llm_summary,
-        )
+
+def record_finding(
+    result: OperatorResult, evidence: str, detected: bool, reasoning: str, summary: str
+) -> DetectionFinding:
+    """Set ``result.finding`` for the result's issue and target, and return it."""
+    result.finding = DetectionFinding(
+        issue_type=result.issue_type,
+        target=result.target,
+        statistical_evidence=evidence,
+        detected=detected,
+        llm_reasoning=reasoning,
+        llm_summary=summary,
+    )
+    return result.finding
 
 
 def diff_tables(

@@ -8,14 +8,15 @@ preceded by a value-normalising ``CASE WHEN`` supplied by the model.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
+from repro.profiling.column_profile import ColumnProfile
 
 _VALID_TYPES = {"VARCHAR", "INTEGER", "DOUBLE", "BOOLEAN", "DATE", "TIMESTAMP"}
 
@@ -24,35 +25,30 @@ class ColumnTypeOperator(CleaningOperator):
 
     issue_type = "column_type"
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        results: List[OperatorResult] = []
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, ColumnProfile]]:
         for column_name in context.data_columns():
-            column_profile = context.profile().column(column_name)
-            if column_profile.dtype is not ColumnType.VARCHAR:
-                # Already a typed column in the catalog; nothing to cast.
-                continue
-            with self.target_span(column_name):
-                results.append(self._run_column(context, hil, column_name))
-        return results
+            profile = context.profile().column(column_name)
+            # A typed column in the catalog has nothing to cast.
+            if profile.dtype is ColumnType.VARCHAR:
+                yield column_name, profile
 
-    def _run_column(self, context: CleaningContext, hil: HumanInTheLoop, column_name: str) -> OperatorResult:
-        config = context.config
-        result = OperatorResult(issue_type=self.issue_type, target=column_name)
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: ColumnProfile
+    ) -> None:
+        column_name = result.target
         schema = context.db.schema(context.current_table_name)
         current_type = str(schema.get(column_name, ColumnType.VARCHAR))
-        profile = context.profile().column(column_name)
-        value_counts = profile.frequent_values(min(config.sample_values, 200))
+        value_counts = profile.frequent_values(min(context.config.sample_values, 200))
         if not value_counts:
             result.skipped_reason = "column has no non-null values"
-            return result
+            return
         evidence = f"catalog type {current_type}; sample values {[v for v, _ in value_counts[:5]]}"
 
         suggestion_prompt = prompts.column_type_suggestion(column_name, current_type, value_counts)
         suggestion = self.ask_json(context, suggestion_prompt, purpose="column_type")
         if suggestion is None:
             result.skipped_reason = "unparseable type suggestion"
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
         suggested = str(suggestion.get("SuggestedType", current_type)).upper()
         value_mapping = suggestion.get("ValueMapping")
         if not isinstance(value_mapping, dict):
@@ -60,20 +56,17 @@ class ColumnTypeOperator(CleaningOperator):
         if suggested not in _VALID_TYPES:
             suggested = current_type
         detected = suggested != current_type.upper()
-        finding = self.make_finding(
-            self.issue_type,
-            column_name,
+        finding = record_finding(
+            result,
             evidence,
             detected,
-            llm_reasoning=str(suggestion.get("Reasoning", "")),
-            llm_summary=f"cast {current_type} -> {suggested}",
+            str(suggestion.get("Reasoning", "")),
+            f"cast {current_type} -> {suggested}",
         )
-        result.finding = finding
         if not detected or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
-        return self.apply_step(
+        self.apply_step(
             context,
             hil,
             result,

@@ -7,40 +7,38 @@ distinct values of each column; cleaning is a ``CASE WHEN ... THEN NULL``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
+from repro.profiling.column_profile import ColumnProfile
 
 
 class DisguisedMissingValueOperator(CleaningOperator):
 
     issue_type = "disguised_missing_value"
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        results: List[OperatorResult] = []
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, ColumnProfile]]:
         for column_name in context.data_columns():
-            column_profile = context.profile().column(column_name)
-            if column_profile.dtype is not ColumnType.VARCHAR:
-                continue
-            if column_profile.distinct_count > context.config.max_categorical_distinct:
-                continue
-            with self.target_span(column_name):
-                results.append(self._run_column(context, hil, column_name))
-        return results
+            profile = context.profile().column(column_name)
+            if (
+                profile.dtype is ColumnType.VARCHAR
+                and profile.distinct_count <= context.config.max_categorical_distinct
+            ):
+                yield column_name, profile
 
-    def _run_column(self, context: CleaningContext, hil: HumanInTheLoop, column_name: str) -> OperatorResult:
-        config = context.config
-        result = OperatorResult(issue_type=self.issue_type, target=column_name)
-        profile = context.profile().column(column_name)
-        value_counts = profile.frequent_values(config.sample_values)
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: ColumnProfile
+    ) -> None:
+        column_name = result.target
+        value_counts = profile.frequent_values(context.config.sample_values)
         if not value_counts:
             result.skipped_reason = "column has no non-null values"
-            return result
+            return
         evidence = f"{profile.null_fraction:.1%} NULL, {profile.distinct_count} distinct values"
 
         detection_prompt = prompts.dmv_detection(column_name, value_counts)
@@ -50,20 +48,17 @@ class DisguisedMissingValueOperator(CleaningOperator):
             dmvs = [str(v) for v in detection.get("DisguisedMissingValues", []) if str(v).strip() != ""]
         present = set(value for value, _ in value_counts)
         dmvs = [v for v in dmvs if v in present]
-        finding = self.make_finding(
-            self.issue_type,
-            column_name,
+        finding = record_finding(
+            result,
             evidence,
             bool(dmvs),
-            llm_reasoning=str(detection.get("Reasoning", "")) if detection else "",
-            llm_summary=f"disguised missing values: {dmvs}" if dmvs else "no disguised missing values",
+            str(detection.get("Reasoning", "")) if detection else "",
+            f"disguised missing values: {dmvs}" if dmvs else "no disguised missing values",
         )
-        result.finding = finding
         if not dmvs or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
-        return self.apply_step(
+        self.apply_step(
             context,
             hil,
             result,

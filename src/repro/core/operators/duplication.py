@@ -9,66 +9,58 @@ columns so the hidden row-id bookkeeping column is preserved).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.llm import prompts
+from repro.obs import current_span
+from repro.profiling.table_profile import TableProfile
 
 
 class DuplicationOperator(CleaningOperator):
 
     issue_type = "duplication"
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        result = OperatorResult(issue_type=self.issue_type, target=context.base_table)
-        profile = context.profile()
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, TableProfile]]:
+        yield context.base_table, context.profile()
+
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: TableProfile
+    ) -> None:
         duplicate_rows = profile.duplicate_rows
+        span = current_span()
+        if span is not None:
+            span.annotate(duplicate_rows=duplicate_rows)
         if duplicate_rows == 0:
             result.skipped_reason = "no duplicated rows detected statistically"
-            return [result]
+            return
 
-        with self.target_span(context.base_table, duplicate_rows=duplicate_rows):
-            return self._review_and_clean(context, hil, result, duplicate_rows, profile)
-
-    def _review_and_clean(
-        self,
-        context: CleaningContext,
-        hil: HumanInTheLoop,
-        result: OperatorResult,
-        duplicate_rows: int,
-        profile,
-    ) -> List[OperatorResult]:
         evidence = f"{duplicate_rows} fully duplicated rows"
         review_prompt = prompts.duplication_review(context.base_table, duplicate_rows, profile.duplicate_samples)
         review = self.ask_json(context, review_prompt, purpose="duplication_review")
         erroneous = bool(review and review.get("Erroneous"))
-        finding = self.make_finding(
-            self.issue_type,
-            context.base_table,
+        finding = record_finding(
+            result,
             evidence,
             erroneous,
-            llm_reasoning=str(review.get("Reasoning", "")) if review else "",
-            llm_summary="duplicates are erroneous" if erroneous else "duplicates are acceptable",
+            str(review.get("Reasoning", "")) if review else "",
+            "duplicates are erroneous" if erroneous else "duplicates are acceptable",
         )
-        result.finding = finding
         if not erroneous or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return [result]
+            return
 
-        return [
-            self.apply_step(
-                context,
-                hil,
-                result,
-                "dedup",
-                "dedup",
-                {"columns": context.data_columns()},
-                [
-                    f"Duplication cleaning: remove {duplicate_rows} duplicated rows (keep the first occurrence).",
-                    f"Reasoning: {finding.llm_reasoning}",
-                ],
-            )
-        ]
+        self.apply_step(
+            context,
+            hil,
+            result,
+            "dedup",
+            "dedup",
+            {"columns": context.data_columns()},
+            [
+                f"Duplication cleaning: remove {duplicate_rows} duplicated rows (keep the first occurrence).",
+                f"Reasoning: {finding.llm_reasoning}",
+            ],
+        )

@@ -10,11 +10,11 @@ repair is a ``CASE WHEN`` keyed on the determinant.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.llm import prompts
 from repro.obs import span as obs_span
@@ -37,8 +37,7 @@ class FunctionalDependencyOperator(CleaningOperator):
     # third of the table is a statistical artefact, not a rule.
     max_violation_fraction = 0.3
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        results: List[OperatorResult] = []
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, FDCandidate]]:
         profile = context.profile()
         row_count = max(1, profile.row_count)
         candidates = []
@@ -52,23 +51,18 @@ class FunctionalDependencyOperator(CleaningOperator):
             if row_count / distinct < self.min_group_size:
                 continue
             candidates.append(candidate)
-        candidates = candidates[: context.config.fd_max_candidates]
-        for candidate in candidates:
-            with self.target_span(f"{candidate.determinant} -> {candidate.dependent}"):
-                results.append(self._run_candidate(context, hil, candidate))
-        return results
+        for candidate in candidates[: context.config.fd_max_candidates]:
+            yield f"{candidate.determinant} -> {candidate.dependent}", candidate
 
-    def _run_candidate(
-        self, context: CleaningContext, hil: HumanInTheLoop, candidate: FDCandidate
-    ) -> OperatorResult:
-        target = f"{candidate.determinant} -> {candidate.dependent}"
-        result = OperatorResult(issue_type=self.issue_type, target=target)
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, candidate: FDCandidate
+    ) -> None:
         table = context.data_only_table()
         with obs_span("profile.fd_violations"):
             violations = fd_violation_groups(table, candidate.determinant, candidate.dependent)
         if not violations:
             result.skipped_reason = "no violations remain"
-            return result
+            return
         evidence = (
             f"entropy score {candidate.score:.3f}, {len(violations)} violating groups, "
             f"{candidate.violating_rows} violating rows"
@@ -82,18 +76,15 @@ class FunctionalDependencyOperator(CleaningOperator):
         )
         review = self.ask_json(context, review_prompt, purpose="fd_review")
         meaningful = bool(review and review.get("Meaningful"))
-        finding = self.make_finding(
-            self.issue_type,
-            target,
+        finding = record_finding(
+            result,
             evidence,
             meaningful,
-            llm_reasoning=str(review.get("Reasoning", "")) if review else "",
-            llm_summary="meaningful dependency" if meaningful else "dependency judged not meaningful",
+            str(review.get("Reasoning", "")) if review else "",
+            "meaningful dependency" if meaningful else "dependency judged not meaningful",
         )
-        result.finding = finding
         if not meaningful or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
         mapping: Dict[str, str] = {}
         for start in range(0, len(violations), self.correction_batch):
@@ -102,10 +93,9 @@ class FunctionalDependencyOperator(CleaningOperator):
             _explanation, batch_mapping = self.ask_mapping(context, correction_prompt, purpose="fd_correction")
             mapping.update({k: v for k, v in batch_mapping.items() if v})
         if not mapping:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
-        return self.apply_step(
+        self.apply_step(
             context,
             hil,
             result,
@@ -117,7 +107,7 @@ class FunctionalDependencyOperator(CleaningOperator):
                 "mapping": mapping,
             },
             [
-                f"Functional dependency repair: {target}.",
+                f"Functional dependency repair: {result.target}.",
                 f"Statistical evidence: {evidence}",
                 f"Reasoning: {finding.llm_reasoning}",
             ],

@@ -10,14 +10,15 @@ non-conforming values into the standard pattern.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
+from repro.profiling.column_profile import ColumnProfile
 from repro.profiling.patterns import match_fraction, non_matching_values, pattern_counts
 
 
@@ -28,26 +29,24 @@ class PatternOutlierOperator(CleaningOperator):
     max_generation_rounds = 2
     coverage_threshold = 0.95
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        results: List[OperatorResult] = []
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, ColumnProfile]]:
         for column_name in context.data_columns():
-            column_profile = context.profile().column(column_name)
-            if column_profile.dtype is not ColumnType.VARCHAR:
-                continue
-            if column_profile.distinct_count > context.config.max_categorical_distinct:
-                continue
-            with self.target_span(column_name):
-                results.append(self._run_column(context, hil, column_name))
-        return results
+            profile = context.profile().column(column_name)
+            if (
+                profile.dtype is ColumnType.VARCHAR
+                and profile.distinct_count <= context.config.max_categorical_distinct
+            ):
+                yield column_name, profile
 
-    def _run_column(self, context: CleaningContext, hil: HumanInTheLoop, column_name: str) -> OperatorResult:
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: ColumnProfile
+    ) -> None:
         config = context.config
-        result = OperatorResult(issue_type=self.issue_type, target=column_name)
-        profile = context.profile().column(column_name)
+        column_name = result.target
         value_counts = profile.frequent_values(config.sample_values)
         if not value_counts or profile.distinct_count <= 1:
             result.skipped_reason = "not enough distinct values for pattern analysis"
-            return result
+            return
         # The helpers read the dictionary codes the column's profile encoded.
         column = context.current_table().column(column_name)
 
@@ -64,8 +63,7 @@ class PatternOutlierOperator(CleaningOperator):
         counts = pattern_counts(column, patterns)
         if not counts:
             result.skipped_reason = "no usable patterns generated"
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
         evidence = "pattern distribution: " + ", ".join(f"{p!r} x{c}" for p, c in counts)
 
         consistency_prompt = prompts.pattern_consistency(column_name, counts)
@@ -73,24 +71,20 @@ class PatternOutlierOperator(CleaningOperator):
         detected = bool(consistency and consistency.get("Inconsistent")) and len(
             [c for _, c in counts if c > 0]
         ) > 1
-        finding = self.make_finding(
-            self.issue_type,
-            column_name,
+        finding = record_finding(
+            result,
             evidence,
             detected,
-            llm_reasoning=str(consistency.get("Reasoning", "")) if consistency else "",
-            llm_summary=f"standard pattern {consistency.get('StandardPattern')}" if consistency else "",
+            str(consistency.get("Reasoning", "")) if consistency else "",
+            f"standard pattern {consistency.get('StandardPattern')}" if consistency else "",
         )
-        result.finding = finding
         if not detected or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
         standard_pattern = str(consistency.get("StandardPattern", "")) if consistency else ""
         outliers = non_matching_values(column, standard_pattern)
         if not outliers:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
         mapping: Dict[str, str] = {}
         batch_size = config.cleaning_batch_size
         for start in range(0, len(outliers), batch_size):
@@ -101,10 +95,9 @@ class PatternOutlierOperator(CleaningOperator):
                 if old != new and new:
                     mapping[old] = new
         if not mapping:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
-        return self.apply_step(
+        self.apply_step(
             context,
             hil,
             result,

@@ -9,52 +9,49 @@ through a ``CASE WHEN`` rewrite.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.dataframe.schema import ColumnType
 from repro.llm import prompts
+from repro.profiling.column_profile import ColumnProfile
 
 
 class StringOutlierOperator(CleaningOperator):
 
     issue_type = "string_outliers"
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        results: List[OperatorResult] = []
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, ColumnProfile]]:
         for column_name in context.data_columns():
-            column_profile = context.profile().column(column_name)
-            if column_profile.dtype is not ColumnType.VARCHAR:
-                continue
-            with self.target_span(column_name):
-                results.append(self._run_column(context, hil, column_name))
-        return results
+            profile = context.profile().column(column_name)
+            if profile.dtype is ColumnType.VARCHAR:
+                yield column_name, profile
 
-    def _run_column(self, context: CleaningContext, hil: HumanInTheLoop, column_name: str) -> OperatorResult:
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: ColumnProfile
+    ) -> None:
         config = context.config
-        profile = context.profile().column(column_name)
-        result = OperatorResult(issue_type=self.issue_type, target=column_name)
-
+        column_name = result.target
         if profile.distinct_count > config.max_categorical_distinct:
             result.skipped_reason = (
                 f"{profile.distinct_count} distinct values exceed the categorical limit "
                 f"({config.max_categorical_distinct}); treated as free text."
             )
-            return result
+            return
         if profile.unique_ratio > config.max_free_text_unique_ratio and profile.distinct_count > 50:
             result.skipped_reason = (
                 f"unique ratio {profile.unique_ratio:.2f} indicates free text; skipped."
             )
-            return result
+            return
 
         # Statistical step: the frequent-value sample that goes into the prompt.
         value_counts = profile.frequent_values(config.sample_values)
         if not value_counts:
             result.skipped_reason = "column has no non-null values"
-            return result
+            return
         evidence = "value distribution: " + ", ".join(
             f"{value!r} {count / profile.row_count:.1%}" for value, count in value_counts[:5]
         )
@@ -66,20 +63,16 @@ class StringOutlierOperator(CleaningOperator):
         detection = self.ask_json(context, detection_prompt, purpose="string_outlier_detection")
         if detection is None:
             result.skipped_reason = "unparseable detection response"
-            result.llm_calls = self.take_llm_calls()
-            return result
-        finding = self.make_finding(
-            self.issue_type,
-            column_name,
+            return
+        finding = record_finding(
+            result,
             evidence,
             bool(detection.get("Unusualness")),
-            llm_reasoning=str(detection.get("Reasoning", "")),
-            llm_summary=str(detection.get("Summary", "")),
+            str(detection.get("Reasoning", "")),
+            str(detection.get("Summary", "")),
         )
-        result.finding = finding
         if not finding.detected or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
         # Semantic cleaning (Figure 3), batched to stay inside the context window.
         mapping: Dict[str, str] = {}
@@ -93,10 +86,9 @@ class StringOutlierOperator(CleaningOperator):
                 if old != new:
                     mapping[old] = new
         if not mapping:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
-        return self.apply_step(
+        self.apply_step(
             context,
             hil,
             result,

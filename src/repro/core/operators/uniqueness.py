@@ -9,11 +9,11 @@ function.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.core.context import CleaningContext
 from repro.core.hil import HumanInTheLoop
-from repro.core.operators.base import CleaningOperator
+from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
 from repro.llm import prompts
 
@@ -22,9 +22,8 @@ class ColumnUniquenessOperator(CleaningOperator):
 
     issue_type = "column_uniqueness"
 
-    def run(self, context: CleaningContext, hil: HumanInTheLoop) -> List[OperatorResult]:
-        results: List[OperatorResult] = []
-        # One snapshot for the whole loop: every column is judged on the table
+    def targets(self, context: CleaningContext) -> Iterator[Tuple[str, float]]:
+        # One snapshot for every target: each column is judged on the table
         # as it was before this operator removed any rows.
         profile = context.profile()
         threshold = context.config.uniqueness_threshold
@@ -33,16 +32,13 @@ class ColumnUniquenessOperator(CleaningOperator):
             ratio = column_profile.unique_ratio
             # Only nearly-unique columns are key candidates worth reviewing;
             # exactly-unique columns need no cleaning.
-            if ratio < threshold or ratio >= 1.0 or column_profile.row_count == 0:
-                continue
-            with self.target_span(column_name):
-                results.append(self._run_column(context, hil, column_name, ratio))
-        return results
+            if threshold <= ratio < 1.0 and column_profile.row_count != 0:
+                yield column_name, ratio
 
-    def _run_column(
-        self, context: CleaningContext, hil: HumanInTheLoop, column_name: str, ratio: float
-    ) -> OperatorResult:
-        result = OperatorResult(issue_type=self.issue_type, target=column_name)
+    def clean_target(
+        self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, ratio: float
+    ) -> None:
+        column_name = result.target
         profile = context.profile().column(column_name)
         evidence = f"unique ratio {ratio:.3f}"
         other_columns = [c for c in context.data_columns() if c != column_name]
@@ -53,23 +49,20 @@ class ColumnUniquenessOperator(CleaningOperator):
         order_column = review.get("OrderByColumn") if review else None
         if order_column not in other_columns:
             order_column = None
-        finding = self.make_finding(
-            self.issue_type,
-            column_name,
+        finding = record_finding(
+            result,
             evidence,
             should_be_unique,
-            llm_reasoning=str(review.get("Reasoning", "")) if review else "",
-            llm_summary=(
+            str(review.get("Reasoning", "")) if review else "",
+            (
                 f"keep one row per {column_name}"
                 + (f" ordered by {order_column} DESC" if order_column else "")
             ),
         )
-        result.finding = finding
         if not should_be_unique or not hil.review_detection(finding).approved:
-            result.llm_calls = self.take_llm_calls()
-            return result
+            return
 
-        return self.apply_step(
+        self.apply_step(
             context,
             hil,
             result,

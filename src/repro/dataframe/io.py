@@ -8,8 +8,11 @@ type inference on read.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
+import tempfile
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -79,6 +82,26 @@ def to_csv_text(table: Table) -> str:
 def write_csv(table: Table, path: Union[str, Path]) -> None:
     """Write a table to a CSV file."""
     Path(path).write_text(to_csv_text(table), encoding="utf-8")
+
+
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` to ``path`` atomically: a temporary file, then :func:`os.replace`.
+
+    A reader sees the old file or the new one, never a truncated one; the
+    temporary file is removed when the write fails.  Missing parent
+    directories are created.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
 
 
 def _to_text(value: object) -> str:

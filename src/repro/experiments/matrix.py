@@ -31,8 +31,6 @@ into jobs run on a :class:`~concurrent.futures.ThreadPoolExecutor`, with:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 import traceback
@@ -42,6 +40,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core import CleaningConfig
+from repro.dataframe.io import atomic_write_text
 from repro.datasets import dataset_names, load_dataset
 from repro.evaluation.conventions import EvaluationConventions
 from repro.evaluation.runner import (
@@ -268,22 +267,7 @@ class ResultsStore:
                     "config": dict(self._config),
                     "cells": {cell_id: self._cells[cell_id] for cell_id in sorted(self._cells)},
                 }
-            directory = self.path.parent
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{self.path.name}.", suffix=".tmp", dir=str(directory)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, indent=1, sort_keys=True)
-                    handle.write("\n")
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self.path, json.dumps(document, indent=1, sort_keys=True) + "\n")
 
     def __len__(self) -> int:
         with self._lock:

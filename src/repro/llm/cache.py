@@ -15,12 +15,11 @@ feedback, and benchmark repetitions.  Two layers live here:
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro.dataframe.io import atomic_write_text
 from repro.llm.base import LLMClient, prompt_cache_key
 from repro.obs import record_cache
 
@@ -104,7 +103,7 @@ class PromptCacheStore:
             self._unflushed = 0
 
     def _persist(self) -> None:
-        """Atomic persistence: write to a temp file, then os.replace.
+        """Atomic persistence (:func:`~repro.dataframe.io.atomic_write_text`).
 
         Serialisation and disk I/O happen outside the store lock so workers'
         ``get``/``put`` calls never stall on a flush; ``_write_lock``
@@ -116,22 +115,7 @@ class PromptCacheStore:
             with self._lock:
                 snapshot = dict(self._cache)
                 self._unflushed = 0
-            payload = json.dumps(snapshot, indent=0)
-            directory = self.path.parent
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                prefix=f".{self.path.name}.", suffix=".tmp", dir=str(directory)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write_text(self.path, json.dumps(snapshot, indent=0))
 
     # -- observability ---------------------------------------------------------
     def stats(self) -> Dict[str, Union[int, float]]:

@@ -107,6 +107,14 @@ def _normalise_json(text: str) -> str:
             out.append(ch)
             i += 1
             continue
+        if ch == ",":
+            # A trailing comma: only whitespace between it and a closing bracket.
+            j = i + 1
+            while j < len(text) and text[j].isspace():
+                j += 1
+            if j < len(text) and text[j] in "}]":
+                i += 1
+                continue
         for word, replacement in (("True", "true"), ("False", "false"), ("None", "null")):
             if text.startswith(word, i) and not _is_word_char(text, i - 1) and not _is_word_char(text, i + len(word)):
                 out.append(replacement)
@@ -115,8 +123,7 @@ def _normalise_json(text: str) -> str:
         else:
             out.append(ch)
             i += 1
-    # Remove trailing commas before } or ] (outside strings this is safe enough).
-    return re.sub(r",(\s*[}\]])", r"\1", "".join(out))
+    return "".join(out)
 
 
 def _is_word_char(text: str, index: int) -> bool:

@@ -24,12 +24,11 @@ The test suite's pattern-count oracle adds one query shape, a filtered
 
 Anything else raises :class:`ParseError`.  The entry point is
 :class:`repro.sql.database.Database`, whose ``sql`` runs statement text or a
-:class:`PreparedStatement` (parsed, planned and compiled once, for a caller
-that runs the same statement many times); the layers beneath it are
+:class:`PreparedStatement` (parsed and compiled once, for a caller that
+runs the same statement many times); the layers beneath it are
 :mod:`repro.sql.tokenizer` → :mod:`repro.sql.parser` (AST in
-:mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.planner` →
-:mod:`repro.sql.executor` (expressions compiled by
-:mod:`repro.sql.compiler`) over a :mod:`repro.sql.catalog`.
+:mod:`repro.sql.ast_nodes`) → :mod:`repro.sql.executor` (expressions
+compiled by :mod:`repro.sql.compiler`) over a :mod:`repro.sql.catalog`.
 ``docs/architecture.md`` places the package in the full system.
 """
 

@@ -7,10 +7,10 @@ reads at most one ``FROM`` table.
 Prepare once, run many times
 ----------------------------
 Every statement runs as a :class:`PreparedStatement`: its text is parsed
-and **planned** (:func:`repro.sql.planner.plan_select`) into an explicit
-stage pipeline once — scan → filter → qualify → count | project — and its
-expressions compile once per source schema into closures
-(:mod:`repro.sql.compiler`).  A one-shot query is prepared and run once; a
+once, and its SELECT's expressions compile once per source schema into
+closures (:mod:`repro.sql.compiler`).  The SELECT runs as one stage
+pipeline — scan → filter → qualify → count | project — with each stage
+present only when the statement asks for it.  A one-shot query is prepared and run once; a
 plan replaying the same statements batch after batch prepares them once and
 each batch only scans its table and evaluates the closures over its column
 vectors.  The filter and the qualify stage gather vectors by index, and
@@ -47,7 +47,6 @@ from repro.obs import span as obs_span
 from repro.sql.catalog import Catalog
 from repro.sql.compiler import ColumnarBinding, ScalarFn, _truthy
 from repro.sql.parser import parse
-from repro.sql.planner import SelectPlan, plan_select
 
 
 def summarise_sql(query: str, limit: int = 120) -> str:
@@ -61,7 +60,7 @@ def summarise_sql(query: str, limit: int = 120) -> str:
 
 
 class PreparedStatement:
-    """One statement, parsed, planned and summarised once, run many times.
+    """One statement, parsed and summarised once, run many times.
 
     The statement's expressions compile once per source schema
     (:meth:`program`); a later run on a table of that schema only scans the
@@ -74,7 +73,6 @@ class PreparedStatement:
         #: The one-line span summary of :attr:`text`.
         self.summary = summarise_sql(text)
         self._statement: Optional[Statement] = None
-        self._plan: Optional[SelectPlan] = None
         self._programs: Dict[Tuple[str, ...], _Program] = {}
 
     @property
@@ -84,47 +82,45 @@ class PreparedStatement:
         return self._statement
 
     @property
-    def plan(self) -> SelectPlan:
-        """The stage plan of the statement's SELECT."""
-        if self._plan is None:
-            statement = self.statement
-            select = statement.query if isinstance(statement, CreateTableAs) else statement
-            self._plan = plan_select(select)
-        return self._plan
+    def select(self) -> Select:
+        """The statement's SELECT: the query of a ``CREATE TABLE … AS``."""
+        statement = self.statement
+        return statement.query if isinstance(statement, CreateTableAs) else statement
 
     def program(self, names: Sequence[str]) -> "_Program":
         """The compiled closures for a source table with columns ``names``."""
         key = tuple(names)
         program = self._programs.get(key)
         if program is None:
-            program = self._programs[key] = _Program(self.plan, names)
+            program = self._programs[key] = _Program(self.select, names)
         return program
 
 
 class _Program:
-    """A planned SELECT compiled against one source schema.
+    """A SELECT compiled against one source schema.
 
-    Each project item is ``None`` for ``*``, the slot of a column passed
-    through, or a closure.  ``lock`` serialises runs, because the binding
-    holds the vectors of one run at a time.
+    A lone ``COUNT(*)`` item makes the count form, which projects nothing.
+    Otherwise each project item is ``None`` for ``*``, the slot of a column
+    passed through, or a closure.  ``lock`` serialises runs, because the
+    binding holds the vectors of one run at a time.
     """
 
-    def __init__(self, plan: SelectPlan, names: Sequence[str]):
+    def __init__(self, select: Select, names: Sequence[str]):
         binding = self.binding = ColumnarBinding(names)
         self.lock = threading.Lock()
-        self.filter = binding.compile(plan.filter.predicate) if plan.filter is not None else None
+        self.filter = binding.compile(select.where) if select.where is not None else None
         self.partition: List[ScalarFn] = []
         self.order: Optional[ScalarFn] = None
         self.descending = False
-        if plan.qualify is not None:
-            first = plan.qualify.first
+        if select.qualify is not None:
+            first = select.qualify
             self.partition = [binding.compile(e) for e in first.partition_by]
             self.order = binding.compile(first.order_by)
             self.descending = first.descending
-        self.counts = plan.count is not None
-        self.out_names = _output_names(plan.select, names)
+        self.counts = isinstance(select.items[0].expression, CountStar)
+        self.out_names = _output_names(select, names)
         self.items: List[Union[None, int, ScalarFn]] = []
-        for item in plan.project.items if plan.project is not None else ():
+        for item in () if self.counts else select.items:
             expression = item.expression
             if isinstance(expression, Star):
                 self.items.append(None)
@@ -156,7 +152,7 @@ class Executor:
     def _execute_select(self, prepared: PreparedStatement, result_name: str) -> Table:
         """Run one prepared SELECT over the column vectors of its FROM table."""
         carried: Dict[int, Column] = {}
-        names, vectors, n = self._scan(prepared.plan.select.from_table, carried)
+        names, vectors, n = self._scan(prepared.select.from_table, carried)
         program = prepared.program(names)
         with program.lock:
             try:

@@ -1,6 +1,11 @@
-"""Tests for CSV input/output."""
+"""Tests for CSV input/output and the atomic text write."""
+
+import os
+
+import pytest
 
 from repro.dataframe import ColumnType, Table, read_csv, read_csv_text, to_csv_text, write_csv
+from repro.dataframe.io import atomic_write_text
 
 
 class TestReadCsvText:
@@ -56,3 +61,25 @@ class TestRoundTrip:
     def test_booleans_serialised_as_text(self):
         table = Table.from_dict("t", {"flag": [True, False]})
         assert "True" in to_csv_text(table)
+
+
+class TestAtomicWriteText:
+    def test_creates_parents_and_replaces(self, tmp_path):
+        path = tmp_path / "a" / "b" / "doc.json"
+        atomic_write_text(path, "one")
+        atomic_write_text(str(path), "two\n")
+        assert path.read_text(encoding="utf-8") == "two\n"
+        assert sorted(os.listdir(path.parent)) == ["doc.json"]
+
+    def test_failed_replace_keeps_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.json"
+        atomic_write_text(path, "old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_text(path, "new")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert sorted(os.listdir(tmp_path)) == ["doc.json"]

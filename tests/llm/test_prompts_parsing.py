@@ -59,6 +59,14 @@ class TestJsonExtraction:
         data = parsing.extract_json('{"a": 1,}')
         assert data == {"a": 1}
 
+    def test_trailing_commas_in_nested_lists_and_objects(self):
+        data = parsing.extract_json('{"a": [1, 2 ,\n ], "b": {"c": [],\t},\n}')
+        assert data == {"a": [1, 2], "b": {"c": []}}
+
+    def test_commas_before_brackets_inside_strings_untouched(self):
+        data = parsing.extract_json('{"Summary": "sizes like 12,} and 16,]", "x": [",]",],}')
+        assert data == {"Summary": "sizes like 12,} and 16,]", "x": [",]"]}
+
     def test_no_json_raises(self):
         with pytest.raises(ResponseParseError):
             parsing.extract_json("no json here")

@@ -36,7 +36,7 @@ from hypothesis import strategies as st
 from repro.dataframe.schema import is_null
 from repro.dataframe.table import Table
 from repro.sql import compiler, executor
-from repro.sql.ast_nodes import ColumnRef, Star
+from repro.sql.ast_nodes import ColumnRef, CountStar, Star
 from repro.sql.catalog import Catalog
 from repro.sql.errors import ExecutionError
 from repro.sql.executor import Executor, PreparedStatement
@@ -79,18 +79,20 @@ def evaluates(catalog, sql):
     Every stage evaluates its expressions on each row it reads; only column
     references the scan resolves (and ``*``) cost no evaluation.
     """
-    plan = PreparedStatement(sql).plan
-    source = plan.select.from_table
+    select = PreparedStatement(sql).select
+    source = select.from_table
     if source is None:
         names, rows = [], 1
     else:
         table = catalog.get(source)
         names, rows = table.column_names, table.num_rows
-    items = [] if plan.project is None else [item.expression for item in plan.project.items]
+    counts = isinstance(select.items[0].expression, CountStar)
+    items = [] if counts else [item.expression for item in select.items]
     evaluated = [
         e for e in items if not isinstance(e, Star) and not (isinstance(e, ColumnRef) and e.name in names)
     ]
-    return rows > 0 and bool(plan.filter or plan.qualify or (plan.count is None and evaluated))
+    filters = select.where is not None or select.qualify is not None
+    return rows > 0 and (filters or bool(evaluated))
 
 
 def assert_cell_identical(sql, compiled_result, interpreted_result):

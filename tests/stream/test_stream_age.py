@@ -5,7 +5,7 @@ backfill primes the plan (``unique(record_id) ORDER BY updated_at DESC``,
 the keep-best fold), then 200 micro-batches re-send backfill rows as new
 records or as updates of earlier ones.  The stream is stationary, so every
 batch replays the plan, and a replayed batch only runs what the prime
-prepared: it renders, parses, plans and compiles nothing, hashes no step
+prepared: it renders, parses and compiles nothing, hashes no step
 id, ranks no value counts, folds nothing no consumer reads and scans no
 lineage history.
 """
@@ -126,7 +126,6 @@ class TestStreamAgeWork:
 
         # Counted from the first replay on: the prime replayed its window.
         work = {
-            "plan_select": counting(monkeypatch, repro.sql.executor, "plan_select"),
             "ColumnarBinding.compile": counting(
                 monkeypatch, repro.sql.compiler.ColumnarBinding, "compile"
             ),
