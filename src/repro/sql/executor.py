@@ -10,15 +10,15 @@ Every statement runs as a :class:`PreparedStatement`: its text is parsed
 once, and its SELECT's expressions compile once per source schema into
 closures (:mod:`repro.sql.compiler`).  The SELECT runs as one stage
 pipeline — scan → filter → qualify → count | project — with each stage
-present only when the statement asks for it.  A one-shot query is prepared and run once; a
-plan replaying the same statements batch after batch prepares them once and
-each batch only scans its table and evaluates the closures over its column
-vectors.  The filter and the qualify stage gather vectors by index, and
-projection reuses source vectors where it can; no stage builds a row dict.
-Every table the executor builds types each column from its values, so a
-projection over such a table passes an unchanged column through as the same
-(immutable) ``Column`` object.  A SELECT without ``FROM`` runs the same
-pipeline over one zero-column row.
+present only when the statement asks for it.  A one-shot query is prepared
+and run once; a plan replaying the same statements batch after batch
+prepares them once and each batch only scans its table and evaluates the
+closures over its column vectors.  The filter and the qualify stage gather
+vectors by index, and projection reuses source vectors where it can; no
+stage builds a row dict.  Every table the executor builds types each column
+from its values, so a projection over such a table passes an unchanged
+column through as the same (immutable) ``Column`` object.  A SELECT without
+``FROM`` runs the same pipeline over one zero-column row.
 """
 
 from __future__ import annotations
