@@ -97,9 +97,12 @@ def is_null(value: Any) -> bool:
 
 def parse_date(text: str) -> Optional[_dt.date]:
     """Parse a date string using the common formats seen in the benchmarks."""
+    stripped = text.strip()
+    if not _has_separator(stripped):
+        return None
     for fmt in _DATE_FORMATS:
         try:
-            return _dt.datetime.strptime(text.strip(), fmt).date()
+            return _dt.datetime.strptime(stripped, fmt).date()
         except ValueError:
             continue
     return None
@@ -107,12 +110,22 @@ def parse_date(text: str) -> Optional[_dt.date]:
 
 def parse_timestamp(text: str) -> Optional[_dt.datetime]:
     """Parse a timestamp string using the common formats."""
+    stripped = text.strip()
+    if not _has_separator(stripped):
+        return None
     for fmt in _TIMESTAMP_FORMATS:
         try:
-            return _dt.datetime.strptime(text.strip(), fmt)
+            return _dt.datetime.strptime(stripped, fmt)
         except ValueError:
             continue
     return None
+
+
+def _has_separator(text: str) -> bool:
+    # Every date and timestamp format has a literal ``-`` or ``/``, which
+    # strptime must match: text with neither fails every format, so the
+    # parsers return None without raising a ValueError per format.
+    return "-" in text or "/" in text
 
 
 #: The runtime types whose storage type follows from the type alone.

@@ -5,8 +5,11 @@ or in a small YAML document with an ``explanation`` block and a ``mapping``
 dictionary (cleaning prompts, Figure 3).  Model output is wrapped in Markdown
 code fences and may contain prose around the fenced block, so the parsers
 here are deliberately forgiving: they extract the first fenced block if one
-exists, fall back to brace matching for JSON, and implement the small YAML
-subset needed for the mapping format without a YAML dependency.
+exists, and implement the small YAML subset needed for the mapping format
+without a YAML dependency.  A JSON reply is decoded strictly first, by the
+standard library's C scanner; only a reply that is not valid JSON from its
+first ``{`` (Python literals, trailing commas, an unclosed object) takes the
+character-by-character repair path of brace matching and normalisation.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\s*\n(.*?)```", re.DOTALL)
+_DECODER = json.JSONDecoder()
 
 
 class ResponseParseError(ValueError):
@@ -36,6 +40,19 @@ def extract_json(text: str) -> Dict[str, Any]:
     Accepts raw JSON, fenced JSON, or JSON embedded in prose.  Python-style
     booleans (``True``/``False``) and trailing commas are tolerated because
     models produce them occasionally.
+
+    Each candidate (the first fenced block, then the whole text) is decoded
+    strictly first, from its first ``{``, by the C scanner of
+    :meth:`json.JSONDecoder.raw_decode`.  Only when that fails does the
+    candidate take the repair path: brace-scan the object
+    (:func:`_find_braced_block`), normalise it (:func:`_normalise_json`) and
+    decode that.  The fast path returns what the repair path would.  On
+    valid JSON the brace scan ends at the same ``}`` the decoder does, since
+    both read strings and escapes alike.  Outside its strings valid JSON
+    holds no ``True``, ``False`` or ``None`` and no trailing comma, so the
+    normaliser leaves the object unchanged and ``json.loads`` returns the
+    same dict.  ``tests/llm/test_json_oracle.py`` holds this to the
+    repair-only parser kept in ``tests/llm/json_oracle.py``.
     """
     candidates: List[str] = []
     fenced = extract_fenced_block(text)
@@ -43,6 +60,16 @@ def extract_json(text: str) -> Dict[str, Any]:
         candidates.append(fenced)
     candidates.append(text)
     for candidate in candidates:
+        start = candidate.find("{")
+        if start == -1:
+            continue
+        try:
+            return _DECODER.raw_decode(candidate, start)[0]
+        except (ValueError, RecursionError):
+            # ValueError covers JSONDecodeError.  A RecursionError (deep
+            # nesting) is left to the repair path, which meets it only if
+            # the brace scan closes the object, as the repair-only parser did.
+            pass
         block = _find_braced_block(candidate)
         if block is None:
             continue

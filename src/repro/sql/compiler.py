@@ -229,13 +229,25 @@ class ColumnarBinding:
                 # CASE col WHEN <literal> ... with literal branches compiles to a
                 # dict lookup (duplicate keys: last wins, like the interpreter oracle).
                 lookup = {str(cond.value): self.compile(result) for cond, result in expr.whens}
+                # An FD repair (``CASE key WHEN 'k' THEN 'v' ... ELSE col``)
+                # gives a whole group one text, which many rows already hold:
+                # where the branch yields a str equal to the row's own str
+                # cell, hand back the cell object, so the step diffs see it
+                # unchanged by identity.  Only a plain column default is
+                # read early; reading a cell cannot fail.
+                keep_equal_cells = isinstance(expr.default, ColumnRef)
 
                 def case_lookup_fn(i: int) -> Any:
                     subject = subject_fn(i)
                     if not is_null(subject):
                         branch = lookup.get(str(subject))
                         if branch is not None:
-                            return branch(i)
+                            value = branch(i)
+                            if keep_equal_cells and type(value) is str:
+                                cell = default_fn(i)
+                                if type(cell) is str and cell == value:
+                                    return cell
+                            return value
                     return default_fn(i) if default_fn is not None else None
 
                 return case_lookup_fn

@@ -49,6 +49,15 @@ from repro.sql.functions import SCALAR_FUNCTIONS
 from repro.sql.tokenizer import Token, TokenType, tokenize
 
 
+#: Tokens that are a whole primary expression on their own (an identifier
+#: followed by ``(`` is a call, but ``(`` never ends an expression).
+_LONE_TYPES = frozenset({TokenType.NUMBER, TokenType.STRING, TokenType.IDENTIFIER})
+_LONE_KEYWORDS = frozenset({"NULL", "TRUE", "FALSE"})
+#: Tokens after which no operator level continues an expression.
+_ENDS_PUNCT = frozenset({",", ")"})
+_ENDS_KEYWORDS = frozenset({"THEN", "WHEN", "ELSE", "END", "FROM", "AS"})
+
+
 def parse(sql: str) -> Statement:
     """Parse a single SQL statement into its AST.
 
@@ -75,8 +84,10 @@ class Parser:
 
     # -- token helpers -------------------------------------------------------
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``pos`` never passes the EOF token that ends the list.
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -231,6 +242,19 @@ class Parser:
 
     # -- expressions (precedence climbing) ---------------------------------------
     def _parse_expression(self) -> Expression:
+        token = self.tokens[self.pos]
+        if token.type in _LONE_TYPES or (token.type is TokenType.KEYWORD and token.value in _LONE_KEYWORDS):
+            # A literal or column name followed by a token no operator level
+            # consumes is the whole expression: the levels would each find
+            # no operator and hand it back unchanged.
+            following = self.tokens[self.pos + 1]
+            kind = following.type
+            if (
+                kind is TokenType.EOF
+                or (kind is TokenType.PUNCT and following.value in _ENDS_PUNCT)
+                or (kind is TokenType.KEYWORD and following.value in _ENDS_KEYWORDS)
+            ):
+                return self._parse_primary()
         return self._parse_or()
 
     def _parse_or(self) -> Expression:

@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.dataframe.schema import is_null
+from repro.dataframe.table import Table
 from repro.profiling.mergeable import MergeableColumnProfile
 
 #: Below this many cumulative rows the detector stays silent: micro-batch
@@ -134,25 +136,25 @@ def _total_variation(a: Dict[str, float], b: Dict[str, float]) -> float:
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
-def _new_value_mass(seen: FrozenSet[str], current: MergeableColumnProfile) -> float:
-    total = current.non_null_count
-    if not total:
-        return 0.0
+def _seen_occurrences(seen: FrozenSet[str], current: MergeableColumnProfile) -> int:
+    """How many of ``current``'s non-null occurrences hold a value in ``seen``."""
     # O(plan-time distinct values), not O(current distinct values); exact
     # integer arithmetic, so the order ``seen`` iterates in cannot matter.
     counts = current.counts
-    unseen = total - sum(counts.get(value, 0) for value in seen)
-    return unseen / total
+    return sum(counts.get(value, 0) for value in seen)
 
 
 def _compare(
-    baseline: _Baseline, current: MergeableColumnProfile, config: DriftConfig
+    baseline: _Baseline, current: MergeableColumnProfile, config: DriftConfig, seen_count: int
 ) -> ColumnDrift:
-    (then, seen), now = baseline, _signals(current)
+    """Assess ``current`` against ``baseline``; ``seen_count`` is
+    ``_seen_occurrences`` of the baseline's values in ``current``."""
+    then, now = baseline[0], _signals(current)
     frequency = _total_variation(then.top, now.top)
     null_shift = abs(then.null_fraction - now.null_fraction)
     pattern = _total_variation(then.shapes, now.shapes)
-    new_mass = _new_value_mass(seen, current)
+    total = current.non_null_count
+    new_mass = (total - seen_count) / total if total else 0.0
     distance = (frequency + null_shift + pattern + new_mass) / 4
     key_like = then.unique_ratio > MAX_UNIQUE_RATIO or now.unique_ratio > MAX_UNIQUE_RATIO
     return ColumnDrift(
@@ -174,15 +176,27 @@ def profile_distance(
     config: Optional[DriftConfig] = None,
 ) -> ColumnDrift:
     """Drift distance between a plan-time profile and the present one."""
-    return _compare(_freeze(baseline), current, config or DriftConfig())
+    frozen = _freeze(baseline)
+    return _compare(frozen, current, config or DriftConfig(), _seen_occurrences(frozen[1], current))
 
 
 class DriftDetector:
-    """Holds frozen plan-time baselines and assesses the live profiles against them."""
+    """Holds frozen plan-time baselines and assesses the live profiles against them.
+
+    New-value mass needs, per column, how many live occurrences hold a
+    plan-time value.  The detector keeps that count running instead of
+    summing the live count of every plan-time value on every assessment:
+    :meth:`set_baseline` resets it (every occurrence a baseline profile
+    folded is seen), and :meth:`observe` advances it by one membership test
+    per value of each ingested batch.  The integers are those of the sum, so
+    the distances are the same floats.
+    """
 
     def __init__(self, config: Optional[DriftConfig] = None):
         self.config = config or DriftConfig()
         self._baselines: Dict[str, _Baseline] = {}
+        # column -> [occurrences of baseline values, rows they were counted over]
+        self._seen_counts: Dict[str, List[int]] = {}
 
     def set_baseline(self, profiles: Dict[str, MergeableColumnProfile]) -> None:
         """Freeze the profiles the current plan was derived from.
@@ -192,13 +206,38 @@ class DriftDetector:
         """
         for name, profile in profiles.items():
             self._baselines[name] = _freeze(profile)
+            self._seen_counts[name] = [profile.non_null_count, profile.row_count]
+
+    def observe(self, batch: Table) -> None:
+        """Count the values of one ingested batch that the baselines have seen.
+
+        Call it with every batch the live profiles fold after a baseline is
+        set; columns with no baseline yet are skipped.
+        """
+        for column in batch.columns:
+            tally = self._seen_counts.get(column.name)
+            if tally is None:
+                continue
+            seen = self._baselines[column.name][1]
+            values = column.values
+            # The profile counts ``str(value)`` of the non-null values.
+            tally[0] += sum(1 for value in values if str(value) in seen and not is_null(value))
+            tally[1] += len(values)
 
     def assess(self, profiles: Dict[str, MergeableColumnProfile]) -> List[ColumnDrift]:
         """Compare live profiles to the baselines."""
         if not self._baselines:
             raise RuntimeError("DriftDetector.assess called before set_baseline")
-        return [
-            _compare(self._baselines[name], profile, self.config)
-            for name, profile in profiles.items()
-            if name in self._baselines
-        ]
+        drifts = []
+        for name, profile in profiles.items():
+            baseline = self._baselines.get(name)
+            if baseline is None:
+                continue
+            tally = self._seen_counts[name]
+            if tally[1] != profile.row_count:
+                # The profile folded rows this detector did not observe, as
+                # when a prime window is shorter than the rows ingested:
+                # count from the profile once, then run on from there.
+                tally[:] = [_seen_occurrences(baseline[1], profile), profile.row_count]
+            drifts.append(_compare(baseline, profile, self.config, tally[0]))
+        return drifts

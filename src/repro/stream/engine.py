@@ -415,6 +415,8 @@ class StreamingCleaner:
                 values.extend(column.values)
         for column in batch.columns:
             self._raw_profiles[column.name].update(column)
+        if self.detector is not None:
+            self.detector.observe(batch)
         self._duplicates.update(batch)
 
     def _raw_row_count(self) -> int:

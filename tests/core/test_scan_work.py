@@ -4,7 +4,10 @@ Runs a hospital@0.2 clean with counting wrappers and asserts:
 
 * the step diffs call their predicates (``_cell_changed``,
   ``values_strictly_differ``) at most once per cell whose before and after
-  objects differ — an untouched cell comes back as the same object;
+  objects differ — an untouched cell comes back as the same object — and
+  no more often than cells changed value (took another type or an unequal
+  value) plus rows were removed: a repair that hands a row a text equal to
+  the one it holds hands back the cell itself;
 * each pattern helper matches each (distinct text, regex) pair at most once
   per call, however often the text repeats in the column;
 * ``infer_storage_type`` classifies no value one by one (it never asks
@@ -29,24 +32,38 @@ from repro.datasets.registry import dataset_names
 from repro.profiling import patterns
 
 
-def _differing_objects(before, after):
-    """Cells of the columns both versions hold whose two objects are not the same."""
+def _aligned_cells(before, after):
+    """``(old, new)`` per cell of the columns both versions hold, and the removed row count."""
     after_index = {row_id: j for j, row_id in enumerate(after.column(ROW_ID_COLUMN).values)}
-    count = 0
+    before_ids = before.column(ROW_ID_COLUMN).values
+    cells = []
     for name in after.column_names:
         if name == ROW_ID_COLUMN or name not in before:
             continue
         olds, news = before.column(name).values, after.column(name).values
-        for i, row_id in enumerate(before.column(ROW_ID_COLUMN).values):
+        for i, row_id in enumerate(before_ids):
             j = after_index.get(row_id)
-            if j is not None and olds[i] is not news[j]:
-                count += 1
-    return count
+            if j is not None:
+                cells.append((olds[i], news[j]))
+    removed = sum(1 for row_id in before_ids if row_id not in after_index)
+    return cells, removed
+
+
+def _differing_objects(before, after):
+    """Cells whose two objects are not the same."""
+    cells, _removed = _aligned_cells(before, after)
+    return sum(1 for old, new in cells if old is not new)
+
+
+def _changed_values(before, after):
+    """Cells whose value changed (another type or an unequal value), plus the removed rows."""
+    cells, removed = _aligned_cells(before, after)
+    return removed + sum(1 for old, new in cells if type(old) is not type(new) or old != new)
 
 
 class _Work:
     def __init__(self):
-        self.diffs = []          # (diff, predicate calls, differing cells) per step diff
+        self.diffs = []          # (diff, predicate calls, differing cells, changed values) per step diff
         self.predicate_calls = 0
         self.matches = []        # (helper, max matches of one (pattern, text) pair) per call
         self._pairs = Counter()
@@ -65,7 +82,9 @@ class _Work:
         def counted(before, after, *args, **kwargs):
             self.predicate_calls = 0
             out = diff(before, after, *args, **kwargs)
-            self.diffs.append((name, self.predicate_calls, _differing_objects(before, after)))
+            self.diffs.append(
+                (name, self.predicate_calls, _differing_objects(before, after), _changed_values(before, after))
+            )
             return out
 
         return counted
@@ -130,10 +149,15 @@ def work():
 
 
 def test_step_diffs_compare_only_differing_objects(work):
-    assert {name for name, _calls, _cells in work.diffs} == {"diff_tables", "strict_table_edits"}
-    over = [(name, calls, cells) for name, calls, cells in work.diffs if calls > cells]
+    assert {name for name, _calls, _cells, _changed in work.diffs} == {"diff_tables", "strict_table_edits"}
+    over = [(name, calls, cells) for name, calls, cells, _changed in work.diffs if calls > cells]
     assert over == []
-    assert sum(cells for _name, _calls, cells in work.diffs) > 0
+    assert sum(cells for _name, _calls, cells, _changed in work.diffs) > 0
+
+
+def test_step_diffs_compare_no_more_cells_than_changed_value(work):
+    over = [(name, calls, changed) for name, calls, _cells, changed in work.diffs if calls > changed]
+    assert over == []
 
 
 def test_each_distinct_text_is_matched_once_per_helper_call(work):

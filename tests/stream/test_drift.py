@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataframe import Table
 from repro.profiling import MergeableColumnProfile
 from repro.stream import DriftConfig, DriftDetector, StreamingCleaner, profile_distance
+from repro.stream import drift as drift_module
 from repro.stream.drift import MIN_ROWS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "property"))
+import drift_oracle  # noqa: E402
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -101,6 +108,83 @@ class TestDriftDetector:
         live.update(["z"] * 120)  # live accumulator keeps moving
         drifts = detector.assess({"c": live})
         assert drifts[0].drifted  # baseline stayed at plan time
+
+
+def seen_mass_by_sum(seen, current):
+    """New-value mass as every assessment used to count it: the live count of every seen value."""
+    total = current.non_null_count
+    if not total:
+        return 0.0
+    counts = current.counts
+    return (total - sum(counts.get(value, 0) for value in seen)) / total
+
+
+VALUES = st.sampled_from([None, math.nan, "x", "y", "z", "1", 1, 1.0, True, "None", "nan", ""])
+BATCHES = st.lists(
+    st.tuples(
+        st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=6),
+        st.sampled_from(["none", "assess", "all", "prefix", "partial"]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestRunningSeenCount:
+    """The detector folds the seen-value count per batch; it must equal the per-assessment sum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(BATCHES, st.integers(0, 5))
+    def test_new_value_mass_equals_the_sum_over_seen_values(self, batches, prefix_rows):
+        detector = DriftDetector()
+        live = {"a": MergeableColumnProfile("a"), "b": MergeableColumnProfile("b")}
+        ingested = {"a": [], "b": []}
+        seen = {}
+        for rows, action in batches:
+            batch = Table.from_dict("t", {"a": [a for a, _ in rows], "b": [b for _, b in rows]})
+            for column in batch.columns:
+                live[column.name].update(column)
+                ingested[column.name].extend(column.values)
+            detector.observe(batch)
+            if action == "all":
+                baselines = live
+            elif action == "prefix":
+                # A prime window shorter than the rows ingested so far.
+                baselines = {name: profile_of(values[:prefix_rows], name) for name, values in ingested.items()}
+            elif action == "partial":
+                # A re-plan re-baselines only its drifted columns.
+                baselines = {"b": live["b"]}
+            else:
+                baselines = {}
+            detector.set_baseline(baselines)
+            seen.update({name: frozenset(profile.counts) for name, profile in baselines.items()})
+            if seen and action in ("assess", "partial"):
+                drifts = detector.assess(live)
+                assert [d.column for d in drifts] == sorted(seen)
+                for drift in drifts:
+                    profile = live[drift.column]
+                    assert drift.new_value_mass == seen_mass_by_sum(seen[drift.column], profile)
+                    assert drift.new_value_mass == drift_oracle.new_value_mass(seen[drift.column], profile)
+
+    def test_stream_drift_reports_equal_the_sum_over_seen_values(self, drifting_stream_batches, monkeypatch):
+        sums = []
+        monkeypatch.setattr(
+            drift_module, "_seen_occurrences", lambda seen, current: sums.append(current.name) or 0
+        )
+        stream = StreamingCleaner("articles", detect_drift=True, drift_config=DriftConfig(threshold=0.12))
+        prime, steady, drifted = drifting_stream_batches
+        checked = 0
+        for batch in (prime, steady, drifted, steady, drifted):
+            seen = {name: baseline[1] for name, baseline in stream.detector._baselines.items()}
+            result = stream.process_batch(batch)
+            for drift in result.drift:
+                profile = stream._raw_profiles[drift.column]
+                assert drift.new_value_mass == seen_mass_by_sum(seen[drift.column], profile)
+                checked += 1
+        assert checked >= 6 and stream.stats.replans >= 1
+        # The stream observes every batch it folds, so no assessment falls
+        # back to summing the live count of every seen value.
+        assert sums == []
 
 
 def language_batch(start, languages):
