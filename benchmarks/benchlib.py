@@ -1,10 +1,11 @@
-"""Shared harness for the standalone ``bench_*.py`` scripts.
+"""Shared harness for the two overhead scripts in ``benchmarks/``.
 
-Unlike the pytest-benchmark modules (``bench_table1.py`` etc.), the scripts
-built on this helper are plain CLIs: they time a *baseline* implementation
-against an *optimised* one on synthetic inputs and write a ``BENCH_*.json``
-report in the schema documented in ``docs/benchmarks.md``.  The committed
-``BENCH_*.json`` files at the repo root are produced by these scripts.
+``bench_obs_overhead.py`` and ``bench_lineage_overhead.py`` each time the
+cleaning pipeline without an instrument (the *baseline* arm) and with it
+(the *optimised* arm), check that both arms clean to the same bytes, and
+write a ``BENCH_*.json`` report in the schema documented in
+``docs/benchmarks.md``; the committed ``BENCH_obs.json`` and
+``BENCH_lineage.json`` come from these scripts.
 """
 
 from __future__ import annotations

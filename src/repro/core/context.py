@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.dataframe.table import Table
@@ -15,32 +15,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ROW_ID_COLUMN = "_cocoon_row_id"
 
+# Number of frequent values sampled per column for semantic detection (paper: 1000).
+SAMPLE_VALUES = 1000
+# Minimum entropy score for a functional dependency to be reviewed.  Dirty
+# data weakens real dependencies, so the statistical gate is deliberately
+# permissive; the semantic review is what rejects spurious candidates.
+FD_MIN_SCORE = 0.75
+# Maximum distinct values for a text column to be reviewed as categorical
+# (very high-cardinality free text is skipped).
+MAX_CATEGORICAL_DISTINCT = 2000
+
 
 @dataclass
 class CleaningConfig:
-    """Tunable knobs of the pipeline (defaults follow the paper)."""
+    """Which issue types a cleaning run covers."""
 
-    # Number of frequent values sampled for semantic detection (paper: 1000).
-    sample_values: int = 1000
-    # Batch size for semantic cleaning prompts (paper: 1000).
-    cleaning_batch_size: int = 1000
-    # Minimum entropy score for a functional dependency to be reviewed.  Dirty
-    # data weakens real dependencies, so the statistical gate is deliberately
-    # permissive; the semantic review is what rejects spurious candidates.
-    fd_min_score: float = 0.75
-    # Maximum number of FD candidates reviewed per table.
-    fd_max_candidates: int = 40
-    # Unique-ratio threshold above which a column is considered a key candidate.
-    uniqueness_threshold: float = 0.95
-    # Maximum distinct values for a column to be treated as categorical during
-    # string-outlier review (very high-cardinality free text is skipped).
-    max_categorical_distinct: int = 2000
-    # Skip string review for columns whose values are mostly unique free text.
-    max_free_text_unique_ratio: float = 0.8
-    # Whether each issue type runs at all (used by the ablation benchmarks).
+    # The issue types to run (None: all of them, in workflow order).
     enabled_issues: Optional[List[str]] = None
-    # Whether to include statistical context in prompts (ablation).
-    use_statistical_context: bool = True
 
     def issue_enabled(self, issue_type: str) -> bool:
         return self.enabled_issues is None or issue_type in self.enabled_issues
@@ -96,8 +87,8 @@ class CleaningContext:
         if table is not self._profiled:
             profile = profile_table(
                 self.data_only_table(),
-                max_values_per_column=self.config.sample_values,
-                fd_min_score=self.config.fd_min_score,
+                max_values_per_column=SAMPLE_VALUES,
+                fd_min_score=FD_MIN_SCORE,
             )
             if self._profile is not None:
                 profile.inherit(self._profile)

@@ -24,6 +24,8 @@ _VALID_TYPES = {"VARCHAR", "INTEGER", "DOUBLE", "BOOLEAN", "DATE", "TIMESTAMP"}
 class ColumnTypeOperator(CleaningOperator):
 
     issue_type = "column_type"
+    # Frequent values shown in the type-suggestion prompt.
+    sample_values = 200
 
     def targets(self, context: CleaningContext) -> Iterator[Tuple[str, ColumnProfile]]:
         for column_name in context.data_columns():
@@ -38,7 +40,7 @@ class ColumnTypeOperator(CleaningOperator):
         column_name = result.target
         schema = context.db.schema(context.current_table_name)
         current_type = str(schema.get(column_name, ColumnType.VARCHAR))
-        value_counts = profile.frequent_values(min(context.config.sample_values, 200))
+        value_counts = profile.frequent_values(self.sample_values)
         if not value_counts:
             result.skipped_reason = "column has no non-null values"
             return

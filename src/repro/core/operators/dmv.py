@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Tuple
 
-from repro.core.context import CleaningContext
+from repro.core.context import MAX_CATEGORICAL_DISTINCT, SAMPLE_VALUES, CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
@@ -27,7 +27,7 @@ class DisguisedMissingValueOperator(CleaningOperator):
             profile = context.profile().column(column_name)
             if (
                 profile.dtype is ColumnType.VARCHAR
-                and profile.distinct_count <= context.config.max_categorical_distinct
+                and profile.distinct_count <= MAX_CATEGORICAL_DISTINCT
             ):
                 yield column_name, profile
 
@@ -35,7 +35,7 @@ class DisguisedMissingValueOperator(CleaningOperator):
         self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: ColumnProfile
     ) -> None:
         column_name = result.target
-        value_counts = profile.frequent_values(context.config.sample_values)
+        value_counts = profile.frequent_values(SAMPLE_VALUES)
         if not value_counts:
             result.skipped_reason = "column has no non-null values"
             return

@@ -28,6 +28,8 @@ class FunctionalDependencyOperator(CleaningOperator):
     review_examples = 3
     # Cap on groups sent for correction in one prompt.
     correction_batch = 200
+    # Maximum number of FD candidates reviewed per table.
+    max_candidates = 40
 
     # Minimum average rows per determinant value: below this the "dependency"
     # is an artefact of near-unique determinants rather than a real rule.
@@ -51,7 +53,7 @@ class FunctionalDependencyOperator(CleaningOperator):
             if row_count / distinct < self.min_group_size:
                 continue
             candidates.append(candidate)
-        for candidate in candidates[: context.config.fd_max_candidates]:
+        for candidate in candidates[: self.max_candidates]:
             yield f"{candidate.determinant} -> {candidate.dependent}", candidate
 
     def clean_target(

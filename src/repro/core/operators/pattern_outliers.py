@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-from repro.core.context import CleaningContext
+from repro.core.context import MAX_CATEGORICAL_DISTINCT, SAMPLE_VALUES, CleaningContext
 from repro.core.hil import HumanInTheLoop
 from repro.core.operators.base import CleaningOperator, record_finding
 from repro.core.result import OperatorResult
@@ -28,22 +28,23 @@ class PatternOutlierOperator(CleaningOperator):
     # One retry when the first pattern list does not cover the column ("recursively ask").
     max_generation_rounds = 2
     coverage_threshold = 0.95
+    # Outliers sent for rewriting in one cleaning prompt (paper: 1000).
+    cleaning_batch_size = 1000
 
     def targets(self, context: CleaningContext) -> Iterator[Tuple[str, ColumnProfile]]:
         for column_name in context.data_columns():
             profile = context.profile().column(column_name)
             if (
                 profile.dtype is ColumnType.VARCHAR
-                and profile.distinct_count <= context.config.max_categorical_distinct
+                and profile.distinct_count <= MAX_CATEGORICAL_DISTINCT
             ):
                 yield column_name, profile
 
     def clean_target(
         self, context: CleaningContext, hil: HumanInTheLoop, result: OperatorResult, profile: ColumnProfile
     ) -> None:
-        config = context.config
         column_name = result.target
-        value_counts = profile.frequent_values(config.sample_values)
+        value_counts = profile.frequent_values(SAMPLE_VALUES)
         if not value_counts or profile.distinct_count <= 1:
             result.skipped_reason = "not enough distinct values for pattern analysis"
             return
@@ -86,7 +87,7 @@ class PatternOutlierOperator(CleaningOperator):
         if not outliers:
             return
         mapping: Dict[str, str] = {}
-        batch_size = config.cleaning_batch_size
+        batch_size = self.cleaning_batch_size
         for start in range(0, len(outliers), batch_size):
             batch = outliers[start: start + batch_size]
             cleaning_prompt = prompts.pattern_cleaning(column_name, standard_pattern, batch)

@@ -21,18 +21,19 @@ from repro.llm import prompts
 class ColumnUniquenessOperator(CleaningOperator):
 
     issue_type = "column_uniqueness"
+    # Unique ratio from which a column is considered a key candidate.
+    uniqueness_threshold = 0.95
 
     def targets(self, context: CleaningContext) -> Iterator[Tuple[str, float]]:
         # One snapshot for every target: each column is judged on the table
         # as it was before this operator removed any rows.
         profile = context.profile()
-        threshold = context.config.uniqueness_threshold
         for column_name in context.data_columns():
             column_profile = profile.column(column_name)
             ratio = column_profile.unique_ratio
             # Only nearly-unique columns are key candidates worth reviewing;
             # exactly-unique columns need no cleaning.
-            if threshold <= ratio < 1.0 and column_profile.row_count != 0:
+            if self.uniqueness_threshold <= ratio < 1.0 and column_profile.row_count != 0:
                 yield column_name, ratio
 
     def clean_target(

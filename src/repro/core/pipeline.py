@@ -30,16 +30,14 @@ def run_operators(
     """Run cleaning operators against a prepared context.
 
     This is the single execution path shared by :class:`CocoonCleaner` and the
-    streaming engine, which passes its own operator subset.  When
-    ``operators`` is None the canonical workflow order filtered by the
-    context's config is used.
+    streaming engine, which passes its own operator subset.  ``operators``
+    runs exactly those operators, in the order given; None means the
+    canonical workflow order of the issues the context's config enables.
     """
     if operators is None:
         operators = default_operators(context.config.enabled_issues)
     results: List[OperatorResult] = []
     for operator in operators:
-        if not context.config.issue_enabled(operator.issue_type):
-            continue
         with obs_span(f"operator.{operator.issue_type}") as sp:
             operator_results = operator.run(context, hil)
             sp.annotate(

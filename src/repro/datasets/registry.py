@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional
 
 from repro.datasets.base import BenchmarkDataset
@@ -34,16 +35,23 @@ def dataset_names() -> List[str]:
     return ["hospital", "flights", "beers", "rayyan", "movies"]
 
 
+def check_scale(scale: float) -> None:
+    """Raise ``ValueError`` unless ``scale`` is a finite number > 0."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+
+
 def load_dataset(name: str, seed: int = 0, scale: float = 1.0) -> BenchmarkDataset:
     """Build a benchmark by name.
 
-    ``scale`` shrinks the dataset proportionally (error rates scale with it),
-    which keeps unit tests and quick experiments fast; ``scale=1.0`` is the
-    paper-scale dataset.
+    ``scale`` (finite, > 0) shrinks the dataset proportionally (error rates
+    scale with it), which keeps unit tests and quick experiments fast;
+    ``scale=1.0`` is the paper-scale dataset.
     """
     key = name.lower()
     if key not in DATASET_BUILDERS:
         raise KeyError(f"Unknown dataset {name!r}; available: {dataset_names()}")
+    check_scale(scale)
     size = max(20, int(_PAPER_ROWS[key] * scale))
     if key == "flights":
         size = max(10, int(_PAPER_ROWS[key] * scale))

@@ -16,6 +16,7 @@ with the valid choices listed, never silently dropped).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.experiments.figures import ascii_bar_chart, f1_series
@@ -61,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--systems", nargs="*", default=None, help="restrict to specific systems")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads for the experiment grid (1 = sequential)")
-    parser.add_argument("--llm-latency", type=float, default=0.0,
-                        help="simulated per-LLM-call latency in seconds (models the hosted-API regime)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="incremental results JSON; an existing file resumes the grid")
     parser.add_argument("--no-resume", action="store_true",
@@ -109,6 +108,8 @@ def main(argv=None) -> int:
         parser.error("--refresh only makes sense together with --golden")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
+    if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
+        parser.error(f"--scale must be a finite number > 0, got {args.scale}")
 
     tables = _ARTIFACT_TABLES[args.artifact]
     seed = args.seed if args.seed is not None else 0
@@ -150,7 +151,6 @@ def main(argv=None) -> int:
             seed=seed,
             scale=scale,
             workers=args.workers,
-            llm_latency=args.llm_latency,
             cache_path=args.cache,
             results_path=args.out,
             # A golden run is a statement about the *current* code: never let

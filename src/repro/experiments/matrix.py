@@ -39,9 +39,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.core import CleaningConfig
 from repro.dataframe.io import atomic_write_text
 from repro.datasets import dataset_names, load_dataset
+from repro.datasets.registry import check_scale
 from repro.evaluation.conventions import EvaluationConventions
 from repro.evaluation.runner import (
     CocoonSystem,
@@ -365,16 +365,15 @@ class ExperimentMatrix:
         seed: int = 0,
         scale: float = 1.0,
         workers: int = 1,
-        llm_latency: float = 0.0,
         cache_store: Optional[PromptCacheStore] = None,
         cache_path: Optional[Union[str, Path]] = None,
         store: Optional[ResultsStore] = None,
         results_path: Optional[Union[str, Path]] = None,
         resume: bool = True,
-        config: Optional[CleaningConfig] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        check_scale(scale)
         self.tables = validate_names("table", tables, TABLE_NAMES)
         self.datasets = validate_names("dataset", datasets, dataset_names())
         self.systems = validate_names("system", systems, list(default_systems()))
@@ -388,9 +387,7 @@ class ExperimentMatrix:
         self.seed = seed
         self.scale = scale
         self.workers = workers
-        self.llm_latency = llm_latency
         self.resume = resume
-        self.cleaning_config = config
         self.cache = cache_store if cache_store is not None else PromptCacheStore(cache_path, flush_every=64)
         self.store = store if store is not None else ResultsStore(results_path)
         self.grid = build_grid(
@@ -547,14 +544,11 @@ class ExperimentMatrix:
         factories = default_systems()
         if spec.system == "Cocoon":
             namespace = spec.repair_key
-            factories["Cocoon"] = lambda: CocoonSystem(
-                llm=self._cocoon_llm(namespace), config=self.cleaning_config
-            )
+            factories["Cocoon"] = lambda: CocoonSystem(llm=self._cocoon_llm(namespace))
         return factories
 
     def _cocoon_llm(self, namespace: str) -> LLMClient:
-        inner = SimulatedSemanticLLM(latency_seconds=self.llm_latency)
-        return cached_client(inner, self.cache, namespace=namespace)
+        return cached_client(SimulatedSemanticLLM(), self.cache, namespace=namespace)
 
 
 def _repair_groups(pending: List[CellSpec]) -> List[List[CellSpec]]:

@@ -48,17 +48,13 @@ class SimulatedSemanticLLM(LLMClient):
 
     model_name = "simulated-semantic-llm"
 
-    def __init__(
-        self,
-        semantic_model: Optional[SemanticModel] = None,
-        latency_seconds: float = 0.0,
-    ):
+    def __init__(self, latency_seconds: float = 0.0):
         super().__init__()
-        self.semantic = semantic_model or SemanticModel()
+        self.semantic = SemanticModel()
         # Optional per-call sleep modelling hosted-API latency.  Answers stay
-        # deterministic; only wall-clock changes.  The throughput benchmarks
-        # use this to reproduce the I/O-bound regime real deployments run in,
-        # where concurrent jobs overlap their LLM waits.
+        # deterministic; only wall-clock changes.  The server CLI
+        # (``--llm-latency``) uses it to put concurrent jobs in the I/O-bound
+        # regime real deployments run in, where they overlap their LLM waits.
         self.latency_seconds = latency_seconds
         # Per-column value frequencies remembered from detection prompts, so the
         # cleaning prompt (which lists values without counts, as in Figure 3)

@@ -1,10 +1,10 @@
 """HTTP gateway in front of the batch and stream cleaning services.
 
 The paper's pitch is cleaning that *ships*: reusable SQL plus a system that
-serves it.  Until now the only way to reach :class:`~repro.service.CleaningService`
-(PR 1) or :class:`~repro.stream.StreamService` (PR 4) was in-process Python;
-this package is the missing serving layer — a dependency-free HTTP server
-(stdlib ``http.server`` threading only) exposing both over the network:
+serves it.  This package is the serving layer in front of
+:class:`~repro.service.CleaningService` and
+:class:`~repro.stream.StreamService` — a dependency-free HTTP server (stdlib
+``http.server`` threading only) exposing both over the network:
 
 * :mod:`repro.server.gateway` — :class:`CleaningGateway`: the
   protocol-agnostic application object wiring one shared
@@ -18,8 +18,9 @@ this package is the missing serving layer — a dependency-free HTTP server
 * :mod:`repro.server.cli` — ``python -m repro.server`` with graceful
   drain-on-SIGTERM shutdown.
 
-Throughput against the in-process pipeline is tracked by
-``benchmarks/bench_server.py`` (committed as ``BENCH_server.json``).
+Served results are held byte-identical to the in-process pipeline by the
+server tests and CI's ``server-smoke`` job; served-job latency is the
+``serve-jobs`` workload of ``perfbench``.
 """
 
 from repro.server.gateway import BadRequest, CleaningGateway, ResultNotReady

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.context import CleaningConfig
-from repro.core.hil import AutoApprove, HumanInTheLoop
 from repro.core.pipeline import CocoonCleaner
 from repro.core.result import CleaningResult
 from repro.dataframe.io import read_csv
@@ -48,7 +47,6 @@ from repro.service.stats import ServiceStats, StatsCollector
 from repro.sql.database import Database
 
 LLMFactory = Callable[[], LLMClient]
-HILFactory = Callable[[], HumanInTheLoop]
 
 
 class ServiceSaturated(RuntimeError):
@@ -81,7 +79,6 @@ class CleaningService:
         workers: int = 4,
         llm_factory: Optional[LLMFactory] = None,
         config: Optional[CleaningConfig] = None,
-        hil_factory: Optional[HILFactory] = None,
         cache_path: Optional[Union[str, Path]] = None,
         cache_flush_every: int = 32,
         cache_store: Optional[PromptCacheStore] = None,
@@ -101,7 +98,6 @@ class CleaningService:
         self.max_retained_jobs = max_retained_jobs
         self.llm_factory = llm_factory or SimulatedSemanticLLM
         self.config = config or CleaningConfig()
-        self.hil_factory = hil_factory or AutoApprove
         if cache_store is not None:
             self.cache: Optional[PromptCacheStore] = cache_store
         elif share_cache:
@@ -340,7 +336,5 @@ class CleaningService:
 
     def _execute(self, job: CleaningJob) -> CleaningResult:
         llm = cached_client(self.llm_factory(), self.cache)
-        cleaner = CocoonCleaner(
-            llm=llm, config=job.config or self.config, hil=self.hil_factory(), database=Database()
-        )
+        cleaner = CocoonCleaner(llm=llm, config=job.config or self.config, database=Database())
         return cleaner.clean(job.table)

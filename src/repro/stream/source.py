@@ -59,7 +59,7 @@ def steady_state_stream(
     traffic batch, so the priming window sees both the full dirty-value
     vocabulary and the cross-batch duplicates the traffic introduces.
 
-    Used by the parity tests and ``benchmarks/bench_stream.py``.
+    Used by the streaming parity tests.
     """
     rng = random.Random(seed)
     rows = backfill.row_tuples()

@@ -3,6 +3,7 @@
 from repro.core import CleaningConfig, CocoonCleaner
 from repro.core.dialects import ReproDialect
 from repro.core.hil import CallbackReviewer, ReviewDecision
+from repro.core.operators.pattern_outliers import PatternOutlierOperator
 from repro.dataframe import Table
 from repro.llm.parsing import render_json
 from repro.llm.simulated import SimulatedSemanticLLM
@@ -198,3 +199,23 @@ class TestPatternOutlierOperator:
         op = self._clean_phones(["[", "(a"])
         assert op.skipped_reason == "no usable patterns generated"
         assert op.finding is None
+
+    def test_outliers_beyond_one_batch_take_several_cleaning_prompts(self, monkeypatch):
+        # 200 mm/dd/yyyy dates and 30 distinct ISO dates to rewrite.
+        standard = [f"{1 + i % 12:02d}/{1 + i % 28:02d}/{1950 + i % 40}" for i in range(200)]
+        iso = [f"{2000 + i}-{1 + i % 12:02d}-{1 + i % 28:02d}" for i in range(30)]
+        table = Table.from_dict("t", {"published": standard + iso})
+
+        def clean():
+            llm = SimulatedSemanticLLM()
+            config = CleaningConfig(enabled_issues=["pattern_outliers"])
+            return llm, CocoonCleaner(llm=llm, config=config).clean(table)
+
+        one_batch_llm, one_batch = clean()
+        monkeypatch.setattr(PatternOutlierOperator, "cleaning_batch_size", 7)
+        batched_llm, batched = clean()
+
+        assert len(one_batch_llm.calls_for("pattern_cleaning")) == 1
+        assert len(batched_llm.calls_for("pattern_cleaning")) >= 2
+        assert len(batched.repairs) == 30
+        assert batched.cleaned_table == one_batch.cleaned_table

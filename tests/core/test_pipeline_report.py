@@ -3,6 +3,8 @@
 from repro.core import CleaningConfig, CocoonCleaner, ISSUE_ORDER, default_operators
 from repro.core.report import render_html_report, render_sql_pipeline, write_report
 from repro.dataframe import Table, read_csv_text, write_csv
+from repro.datasets import load_dataset
+from repro.evaluation import evaluate_repairs
 from repro.sql import Database
 
 
@@ -68,10 +70,18 @@ class TestPipeline:
         result = CocoonCleaner(config=config).clean(dirty_language_table)
         assert {r.issue_type for r in result.operator_results} <= {"duplication"}
 
-    def test_statistical_context_ablation_flag(self, dirty_language_table):
-        config = CleaningConfig(use_statistical_context=False, enabled_issues=["string_outliers"])
-        result = CocoonCleaner(config=config).clean(dirty_language_table)
-        assert result.cleaned_table.num_rows == dirty_language_table.num_rows
+    def test_full_workflow_beats_its_partial_decompositions(self):
+        dataset = load_dataset("hospital", seed=0, scale=0.15)
+
+        def f1(issues):
+            result = CocoonCleaner(config=CleaningConfig(enabled_issues=issues)).clean(dataset.dirty)
+            return evaluate_repairs(
+                dataset.dirty, dataset.clean, result.repaired_cells(), removed_rows=result.removed_row_ids
+            ).f1
+
+        full = f1(None)
+        assert full >= f1(["string_outliers"])
+        assert full >= f1([issue for issue in ISSUE_ORDER if issue != "functional_dependency"])
 
     def test_summary_text(self, dirty_language_table):
         result = CocoonCleaner().clean(dirty_language_table)

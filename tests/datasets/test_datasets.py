@@ -141,5 +141,10 @@ class TestGenerators:
         with pytest.raises(KeyError):
             load_dataset("enron")
 
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale must be a finite number > 0"):
+            load_dataset("hospital", scale=scale)
+
     def test_summary_mentions_error_types(self, small_datasets):
         assert "typo" in small_datasets["hospital"].summary()

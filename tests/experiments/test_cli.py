@@ -42,6 +42,15 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             main(["table1", "--workers", "0"])
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_bad_scale_rejected(self, scale, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--datasets", "hospital", "--scale", scale])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "--scale must be a finite number > 0" in captured.err
+        assert captured.out == ""  # nothing ran
+
     def test_parser_exposes_all_artifacts(self):
         parser = build_parser()
         text = parser.format_help()

@@ -73,6 +73,11 @@ class TestGridBuilding:
         with pytest.raises(UnknownNameError):
             build_grid(tables=["table9"])
 
+    @pytest.mark.parametrize("scale", [0, -1, float("nan"), float("inf")])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="scale must be a finite number > 0"):
+            ExperimentMatrix(tables=["table2"], datasets=["hospital"], scale=scale)
+
     def test_validate_names_passthrough(self):
         assert validate_names("dataset", None, ["a", "b"]) == ["a", "b"]
         assert validate_names("dataset", ["b"], ["a", "b"]) == ["b"]

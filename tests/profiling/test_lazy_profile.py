@@ -13,7 +13,7 @@ import pytest
 
 import repro.profiling.table_profile as table_profile_module
 from repro import CocoonCleaner, load_dataset, obs
-from repro.core.context import ROW_ID_COLUMN, CleaningContext
+from repro.core.context import FD_MIN_SCORE, ROW_ID_COLUMN, SAMPLE_VALUES, CleaningContext
 from repro.core.plan import extract_plan
 from repro.dataframe import Column, Table
 from repro.dataframe.schema import ColumnType
@@ -57,18 +57,18 @@ def test_every_version_profile_equals_a_fresh_one(dataset, monkeypatch):
 
     def recording(self):
         profile = original(self)
-        versions.setdefault(id(profile), (profile, self.data_only_table(), self.config))
+        versions.setdefault(id(profile), (profile, self.data_only_table()))
         return profile
 
     monkeypatch.setattr(CleaningContext, "profile", recording)
     CocoonCleaner().clean(load_dataset(dataset, scale=0.05).dirty)
 
     assert len(versions) > 1, "the clean should reach more than one table version"
-    for profile, table, config in versions.values():
+    for profile, table in versions.values():
         assert profile.column_names == table.column_names
         for name in table.column_names:
-            assert profile.column(name) == profile_column(table.column(name), max_values=config.sample_values)
-        assert profile.fd_candidates == discover_fds(table, min_score=config.fd_min_score)
+            assert profile.column(name) == profile_column(table.column(name), max_values=SAMPLE_VALUES)
+        assert profile.fd_candidates == discover_fds(table, min_score=FD_MIN_SCORE)
         assert profile.duplicate_rows == duplicate_row_count(table)
         assert profile.duplicate_samples == duplicate_row_samples(table)
 

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import CocoonCleaner
 from repro.core.context import ROW_ID_COLUMN
-from repro.core.plan import CleaningPlan, PlanStep
+from repro.core.plan import CleaningPlan, PlanStep, extract_plan
+from repro.dataframe.column import Column
+from repro.dataframe.schema import ColumnType
 from repro.dataframe.table import Table
-from repro.datasets.registry import dataset_names
+from repro.datasets.registry import dataset_names, load_dataset
 from repro.scenarios.catalog import builtin_specs
 from repro.sql.differential import (
     DifferentialResult,
@@ -78,6 +81,29 @@ def test_mixed_number_and_text_order_column(order_values, kept):
     result = DifferentialResult("mixed", "dataset", rows=n, columns=2, steps=1)
     compare_tables(reference, sqlite_rows, result)
     assert_clean(result)
+
+
+def test_plan_replay_over_resampled_rows():
+    # A hospital@0.05 plan, primed on 50 dirty rows, replayed over 2,000 rows
+    # cycled from them (each row 40 times): both engines must apply every
+    # step alike on a table 40 times the size the plan was made on.
+    dataset = load_dataset("hospital", seed=0, scale=0.05)
+    plan = extract_plan(CocoonCleaner().clean(dataset.dirty))
+    dirty = dataset.dirty
+    ids = list(range(2000))
+    resampled = Table(
+        plan.base_table,
+        [Column(ROW_ID_COLUMN, ids, dtype=ColumnType.INTEGER)]
+        + [Column(c.name, [c.values[i % dirty.num_rows] for i in ids], dtype=c.dtype) for c in dirty.columns],
+    )
+    reference = run_plan_in_process(plan, resampled)
+    sqlite_rows = run_plan_sqlite(plan, resampled)
+    result = DifferentialResult(
+        "hospital-2000rows", "dataset", rows=len(ids), columns=resampled.num_columns, steps=len(plan.steps)
+    )
+    compare_tables(reference, sqlite_rows, result)
+    assert_clean(result)
+    assert result.cells_compared == len(ids) * dirty.num_columns
 
 
 def test_cli_reports_success():
