@@ -67,12 +67,11 @@ class CocoonCleaner:
         llm: Optional[LLMClient] = None,
         config: Optional[CleaningConfig] = None,
         hil: Optional[HumanInTheLoop] = None,
-        database: Optional[Database] = None,
     ):
         self.llm = llm if llm is not None else SimulatedSemanticLLM()
         self.config = config or CleaningConfig()
         self.hil = hil or AutoApprove()
-        self.database = database or Database()
+        self.database = Database()
         # Original table name → the base name it was assigned in the database.
         # Distinct originals that sanitise identically ("My Data" / "my-data")
         # get numeric suffixes instead of silently overwriting each other.

@@ -174,16 +174,6 @@ class PlanStep:
             "payload": dict(self.payload),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PlanStep":
-        return cls(
-            kind=str(data["kind"]),
-            issue_type=str(data["issue_type"]),
-            target=str(data["target"]),
-            target_table=str(data["target_table"]),
-            payload=dict(data.get("payload") or {}),
-        )
-
 
 @dataclass
 class CleaningPlan:
@@ -363,15 +353,6 @@ class CleaningPlan:
             "llm_calls_invested": self.llm_calls_invested,
             "steps": [step.to_dict() for step in self.steps],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CleaningPlan":
-        return cls(
-            base_table=str(data["base_table"]),
-            column_names=list(data["column_names"]),
-            steps=[PlanStep.from_dict(s) for s in data.get("steps", [])],
-            llm_calls_invested=int(data.get("llm_calls_invested", 0)),
-        )
 
     def summary_text(self) -> str:
         lines = [f"Cleaning plan for {self.base_table}: {len(self.steps)} steps"]

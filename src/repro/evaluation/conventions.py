@@ -31,15 +31,14 @@ from repro.llm.knowledge.types import semantic_boolean
 
 @dataclass(frozen=True)
 class EvaluationConventions:
-    """Which leniency rules apply when comparing a value to the ground truth."""
+    """Which leniency rules apply when comparing a value to the ground truth.
 
-    case_insensitive: bool = True
-    boolean_equivalence: bool = True
-    dmv_as_null: bool = True
-    numeric_equivalence: bool = True
-    duration_equivalence: bool = True
-    date_equivalence: bool = True
-    strip_whitespace: bool = True
+    Case, whitespace, numeric and date leniency always apply.  ``extended``
+    selects the Appendix B conventions, under which boolean, DMV and
+    duration conversions are required repairs rather than equivalences.
+    """
+
+    extended: bool = False
 
     @classmethod
     def paper_main(cls) -> "EvaluationConventions":
@@ -49,7 +48,7 @@ class EvaluationConventions:
     @classmethod
     def paper_extended(cls) -> "EvaluationConventions":
         """Conventions of the Appendix B evaluation (Table 3): type and DMV errors count."""
-        return cls(boolean_equivalence=False, dmv_as_null=False, duration_equivalence=False)
+        return cls(extended=True)
 
 
 def values_equivalent(a: object, b: object, conventions: Optional[EvaluationConventions] = None) -> bool:
@@ -61,35 +60,31 @@ def values_equivalent(a: object, b: object, conventions: Optional[EvaluationConv
         return True
     if a_null != b_null:
         return False
-    if conv.boolean_equivalence:
+    if not conv.extended:
         a_bool = semantic_boolean(a) if not isinstance(a, bool) else a
         b_bool = semantic_boolean(b) if not isinstance(b, bool) else b
         if a_bool is not None and b_bool is not None:
             return a_bool == b_bool
-    if conv.numeric_equivalence:
-        a_num = _as_number(a)
-        b_num = _as_number(b)
-        if a_num is not None and b_num is not None:
-            return abs(a_num - b_num) < 1e-9
-    if conv.duration_equivalence:
+    a_num = _as_number(a)
+    b_num = _as_number(b)
+    if a_num is not None and b_num is not None:
+        return abs(a_num - b_num) < 1e-9
+    if not conv.extended:
         a_dur = _as_duration_minutes(a)
         b_dur = _as_duration_minutes(b)
         if a_dur is not None and b_dur is not None and (_has_duration_unit(a) or _has_duration_unit(b)):
             return a_dur == b_dur
-    if conv.date_equivalence:
-        a_date = _as_date(a)
-        b_date = _as_date(b)
-        if a_date is not None and b_date is not None:
-            return a_date == b_date
-    a_text = _canonical_text(a, conv)
-    b_text = _canonical_text(b, conv)
-    return a_text == b_text
+    a_date = _as_date(a)
+    b_date = _as_date(b)
+    if a_date is not None and b_date is not None:
+        return a_date == b_date
+    return _canonical_text(a) == _canonical_text(b)
 
 
 def _is_nullish(value: object, conv: EvaluationConventions) -> bool:
     if is_null(value) or str(value).strip() == "":
         return True
-    if conv.dmv_as_null and is_disguised_missing(value):
+    if not conv.extended and is_disguised_missing(value):
         return True
     return False
 
@@ -134,10 +129,5 @@ def _as_date(value: object):
     return parse_date(str(value))
 
 
-def _canonical_text(value: object, conv: EvaluationConventions) -> str:
-    text = str(value)
-    if conv.strip_whitespace:
-        text = " ".join(text.split())
-    if conv.case_insensitive:
-        text = text.lower()
-    return text
+def _canonical_text(value: object) -> str:
+    return " ".join(str(value).split()).lower()

@@ -35,7 +35,6 @@ from repro.datasets.base import BenchmarkDataset
 from repro.dataframe.table import Table
 from repro.evaluation.conventions import EvaluationConventions
 from repro.evaluation.metrics import Scores, evaluate_repairs
-from repro.llm.base import LLMClient
 
 Cell = Tuple[int, str]
 
@@ -165,12 +164,11 @@ class CocoonSystem(CleaningSystem):
 
     name = "Cocoon"
 
-    def __init__(self, llm: Optional[LLMClient] = None, config: Optional[CleaningConfig] = None):
-        self._llm = llm
+    def __init__(self, config: Optional[CleaningConfig] = None):
         self._config = config
 
     def repair(self, dirty: Table, context: SystemContext) -> SystemOutput:
-        cleaner = CocoonCleaner(llm=self._llm, config=self._config)
+        cleaner = CocoonCleaner(config=self._config)
         result = cleaner.clean(dirty)
         return SystemOutput(
             repairs=dict(result.repaired_cells()),

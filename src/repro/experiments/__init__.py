@@ -9,9 +9,8 @@ Each experiment module regenerates one artifact:
 * :mod:`repro.experiments.figures` — the F1 comparison series derived from Table 1.
 * :mod:`repro.experiments.matrix` — the parallel experiment-matrix engine:
   the (table × dataset × system) grid as jobs on a thread pool,
-  with repair dedup, a namespaced shared prompt cache, an incremental
-  resumable results store, and the golden regression corpus
-  (``GOLDEN_experiments.json``).
+  with repair dedup, an incremental resumable results store, and the
+  golden regression corpus (``GOLDEN_experiments.json``).
 
 ``python -m repro.experiments <table1|table2|table3|figure-f1|matrix|all>
 [--scale S --workers N --golden]`` prints the corresponding rows; see

@@ -66,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="incremental results JSON; an existing file resumes the grid")
     parser.add_argument("--no-resume", action="store_true",
                         help="with --out: recompute every cell even if already recorded")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="persist the shared prompt cache at PATH (reused across runs)")
     parser.add_argument("--golden", action="store_true",
                         help="compare the run against the committed golden corpus (exit 1 on drift)")
     parser.add_argument("--refresh", action="store_true",
@@ -96,8 +94,7 @@ def _print_artifacts(artifact: str, run: MatrixRun) -> None:
             f"matrix: {stats.cells_total} cells ({stats.cells_run} run, {stats.cells_resumed} resumed) "
             f"in {stats.repair_groups} jobs on {stats.workers} worker(s); "
             f"wall {stats.wall_seconds:.2f}s vs serial {stats.job_seconds_total:.2f}s "
-            f"({stats.speedup_over_serial:.2f}x); {stats.llm_calls} LLM calls, "
-            f"cache {stats.cache_hits} hits / {stats.cache_misses} misses"
+            f"({stats.speedup_over_serial:.2f}x); {stats.llm_calls} LLM calls"
         )
 
 
@@ -151,7 +148,6 @@ def main(argv=None) -> int:
             seed=seed,
             scale=scale,
             workers=args.workers,
-            cache_path=args.cache,
             results_path=args.out,
             # A golden run is a statement about the *current* code: never let
             # it satisfy cells from a stale --out store written by old code.

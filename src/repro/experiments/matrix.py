@@ -11,14 +11,10 @@ into jobs run on a :class:`~concurrent.futures.ThreadPoolExecutor`, with:
 * **Longest jobs first** — jobs are submitted in order of a row-count cost
   hint (a stable sort, so equal costs keep grid order), and the executor
   starts them in submission order, so the long poles never start last.
-* **A shared prompt cache** — all Cocoon cells share one thread-safe
-  :class:`~repro.llm.cache.PromptCacheStore`, namespaced per repair unit.
-  The namespace is what keeps the parallel grid byte-identical to the
-  sequential grid: the simulated LLM is stateful within one cleaning run, so
-  an un-namespaced cache hit from a *different* unit's coincidentally equal
-  prompt would make responses depend on execution order.  Within a
-  namespace there is exactly one job per run (dedup), and across runs a
-  persisted cache replays the identical deterministic responses.
+* **No shared state between jobs** — each Cocoon job cleans with its own
+  deterministic :class:`~repro.llm.simulated.SimulatedSemanticLLM`, so the
+  parallel grid is byte-identical to the sequential grid whatever order the
+  jobs run in.
 * **An incremental results store** — every finished cell is written to a
   JSON document (atomic tmp + ``os.replace``); re-running against the same
   store resumes an interrupted grid, skipping completed cells.
@@ -37,22 +33,14 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.dataframe.io import atomic_write_text
 from repro.datasets import dataset_names, load_dataset
 from repro.datasets.registry import check_scale
 from repro.evaluation.conventions import EvaluationConventions
-from repro.evaluation.runner import (
-    CocoonSystem,
-    ExperimentRunner,
-    SystemResult,
-    default_systems,
-)
+from repro.evaluation.runner import ExperimentRunner, SystemResult, default_systems
 from repro.experiments.table2 import census_of
-from repro.llm.base import LLMClient
-from repro.llm.cache import PromptCacheStore, cached_client
-from repro.llm.simulated import SimulatedSemanticLLM
 
 SCHEMA_VERSION = 1
 
@@ -297,8 +285,6 @@ class MatrixStats:
     #: Sum of per-job runtimes — what a strictly serial execution would cost.
     job_seconds_total: float = 0.0
     llm_calls: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def speedup_over_serial(self) -> float:
@@ -315,8 +301,6 @@ class MatrixStats:
             "job_seconds_total": self.job_seconds_total,
             "speedup_over_serial": self.speedup_over_serial,
             "llm_calls": self.llm_calls,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
 
@@ -365,8 +349,6 @@ class ExperimentMatrix:
         seed: int = 0,
         scale: float = 1.0,
         workers: int = 1,
-        cache_store: Optional[PromptCacheStore] = None,
-        cache_path: Optional[Union[str, Path]] = None,
         store: Optional[ResultsStore] = None,
         results_path: Optional[Union[str, Path]] = None,
         resume: bool = True,
@@ -388,7 +370,6 @@ class ExperimentMatrix:
         self.scale = scale
         self.workers = workers
         self.resume = resume
-        self.cache = cache_store if cache_store is not None else PromptCacheStore(cache_path, flush_every=64)
         self.store = store if store is not None else ResultsStore(results_path)
         self.grid = build_grid(
             self._requested_tables, self._requested_datasets, self._requested_systems,
@@ -455,7 +436,6 @@ class ExperimentMatrix:
                 llm_calls += int(results[0].deterministic.get("llm_calls", 0))
                 for result in results:
                     job_results[result.cell_id] = result
-        self.cache.flush()
 
         if failures:
             raise MatrixJobError(
@@ -481,9 +461,6 @@ class ExperimentMatrix:
             ),
             llm_calls=llm_calls,
         )
-        cache_stats = self.cache.stats()
-        stats.cache_hits = int(cache_stats["hits"])
-        stats.cache_misses = int(cache_stats["misses"])
         return MatrixRun(cells=cells, stats=stats, config=self.config_dict())
 
     # -- execution ---------------------------------------------------------------
@@ -515,7 +492,7 @@ class ExperimentMatrix:
                 )
             ]
 
-        runner = ExperimentRunner(seed=first.seed, systems=self._system_factories(first))
+        runner = ExperimentRunner(seed=first.seed)
         outcome = runner.run_repair(first.system, dataset)
         results = []
         for spec in cells:
@@ -538,17 +515,6 @@ class ExperimentMatrix:
                 )
             )
         return results
-
-    def _system_factories(self, spec: CellSpec) -> Dict[str, Callable[[], object]]:
-        """The default systems, with Cocoon wired to the shared, namespaced cache."""
-        factories = default_systems()
-        if spec.system == "Cocoon":
-            namespace = spec.repair_key
-            factories["Cocoon"] = lambda: CocoonSystem(llm=self._cocoon_llm(namespace))
-        return factories
-
-    def _cocoon_llm(self, namespace: str) -> LLMClient:
-        return cached_client(SimulatedSemanticLLM(), self.cache, namespace=namespace)
 
 
 def _repair_groups(pending: List[CellSpec]) -> List[List[CellSpec]]:

@@ -58,23 +58,14 @@ class CallRecord:
     cache_hit: Optional[bool] = None
 
 
-def prompt_cache_key(prompt: str, system: Optional[str] = None, namespace: str = "") -> str:
+def prompt_cache_key(prompt: str, system: Optional[str] = None) -> str:
     """Stable cache key for a (prompt, system) pair.
 
-    ``namespace`` partitions one shared store into independent key spaces.
-    The experiment matrix namespaces its shared cache per repair unit
-    (dataset/seed/scale/system): the simulated LLM is *stateful* within one
-    cleaning run (detection prompts record value counts that later cleaning
-    prompts consult), so a coincidentally identical prompt from a different
-    run may legitimately deserve a different response — an un-namespaced
-    cross-run hit would make results depend on execution order.  An empty
-    namespace (the default) produces the same keys as before namespacing
-    existed.
+    A key depends on the prompt and system text alone, so one shared store
+    (the service's and the gateway's) answers a prompt with the response
+    any of its clients stored for it.
     """
     digest = hashlib.sha256()
-    if namespace:
-        digest.update(namespace.encode("utf-8"))
-        digest.update(b"\0\0")
     digest.update(prompt.encode("utf-8"))
     if system:
         digest.update(b"\0")
@@ -140,7 +131,7 @@ class LLMClient(abc.ABC):
                 model=self.model_name,
                 purpose=purpose,
                 latency_seconds=elapsed,
-                cache_key=prompt_cache_key(prompt, system, namespace=getattr(self, "namespace", "")),
+                cache_key=prompt_cache_key(prompt, system),
                 cache_hit=self._take_cache_flag(),
             )
         )

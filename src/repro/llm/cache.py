@@ -152,29 +152,16 @@ class CachingLLMClient(LLMClient):
     job gets its own inner model but all jobs reuse each other's responses.
     """
 
-    def __init__(
-        self,
-        inner: LLMClient,
-        cache_path: Optional[Union[str, Path]] = None,
-        flush_every: int = 1,
-        store: Optional[PromptCacheStore] = None,
-        namespace: str = "",
-    ):
+    def __init__(self, inner: LLMClient, store: Optional[PromptCacheStore] = None):
         super().__init__()
-        if store is not None and cache_path is not None:
-            raise ValueError("Pass either a shared store or a cache_path, not both")
         self.inner = inner
         self.model_name = f"cached({inner.model_name})"
-        self.namespace = namespace
         # All synchronisation lives in the store's RLock; the client itself
         # holds no mutable cache state of its own.
-        self.store = store if store is not None else PromptCacheStore(cache_path, flush_every=flush_every)
-
-    def _key(self, prompt: str, system: Optional[str]) -> str:
-        return prompt_cache_key(prompt, system, namespace=self.namespace)
+        self.store = store if store is not None else PromptCacheStore()
 
     def _complete(self, prompt: str, system: Optional[str] = None) -> str:
-        key = self._key(prompt, system)
+        key = prompt_cache_key(prompt, system)
         cached = self.store.get(key)
         self._note_cache_result(cached is not None)
         if cached is not None:
@@ -187,10 +174,6 @@ class CachingLLMClient(LLMClient):
         return text
 
     # -- observability ---------------------------------------------------------
-    @property
-    def cache_path(self) -> Optional[Path]:
-        return self.store.path
-
     @property
     def hits(self) -> int:
         return self.store.stats()["hits"]
@@ -211,15 +194,10 @@ class CachingLLMClient(LLMClient):
         self.store.flush()
 
 
-def cached_client(
-    inner: LLMClient, store: Optional[PromptCacheStore], namespace: str = ""
-) -> LLMClient:
-    """Wrap ``inner`` with a shared store, or return it unchanged when ``store`` is None.
+def cached_client(inner: LLMClient, store: PromptCacheStore) -> LLMClient:
+    """Wrap ``inner`` with a shared store.
 
-    The one construction path the scheduler, the gateway's streams and the
-    experiment matrix all use for per-job clients.  ``namespace``
-    partitions the shared store (see :func:`prompt_cache_key`).
+    The one construction path the scheduler and the gateway's streams use
+    for per-job clients.
     """
-    if store is None:
-        return inner
-    return CachingLLMClient(inner, store=store, namespace=namespace)
+    return CachingLLMClient(inner, store=store)

@@ -276,9 +276,13 @@ class RangeReview:
 class SemanticModel:
     """Deterministic semantic judgements over column values."""
 
-    def __init__(self, typo_min_count_ratio: float = 0.5, typo_max_distance: int = 2):
-        self.typo_min_count_ratio = typo_min_count_ratio
-        self.typo_max_distance = typo_max_distance
+    #: A value is a typo of another only if its count is at most this
+    #: fraction of the other's.
+    TYPO_MIN_COUNT_RATIO = 0.5
+    #: Largest edit distance between a typo and its target.
+    TYPO_MAX_DISTANCE = 2
+
+    def __init__(self) -> None:
         self._last_typo_index: Optional[Tuple[Any, TypoIndex]] = None
 
     # -- string outliers ----------------------------------------------------
@@ -345,12 +349,11 @@ class SemanticModel:
         distribution's index.
         """
         frequent = tuple((v, c) for v, c in value_counts if c >= 2)
-        key = (frequent, self.typo_min_count_ratio, self.typo_max_distance)
         cached = self._last_typo_index
-        if cached is not None and cached[0] == key:
+        if cached is not None and cached[0] == frequent:
             return cached[1]
-        index = TypoIndex(frequent, self.typo_min_count_ratio, self.typo_max_distance)
-        self._last_typo_index = (key, index)
+        index = TypoIndex(frequent, self.TYPO_MIN_COUNT_RATIO, self.TYPO_MAX_DISTANCE)
+        self._last_typo_index = (frequent, index)
         return index
 
     def _typo_suspects(self, value_counts: Sequence[Tuple[str, int]]) -> Dict[str, str]:

@@ -81,12 +81,9 @@ class CleaningGateway:
         llm_factory: Optional[Callable[[], Any]] = None,
         config: Optional[CleaningConfig] = None,
         cache_path: Optional[Union[str, Path]] = None,
-        cache_store: Optional[PromptCacheStore] = None,
         cache_flush_every: int = 32,
         retry_after_seconds: float = 1.0,
-        metrics_registry: Optional[MetricsRegistry] = None,
         tracing: bool = True,
-        detect_drift: bool = True,
         stream_prime_rows: int = 0,
     ):
         self.llm_factory = llm_factory or SimulatedSemanticLLM
@@ -95,14 +92,11 @@ class CleaningGateway:
         #: root for every request when this is set, and the trace follows the
         #: job through service → pipeline → operators → SQL plan nodes.
         self.tracing = tracing
-        # One registry per gateway (private by default for test isolation);
-        # both underlying services fold their metrics into it, so one
-        # Prometheus scrape covers the whole process.
-        self.registry = metrics_registry if metrics_registry is not None else MetricsRegistry()
-        if cache_store is not None:
-            self.cache = cache_store
-        else:
-            self.cache = PromptCacheStore(cache_path, flush_every=cache_flush_every)
+        # One private registry per gateway; both underlying services fold
+        # their metrics into it, so one Prometheus scrape covers the whole
+        # process.
+        self.registry = MetricsRegistry()
+        self.cache = PromptCacheStore(cache_path, flush_every=cache_flush_every)
         self.service = CleaningService(
             workers=workers,
             llm_factory=self.llm_factory,
@@ -117,7 +111,6 @@ class CleaningGateway:
             max_pending_batches=max_pending_batches,
             config=config,
             llm_factory=lambda: cached_client(self.llm_factory(), self.cache),
-            detect_drift=detect_drift,
             prime_rows=stream_prime_rows,
             metrics_registry=self.registry,
         )

@@ -1,10 +1,10 @@
 """Job objects for the concurrent cleaning service.
 
-A :class:`CleaningJob` is one unit of scheduled work: clean one table with a
-given configuration.  Jobs carry their own lifecycle (:class:`JobStatus`),
-timing marks, and a :class:`JobResult` once finished, and expose a
-:class:`threading.Event`-backed :meth:`CleaningJob.wait` so callers can block
-on individual jobs without polling the service.
+A :class:`CleaningJob` is one unit of scheduled work: clean one table.  Jobs
+carry their own lifecycle (:class:`JobStatus`), timing marks, and a
+:class:`JobResult` once finished, and expose a :class:`threading.Event`-backed
+:meth:`CleaningJob.wait` so callers can block on individual jobs without
+polling the service.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.core.context import CleaningConfig
 from repro.core.result import CleaningResult
 from repro.dataframe.table import Table
 
@@ -84,7 +83,6 @@ class CleaningJob:
 
     table: Table
     priority: int = 0
-    config: Optional[CleaningConfig] = None
     name: str = ""
     metadata: Dict[str, Any] = field(default_factory=dict)
 

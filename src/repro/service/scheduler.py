@@ -1,8 +1,7 @@
 """The concurrent cleaning service: a priority heap over a thread pool.
 
 ``CleaningService`` turns the single-shot :class:`~repro.core.pipeline.CocoonCleaner`
-into a long-lived service: jobs are submitted (optionally with priorities and
-per-job configs), a :class:`~concurrent.futures.ThreadPoolExecutor` runs them,
+into a long-lived service: jobs are submitted (optionally with priorities), a :class:`~concurrent.futures.ThreadPoolExecutor` runs them,
 and every job gets a fully isolated :class:`~repro.sql.database.Database`,
 :class:`~repro.core.context.CleaningContext` and LLM instance — only the
 prompt-response cache (:class:`~repro.llm.cache.PromptCacheStore`) is shared,
@@ -16,8 +15,7 @@ answered reuses that response.  For a pure prompt→response model this is
 invisible; for a *stateful* inner model (the simulated LLM remembers value
 counts from detection prompts) a cross-job cache hit skips the inner call
 that would have recorded that state, which can matter in the corner case
-where two jobs share a detection prompt but diverge afterwards.  Pass
-``share_cache=False`` for strict per-job isolation.
+where two jobs share a detection prompt but diverge afterwards.
 """
 
 from __future__ import annotations
@@ -44,9 +42,12 @@ from repro.obs import span as obs_span
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
 from repro.service.stats import ServiceStats, StatsCollector
-from repro.sql.database import Database
 
 LLMFactory = Callable[[], LLMClient]
+
+#: Settled jobs the by-id registry keeps for :meth:`CleaningService.job`;
+#: older ones are evicted oldest-first.
+MAX_RETAINED_JOBS = 1024
 
 
 class ServiceSaturated(RuntimeError):
@@ -82,28 +83,21 @@ class CleaningService:
         cache_path: Optional[Union[str, Path]] = None,
         cache_flush_every: int = 32,
         cache_store: Optional[PromptCacheStore] = None,
-        share_cache: bool = True,
         max_pending_jobs: Optional[int] = None,
-        max_retained_jobs: int = 1024,
         metrics_registry: Optional[MetricsRegistry] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_pending_jobs is not None and max_pending_jobs < 1:
             raise ValueError(f"max_pending_jobs must be >= 1, got {max_pending_jobs}")
-        if max_retained_jobs < 1:
-            raise ValueError(f"max_retained_jobs must be >= 1, got {max_retained_jobs}")
         self.workers = workers
         self.max_pending_jobs = max_pending_jobs
-        self.max_retained_jobs = max_retained_jobs
         self.llm_factory = llm_factory or SimulatedSemanticLLM
         self.config = config or CleaningConfig()
         if cache_store is not None:
-            self.cache: Optional[PromptCacheStore] = cache_store
-        elif share_cache:
-            self.cache = PromptCacheStore(cache_path, flush_every=cache_flush_every)
+            self.cache = cache_store
         else:
-            self.cache = None
+            self.cache = PromptCacheStore(cache_path, flush_every=cache_flush_every)
 
         self._executor = ThreadPoolExecutor(workers, thread_name_prefix="repro-worker")
         self._queued: List[tuple] = []  # heap of (priority, sequence, job)
@@ -112,7 +106,7 @@ class CleaningService:
         self._jobs: List[CleaningJob] = []
         # Lookup registry keyed by job id: unsettled jobs are always present;
         # settled ones are retained (oldest-first eviction beyond
-        # ``max_retained_jobs``) so network callers can fetch results later.
+        # ``MAX_RETAINED_JOBS``) so network callers can fetch results later.
         self._jobs_by_id: "OrderedDict[int, CleaningJob]" = OrderedDict()
         self._lock = threading.Lock()
         self._stats = StatsCollector(registry=metrics_registry)
@@ -129,8 +123,7 @@ class CleaningService:
                 return
             self._closed = True
         self._executor.shutdown(wait=wait)
-        if self.cache is not None:
-            self.cache.flush()
+        self.cache.flush()
 
     def __enter__(self) -> "CleaningService":
         return self
@@ -151,7 +144,6 @@ class CleaningService:
         self,
         table: Table,
         priority: int = 0,
-        config: Optional[CleaningConfig] = None,
         name: str = "",
         metadata: Optional[Dict[str, Any]] = None,
     ) -> CleaningJob:
@@ -164,7 +156,6 @@ class CleaningService:
         job = CleaningJob(
             table=table,
             priority=priority,
-            config=config,
             name=name or table.name or "",
             metadata=dict(metadata) if metadata else {},
         )
@@ -190,7 +181,7 @@ class CleaningService:
             self._jobs_by_id[job.job_id] = job
             # Unsettled jobs are never evicted, so the registry can only
             # exceed the cap by the (admission-bounded) in-flight count.
-            while len(self._jobs_by_id) > self.max_retained_jobs:
+            while len(self._jobs_by_id) > MAX_RETAINED_JOBS:
                 oldest_settled = next(
                     (jid for jid, tracked in self._jobs_by_id.items() if tracked.done), None
                 )
@@ -227,14 +218,14 @@ class CleaningService:
         """Look up a job by id (raises ``KeyError`` for unknown/evicted ids).
 
         Unlike :attr:`jobs`, the id registry spans batches: a settled job
-        stays fetchable until ``max_retained_jobs`` pushes it out — the
+        stays fetchable until ``MAX_RETAINED_JOBS`` pushes it out — the
         contract the HTTP gateway's ``GET /v1/jobs/{id}`` relies on.
         """
         with self._lock:
             if job_id not in self._jobs_by_id:
                 raise KeyError(
                     f"unknown job id {job_id} (finished jobs are retained up to "
-                    f"{self.max_retained_jobs}; older ones are evicted)"
+                    f"{MAX_RETAINED_JOBS}; older ones are evicted)"
                 )
             return self._jobs_by_id[job_id]
 
@@ -269,8 +260,7 @@ class CleaningService:
 
     def stats(self) -> ServiceStats:
         """A point-in-time snapshot of service metrics (including the cache)."""
-        cache_stats = self.cache.stats() if self.cache is not None else None
-        return self._stats.snapshot(cache_stats)
+        return self._stats.snapshot(self.cache.stats())
 
     # -- execution ---------------------------------------------------------------
     def _run_next(self) -> None:
@@ -336,5 +326,5 @@ class CleaningService:
 
     def _execute(self, job: CleaningJob) -> CleaningResult:
         llm = cached_client(self.llm_factory(), self.cache)
-        cleaner = CocoonCleaner(llm=llm, config=job.config or self.config, database=Database())
+        cleaner = CocoonCleaner(llm=llm, config=self.config)
         return cleaner.clean(job.table)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Tuple
@@ -129,6 +130,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.prime_rows < 0:
         print(f"error: --prime-rows must be >= 0, got {args.prime_rows}", file=sys.stderr)
         return 2
+    if not (math.isfinite(args.poll) and args.poll > 0):
+        print(f"error: --poll must be a finite number > 0, got {args.poll}", file=sys.stderr)
+        return 2
+    for flag, value in (("--max-files", args.max_files), ("--idle-polls", args.idle_polls)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     try:
         drift_config = DriftConfig(args.drift_threshold)
     except ValueError as exc:
@@ -151,22 +159,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     interrupted = False
+    last: Optional[StreamBatchResult] = None
     try:
         for batch in batches:
-            result = stream.process_batch(batch)
+            last = stream.process_batch(batch)
             if not args.quiet:
-                print(_batch_line(result))
+                print(_batch_line(last))
             if out_dir is not None:
                 write_csv(
-                    _emitted_table(stream, result),
-                    out_dir / f"batch_{result.batch_index:04d}.csv",
+                    _emitted_table(stream, last),
+                    out_dir / f"batch_{last.batch_index:04d}.csv",
                 )
     except KeyboardInterrupt:  # pragma: no cover - interactive path
         interrupted = True
         print("interrupted; finalising cumulative output", file=sys.stderr)
 
     stats = stream.stats.to_dict()
-    last = stream.batch_results[-1] if stream.batch_results else None
     stats["last_drift"] = [d.to_dict() for d in last.drift] if last else []
     if out_dir is not None:
         write_csv(stream.cleaned_table(), out_dir / f"{name}_cleaned.csv")

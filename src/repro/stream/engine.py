@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.context import ROW_ID_COLUMN, CleaningConfig, CleaningContext
-from repro.core.hil import AutoApprove, HumanInTheLoop
+from repro.core.hil import AutoApprove
 from repro.core.pipeline import CocoonCleaner, run_operators
 from repro.core.plan import CleaningPlan, PlanStep, extract_plan
 from repro.core.workflow import COLUMN_LEVEL_ISSUES, ISSUE_ORDER, default_operators
@@ -163,7 +163,6 @@ class StreamingCleaner:
         name: str = "stream",
         llm: Optional[LLMClient] = None,
         config: Optional[CleaningConfig] = None,
-        hil: Optional[HumanInTheLoop] = None,
         detect_drift: bool = True,
         drift_config: Optional[DriftConfig] = None,
         prime_rows: int = 0,
@@ -171,7 +170,6 @@ class StreamingCleaner:
         self.name = name
         self.llm = llm if llm is not None else SimulatedSemanticLLM()
         self.config = config or CleaningConfig()
-        self.hil = hil or AutoApprove()
         if prime_rows < 0:
             raise ValueError(f"prime_rows must be >= 0, got {prime_rows}")
         self.prime_rows = prime_rows
@@ -179,7 +177,6 @@ class StreamingCleaner:
             DriftDetector(drift_config) if detect_drift else None
         )
         self.plan: Optional[CleaningPlan] = None
-        self.batch_results: List[StreamBatchResult] = []
         self.stats = StreamStats()
         # Cell-level audit trail of the whole stream: row-local replay records
         # every strict cell change per plan step, table-level folds record
@@ -198,7 +195,6 @@ class StreamingCleaner:
         self._duplicates = IncrementalDuplicateState()
         self._table_state: Optional[TableLevelState] = None
         self._cleaned_dtypes: Optional[List[ColumnType]] = None
-        self._replans = 0
 
     # -- public API ---------------------------------------------------------------
     def process_batch(self, batch: Table) -> StreamBatchResult:
@@ -211,7 +207,7 @@ class StreamingCleaner:
         with obs_span(
             "stream.batch",
             stream=self.name,
-            batch_index=len(self.batch_results),
+            batch_index=self.stats.batches,
             rows_in=batch.num_rows,
         ) as sp:
             result = self._dispatch_batch(batch, first_row_id)
@@ -232,7 +228,7 @@ class StreamingCleaner:
             available = self._raw_row_count()
             if available == 0 or available < self.prime_rows:
                 return StreamBatchResult(
-                    batch_index=len(self.batch_results),
+                    batch_index=self.stats.batches,
                     rows_in=batch.num_rows,
                     first_row_id=first_row_id,
                     buffered=available > 0,
@@ -293,7 +289,7 @@ class StreamingCleaner:
         raw = self._raw_table()
         window = raw.num_rows if self.prime_rows <= 0 else self.prime_rows
         prime_table = raw if window >= raw.num_rows else raw.take(list(range(window)))
-        cleaner = CocoonCleaner(llm=self.llm, config=self.config, hil=self.hil)
+        cleaner = CocoonCleaner(llm=self.llm, config=self.config)
         priming = cleaner.clean(prime_table.rename(self.name))
         self.plan = extract_plan(priming)
         self._table_state = TableLevelState(self.plan.table_level_steps, self.plan.column_names)
@@ -313,7 +309,7 @@ class StreamingCleaner:
         self._record_removals(delta)
         self.stats.primes += 1
         return StreamBatchResult(
-            batch_index=len(self.batch_results),
+            batch_index=self.stats.batches,
             rows_in=batch.num_rows,
             first_row_id=first_row_id,
             added=delta.kept,
@@ -335,7 +331,7 @@ class StreamingCleaner:
             )
         self.stats.replayed_batches += 1
         return StreamBatchResult(
-            batch_index=len(self.batch_results),
+            batch_index=self.stats.batches,
             rows_in=batch.num_rows,
             first_row_id=first_row_id,
             added=delta.kept,
@@ -379,10 +375,9 @@ class StreamingCleaner:
         retracted = [row_id for row_id in sorted(previous) if row_id not in current]
         batch_ids = set(range(first_row_id, first_row_id + batch.num_rows))
         dropped = sorted(batch_ids - set(current))
-        self._replans += 1
         self.stats.replans += 1
         return StreamBatchResult(
-            batch_index=len(self.batch_results),
+            batch_index=self.stats.batches,
             rows_in=batch.num_rows,
             first_row_id=first_row_id,
             added=added,
@@ -501,7 +496,7 @@ class StreamingCleaner:
         accumulated raw rows reproduces exactly what a full re-prime would
         decide for that column.
         """
-        base = CocoonCleaner._sanitise_name(f"{self.name}_replan{self._replans}_{column}")
+        base = CocoonCleaner._sanitise_name(f"{self.name}_replan{self.stats.replans}_{column}")
         names = [name for name, _ in self._schema]
         index = names.index(column)
         dtype = self._schema[index][1]
@@ -517,7 +512,7 @@ class StreamingCleaner:
         db.register(projection, replace=True)
         context = CleaningContext(db, self.llm, base, config=self.config)
         issues = [i for i in COLUMN_LEVEL_ISSUES if self.config.issue_enabled(i)]
-        results = run_operators(context, self.hil, operators=default_operators(issues))
+        results = run_operators(context, AutoApprove(), operators=default_operators(issues))
         return [r.step for r in results if r.step is not None]
 
     @staticmethod
@@ -553,7 +548,6 @@ class StreamingCleaner:
         result.cumulative_rows_emitted = (
             self._table_state.survivor_count if self._table_state is not None else 0
         )
-        self.batch_results.append(result)
         stats = self.stats
         stats.batches += 1
         stats.rows_ingested += result.rows_in

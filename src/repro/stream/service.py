@@ -26,11 +26,10 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.context import CleaningConfig
 from repro.dataframe.table import Table
-from repro.llm.base import LLMClient
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.engine import StreamBatchResult, StreamingCleaner
 
@@ -67,15 +66,10 @@ class StreamBatchJob:
 class ManagedStream:
     """A named stream plus its batch deque and backpressure state."""
 
-    #: Completed jobs kept for inspection; older ones are trimmed so a
-    #: long-running stream does not grow memory without bound.
-    max_retained_jobs = 1024
-
     def __init__(self, name: str, cleaner: StreamingCleaner, max_pending_batches: int):
         self.name = name
         self.cleaner = cleaner
         self.max_pending_batches = max_pending_batches
-        self.jobs: List[StreamBatchJob] = []
         self.failed = False
         self.failure: Optional[str] = None
         self._waiting: Deque[StreamBatchJob] = deque()
@@ -105,7 +99,6 @@ class ManagedStream:
         with self._lock:
             job = StreamBatchJob(self, batch, self._submitted)
             self._submitted += 1
-            self.jobs.append(job)
             self._waiting.append(job)
             needs_task = not self._scheduled
             self._scheduled = True
@@ -142,12 +135,6 @@ class ManagedStream:
             self._completed += 1
             if error:
                 self._failed_count += 1
-            # Trim old completed jobs (never pending/running ones) so the
-            # retained list stays bounded.
-            while (
-                len(self.jobs) > self.max_retained_jobs and self.jobs and self.jobs[0].done
-            ):
-                self.jobs.pop(0)
             more = bool(self._waiting)
             self._scheduled = more
             self._settled.notify_all()
@@ -267,64 +254,34 @@ class StreamService:
         self._executor = ThreadPoolExecutor(workers, thread_name_prefix="repro-stream")
 
     # -- stream management ----------------------------------------------------------
-    def create_stream(
-        self,
-        name: str,
-        llm: Optional[LLMClient] = None,
-        config: Optional[CleaningConfig] = None,
-        max_pending_batches: Optional[int] = None,
-        prime_rows: Optional[int] = None,
-    ) -> ManagedStream:
-        """Register a new named stream (its cleaner primes on the first batch,
-        or buffers toward ``prime_rows`` when a priming window is set)."""
-        with self._lock:
-            if name in self._streams:
-                raise ValueError(f"Stream {name!r} already exists")
-            if llm is None:
-                llm = self.llm_factory() if self.llm_factory is not None else None
-            cleaner = StreamingCleaner(
-                name=name,
-                llm=llm,
-                config=config or self.config,
-                detect_drift=self.detect_drift,
-                prime_rows=self.prime_rows if prime_rows is None else prime_rows,
-            )
-            stream = ManagedStream(name, cleaner, max_pending_batches or self.max_pending_batches)
-            self._streams[name] = stream
-            return stream
-
     def stream(self, name: str) -> ManagedStream:
         with self._lock:
             if name not in self._streams:
                 raise KeyError(f"Unknown stream {name!r}; streams: {sorted(self._streams)}")
             return self._streams[name]
 
-    def get_or_create_stream(self, name: str, **kwargs: Any) -> ManagedStream:
+    def get_or_create_stream(self, name: str) -> ManagedStream:
         """Return the named stream, registering it on first use.
 
-        The named-stream registry pattern network gateways need: the first
-        batch posted to a stream name creates it, later batches reuse it.
-        Creation kwargs are only applied by whichever caller wins the race;
-        they are ignored when the stream already exists.
+        The first batch posted to a stream name creates it, later batches
+        reuse it.  Creation happens under the service lock, so callers
+        racing on one new name all get the same stream and only one
+        :class:`StreamingCleaner` is built.  Its cleaner primes on the first
+        batch, or buffers toward the service's ``prime_rows``.
         """
         with self._lock:
             stream = self._streams.get(name)
-        if stream is not None:
+            if stream is None:
+                cleaner = StreamingCleaner(
+                    name=name,
+                    llm=self.llm_factory() if self.llm_factory is not None else None,
+                    config=self.config,
+                    detect_drift=self.detect_drift,
+                    prime_rows=self.prime_rows,
+                )
+                stream = ManagedStream(name, cleaner, self.max_pending_batches)
+                self._streams[name] = stream
             return stream
-        try:
-            return self.create_stream(name, **kwargs)
-        except ValueError:
-            # Only a lost create race is recoverable (the winner's stream is
-            # authoritative); any other ValueError is a real argument error.
-            with self._lock:
-                existing = self._streams.get(name)
-            if existing is not None:
-                return existing
-            raise
-
-    def has_stream(self, name: str) -> bool:
-        with self._lock:
-            return name in self._streams
 
     # -- submission -------------------------------------------------------------------
     def submit(

@@ -1,8 +1,8 @@
 """Parallel grids must be byte-identical to sequential grids.
 
 The engine's determinism argument (see ``repro/experiments/matrix.py``):
-jobs are independent deterministic computations, and the shared prompt cache
-is namespaced per repair unit so no cache entry ever crosses between jobs.
+jobs are independent deterministic computations that share no state: each
+Cocoon job cleans with its own simulated model.
 These tests check the conclusion empirically — the ``--workers 4`` grid
 produces exactly the deterministic fields the ``--workers 1`` grid does,
 repeated three times to give thread interleavings a chance to differ.
@@ -44,7 +44,7 @@ class TestParallelDeterminism:
 
 
 class TestMatrixMatchesLegacySequentialRunners:
-    """The engine (with repair dedup and the shared cache) must score exactly
+    """The engine (with repair dedup) must score exactly
     what the plain sequential ``run_table1``/``run_table3`` loops score."""
 
     @pytest.fixture(scope="class")

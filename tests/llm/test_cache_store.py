@@ -110,14 +110,6 @@ class TestCachingLLMClient:
         llm.complete(prompt)
         assert llm.stats() == {"hits": 1, "misses": 1, "hit_rate": 0.5, "size": 1}
 
-    def test_rejects_store_and_path_together(self, tmp_path):
-        with pytest.raises(ValueError):
-            CachingLLMClient(
-                SimulatedSemanticLLM(),
-                cache_path=tmp_path / "c.json",
-                store=PromptCacheStore(),
-            )
-
     def test_shared_store_across_clients(self):
         store = PromptCacheStore()
         first = CachingLLMClient(SimulatedSemanticLLM(), store=store)
@@ -158,7 +150,7 @@ class TestCachingLLMClient:
 
     def test_flush_persists_shared_store(self, tmp_path):
         path = tmp_path / "cache.json"
-        llm = CachingLLMClient(SimulatedSemanticLLM(), cache_path=path, flush_every=100)
+        llm = CachingLLMClient(SimulatedSemanticLLM(), store=PromptCacheStore(path, flush_every=100))
         llm.complete(prompts.dmv_detection("c", [("N/A", 1)]))
         assert not path.exists()
         llm.flush()

@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.llm.knowledge.vocabulary import DOMAIN_VOCABULARY
-from repro.llm.semantic import SemanticModel, vocabulary_correction
+from repro.llm.semantic import SemanticModel, TypoIndex, vocabulary_correction
 
-from typo_oracle import BruteForceSemanticModel, fix_vocabulary_typos_baseline
+from typo_oracle import BruteForceSemanticModel, BruteForceTypos, fix_vocabulary_typos_baseline
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent.parent / "src"
@@ -59,7 +59,12 @@ def typo_values(draw) -> str:
 distributions = st.lists(
     st.tuples(typo_values(), st.integers(1, 6)), max_size=24, unique_by=lambda p: p[0]
 )
-models = st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), st.sampled_from([0, 1, 2, 3]))
+settings_grid = st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), st.sampled_from([0, 1, 2, 3]))
+
+
+def targets(index, value_counts):
+    """The index's answer for every value of the distribution, at its own count."""
+    return [index.target(str(value), count) for value, count in value_counts]
 
 
 def answers(model: SemanticModel, value_counts, batch):
@@ -108,14 +113,22 @@ class TestVocabularyFix:
 
 
 class TestIndexMatchesOracle:
-    @given(distributions, models, st.integers(0, 24))
+    @given(distributions, st.integers(0, 24))
     @settings(max_examples=250, deadline=None)
-    def test_answers_equal_brute_force(self, value_counts, params, batch_size):
-        ratio, distance = params
+    def test_answers_equal_brute_force(self, value_counts, batch_size):
         batch = [v for v, _ in value_counts[:batch_size]]
-        fast = SemanticModel(typo_min_count_ratio=ratio, typo_max_distance=distance)
-        oracle = BruteForceSemanticModel(typo_min_count_ratio=ratio, typo_max_distance=distance)
-        assert answers(fast, value_counts, batch) == answers(oracle, value_counts, batch)
+        assert answers(SemanticModel(), value_counts, batch) == answers(
+            BruteForceSemanticModel(), value_counts, batch
+        )
+
+    @given(distributions, settings_grid)
+    @settings(max_examples=250, deadline=None)
+    def test_index_equals_brute_force_at_every_setting(self, value_counts, params):
+        ratio, distance = params
+        frequent = tuple((v, c) for v, c in value_counts if c >= 2)
+        assert targets(TypoIndex(frequent, ratio, distance), value_counts) == targets(
+            BruteForceTypos(frequent, ratio, distance), value_counts
+        )
 
     @given(distributions, distributions)
     @settings(max_examples=60, deadline=None)
@@ -127,25 +140,16 @@ class TestIndexMatchesOracle:
             batch = [v for v, _ in value_counts]
             assert answers(shared, value_counts, batch) == answers(SemanticModel(), value_counts, batch)
 
-    @given(distributions, models)
-    @settings(max_examples=60, deadline=None)
-    def test_retuned_model_equals_fresh_model(self, value_counts, params):
-        ratio, distance = params
-        batch = [v for v, _ in value_counts]
-        model = SemanticModel()
-        answers(model, value_counts, batch)
-        model.typo_min_count_ratio, model.typo_max_distance = ratio, distance
-        fresh = SemanticModel(typo_min_count_ratio=ratio, typo_max_distance=distance)
-        assert answers(model, value_counts, batch) == answers(fresh, value_counts, batch)
-
     def test_non_ascii_lowercase_changes_length(self):
         assert len("İstanbul") == 8 and len("İstanbul".lower()) == 9
         counts = [("İstanbul", 5), ("İstanbull", 1), ("Istanbul", 1), ("İstanbulx", 1)]
         batch = [v for v, _ in counts]
+        assert answers(SemanticModel(), counts, batch) == answers(BruteForceSemanticModel(), counts, batch)
+        frequent = tuple((v, c) for v, c in counts if c >= 2)
         for distance in (0, 1, 2, 3):
-            fast = SemanticModel(typo_max_distance=distance)
-            oracle = BruteForceSemanticModel(typo_max_distance=distance)
-            assert answers(fast, counts, batch) == answers(oracle, counts, batch)
+            fast = TypoIndex(frequent, SemanticModel.TYPO_MIN_COUNT_RATIO, distance)
+            oracle = BruteForceTypos(frequent, SemanticModel.TYPO_MIN_COUNT_RATIO, distance)
+            assert targets(fast, counts) == targets(oracle, counts)
 
     def test_count_ties_go_to_the_earliest_frequent_value(self):
         counts = [("Pale Alex", 4), ("Pale Aley", 4), ("Pale Alez", 1)]

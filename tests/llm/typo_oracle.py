@@ -46,10 +46,11 @@ def edit_distance_full(a: str, b: str, limit: int = 3) -> int:
 
 
 def typo_target_baseline(
-    model: SemanticModel,
     value: str,
     count: int,
     frequent: Sequence[Tuple[str, int]],
+    min_count_ratio: float,
+    max_distance: int,
 ) -> Optional[str]:
     """The original pairwise scan: rebuild ``attested``, then try every frequent value."""
     text = str(value)
@@ -76,12 +77,12 @@ def typo_target_baseline(
         other_text = str(other)
         if other_text == text or len(other_text) < 3:
             continue
-        if other_count * model.typo_min_count_ratio < count:
+        if other_count * min_count_ratio < count:
             continue
         has_digits = any(ch.isdigit() for ch in text) or any(ch.isdigit() for ch in other_text)
         if has_digits and re.sub(r"[^0-9]", "", text) != re.sub(r"[^0-9]", "", other_text):
             continue
-        max_d = 1 if len(text) <= 5 else model.typo_max_distance
+        max_d = 1 if len(text) <= 5 else max_distance
         if edit_distance_full(text.lower(), other_text.lower(), max_d) <= max_d:
             if other_count > best_count:
                 best, best_count = other, other_count
@@ -117,22 +118,24 @@ def fix_vocabulary_typos_baseline(value: str) -> Optional[str]:
     return fixed_value if changed else None
 
 
-class _BruteForceTypos:
+class BruteForceTypos:
     """Stands in for the typo index: every question runs the pairwise scan."""
 
-    def __init__(self, model: SemanticModel, frequent: Sequence[Tuple[str, int]]):
-        self.model = model
+    def __init__(self, frequent: Sequence[Tuple[str, int]], min_count_ratio: float, max_distance: int):
         self.frequent = list(frequent)
+        self.min_count_ratio = min_count_ratio
+        self.max_distance = max_distance
 
     def target(self, text: str, count: int) -> Optional[str]:
-        return typo_target_baseline(self.model, text, count, self.frequent)
+        return typo_target_baseline(text, count, self.frequent, self.min_count_ratio, self.max_distance)
 
 
 class BruteForceSemanticModel(SemanticModel):
     """A :class:`SemanticModel` whose typo search runs the original scans."""
 
     def _typo_index(self, value_counts):
-        return _BruteForceTypos(self, [(v, c) for v, c in value_counts if c >= 2])
+        frequent = [(v, c) for v, c in value_counts if c >= 2]
+        return BruteForceTypos(frequent, self.TYPO_MIN_COUNT_RATIO, self.TYPO_MAX_DISTANCE)
 
     def _fix_vocabulary_typos(self, value: str) -> Optional[str]:
         return fix_vocabulary_typos_baseline(value)

@@ -18,11 +18,7 @@ from repro.evaluation.metrics import Scores, error_cells, evaluate_repairs
 
 #: Values distinct under every convention (no case/boolean/null aliasing).
 VALUES = st.sampled_from(["alpha", "beta", "gamma", "delta", "42", "x1"])
-STRICT = EvaluationConventions(
-    case_insensitive=False, boolean_equivalence=False, dmv_as_null=False,
-    numeric_equivalence=False, duration_equivalence=False, date_equivalence=False,
-    strip_whitespace=False,
-)
+STRICT = EvaluationConventions.paper_extended()
 
 
 @st.composite

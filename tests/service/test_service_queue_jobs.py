@@ -47,9 +47,7 @@ class _GatedLLM(SimulatedSemanticLLM):
 def gated():
     """A one-worker service whose first job holds the worker until ``gate`` opens."""
     gate, entered = threading.Event(), threading.Event()
-    service = CleaningService(
-        workers=1, llm_factory=lambda: _GatedLLM(gate, entered), share_cache=False
-    )
+    service = CleaningService(workers=1, llm_factory=lambda: _GatedLLM(gate, entered))
     service.submit(_table("blocker"))
     assert entered.wait(timeout=30), "the blocker never reached the model"
     try:
@@ -111,9 +109,7 @@ class TestRunOrder:
 
     def test_exception_in_the_block_cancels_queued_jobs(self):
         gate, entered = threading.Event(), threading.Event()
-        service = CleaningService(
-            workers=1, llm_factory=lambda: _GatedLLM(gate, entered), share_cache=False
-        )
+        service = CleaningService(workers=1, llm_factory=lambda: _GatedLLM(gate, entered))
         try:
             with pytest.raises(KeyboardInterrupt), service:
                 blocker = service.submit(_table("blocker"))

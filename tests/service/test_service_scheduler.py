@@ -138,8 +138,9 @@ class TestFailureIsolation:
             calls["n"] += 1
             return ExplodingLLM() if calls["n"] == 1 else SimulatedSemanticLLM()
 
-        # share_cache off: the failing client must not be an accident of caching.
-        service = CleaningService(workers=1, llm_factory=factory, share_cache=False)
+        # One worker runs the jobs in submission order, so the failing job
+        # meets an empty prompt cache and must call its model.
+        service = CleaningService(workers=1, llm_factory=factory)
         try:
             bad = service.submit(dirty_language_table.copy("bad"))
             good = service.submit(dirty_language_table.copy("good"))

@@ -219,7 +219,7 @@ class TestSelectiveReprompting:
         config = DriftConfig(threshold=0.12)
         stream = StreamingCleaner("articles", detect_drift=True, drift_config=config)
         prime, steady, drifted = drifting_stream_batches
-        stream.process_batch(prime)
+        primed = stream.process_batch(prime)
         plan_before = [
             (s.kind, s.target, dict(s.payload.get("mapping") or {})) for s in stream.plan.steps
         ]
@@ -241,8 +241,7 @@ class TestSelectiveReprompting:
         assert values.count("ger") == 26
         assert stream.stats.replans == 1
         # Only the language column was re-prompted: far fewer calls than a prime.
-        prime_calls = stream.batch_results[0].llm_calls
-        assert result.llm_calls < prime_calls
+        assert result.llm_calls < primed.llm_calls
         assert plan_before != [
             (s.kind, s.target, dict(s.payload.get("mapping") or {})) for s in stream.plan.steps
         ]

@@ -94,14 +94,13 @@ class TestPrimeWindowBuffering:
 class TestAccounting:
     def test_stats_accumulate(self):
         stream = StreamingCleaner("t", detect_drift=False)
-        for batch in iter_table_batches(batch_of(SMALL), 4):
-            stream.process_batch(batch)
+        primed, *_ = [stream.process_batch(batch) for batch in iter_table_batches(batch_of(SMALL), 4)]
         stats = stream.stats
         assert stats.batches == 3
         assert stats.rows_ingested == len(SMALL)
         assert stats.primes == 1
         assert stats.replayed_batches == 2
-        assert stats.llm_calls == stream.batch_results[0].llm_calls
+        assert stats.llm_calls == primed.llm_calls
         assert stats.seconds > 0
         payload = stats.to_dict()
         assert payload["batches"] == 3

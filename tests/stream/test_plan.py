@@ -1,4 +1,4 @@
-"""CleaningPlan extraction, validation, serialisation and batch replay."""
+"""CleaningPlan extraction, validation, summary and batch replay."""
 
 from __future__ import annotations
 
@@ -57,15 +57,7 @@ class TestExtraction:
             CleaningPlan(base_table="t", column_names=["a"], steps=[bogus])
 
 
-class TestSerialisation:
-    def test_round_trip(self, hospital_run):
-        _, result = hospital_run
-        plan = extract_plan(result)
-        restored = CleaningPlan.from_dict(plan.to_dict())
-        assert restored.base_table == plan.base_table
-        assert restored.column_names == plan.column_names
-        assert [s.to_dict() for s in restored.steps] == [s.to_dict() for s in plan.steps]
-
+class TestSummary:
     def test_summary_text_lists_steps(self, hospital_run):
         _, result = hospital_run
         plan = extract_plan(result)

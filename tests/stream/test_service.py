@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+from unittest.mock import patch
 
 import pytest
 
 from repro.dataframe import Table
 from repro.stream import (
     StreamBackpressure,
+    StreamingCleaner,
     StreamService,
     iter_table_batches,
 )
@@ -27,8 +30,8 @@ def make_table(n, name="t", offset=0):
 class TestDispatchAndOrdering:
     def test_two_streams_share_the_pool(self):
         with StreamService(workers=3, detect_drift=False) as service:
-            service.create_stream("alpha")
-            service.create_stream("beta")
+            service.get_or_create_stream("alpha")
+            service.get_or_create_stream("beta")
             jobs = []
             for name in ("alpha", "beta"):
                 table = make_table(40, name)
@@ -46,7 +49,7 @@ class TestDispatchAndOrdering:
 
     def test_batches_process_in_submission_order(self):
         with StreamService(workers=4, detect_drift=False) as service:
-            service.create_stream("ordered")
+            service.get_or_create_stream("ordered")
             table = make_table(60, "ordered")
             jobs = [service.submit("ordered", b) for b in iter_table_batches(table, 6)]
             assert service.wait_idle(timeout=60)
@@ -60,7 +63,7 @@ class TestDispatchAndOrdering:
         # Sequence assignment and enqueue are one step under the stream's
         # lock, so racing producers on one worker neither reorder nor stall.
         with StreamService(workers=1, max_pending_batches=8, detect_drift=False) as service:
-            service.create_stream("raced")
+            service.get_or_create_stream("raced")
             errors = []
 
             def produce(offset):
@@ -86,8 +89,8 @@ class TestDispatchAndOrdering:
         # still be free for b0 rather than sit behind a1.
         gate, entered = threading.Event(), threading.Event()
         with StreamService(workers=2, detect_drift=False) as service:
-            stream_a = service.create_stream("a")
-            service.create_stream("b")
+            stream_a = service.get_or_create_stream("a")
+            service.get_or_create_stream("b")
             original = stream_a.cleaner.process_batch
 
             def gated(batch):
@@ -116,11 +119,39 @@ class TestDispatchAndOrdering:
             with pytest.raises(KeyError, match="Unknown stream"):
                 service.submit("ghost", make_table(3))
 
-    def test_duplicate_stream_name_rejected(self):
-        with StreamService(workers=1) as service:
-            service.create_stream("once")
-            with pytest.raises(ValueError, match="already exists"):
-                service.create_stream("once")
+    def test_racing_first_uses_share_one_stream(self):
+        # Eight threads ask for one new name at once: each must get the same
+        # stream, and only one cleaner may be built for it.
+        built = []
+        original_init = StreamingCleaner.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original_init(self, *args, **kwargs)
+
+        service = StreamService(workers=1, detect_drift=False)
+        start = threading.Barrier(8)
+        streams = []
+
+        def first_use():
+            start.wait(timeout=30)
+            streams.append(service.get_or_create_stream("s"))
+
+        threads = [threading.Thread(target=first_use) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with patch.object(StreamingCleaner, "__init__", counting_init):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            service.shutdown()
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(streams) == 8 and all(stream is streams[0] for stream in streams)
+        assert built == [streams[0].cleaner]
 
 
 class TestBackpressure:
@@ -130,8 +161,8 @@ class TestBackpressure:
         class GatedTable(Table):
             pass
 
-        with StreamService(workers=1, detect_drift=False) as service:
-            stream = service.create_stream("slow", max_pending_batches=2)
+        with StreamService(workers=1, max_pending_batches=2, detect_drift=False) as service:
+            stream = service.get_or_create_stream("slow")
             original = stream.cleaner.process_batch
 
             def stalled(batch):
@@ -152,8 +183,8 @@ class TestBackpressure:
 
     def test_blocking_submit_times_out(self):
         gate = threading.Event()
-        with StreamService(workers=1, detect_drift=False) as service:
-            stream = service.create_stream("slow", max_pending_batches=1)
+        with StreamService(workers=1, max_pending_batches=1, detect_drift=False) as service:
+            stream = service.get_or_create_stream("slow")
             original = stream.cleaner.process_batch
             stream.cleaner.process_batch = lambda b: (gate.wait(timeout=30), original(b))[1]
             service.submit("slow", make_table(6))
@@ -163,8 +194,8 @@ class TestBackpressure:
             assert service.wait_idle(timeout=60)
 
     def test_submit_after_shutdown_raises_and_frees_capacity(self):
-        service = StreamService(workers=1, detect_drift=False)
-        stream = service.create_stream("late", max_pending_batches=1)
+        service = StreamService(workers=1, max_pending_batches=1, detect_drift=False)
+        stream = service.get_or_create_stream("late")
         service.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
             service.submit("late", make_table(6))
@@ -176,7 +207,7 @@ class TestBackpressure:
         # batches still waiting then run on the worker that holds the stream.
         gate, entered = threading.Event(), threading.Event()
         service = StreamService(workers=1, detect_drift=False)
-        stream = service.create_stream("tail")
+        stream = service.get_or_create_stream("tail")
         original = stream.cleaner.process_batch
 
         def gated(batch):
@@ -199,7 +230,7 @@ class TestBackpressure:
     def test_exception_in_the_block_cancels_waiting_batches(self):
         gate, entered = threading.Event(), threading.Event()
         service = StreamService(workers=1, detect_drift=False)
-        stream = service.create_stream("tail")
+        stream = service.get_or_create_stream("tail")
         original = stream.cleaner.process_batch
         processed = []
 
@@ -234,8 +265,8 @@ class TestBackpressure:
 class TestFailureIsolation:
     def test_schema_error_fails_stream_but_not_service(self):
         with StreamService(workers=2, detect_drift=False) as service:
-            service.create_stream("bad")
-            service.create_stream("good")
+            service.get_or_create_stream("bad")
+            service.get_or_create_stream("good")
             ok = service.submit("good", make_table(9, "good"))
             first = service.submit("bad", make_table(9, "bad"))
             broken = service.submit("bad", Table.from_dict("bad", {"other": ["x"]}))

@@ -91,3 +91,23 @@ class TestArgumentValidation:
         source.write_text("a\n1\n", encoding="utf-8")
         assert main([str(source), f"--drift-threshold={threshold}"]) == 2
         assert "--drift-threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--poll", "-1"),
+            ("--poll", "0"),
+            ("--poll", "nan"),
+            ("--poll", "inf"),
+            ("--max-files", "0"),
+            ("--max-files", "-2"),
+            ("--idle-polls", "0"),
+            ("--idle-polls", "-1"),
+        ],
+    )
+    def test_bad_directory_flags_exit_2(self, tmp_path, capsys, flag, value):
+        # Valid values of the other flags come first, so only the bad one can
+        # stop the tail; the later occurrence of a flag wins.
+        args = [str(tmp_path), "--follow", "--poll", "0.01", "--idle-polls", "1", flag, value]
+        assert main(args) == 2
+        assert flag in capsys.readouterr().err
