@@ -32,7 +32,7 @@ def main() -> None:
         print(result.summary())
 
     print()
-    print(render_service_summary(service.stats()))
+    print(render_service_summary(jobs, service.cache.stats()))
 
 
 if __name__ == "__main__":

@@ -16,13 +16,7 @@ inventory and ``EXPERIMENTS.md`` for the reproduced tables.
 from repro.core import CleaningConfig, CleaningResult, CocoonCleaner
 from repro.datasets import load_dataset, dataset_names
 from repro.evaluation import EvaluationConventions, Scores, evaluate_repairs
-from repro.service import (
-    CleaningJob,
-    CleaningService,
-    JobResult,
-    JobStatus,
-    ServiceStats,
-)
+from repro.service import CleaningJob, CleaningService, JobResult, JobStatus
 
 __version__ = "1.1.0"
 
@@ -34,7 +28,6 @@ __all__ = [
     "CleaningJob",
     "JobResult",
     "JobStatus",
-    "ServiceStats",
     "load_dataset",
     "dataset_names",
     "EvaluationConventions",

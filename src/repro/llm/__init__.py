@@ -14,8 +14,9 @@ text (Figures 2 and 3 of the paper) and returns a JSON or YAML response that
 the pipeline must parse — so every prompt-construction and response-parsing
 code path in Cocoon is exercised.
 
-Real provider clients are provided in :mod:`repro.llm.providers` for use
-when network access and API keys are available.
+Real provider clients for Anthropic, OpenAI and Azure OpenAI are provided
+in :mod:`repro.llm.providers` for use when network access and API keys are
+available.
 """
 
 from repro.llm.base import LLMClient, LLMResponse, LLMUsage, CallRecord

@@ -26,7 +26,6 @@ from repro.obs import record_cache
 __all__ = [
     "CachingLLMClient",
     "PromptCacheStore",
-    "cached_client",
     "prompt_cache_key",  # canonical home is repro.llm.base; re-exported for compat
 ]
 
@@ -192,12 +191,3 @@ class CachingLLMClient(LLMClient):
 
     def flush(self) -> None:
         self.store.flush()
-
-
-def cached_client(inner: LLMClient, store: PromptCacheStore) -> LLMClient:
-    """Wrap ``inner`` with a shared store.
-
-    The one construction path the scheduler and the gateway's streams use
-    for per-job clients.
-    """
-    return CachingLLMClient(inner, store=store)

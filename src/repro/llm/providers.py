@@ -1,10 +1,12 @@
 """Hosted-model provider clients.
 
 The paper's implementation supports LLM APIs from Anthropic, Azure, Bedrock,
-VertexAI and OpenAI.  These thin clients reproduce that surface using only
-the standard library (``urllib``), so no SDK is required.  They obviously
-need network access and credentials; in the offline reproduction environment
-the default client is :class:`repro.llm.simulated.SimulatedSemanticLLM`.
+VertexAI and OpenAI.  These thin clients cover Anthropic, OpenAI and Azure
+OpenAI using only the standard library (``urllib``), so no SDK is required;
+Bedrock and Vertex AI need signed or OAuth2 requests this module does not
+make.  The clients need network access and credentials; in the offline
+reproduction environment the default client is
+:class:`repro.llm.simulated.SimulatedSemanticLLM`.
 """
 
 from __future__ import annotations
@@ -135,39 +137,3 @@ class AzureOpenAIClient(OpenAIClient):
         if not choices:
             raise ProviderError(f"No completion choices returned: {data}")
         return choices[0].get("message", {}).get("content", "")
-
-
-class BedrockClient(LLMClient):
-    """Placeholder client for AWS Bedrock.
-
-    Bedrock requests must be SigV4-signed; without boto3 or credentials the
-    client documents the configuration but refuses to run, pointing the user
-    at the simulated model for offline use.
-    """
-
-    def __init__(self, model: str = "anthropic.claude-3-5-sonnet-20240620-v1:0", region: str = "us-east-1"):
-        super().__init__()
-        self.model_name = model
-        self.region = region
-
-    def _complete(self, prompt: str, system: Optional[str] = None) -> str:
-        raise ProviderError(
-            "BedrockClient requires SigV4-signed requests (boto3) and AWS credentials; "
-            "use SimulatedSemanticLLM for offline runs."
-        )
-
-
-class VertexAIClient(LLMClient):
-    """Placeholder client for Google Vertex AI (needs OAuth2 service credentials)."""
-
-    def __init__(self, model: str = "claude-3-5-sonnet@20240620", project: str = "", location: str = "us-central1"):
-        super().__init__()
-        self.model_name = model
-        self.project = project
-        self.location = location
-
-    def _complete(self, prompt: str, system: Optional[str] = None) -> str:
-        raise ProviderError(
-            "VertexAIClient requires OAuth2 service-account credentials; "
-            "use SimulatedSemanticLLM for offline runs."
-        )

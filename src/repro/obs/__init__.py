@@ -133,8 +133,7 @@ def record_llm_call(purpose: str = "", latency_seconds: float = 0.0) -> None:
         label_names=("purpose",),
     ).inc(purpose=purpose or "unknown")
     registry.histogram(
-        "repro_llm_latency_seconds", help="Latency of individual LLM completions",
-        max_samples=4096,
+        "repro_llm_latency_seconds", help="Latency of individual LLM completions"
     ).observe(latency_seconds)
 
 

@@ -1,12 +1,11 @@
 """Process-wide metrics: Counter / Gauge / Histogram behind one registry.
 
 The registry is the single sink every subsystem reports into — the batch
-service's :class:`~repro.service.stats.StatsCollector`, the stream service,
-the HTTP gateway and the LLM/cache layers all register their counters here
-instead of keeping ad-hoc dict/attribute counters.  Everything is
-stdlib-only and thread-safe: metric updates take a per-metric lock, and
-:meth:`MetricsRegistry.snapshot` returns a deep-copied, immutable view that
-never observes a torn update.
+service, the stream service, the HTTP gateway and the LLM/cache layers all
+register their counters here instead of keeping ad-hoc dict/attribute
+counters.  Everything is stdlib-only and thread-safe: metric updates take a
+per-metric lock, and :meth:`MetricsRegistry.snapshot` returns a deep-copied,
+immutable view that never observes a torn update.
 
 Exposition comes in two shapes:
 
@@ -207,24 +206,20 @@ class Gauge(_Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("bucket_counts", "sum", "count", "samples")
+    __slots__ = ("bucket_counts", "sum", "count")
 
     def __init__(self, n_buckets: int):
         self.bucket_counts = [0] * n_buckets
         self.sum = 0.0
         self.count = 0
-        self.samples: List[float] = []
 
 
 class Histogram(_Metric):
-    """Bucketed distribution with (optionally bounded) raw-sample retention.
+    """Bucketed distribution with Prometheus semantics.
 
-    Buckets serve the Prometheus exposition; the retained raw samples serve
-    exact percentiles (:meth:`percentile`) and max (:meth:`max`), which the
-    service stats report on.  ``max_samples`` bounds retention for
-    long-lived processes — ``None`` keeps every observation, which is what
-    :class:`~repro.service.stats.StatsCollector` uses to stay numerically
-    identical to its pre-registry aggregation.
+    Each label combination keeps its bucket counts, sum and count, and
+    nothing per observation, so a histogram's state stays the same size
+    however long the process runs.
     """
 
     kind = "histogram"
@@ -235,15 +230,11 @@ class Histogram(_Metric):
         help: str = "",  # noqa: A002
         label_names: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        max_samples: Optional[int] = None,
     ):
         super().__init__(name, help, label_names)
         if list(buckets) != sorted(buckets):
             raise ValueError(f"histogram {name!r} buckets must be sorted ascending")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1 or None, got {max_samples}")
         self.buckets: Tuple[float, ...] = tuple(buckets)
-        self.max_samples = max_samples
         self._children: Dict[Tuple[str, ...], _HistogramChild] = {}
 
     def _child(self, labels: Mapping[str, Any]) -> _HistogramChild:
@@ -262,8 +253,6 @@ class Histogram(_Metric):
                 child.bucket_counts[index] += 1
             child.sum += value
             child.count += 1
-            if self.max_samples is None or len(child.samples) < self.max_samples:
-                child.samples.append(value)
 
     # -- reading -----------------------------------------------------------------
     def count(self, **labels: Any) -> int:
@@ -275,19 +264,6 @@ class Histogram(_Metric):
         with self._lock:
             child = self._children.get(self._key(labels))
             return child.sum if child else 0.0
-
-    def samples(self, **labels: Any) -> List[float]:
-        """A copy of the retained raw observations, in observation order."""
-        with self._lock:
-            child = self._children.get(self._key(labels))
-            return list(child.samples) if child else []
-
-    def percentile(self, fraction: float, **labels: Any) -> float:
-        return percentile(sorted(self.samples(**labels)), fraction)
-
-    def max(self, **labels: Any) -> float:
-        values = self.samples(**labels)
-        return max(values) if values else 0.0
 
     def _snapshot_values(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -373,11 +349,8 @@ class MetricsRegistry:
         help: str = "",  # noqa: A002
         label_names: Sequence[str] = (),
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        max_samples: Optional[int] = None,
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help, label_names, buckets=buckets, max_samples=max_samples
-        )
+        return self._get_or_create(Histogram, name, help, label_names, buckets=buckets)
 
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:

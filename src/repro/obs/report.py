@@ -1,13 +1,10 @@
 """Human-readable renderings of span trees and trace files.
 
-Three consumers:
+Two consumers:
 
 * :func:`render_flame` — one job's span tree as an indented flame summary
   (wall / CPU / LLM / cache per node), used by ``python -m repro.obs`` and
   handy in tests and notebooks;
-* :func:`render_explain` — a ``sql.query`` span as an ``EXPLAIN ANALYZE``
-  style plan report (one line per plan node with timing and row counts),
-  returned by :meth:`repro.sql.database.Database.explain_analyze`;
 * :func:`render_file_summary` — aggregate view over a JSON-lines trace
   file: top span names by cumulative wall time, the LLM/cache breakdown,
   and the slowest SQL plan nodes.
@@ -138,29 +135,6 @@ def _plan_node_label(node: Dict[str, Any]) -> str:
     elif rows_out is not None:
         bits.append(f"rows={rows_out}")
     return " ".join(bits)
-
-
-def render_explain(doc: Dict[str, Any]) -> str:
-    """An ``EXPLAIN ANALYZE``-style report for one ``sql.query`` span."""
-    total = _wall(doc) or 1e-12
-    statement = (doc.get("attrs") or {}).get("statement", "")
-    header = f"QUERY  {_fmt_seconds(_wall(doc))} total"
-    if statement:
-        header += f"\n  {statement}"
-    lines = [header]
-    for depth, node in _walk(doc):
-        if depth == 0:
-            continue
-        label = _plan_node_label(node)
-        pct = _wall(node) / total * 100.0
-        pad = "  " * depth
-        dots = max(2, 54 - len(pad) - len(label))
-        lines.append(
-            f"{pad}{label} {'.' * dots} {_fmt_seconds(_wall(node))} ({pct:.1f}%)"
-        )
-    if len(lines) == 1:
-        lines.append("  (no recorded plan nodes)")
-    return "\n".join(lines)
 
 
 def summarise_spans(docs: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

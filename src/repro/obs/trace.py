@@ -171,10 +171,10 @@ class Tracer:
     """Per-thread span stacks plus the process store of finished traces.
 
     ``enabled`` gates *root creation only*: children of an active span are
-    always recorded (so a force-rooted ``explain_analyze`` sees its plan
-    nodes even when global tracing is off), and a span opened with an
-    explicit ``parent_ref`` joins its trace regardless — the submitting side
-    already decided this work is traced.
+    always recorded (so a force-rooted span, such as the HTTP layer's
+    ``server.request``, keeps its children even when global tracing is
+    off), and a span opened with an explicit ``parent_ref`` joins its trace
+    regardless — the submitting side already decided this work is traced.
     """
 
     def __init__(

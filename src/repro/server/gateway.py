@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Optional, Union
 from repro.core.context import CleaningConfig
 from repro.dataframe.io import read_csv_text, to_csv_text
 from repro.dataframe.table import Table
-from repro.llm.cache import PromptCacheStore, cached_client
+from repro.llm.cache import CachingLLMClient, PromptCacheStore
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import current_ref, get_tracer
 from repro.obs.lineage import json_safe_record
@@ -110,7 +110,7 @@ class CleaningGateway:
             workers=stream_workers,
             max_pending_batches=max_pending_batches,
             config=config,
-            llm_factory=lambda: cached_client(self.llm_factory(), self.cache),
+            llm_factory=lambda: CachingLLMClient(self.llm_factory(), store=self.cache),
             prime_rows=stream_prime_rows,
             metrics_registry=self.registry,
         )
@@ -222,7 +222,7 @@ class CleaningGateway:
         }
 
     def job_status(self, job_id: int) -> Dict[str, Any]:
-        """``GET /v1/jobs/{id}``: lifecycle snapshot plus service stats."""
+        """``GET /v1/jobs/{id}``: lifecycle snapshot (service counts are at ``/metrics``)."""
         job = self.service.job(job_id)
         return {
             "job_id": job.job_id,
@@ -230,7 +230,6 @@ class CleaningGateway:
             "status": str(job.status),
             "done": job.done,
             "summary": job.result.summary() if job.result is not None else None,
-            "service": self.service.stats().to_dict(),
         }
 
     def job_result(self, job_id: int) -> Dict[str, Any]:
@@ -405,17 +404,18 @@ class CleaningGateway:
 
     def metrics(self) -> Dict[str, Any]:
         """``GET /metrics``: JSON counters across both services + the cache."""
-        service_stats = self.service.stats()
+        submitted = self.registry.get("repro_service_jobs_submitted_total")
+        finished = self.registry.get("repro_service_jobs_total")
         stream_stats = self.streams.stats()
         return {
             "generated_at": time.time(),
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "gateway": self._gateway_counters(),
             "jobs": {
-                "submitted": service_stats.jobs_submitted,
-                "succeeded": service_stats.jobs_succeeded,
-                "failed": service_stats.jobs_failed,
-                "cancelled": service_stats.jobs_cancelled,
+                "submitted": int(submitted.total()),
+                "succeeded": int(finished.value(status=JobStatus.SUCCEEDED.value)),
+                "failed": int(finished.value(status=JobStatus.FAILED.value)),
+                "cancelled": int(finished.value(status=JobStatus.CANCELLED.value)),
                 "pending": self.service.pending_jobs,
                 "queue_depth": self.service.queue_depth,
             },

@@ -12,7 +12,7 @@ Routing table::
                                       ?format=prometheus (or Accept: text/plain)
                                       for Prometheus text exposition
     POST /v1/jobs                     submit a table, -> {"job_id": ...}
-    GET  /v1/jobs/{id}                job lifecycle + ServiceStats
+    GET  /v1/jobs/{id}                job lifecycle (status, done, summary)
     GET  /v1/jobs/{id}/result         cleaned CSV + commented SQL script
     GET  /v1/jobs/{id}/trace          span tree of the job's execution
     GET  /v1/jobs/{id}/lineage        cell-level audit trail (409 until done);

@@ -9,15 +9,16 @@ synchronous call.  This package runs many such calls concurrently:
   (FIFO within a priority, cancelled jobs skipped) drained by a
   ``concurrent.futures`` thread pool, giving every job an isolated
   database/context/LLM while sharing one thread-safe prompt cache;
-* :mod:`repro.service.stats` — throughput / latency / cache metrics,
-  rendered by :func:`repro.core.report.render_service_summary`;
+  every settled job is counted into the ``repro_service_*`` metrics of a
+  :class:`~repro.obs.metrics.MetricsRegistry`, and
+  :func:`repro.core.report.render_service_summary` summarises a caller's
+  settled jobs (throughput, latency, cache hit rate);
 * :mod:`repro.service.cli` — ``python -m repro.service`` for cleaning a
   directory of CSV files concurrently.
 """
 
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
 from repro.service.scheduler import CleaningService, ServiceSaturated
-from repro.service.stats import ServiceStats, StatsCollector
 
 __all__ = [
     "CleaningService",
@@ -25,6 +26,4 @@ __all__ = [
     "CleaningJob",
     "JobResult",
     "JobStatus",
-    "ServiceStats",
-    "StatsCollector",
 ]

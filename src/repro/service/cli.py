@@ -87,7 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not args.no_reports:
                 write_report(result.cleaning_result, output_dir)
         print()
-        print(render_service_summary(service.stats()))
+        print(render_service_summary(jobs, service.cache.stats()))
     return 1 if failures else 0
 
 

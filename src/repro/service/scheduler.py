@@ -28,7 +28,7 @@ import traceback
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.context import CleaningConfig
 from repro.core.pipeline import CocoonCleaner
@@ -36,12 +36,11 @@ from repro.core.result import CleaningResult
 from repro.dataframe.io import read_csv
 from repro.dataframe.table import Table
 from repro.llm.base import LLMClient
-from repro.llm.cache import PromptCacheStore, cached_client
+from repro.llm.cache import CachingLLMClient, PromptCacheStore
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import span as obs_span
 from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import CleaningJob, JobResult, JobStatus
-from repro.service.stats import ServiceStats, StatsCollector
 
 LLMFactory = Callable[[], LLMClient]
 
@@ -66,13 +65,18 @@ class CleaningService:
 
         with CleaningService(workers=4) as service:
             jobs = [service.submit(t) for t in tables]
-            results = service.wait_all()
+            results = [job.wait() for job in jobs]
 
     Jobs wait in a heap of ``(priority, sequence, job)``: lower priority
     numbers run first, FIFO within a priority.  Each submission hands the
     executor one task, and a task runs whichever queued job is best when a
     worker frees up, so the executor's own FIFO never decides the order.
     Cancelled jobs stay in the heap and are skipped when popped.
+
+    Every settled or cancelled job is counted once, into the
+    ``repro_service_*`` counters and histograms of ``metrics_registry``
+    (a private registry when none is passed); the gateway shares its own so
+    one ``/metrics`` scrape covers the service.
     """
 
     def __init__(
@@ -103,13 +107,38 @@ class CleaningService:
         self._queued: List[tuple] = []  # heap of (priority, sequence, job)
         self._sequence = itertools.count()
         self._closed = False
-        self._jobs: List[CleaningJob] = []
         # Lookup registry keyed by job id: unsettled jobs are always present;
         # settled ones are retained (oldest-first eviction beyond
         # ``MAX_RETAINED_JOBS``) so network callers can fetch results later.
         self._jobs_by_id: "OrderedDict[int, CleaningJob]" = OrderedDict()
         self._lock = threading.Lock()
-        self._stats = StatsCollector(registry=metrics_registry)
+        registry = metrics_registry if metrics_registry is not None else MetricsRegistry()
+        self._submitted = registry.counter(
+            "repro_service_jobs_submitted_total", help="Cleaning jobs accepted by the service"
+        )
+        self._finished = registry.counter(
+            "repro_service_jobs_total",
+            help="Finished cleaning jobs by terminal status",
+            label_names=("status",),
+        )
+        self._rows = registry.counter(
+            "repro_service_rows_cleaned_total", help="Rows in successfully cleaned tables"
+        )
+        self._cells = registry.counter(
+            "repro_service_cells_repaired_total", help="Cell repairs applied by succeeded jobs"
+        )
+        self._removed = registry.counter(
+            "repro_service_rows_removed_total", help="Rows removed (deduplicated) by succeeded jobs"
+        )
+        self._llm = registry.counter(
+            "repro_service_llm_calls_total", help="LLM calls attributed to succeeded jobs"
+        )
+        self._run_seconds = registry.histogram(
+            "repro_service_job_run_seconds", help="Per-job execution time of succeeded jobs"
+        )
+        self._wait_seconds = registry.histogram(
+            "repro_service_job_wait_seconds", help="Per-job queue wait time of succeeded jobs"
+        )
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
@@ -169,15 +198,6 @@ class CleaningService:
                         f"service already has {pending} unfinished jobs "
                         f"(max_pending_jobs={self.max_pending_jobs})"
                     )
-            # A new batch (first submission, or everything before it already
-            # settled) restarts the throughput wall clock — so idle gaps
-            # between batches don't dilute jobs/s — and evicts the settled
-            # jobs, releasing their tables/results; without eviction a
-            # long-lived service would hold every table ever cleaned.
-            if all(previous.done for previous in self._jobs):
-                self._stats.restart_clock()
-                self._jobs.clear()
-            self._jobs.append(job)
             self._jobs_by_id[job.job_id] = job
             # Unsettled jobs are never evicted, so the registry can only
             # exceed the cap by the (admission-bounded) in-flight count.
@@ -192,7 +212,7 @@ class CleaningService:
             # the executor, so a job can never be tracked but unqueued.
             heapq.heappush(self._queued, (priority, next(self._sequence), job))
             self._executor.submit(self._run_next)
-        self._stats.record_submitted()
+        self._submitted.inc()
         return job
 
     def submit_csv(self, path: Union[str, Path], **kwargs) -> CleaningJob:
@@ -203,23 +223,26 @@ class CleaningService:
         """Cancel a queued job; running jobs are not interrupted."""
         cancelled = job.cancel()
         if cancelled and job.result is not None:
-            self._stats.record_result(job.result)
+            self._record(job.result)
         return cancelled
 
-    # -- waiting and results -----------------------------------------------------
-    @property
-    def jobs(self) -> List[CleaningJob]:
-        """Jobs of the current batch (submissions since the service last went
-        idle); earlier batches are evicted to keep long-lived services bounded."""
-        with self._lock:
-            return list(self._jobs)
+    def _record(self, result: JobResult) -> None:
+        """Count one settled or cancelled job into the registry."""
+        self._finished.inc(status=result.status.value)
+        if result.status is JobStatus.SUCCEEDED:
+            self._rows.inc(result.rows)
+            self._cells.inc(result.cell_repairs)
+            self._removed.inc(result.removed_rows)
+            self._llm.inc(result.llm_calls)
+            self._run_seconds.observe(result.run_seconds)
+            self._wait_seconds.observe(result.wait_seconds)
 
+    # -- lookup -----------------------------------------------------------------------
     def job(self, job_id: int) -> CleaningJob:
         """Look up a job by id (raises ``KeyError`` for unknown/evicted ids).
 
-        Unlike :attr:`jobs`, the id registry spans batches: a settled job
-        stays fetchable until ``MAX_RETAINED_JOBS`` pushes it out — the
-        contract the HTTP gateway's ``GET /v1/jobs/{id}`` relies on.
+        A settled job stays fetchable until ``MAX_RETAINED_JOBS`` pushes it
+        out — the contract the HTTP gateway's ``GET /v1/jobs/{id}`` relies on.
         """
         with self._lock:
             if job_id not in self._jobs_by_id:
@@ -240,27 +263,6 @@ class CleaningService:
         """Jobs waiting to run, not yet claimed by a worker."""
         with self._lock:
             return sum(1 for _, _, job in self._queued if job.status is JobStatus.PENDING)
-
-    def wait_all(self, timeout: Optional[float] = None) -> List[JobResult]:
-        """Block until every current-batch job is terminal; results in submit order."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        results: List[JobResult] = []
-        for job in self.jobs:
-            remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
-            result = job.wait(remaining)
-            if result is None:
-                raise TimeoutError(f"job {job.name!r} did not finish within the timeout")
-            results.append(result)
-        return results
-
-    def clean_tables(self, tables: Sequence[Table]) -> List[JobResult]:
-        """Convenience batch call: submit every table, wait, return results."""
-        jobs = [self.submit(table) for table in tables]
-        return [job.wait() for job in jobs]
-
-    def stats(self) -> ServiceStats:
-        """A point-in-time snapshot of service metrics (including the cache)."""
-        return self._stats.snapshot(self.cache.stats())
 
     # -- execution ---------------------------------------------------------------
     def _run_next(self) -> None:
@@ -322,9 +324,9 @@ class CleaningService:
         if result.error:
             sp.annotate(error=result.error.splitlines()[0])
         job.finish(result)
-        self._stats.record_result(result)
+        self._record(result)
 
     def _execute(self, job: CleaningJob) -> CleaningResult:
-        llm = cached_client(self.llm_factory(), self.cache)
+        llm = CachingLLMClient(self.llm_factory(), store=self.cache)
         cleaner = CocoonCleaner(llm=llm, config=self.config)
         return cleaner.clean(job.table)

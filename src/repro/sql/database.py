@@ -8,28 +8,13 @@ DuckDB's Python API shape) so that every cleaning step runs as real SQL.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.dataframe.schema import ColumnType
 from repro.dataframe.table import Table
-from repro.obs import get_tracer
 from repro.obs import span as obs_span
-from repro.obs.report import render_explain
 from repro.sql.catalog import Catalog
 from repro.sql.executor import Executor, PreparedStatement
-
-
-class QueryLog:
-    """Record of every statement executed, for interpretability and tests."""
-
-    def __init__(self) -> None:
-        self.statements: List[str] = []
-
-    def record(self, sql: str) -> None:
-        self.statements.append(sql)
-
-    def __len__(self) -> int:
-        return len(self.statements)
 
 
 class Database:
@@ -39,7 +24,6 @@ class Database:
         self.name = name
         self.catalog = Catalog()
         self.executor = Executor(self.catalog)
-        self.query_log = QueryLog()
 
     # -- table management -----------------------------------------------------
     def register(self, table: Table, name: Optional[str] = None, replace: bool = True) -> None:
@@ -70,30 +54,13 @@ class Database:
         ``query`` is statement text, or a :class:`PreparedStatement` when
         the caller runs the same statement many times (a plan replaying its
         steps batch after batch): a string is prepared and run once.  Either
-        way the statement is logged and traced by its text.
+        way the statement is traced by its text.
         """
         prepared = query if isinstance(query, PreparedStatement) else PreparedStatement(query)
-        self.query_log.record(prepared.text)
         with obs_span("sql.query", statement=prepared.summary) as sp:
             result = self.executor.execute(prepared)
             sp.annotate(rows_out=result.num_rows)
         return result
-
-    def explain_analyze(self, query: str) -> Tuple[Table, str]:
-        """Execute a statement under a forced trace root and report per-plan-node
-        timings in an ``EXPLAIN ANALYZE``-style rendering.
-
-        Works regardless of whether tracing is globally enabled: the root span
-        is forced, and the executor's stage spans (scan, filter, qualify,
-        aggregate, project) nest beneath it.
-        Returns ``(result_table, report_text)``.
-        """
-        prepared = PreparedStatement(query)
-        self.query_log.record(query)
-        with get_tracer().span("sql.query", force=True, statement=prepared.summary) as sp:
-            result = self.executor.execute(prepared)
-            sp.annotate(rows_out=result.num_rows)
-        return result, render_explain(sp.to_dict())
 
     def execute_script(self, script: str) -> Optional[Table]:
         """Execute a ``;``-separated script, returning the last result."""

@@ -221,7 +221,6 @@ class StreamService:
         max_pending_batches: int = 4,
         llm_factory: Optional[Any] = None,
         config: Optional[CleaningConfig] = None,
-        detect_drift: bool = True,
         prime_rows: int = 0,
         metrics_registry: Optional[MetricsRegistry] = None,
     ):
@@ -242,11 +241,9 @@ class StreamService:
         self._batch_seconds = self.registry.histogram(
             "repro_stream_batch_seconds",
             help="Per-batch processing time (queue wait excluded)",
-            max_samples=4096,
         )
         self.llm_factory = llm_factory
         self.config = config
-        self.detect_drift = detect_drift
         self.prime_rows = prime_rows
         self._streams: Dict[str, ManagedStream] = {}
         self._lock = threading.Lock()
@@ -276,7 +273,6 @@ class StreamService:
                     name=name,
                     llm=self.llm_factory() if self.llm_factory is not None else None,
                     config=self.config,
-                    detect_drift=self.detect_drift,
                     prime_rows=self.prime_rows,
                 )
                 stream = ManagedStream(name, cleaner, self.max_pending_batches)

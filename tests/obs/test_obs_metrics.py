@@ -1,5 +1,6 @@
 """The metrics registry: exactness, registration rules, Prometheus text."""
 
+import sys
 import threading
 
 import pytest
@@ -74,22 +75,30 @@ class TestCounterAndGauge:
 
 
 class TestHistogram:
-    def test_count_sum_samples(self):
-        hist = MetricsRegistry().histogram("seconds", max_samples=None)
+    def test_count_and_sum(self):
+        hist = MetricsRegistry().histogram("seconds", label_names=("kind",))
         for value in (0.1, 0.2, 0.3):
-            hist.observe(value)
-        assert hist.count() == 3
-        assert hist.sum() == pytest.approx(0.6)
-        assert hist.samples() == [0.1, 0.2, 0.3]  # observation order kept
-        assert hist.max() == pytest.approx(0.3)
-        assert hist.percentile(0.5) == pytest.approx(0.2)
+            hist.observe(value, kind="a")
+        hist.observe(5.0, kind="b")
+        assert hist.count(kind="a") == 3
+        assert hist.sum(kind="a") == pytest.approx(0.6)
+        assert hist.count(kind="b") == 1 and hist.sum(kind="b") == 5.0
+        assert hist.count(kind="never-seen") == 0 and hist.sum(kind="never-seen") == 0.0
 
-    def test_bounded_retention_keeps_exact_count(self):
-        hist = MetricsRegistry().histogram("seconds", max_samples=4)
-        for i in range(10):
-            hist.observe(float(i))
-        assert hist.count() == 10  # aggregate stays exact
-        assert len(hist.samples()) == 4  # raw retention bounded
+    def test_state_does_not_grow_with_observations(self):
+        def state_bytes(hist):
+            (child,) = hist._children.values()
+            return sys.getsizeof(child) + sum(
+                sys.getsizeof(getattr(child, slot)) for slot in child.__slots__
+            )
+
+        hist = MetricsRegistry().histogram("seconds")
+        hist.observe(0.5)
+        after_one = state_bytes(hist)
+        for i in range(10_000):
+            hist.observe(0.001 * (i % 97))
+        assert state_bytes(hist) == after_one
+        assert hist.count() == 10_001
 
     def test_buckets_must_be_sorted(self):
         with pytest.raises(ValueError):
@@ -184,7 +193,7 @@ class TestConcurrency:
         """N threads hammer a labelled counter + histogram; totals stay exact."""
         registry = MetricsRegistry()
         counter = registry.counter("ops_total", label_names=("worker",))
-        hist = registry.histogram("op_seconds", max_samples=None)
+        hist = registry.histogram("op_seconds")
         threads, per_thread = 8, 2000
         # Parties: the writer threads, the reader thread, and this test thread.
         start = threading.Barrier(threads + 2)
@@ -221,7 +230,8 @@ class TestConcurrency:
         for worker_id in range(threads):
             assert counter.value(worker=str(worker_id)) == per_thread
         assert hist.count() == threads * per_thread
-        assert len(hist.samples()) == threads * per_thread
+        expected_sum = threads * sum(0.001 * (i % 7) for i in range(per_thread))
+        assert hist.sum() == pytest.approx(expected_sum)
 
     def test_concurrent_get_or_create_returns_one_object(self):
         registry = MetricsRegistry()

@@ -1,9 +1,9 @@
-"""Flame/EXPLAIN renderings and the ``python -m repro.obs`` CLI."""
+"""Flame renderings and the ``python -m repro.obs`` CLI."""
 
 import json
 
 from repro.obs.cli import main as obs_main
-from repro.obs.report import render_explain, render_flame, render_file_summary, summarise_spans
+from repro.obs.report import render_flame, render_file_summary, summarise_spans
 from repro.obs.trace import Tracer
 
 
@@ -39,22 +39,6 @@ class TestRenderings:
         text = render_flame(_sample_trace(), max_depth=0)
         assert text.count("\n") == 0  # only the root line survives
 
-    def test_explain_report_shows_plan_nodes_and_rows(self):
-        doc = _sample_trace()
-        sql_doc = doc["children"][0]["children"][1]
-        assert sql_doc["name"] == "sql.query"
-        report = render_explain(sql_doc)
-        assert report.startswith("QUERY")
-        assert "SELECT * FROM t" in report
-        assert "sql.scan" in report and "rows=10" in report
-        assert "sql.filter" in report and "rows 10 -> 7" in report
-
-    def test_explain_without_children(self):
-        tracer = Tracer(enabled=True)
-        with tracer.span("sql.query", trace_id="q") as sp:
-            pass
-        assert "(no recorded plan nodes)" in render_explain(sp.to_dict())
-
     def test_summarise_aggregates_llm_and_sql(self):
         summary = summarise_spans([_sample_trace(), _sample_trace()])
         assert summary["traces"] == 2
@@ -66,6 +50,8 @@ class TestRenderings:
             "sql.scan",
             "sql.filter",
         }
+        labels = {label for _, label in summary["sql_nodes"]}
+        assert labels == {"sql.scan rows=10", "sql.filter rows 10 -> 7"}
 
     def test_file_summary_mentions_top_spans(self):
         text = render_file_summary([_sample_trace()])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.report import (
-    render_explain,
     render_file_summary,
     render_flame,
     summarise_spans,
@@ -100,10 +99,6 @@ class TestRenderersSurvivePartialDocs:
 
     def test_flame_handles_missing_name(self):
         assert "(unnamed)" in render_flame({"wall_seconds": 0.5})
-
-    def test_explain_handles_bare_doc(self):
-        text = render_explain(self.BARE)
-        assert "no recorded plan nodes" in text
 
     def test_summary_handles_mixed_docs(self):
         docs = [self.BARE, synthesize_root(orphan_fragments())]

@@ -62,8 +62,9 @@ class TestJobs:
         job.wait()
 
         status = gateway.job_status(job_id)
-        assert status["status"] == "succeeded"
-        assert status["service"]["jobs_succeeded"] >= 1
+        assert status["status"] == "succeeded" and status["done"] is True
+        assert "service" not in status  # service counts live at /metrics
+        assert gateway.metrics()["jobs"]["succeeded"] == 1
 
         result = gateway.job_result(job_id)
         assert result["status"] == "succeeded"
@@ -81,7 +82,7 @@ class TestJobs:
         # Chunked cleaning is gone; the field must not be accepted and ignored.
         with pytest.raises(BadRequest, match="'chunk_rows'"):
             gateway.submit_job({"csv": DIRTY_CSV, "chunk_rows": 100})
-        assert gateway.service.stats().jobs_submitted == 0
+        assert gateway.metrics()["jobs"]["submitted"] == 0
 
     def test_unknown_job_raises_key_error(self, gateway):
         with pytest.raises(KeyError):
@@ -170,11 +171,13 @@ class TestObservability:
             return metrics["jobs"]["queue_depth"], metrics["streams"]["queue_depth"]
 
         gw = CleaningGateway(workers=1, stream_workers=1, llm_factory=GatedLLM)
+        submitted = []
         try:
             assert depths(gw) == (0, 0)
             running = gw.submit_job({"csv": DIRTY_CSV, "name": "running"})
+            submitted.append(running)
             assert entered.acquire(timeout=30)
-            gw.submit_job({"csv": DIRTY_CSV, "name": "queued"})
+            submitted.append(gw.submit_job({"csv": DIRTY_CSV, "name": "queued"}))
             gw.submit_stream_batch("s", {"csv": DIRTY_CSV})
             assert entered.acquire(timeout=30)  # the stream worker is held too
             gw.submit_stream_batch("s", {"csv": DIRTY_CSV})
@@ -188,7 +191,8 @@ class TestObservability:
             assert [float(value) for value in scraped] == [2.0]
         finally:
             gate.set()
-            gw.service.wait_all(timeout=60)
+            for job in submitted:
+                gw.service.job(job["job_id"]).wait(timeout=60)
             gw.streams.wait_idle(timeout=60)
             gw.shutdown(wait=True)
         assert gw.service.job(running["job_id"]).done

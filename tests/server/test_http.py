@@ -98,7 +98,9 @@ class TestJobLifecycle:
 
         done = _poll_done(server, job_id)
         assert done["status"] == "succeeded"
-        assert done["service"]["jobs_succeeded"] >= 1
+        assert "service" not in done  # service counts live at /metrics
+        status, _, metrics = _request(server, "/metrics")
+        assert status == 200 and metrics["jobs"]["succeeded"] >= 1
 
         status, _, result = _request(server, f"/v1/jobs/{job_id}/result")
         assert status == 200

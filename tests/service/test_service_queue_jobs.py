@@ -57,8 +57,9 @@ def gated():
         service.shutdown()
 
 
-def _run_order(service, jobs):
-    service.wait_all(timeout=60)
+def _run_order(jobs):
+    for job in jobs:
+        assert job.wait(timeout=60) is not None
     ran = [job for job in jobs if job.started_at is not None]
     return [job.name for job in sorted(ran, key=lambda job: job.started_at)]
 
@@ -68,7 +69,7 @@ class TestRunOrder:
         service, gate = gated
         jobs = [service.submit(_table(f"j{i}"), priority=3) for i in range(5)]
         gate.set()
-        assert _run_order(service, jobs) == [f"j{i}" for i in range(5)]
+        assert _run_order(jobs) == [f"j{i}" for i in range(5)]
 
     def test_lower_priority_number_runs_first(self, gated):
         service, gate = gated
@@ -77,7 +78,7 @@ class TestRunOrder:
             for name, priority in (("low-urgency", 10), ("high-urgency", 1), ("mid-urgency", 5))
         ]
         gate.set()
-        assert _run_order(service, jobs) == ["high-urgency", "mid-urgency", "low-urgency"]
+        assert _run_order(jobs) == ["high-urgency", "mid-urgency", "low-urgency"]
 
     def test_cancelled_job_is_skipped(self, gated):
         service, gate = gated
@@ -86,7 +87,7 @@ class TestRunOrder:
         assert service.cancel(first)
         assert service.queue_depth == 1
         gate.set()
-        assert _run_order(service, [first, second]) == ["second"]
+        assert _run_order([first, second]) == ["second"]
         assert first.status is JobStatus.CANCELLED
         assert second.status is JobStatus.SUCCEEDED
         assert service.queue_depth == 0

@@ -16,6 +16,7 @@ from repro import CleaningService, CocoonCleaner, JobStatus, dataset_names, load
 from repro.core.report import render_service_summary
 from repro.dataframe import Table
 from repro.llm import SimulatedSemanticLLM
+from repro.obs.metrics import MetricsRegistry
 
 SCALE = 0.05
 SEED = 0
@@ -36,7 +37,7 @@ class TestConcurrentEqualsSequential:
     def test_all_registry_datasets_cell_identical(self, registry_tables, sequential_results):
         with CleaningService(workers=4) as service:
             jobs = [service.submit(table) for table in registry_tables]
-            results = service.wait_all(timeout=300)
+            results = [job.wait(timeout=300) for job in jobs]
         assert all(r.status is JobStatus.SUCCEEDED for r in results)
         for table, sequential, concurrent in zip(registry_tables, sequential_results, results):
             assert concurrent.cleaning_result is not None
@@ -46,39 +47,38 @@ class TestConcurrentEqualsSequential:
 
     def test_two_workers_also_match(self, registry_tables, sequential_results):
         with CleaningService(workers=2) as service:
-            results = service.clean_tables(registry_tables)
+            jobs = [service.submit(table) for table in registry_tables]
+            results = [job.wait() for job in jobs]
         for sequential, concurrent in zip(sequential_results, results):
             assert concurrent.cleaning_result.cleaned_table == sequential.cleaned_table
 
     def test_stats_accounting(self, registry_tables):
-        with CleaningService(workers=4) as service:
-            service.clean_tables(registry_tables)
-            stats = service.stats()
-        assert stats.jobs_submitted == len(registry_tables)
-        assert stats.jobs_succeeded == len(registry_tables)
-        assert stats.jobs_failed == 0
-        assert stats.rows_cleaned == sum(t.num_rows for t in registry_tables)
-        assert stats.llm_calls > 0
-        assert stats.wall_seconds > 0
-        assert stats.run_seconds_max >= stats.run_seconds_p50 >= 0
+        registry = MetricsRegistry()
+        with CleaningService(workers=4, metrics_registry=registry) as service:
+            jobs = [service.submit(table) for table in registry_tables]
+            results = [job.wait() for job in jobs]
+            cache_stats = service.cache.stats()
+        count = registry.get("repro_service_jobs_total").value
+        assert registry.get("repro_service_jobs_submitted_total").total() == len(registry_tables)
+        assert count(status="succeeded") == len(registry_tables)
+        assert count(status="failed") == 0
+        rows = registry.get("repro_service_rows_cleaned_total").total()
+        assert rows == sum(t.num_rows for t in registry_tables)
+        llm_calls = registry.get("repro_service_llm_calls_total").total()
+        assert llm_calls == sum(r.llm_calls for r in results) > 0
+        assert registry.get("repro_service_cells_repaired_total").total() == sum(
+            r.cell_repairs for r in results
+        )
+        run_seconds = registry.get("repro_service_job_run_seconds")
+        assert run_seconds.count() == len(registry_tables)
+        assert run_seconds.sum() == pytest.approx(sum(r.run_seconds for r in results))
+        wait_seconds = registry.get("repro_service_job_wait_seconds")
+        assert wait_seconds.sum() == pytest.approx(sum(r.wait_seconds for r in results))
         # The shared store saw every prompt the jobs issued.
-        assert stats.cache_hits + stats.cache_misses >= stats.llm_calls
-        summary = render_service_summary(stats)
+        assert cache_stats["hits"] + cache_stats["misses"] >= llm_calls
+        summary = render_service_summary(jobs, cache_stats)
+        assert f"{len(jobs)} submitted, {len(jobs)} succeeded" in summary
         assert "jobs/s" in summary and "hit rate" in summary
-
-
-class TestMultiBatchStats:
-    def test_idle_gap_between_batches_excluded_from_wall_time(self, dirty_language_table):
-        import time as _time
-
-        with CleaningService(workers=2) as service:
-            service.submit(dirty_language_table.copy("batch1")).wait(60)
-            _time.sleep(0.5)  # idle gap
-            service.submit(dirty_language_table.copy("batch2")).wait(60)
-            stats = service.stats()
-        assert stats.jobs_succeeded == 2
-        # Busy wall time banks both batch spans but not the idle half-second.
-        assert stats.wall_seconds < stats.run_seconds_total + 0.4
 
 
 class _GatedLLM(SimulatedSemanticLLM):
@@ -96,7 +96,10 @@ class _GatedLLM(SimulatedSemanticLLM):
 class TestCancellation:
     def test_cancel_queued_jobs_while_worker_busy(self, dirty_language_table):
         gate = threading.Event()
-        service = CleaningService(workers=1, llm_factory=lambda: _GatedLLM(gate))
+        registry = MetricsRegistry()
+        service = CleaningService(
+            workers=1, llm_factory=lambda: _GatedLLM(gate), metrics_registry=registry
+        )
         try:
             running = service.submit(dirty_language_table, name="running-job")
             queued = [
@@ -106,7 +109,7 @@ class TestCancellation:
             assert service.cancel(queued[0])
             assert service.cancel(queued[2])
             gate.set()
-            results = service.wait_all(timeout=60)
+            results = [job.wait(timeout=60) for job in [running, *queued]]
         finally:
             gate.set()
             service.shutdown()
@@ -115,9 +118,11 @@ class TestCancellation:
         assert statuses["queued-0"] is JobStatus.CANCELLED
         assert statuses["queued-1"] is JobStatus.SUCCEEDED
         assert statuses["queued-2"] is JobStatus.CANCELLED
-        stats = service.stats()
-        assert stats.jobs_cancelled == 2
-        assert stats.jobs_succeeded == 2
+        count = registry.get("repro_service_jobs_total").value
+        assert count(status="cancelled") == 2
+        assert count(status="succeeded") == 2
+        # Cancelled jobs count once each and add nothing to the latency histograms.
+        assert registry.get("repro_service_job_run_seconds").count() == 2
 
     def test_cancel_finished_job_is_noop(self, dirty_language_table):
         with CleaningService(workers=1) as service:
@@ -172,7 +177,7 @@ class TestServiceLifecycle:
             low = service.submit(table.copy("low"), priority=9)
             high = service.submit(table.copy("high"), priority=1)
             gate.set()
-            service.wait_all(timeout=60)
+            assert high.wait(timeout=60) and low.wait(timeout=60)
         finally:
             gate.set()
             service.shutdown()

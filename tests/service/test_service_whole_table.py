@@ -1,9 +1,9 @@
 """Service jobs run the one whole-table clean path.
 
-Every job is ``cached_client`` + ``CocoonCleaner.clean`` on the whole table:
+Every job is ``CachingLLMClient`` + ``CocoonCleaner.clean`` on the whole table:
 its result, repairs, lineage and spans are those of an in-process clean.  The
 chunked path and its settable values are gone; the keyword arguments, result
-fields, stats keys and metric families it used to add are rejected or absent.
+fields and metric families it used to add are rejected or absent.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.dataframe import Table
 from repro.llm import PromptCacheStore, SimulatedSemanticLLM
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
-from repro.service import CleaningJob, JobResult, ServiceStats
+from repro.service import CleaningJob, JobResult
 
 from tests.obs.test_lineage_differential import assert_gate
 
@@ -90,12 +90,6 @@ class TestJobMatchesInProcessClean:
         assert any(row_id >= 100 for row_id in rows)
         assert all(0 <= row_id < hospital.dirty.num_rows for row_id in rows)
 
-    def test_clean_tables_matches_submit(self, hospital, hospital_whole):
-        with CleaningService(workers=1) as service:
-            (result,) = service.clean_tables([hospital.dirty])
-        assert result.ok
-        assert result.cleaning_result.cleaned_table == hospital_whole.cleaned_table
-
     def test_shared_cache_store_preserves_output(self, hospital, hospital_whole):
         store = PromptCacheStore()
         with CleaningService(workers=1, cache_store=store) as service:
@@ -149,14 +143,17 @@ class TestEdgeTablesAndFailures:
             def _complete(self, prompt, system=None):
                 raise RuntimeError("model outage")
 
-        with CleaningService(workers=1, llm_factory=ExplodingLLM) as service:
+        registry = MetricsRegistry()
+        with CleaningService(
+            workers=1, llm_factory=ExplodingLLM, metrics_registry=registry
+        ) as service:
             result = service.submit(hospital.dirty).wait(timeout=300)
-            stats = service.stats()
         # No second path to fall back on: the job fails and says why.
         assert result.status is JobStatus.FAILED
         assert result.cleaning_result is None
         assert "model outage" in result.error
-        assert stats.jobs_failed == 1 and stats.jobs_succeeded == 0
+        count = registry.get("repro_service_jobs_total").value
+        assert count(status="failed") == 1 and count(status="succeeded") == 0
 
 
 class TestRemovedChunkOptions:
@@ -165,14 +162,14 @@ class TestRemovedChunkOptions:
         with pytest.raises(TypeError, match=option):
             CleaningService(workers=1, **{option: 100})
 
-    def test_submit_and_clean_tables_reject_chunk_rows(self):
+    def test_submit_rejects_chunk_rows(self):
         table = Table.from_dict("tiny", {"a": ["x", "y"]})
-        with CleaningService(workers=1) as service:
+        registry = MetricsRegistry()
+        with CleaningService(workers=1, metrics_registry=registry) as service:
             with pytest.raises(TypeError, match="chunk_rows"):
                 service.submit(table, chunk_rows=100)
-            with pytest.raises(TypeError, match="chunk_rows"):
-                service.clean_tables([table], chunk_rows=100)
-            assert service.jobs == []
+            assert service.pending_jobs == 0
+        assert registry.get("repro_service_jobs_submitted_total").total() == 0
 
     def test_job_and_result_have_no_chunk_fields(self):
         job_fields = {f.name for f in dataclasses.fields(CleaningJob)}
@@ -180,13 +177,10 @@ class TestRemovedChunkOptions:
         assert "chunk_rows" not in job_fields
         assert not {"chunked", "chunk_count", "fell_back"} & result_fields
 
-    def test_stats_and_metrics_have_no_chunk_counters(self):
+    def test_metrics_have_no_chunk_counters(self):
         registry = MetricsRegistry()
         with CleaningService(workers=1, metrics_registry=registry) as service:
             service.submit(Table.from_dict("tiny", {"a": ["x", "y"]})).wait(timeout=60)
-            stats = service.stats()
-        assert isinstance(stats, ServiceStats)
-        assert not {"chunked_jobs", "fallback_jobs"} & set(stats.to_dict())
         text = registry.render_prometheus()
         assert "repro_service_jobs_total" in text
         assert "repro_service_chunked_jobs_total" not in text

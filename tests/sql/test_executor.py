@@ -131,10 +131,6 @@ class TestDdlAndCatalog:
         schema = db.schema("people")
         assert schema["age"].value == "INTEGER"
 
-    def test_query_log_records_statements(self, db):
-        db.sql("SELECT 1")
-        assert "SELECT 1" in db.query_log.statements
-
     def test_execute_script(self, db):
         result = db.execute_script(
             "-- a comment\nCREATE TABLE t2 AS SELECT name FROM people;\nSELECT COUNT(*) AS n FROM t2;"

@@ -29,7 +29,7 @@ def make_table(n, name="t", offset=0):
 
 class TestDispatchAndOrdering:
     def test_two_streams_share_the_pool(self):
-        with StreamService(workers=3, detect_drift=False) as service:
+        with StreamService(workers=3) as service:
             service.get_or_create_stream("alpha")
             service.get_or_create_stream("beta")
             jobs = []
@@ -48,7 +48,7 @@ class TestDispatchAndOrdering:
                 assert per["replayed_batches"] == 3  # 4 batches: 1 prime + 3 replays
 
     def test_batches_process_in_submission_order(self):
-        with StreamService(workers=4, detect_drift=False) as service:
+        with StreamService(workers=4) as service:
             service.get_or_create_stream("ordered")
             table = make_table(60, "ordered")
             jobs = [service.submit("ordered", b) for b in iter_table_batches(table, 6)]
@@ -62,7 +62,7 @@ class TestDispatchAndOrdering:
     def test_concurrent_producers_on_one_stream_do_not_deadlock(self):
         # Sequence assignment and enqueue are one step under the stream's
         # lock, so racing producers on one worker neither reorder nor stall.
-        with StreamService(workers=1, max_pending_batches=8, detect_drift=False) as service:
+        with StreamService(workers=1, max_pending_batches=8) as service:
             service.get_or_create_stream("raced")
             errors = []
 
@@ -88,7 +88,7 @@ class TestDispatchAndOrdering:
         # a0 blocks one worker and a1 must wait for it; the other worker must
         # still be free for b0 rather than sit behind a1.
         gate, entered = threading.Event(), threading.Event()
-        with StreamService(workers=2, detect_drift=False) as service:
+        with StreamService(workers=2) as service:
             stream_a = service.get_or_create_stream("a")
             service.get_or_create_stream("b")
             original = stream_a.cleaner.process_batch
@@ -129,7 +129,7 @@ class TestDispatchAndOrdering:
             built.append(self)
             original_init(self, *args, **kwargs)
 
-        service = StreamService(workers=1, detect_drift=False)
+        service = StreamService(workers=1)
         start = threading.Barrier(8)
         streams = []
 
@@ -161,7 +161,7 @@ class TestBackpressure:
         class GatedTable(Table):
             pass
 
-        with StreamService(workers=1, max_pending_batches=2, detect_drift=False) as service:
+        with StreamService(workers=1, max_pending_batches=2) as service:
             stream = service.get_or_create_stream("slow")
             original = stream.cleaner.process_batch
 
@@ -183,7 +183,7 @@ class TestBackpressure:
 
     def test_blocking_submit_times_out(self):
         gate = threading.Event()
-        with StreamService(workers=1, max_pending_batches=1, detect_drift=False) as service:
+        with StreamService(workers=1, max_pending_batches=1) as service:
             stream = service.get_or_create_stream("slow")
             original = stream.cleaner.process_batch
             stream.cleaner.process_batch = lambda b: (gate.wait(timeout=30), original(b))[1]
@@ -194,7 +194,7 @@ class TestBackpressure:
             assert service.wait_idle(timeout=60)
 
     def test_submit_after_shutdown_raises_and_frees_capacity(self):
-        service = StreamService(workers=1, max_pending_batches=1, detect_drift=False)
+        service = StreamService(workers=1, max_pending_batches=1)
         stream = service.get_or_create_stream("late")
         service.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
@@ -206,7 +206,7 @@ class TestBackpressure:
         # Once shut down the executor refuses the stream's re-queue; the
         # batches still waiting then run on the worker that holds the stream.
         gate, entered = threading.Event(), threading.Event()
-        service = StreamService(workers=1, detect_drift=False)
+        service = StreamService(workers=1)
         stream = service.get_or_create_stream("tail")
         original = stream.cleaner.process_batch
 
@@ -229,7 +229,7 @@ class TestBackpressure:
 
     def test_exception_in_the_block_cancels_waiting_batches(self):
         gate, entered = threading.Event(), threading.Event()
-        service = StreamService(workers=1, detect_drift=False)
+        service = StreamService(workers=1)
         stream = service.get_or_create_stream("tail")
         original = stream.cleaner.process_batch
         processed = []
@@ -264,7 +264,7 @@ class TestBackpressure:
 
 class TestFailureIsolation:
     def test_schema_error_fails_stream_but_not_service(self):
-        with StreamService(workers=2, detect_drift=False) as service:
+        with StreamService(workers=2) as service:
             service.get_or_create_stream("bad")
             service.get_or_create_stream("good")
             ok = service.submit("good", make_table(9, "good"))
