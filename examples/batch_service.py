@@ -14,7 +14,7 @@ prints.
 """
 
 from repro import CleaningService, dataset_names, load_dataset
-from repro.core.report import render_service_summary
+from repro.service import render_service_summary
 
 SCALE = 0.2  # fraction of paper-scale rows, keeps the demo under a minute
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import List, Mapping, Sequence, Union
+from typing import List, Union
 
 from repro.core.result import CleaningResult
-from repro.obs.metrics import percentile
-from repro.service.jobs import CleaningJob, JobStatus
 
 
 def render_sql_pipeline(result: CleaningResult) -> str:
@@ -85,56 +83,6 @@ def _table_preview(result: CleaningResult, max_rows: int) -> str:
         cells.append("</tr>")
     cells.append("</table>")
     return "".join(cells)
-
-
-def render_service_summary(jobs: Sequence[CleaningJob], cache_stats: Mapping[str, float]) -> str:
-    """Human-readable summary of a batch-cleaning service run.
-
-    Aggregates the caller's jobs — counts by terminal status, the volume
-    and per-job latency of the succeeded ones — plus the shared prompt
-    cache's ``stats()``, as an aligned text block (the CLI prints this after
-    every batch).  Wall time runs from the first submission to the last
-    finish, and unsettled jobs count only as submitted.
-    """
-    succeeded = [job.result for job in jobs if job.result is not None and job.result.ok]
-    statuses = [job.result.status for job in jobs if job.result is not None]
-    failed = statuses.count(JobStatus.FAILED)
-    cancelled = statuses.count(JobStatus.CANCELLED)
-    finished = [job.finished_at for job in jobs if job.finished_at is not None]
-    wall = max(0.0, max(finished) - min(job.submitted_at for job in jobs)) if finished else 0.0
-    rows = sum(result.rows for result in succeeded)
-    run_times = sorted(result.run_seconds for result in succeeded)
-    run_total = sum(run_times)
-    run_avg = run_total / len(run_times) if run_times else 0.0
-    run_max = run_times[-1] if run_times else 0.0
-    wait_avg = sum(r.wait_seconds for r in succeeded) / len(succeeded) if succeeded else 0.0
-    hits, misses = int(cache_stats.get("hits", 0)), int(cache_stats.get("misses", 0))
-    lines = [
-        "Cleaning service summary",
-        "------------------------",
-        f"jobs        : {len(jobs)} submitted, {len(succeeded)} succeeded, "
-        f"{failed} failed, {cancelled} cancelled",
-        f"volume      : {rows} rows cleaned, "
-        f"{sum(r.cell_repairs for r in succeeded)} cells repaired, "
-        f"{sum(r.removed_rows for r in succeeded)} rows removed",
-        f"llm         : {sum(r.llm_calls for r in succeeded)} calls"
-        + (
-            f"; cache {hits} hits / {misses} misses "
-            f"({float(cache_stats.get('hit_rate', 0.0)):.0%} hit rate, "
-            f"{int(cache_stats.get('size', 0))} entries)"
-            if hits or misses
-            else ""
-        ),
-        f"throughput  : {len(succeeded) / wall if wall > 0 else 0.0:.2f} jobs/s, "
-        f"{rows / wall if wall > 0 else 0.0:.0f} rows/s over {wall:.2f}s wall time",
-        f"latency     : avg {run_avg:.2f}s, p50 {percentile(run_times, 0.5):.2f}s, "
-        f"max {run_max:.2f}s per job (avg queue wait {wait_avg:.2f}s)",
-    ]
-    if wall > 0 and len(succeeded) > 1:
-        lines.append(
-            f"concurrency : {run_total / wall:.2f}x speedup over summed job runtimes"
-        )
-    return "\n".join(lines)
 
 
 def write_report(result: CleaningResult, directory: Union[str, Path]) -> List[Path]:

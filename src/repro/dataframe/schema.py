@@ -33,11 +33,6 @@ class ColumnType(enum.Enum):
     def is_numeric(self) -> bool:
         return self in (ColumnType.INTEGER, ColumnType.DOUBLE)
 
-    @property
-    def is_temporal(self) -> bool:
-        return self in (ColumnType.DATE, ColumnType.TIMESTAMP)
-
-
 _TYPE_ALIASES = {
     "VARCHAR": ColumnType.VARCHAR,
     "TEXT": ColumnType.VARCHAR,

@@ -122,16 +122,6 @@ class ErrorInjector:
                 injected += 1
         return injected
 
-    # -- disguised missing values ------------------------------------------------------------
-    def inject_dmv(self, column: str, count: int, tokens: Sequence[str] = ("N/A", "null", "--", "unknown")) -> int:
-        rows = self._eligible_rows(column)
-        injected = 0
-        for row in self._sample_rows(rows, count):
-            token = self.rng.choice(list(tokens))
-            if self._corrupt(row, column, token, ErrorType.DMV):
-                injected += 1
-        return injected
-
     # -- functional dependency violations ----------------------------------------------------------
     def inject_fd_violations(self, determinant: str, dependent: str, count: int) -> int:
         """Replace the dependent value of some rows with a value from another group."""
@@ -198,25 +188,6 @@ class ErrorInjector:
         for row in self._sample_rows(rows, count):
             replacement = self.rng.choice(source_values)
             if self._corrupt(row, target_column, str(replacement), ErrorType.MISPLACEMENT):
-                injected += 1
-        return injected
-
-    # -- numeric outliers --------------------------------------------------------------------------------
-    def inject_numeric_outliers(self, column: str, count: int, factor: float = 100.0) -> int:
-        def numeric(v: object) -> bool:
-            try:
-                float(str(v))
-                return True
-            except ValueError:
-                return False
-
-        rows = self._eligible_rows(column, numeric)
-        injected = 0
-        for row in self._sample_rows(rows, count):
-            original = float(str(self._values[column][row]))
-            outlier = original * factor + self.rng.randrange(100, 1000)
-            rendered = str(int(outlier)) if float(outlier).is_integer() else str(outlier)
-            if self._corrupt(row, column, rendered, ErrorType.NUMERIC_OUTLIER):
                 injected += 1
         return injected
 

@@ -116,29 +116,6 @@ class SystemResult:
             "runtime_seconds": self.runtime_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "SystemResult":
-        scores = Scores(
-            precision=float(data["precision"]),
-            recall=float(data["recall"]),
-            f1=float(data["f1"]),
-            correct_repairs=int(data.get("correct_repairs", 0)),
-            total_repairs=int(data.get("total_repairs", 0)),
-            total_errors=int(data.get("total_errors", 0)),
-        )
-        sampled = data.get("sampled_rows")
-        return cls(
-            system=str(data["system"]),
-            dataset=str(data["dataset"]),
-            scores=scores,
-            runtime_seconds=float(data.get("runtime_seconds", 0.0)),
-            sampled_rows=None if sampled is None else int(sampled),
-            notes=str(data.get("notes", "")),
-            detected=int(data.get("detected", 0)),
-            repaired=int(data.get("repaired", 0)),
-            llm_calls=int(data.get("llm_calls", 0)),
-        )
-
 
 @dataclass
 class RepairOutcome:
@@ -304,11 +281,3 @@ class ExperimentRunner:
             reference_tables=list(context.reference_tables),
             seed=context.seed,
         )
-
-    def run_all(self, datasets: List[BenchmarkDataset]) -> List[SystemResult]:
-        """Run every system on every dataset (the full Table 1 grid)."""
-        results: List[SystemResult] = []
-        for dataset in datasets:
-            for system_name in self.system_factories:
-                results.append(self.run_system(system_name, dataset))
-        return results

@@ -7,19 +7,20 @@ Each experiment module regenerates one artifact:
 * :mod:`repro.experiments.table3` — Table 3, the Appendix B evaluation where
   column-type and DMV errors count.
 * :mod:`repro.experiments.figures` — the F1 comparison series derived from Table 1.
-* :mod:`repro.experiments.matrix` — the parallel experiment-matrix engine:
-  the (table × dataset × system) grid as jobs on a thread pool,
-  with repair dedup, an incremental resumable results store, and the
-  golden regression corpus (``GOLDEN_experiments.json``).
+* :mod:`repro.experiments.matrix` — the experiment-matrix engine: the
+  (table × dataset × system) grid run one repair group at a time on the
+  calling thread, with repair dedup and the golden regression corpus
+  (``GOLDEN_experiments.json``).
 
-``python -m repro.experiments <table1|table2|table3|figure-f1|matrix|all>
-[--scale S --workers N --golden]`` prints the corresponding rows; see
-``--help`` for the grid/golden options.
+The table modules hold the paper's reported numbers and the formatters; the
+matrix runs every table.  ``python -m repro.experiments
+<table1|table2|table3|figure-f1|matrix|all> [--scale S --out PATH --golden]``
+prints the corresponding rows; see ``--help`` for the grid/golden options.
 """
 
-from repro.experiments.table1 import run_table1, format_table1
-from repro.experiments.table2 import run_table2, format_table2
-from repro.experiments.table3 import run_table3, format_table3
+from repro.experiments.table1 import format_table1
+from repro.experiments.table2 import format_table2
+from repro.experiments.table3 import format_table3
 from repro.experiments.figures import f1_series
 from repro.experiments.matrix import (
     CellResult,
@@ -28,7 +29,6 @@ from repro.experiments.matrix import (
     MatrixJobError,
     MatrixRun,
     MatrixStats,
-    ResultsStore,
     UnknownNameError,
     build_grid,
     canonical_json,
@@ -40,11 +40,8 @@ from repro.experiments.matrix import (
 )
 
 __all__ = [
-    "run_table1",
     "format_table1",
-    "run_table2",
     "format_table2",
-    "run_table3",
     "format_table3",
     "f1_series",
     "CellResult",
@@ -53,7 +50,6 @@ __all__ = [
     "MatrixJobError",
     "MatrixRun",
     "MatrixStats",
-    "ResultsStore",
     "UnknownNameError",
     "build_grid",
     "canonical_json",

@@ -1,9 +1,8 @@
 """Command-line entry point: ``python -m repro.experiments <artifact>``.
 
-Artifacts run through the parallel :class:`~repro.experiments.matrix.ExperimentMatrix`
-engine (``--workers 1`` is the sequential reference and the default; any
-worker count yields byte-identical deterministic fields).  ``--out`` keeps an
-incremental results JSON that makes interrupted grids resumable, and
+Artifacts run through the sequential
+:class:`~repro.experiments.matrix.ExperimentMatrix` engine.  ``--out`` writes
+the finished run (every cell with its timing) as one JSON document, and
 ``--golden`` regression-checks the run against the committed
 ``GOLDEN_experiments.json`` corpus (``--golden --refresh`` rewrites it — the
 sanctioned workflow documented in ``docs/benchmarks.md``).
@@ -18,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from repro.experiments.figures import ascii_bar_chart, f1_series
 from repro.experiments.matrix import (
@@ -60,12 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="random seed for dataset generation (default 0)")
     parser.add_argument("--datasets", nargs="*", default=None, help="restrict to specific benchmarks")
     parser.add_argument("--systems", nargs="*", default=None, help="restrict to specific systems")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for the experiment grid (1 = sequential)")
     parser.add_argument("--out", default=None, metavar="PATH",
-                        help="incremental results JSON; an existing file resumes the grid")
-    parser.add_argument("--no-resume", action="store_true",
-                        help="with --out: recompute every cell even if already recorded")
+                        help="write the finished run (every cell with its timing) as JSON")
     parser.add_argument("--golden", action="store_true",
                         help="compare the run against the committed golden corpus (exit 1 on drift)")
     parser.add_argument("--refresh", action="store_true",
@@ -91,10 +87,8 @@ def _print_artifacts(artifact: str, run: MatrixRun) -> None:
     if artifact == "matrix":
         stats = run.stats
         print(
-            f"matrix: {stats.cells_total} cells ({stats.cells_run} run, {stats.cells_resumed} resumed) "
-            f"in {stats.repair_groups} jobs on {stats.workers} worker(s); "
-            f"wall {stats.wall_seconds:.2f}s vs serial {stats.job_seconds_total:.2f}s "
-            f"({stats.speedup_over_serial:.2f}x); {stats.llm_calls} LLM calls"
+            f"matrix: {stats.cells_total} cells in {stats.repair_groups} repair groups; "
+            f"wall {stats.wall_seconds:.2f}s; {stats.llm_calls} LLM calls"
         )
 
 
@@ -103,8 +97,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.refresh and not args.golden:
         parser.error("--refresh only makes sense together with --golden")
-    if args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
         parser.error(f"--scale must be a finite number > 0, got {args.scale}")
 
@@ -147,11 +139,6 @@ def main(argv=None) -> int:
             systems=systems,
             seed=seed,
             scale=scale,
-            workers=args.workers,
-            results_path=args.out,
-            # A golden run is a statement about the *current* code: never let
-            # it satisfy cells from a stale --out store written by old code.
-            resume=not args.no_resume and not args.golden,
         )
     except UnknownNameError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -162,6 +149,8 @@ def main(argv=None) -> int:
     except MatrixJobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.out is not None:
+        Path(args.out).write_text(canonical_json(run.results_document()), encoding="utf-8")
 
     if args.golden and args.refresh:
         write_golden(args.golden_path, run)

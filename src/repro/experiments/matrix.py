@@ -1,41 +1,36 @@
-"""The parallel experiment-matrix engine.
+"""The experiment-matrix engine.
 
 The paper's evaluation is a grid: (table × dataset × system) cells, each a
-deterministic function of ``(seed, scale)``.  This module turns that grid
-into jobs run on a :class:`~concurrent.futures.ThreadPoolExecutor`, with:
+deterministic function of ``(seed, scale)``.  This module runs that grid on
+the calling thread, one repair group after another in grid order, with:
 
 * **Repair dedup** — Table 1 and Table 3 score the *same* system run under
   different conventions, so cells sharing a repair unit
-  ``(dataset, system, seed, scale)`` are grouped into one job that repairs
-  once and scores once per table.
-* **Longest jobs first** — jobs are submitted in order of a row-count cost
-  hint (a stable sort, so equal costs keep grid order), and the executor
-  starts them in submission order, so the long poles never start last.
-* **No shared state between jobs** — each Cocoon job cleans with its own
-  deterministic :class:`~repro.llm.simulated.SimulatedSemanticLLM`, so the
-  parallel grid is byte-identical to the sequential grid whatever order the
-  jobs run in.
-* **An incremental results store** — every finished cell is written to a
-  JSON document (atomic tmp + ``os.replace``); re-running against the same
-  store resumes an interrupted grid, skipping completed cells.
+  ``(dataset, system, seed, scale)`` form one group that repairs once and
+  scores once per table.
+* **No shared state between groups** — each Cocoon group cleans with its own
+  deterministic :class:`~repro.llm.simulated.SimulatedSemanticLLM`, so a
+  cell's scores do not depend on which groups ran before it.
 * **Per-cell accounting** — runtime, LLM calls, detected/repaired counts.
 * **A golden corpus** — :func:`golden_payload` extracts only the
   deterministic fields (scores, counts, notes — never wall-clock), which
   ``GOLDEN_experiments.json`` pins and tier-1 tests assert exactly.
+
+Every repair is CPU-bound pure Python (the simulated model and the four
+baselines), which threads cannot overlap under the GIL, and the whole grid
+takes under a minute at paper scale; so it runs on one thread and keeps its
+cells in memory until the run is done.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.dataframe.io import atomic_write_text
 from repro.datasets import dataset_names, load_dataset
 from repro.datasets.registry import check_scale
 from repro.evaluation.conventions import EvaluationConventions
@@ -50,9 +45,6 @@ TABLE_NAMES = ("table1", "table2", "table3")
 TABLE23_DATASETS = ("hospital", "movies")
 #: The system name used for Table 2 census cells (no cleaning system runs).
 CENSUS_SYSTEM = "census"
-
-#: Paper-scale row counts, used only to schedule long jobs first.
-_COST_HINT = {"hospital": 1000, "flights": 2400, "beers": 2410, "rayyan": 1000, "movies": 7390}
 
 
 class UnknownNameError(ValueError):
@@ -86,7 +78,7 @@ def validate_names(kind: str, names: Optional[Sequence[str]], valid: Sequence[st
 
 
 def make_cell_id(table: str, dataset: str, system: str, seed: int, scale: float) -> str:
-    """The store/golden key of one cell; resume lookups depend on its stability."""
+    """The key of one cell in the golden corpus and the ``--out`` document."""
     return f"{table}/{dataset}/{system}/seed={seed}/scale={scale:g}"
 
 
@@ -151,7 +143,8 @@ class CellResult:
     ``deterministic`` is a pure function of the cell spec (scores, counts,
     notes for system cells; the error census for table2 cells) and is what
     the golden corpus pins.  ``timing`` holds wall-clock measurements and is
-    never compared.
+    never compared.  ``result`` is the scored :class:`SystemResult` the
+    payload was taken from (None for census cells).
     """
 
     table: str
@@ -161,8 +154,7 @@ class CellResult:
     scale: float
     deterministic: Dict[str, object]
     timing: Dict[str, float] = field(default_factory=dict)
-    #: True when the cell was loaded from the results store (resume path).
-    resumed: bool = False
+    result: Optional[SystemResult] = None
 
     @property
     def cell_id(self) -> str:
@@ -179,29 +171,6 @@ class CellResult:
             "timing": dict(self.timing),
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object], resumed: bool = False) -> "CellResult":
-        return cls(
-            table=str(data["table"]),
-            dataset=str(data["dataset"]),
-            system=str(data["system"]),
-            seed=int(data["seed"]),
-            scale=float(data["scale"]),
-            deterministic=dict(data.get("deterministic", {})),
-            timing=dict(data.get("timing", {})),
-            resumed=resumed,
-        )
-
-    def as_system_result(self) -> Optional[SystemResult]:
-        """Rebuild the :class:`SystemResult` (None for census cells)."""
-        if self.system == CENSUS_SYSTEM:
-            return None
-        record = dict(self.deterministic)
-        record.setdefault("system", self.system)
-        record.setdefault("dataset", self.dataset)
-        record["runtime_seconds"] = self.timing.get("runtime_seconds", 0.0)
-        return SystemResult.from_dict(record)
-
 
 def _deterministic_record(result: SystemResult) -> Dict[str, object]:
     record = result.to_dict()
@@ -209,64 +178,8 @@ def _deterministic_record(result: SystemResult) -> Dict[str, object]:
     return record
 
 
-class ResultsStore:
-    """Incremental, thread-safe JSON store of finished cells.
-
-    Every :meth:`record` call rewrites the document atomically (temp file +
-    ``os.replace``), so an interrupted grid always leaves a loadable store
-    behind; re-running with the same path resumes, skipping recorded cells.
-    A ``path`` of None keeps the store in memory (no persistence).
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]] = None):
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        # Serialises writers; the document snapshot is taken inside it so a
-        # later flush can never be overwritten by an earlier, staler one
-        # (same pattern as PromptCacheStore._persist).
-        self._write_lock = threading.Lock()
-        self._cells: Dict[str, Dict[str, object]] = {}
-        self._config: Dict[str, object] = {}
-        if self.path is not None and self.path.exists():
-            document = json.loads(self.path.read_text(encoding="utf-8"))
-            self._cells = dict(document.get("cells", {}))
-            self._config = dict(document.get("config", {}))
-
-    def configure(self, config: Dict[str, object]) -> None:
-        with self._lock:
-            self._config = dict(config)
-
-    def get(self, cell_id: str) -> Optional[Dict[str, object]]:
-        with self._lock:
-            return self._cells.get(cell_id)
-
-    def record(self, result: CellResult) -> None:
-        with self._lock:
-            self._cells[result.cell_id] = result.to_dict()
-        self._persist()
-
-    def _persist(self) -> None:
-        if self.path is None:
-            return
-        with self._write_lock:
-            with self._lock:
-                document = {
-                    "schema_version": SCHEMA_VERSION,
-                    "config": dict(self._config),
-                    "cells": {cell_id: self._cells[cell_id] for cell_id in sorted(self._cells)},
-                }
-            atomic_write_text(self.path, json.dumps(document, indent=1, sort_keys=True) + "\n")
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._cells)
-
-
-# -- jobs ------------------------------------------------------------------------
-
-
 class MatrixJobError(RuntimeError):
-    """One or more matrix jobs failed; the message lists every failure."""
+    """One or more repair groups failed; the message lists every failure."""
 
 
 # -- the engine ------------------------------------------------------------------
@@ -277,31 +190,9 @@ class MatrixStats:
     """Accounting for one grid run."""
 
     cells_total: int = 0
-    cells_run: int = 0
-    cells_resumed: int = 0
     repair_groups: int = 0
-    workers: int = 1
     wall_seconds: float = 0.0
-    #: Sum of per-job runtimes — what a strictly serial execution would cost.
-    job_seconds_total: float = 0.0
     llm_calls: int = 0
-
-    @property
-    def speedup_over_serial(self) -> float:
-        return self.job_seconds_total / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cells_total": self.cells_total,
-            "cells_run": self.cells_run,
-            "cells_resumed": self.cells_resumed,
-            "repair_groups": self.repair_groups,
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-            "job_seconds_total": self.job_seconds_total,
-            "speedup_over_serial": self.speedup_over_serial,
-            "llm_calls": self.llm_calls,
-        }
 
 
 @dataclass
@@ -314,13 +205,7 @@ class MatrixRun:
 
     def results_for(self, table: str) -> List[SystemResult]:
         """The cells of one table as :class:`SystemResult` rows (grid order)."""
-        results = []
-        for cell in self.cells:
-            if cell.table == table:
-                result = cell.as_system_result()
-                if result is not None:
-                    results.append(result)
-        return results
+        return [cell.result for cell in self.cells if cell.table == table and cell.result is not None]
 
     def table2_rows(self) -> Dict[str, Dict[str, object]]:
         """Census cells in the shape :func:`repro.experiments.table2.format_table2` takes."""
@@ -333,13 +218,17 @@ class MatrixRun:
     def golden_payload(self) -> Dict[str, object]:
         return golden_payload(self.cells, self.config)
 
+    def results_document(self) -> Dict[str, object]:
+        """The ``--out`` document: every cell, with its timing, keyed by cell id."""
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "config": dict(self.config),
+            "cells": {cell.cell_id: cell.to_dict() for cell in self.cells},
+        }
+
 
 class ExperimentMatrix:
-    """Runs the (table × dataset × system) grid on a thread pool.
-
-    ``workers=1`` is the sequential reference; any worker count produces
-    byte-identical deterministic fields (see the module docstring for why).
-    """
+    """Runs the (table × dataset × system) grid, one repair group at a time."""
 
     def __init__(
         self,
@@ -348,29 +237,17 @@ class ExperimentMatrix:
         systems: Optional[Sequence[str]] = None,
         seed: int = 0,
         scale: float = 1.0,
-        workers: int = 1,
-        store: Optional[ResultsStore] = None,
-        results_path: Optional[Union[str, Path]] = None,
-        resume: bool = True,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         check_scale(scale)
-        self.tables = validate_names("table", tables, TABLE_NAMES)
-        self.datasets = validate_names("dataset", datasets, dataset_names())
-        self.systems = validate_names("system", systems, list(default_systems()))
         # The requested (pre-default) names; None means "library default",
         # which build_grid treats differently from an explicit list (tables
         # 2/3 default to the paper pair but honour explicit datasets), so the
-        # stored config must preserve the distinction to round-trip.
+        # recorded config must preserve the distinction to round-trip.
         self._requested_tables = None if tables is None else list(tables)
         self._requested_datasets = None if datasets is None else list(datasets)
         self._requested_systems = None if systems is None else list(systems)
         self.seed = seed
         self.scale = scale
-        self.workers = workers
-        self.resume = resume
-        self.store = store if store is not None else ResultsStore(results_path)
         self.grid = build_grid(
             self._requested_tables, self._requested_datasets, self._requested_systems,
             seed=seed, scale=scale,
@@ -392,87 +269,43 @@ class ExperimentMatrix:
         }
 
     def run(self) -> MatrixRun:
-        """Execute the grid (resuming from the store) and collect the cells."""
+        """Run every repair group in grid order and collect the cells.
+
+        A failing group does not stop the others; once all have run,
+        :class:`MatrixJobError` lists every failure.
+        """
         started = time.perf_counter()
-        self.store.configure(self.config_dict())
-
-        resumed: Dict[str, CellResult] = {}
-        pending: List[CellSpec] = []
-        for spec in self.grid:
-            recorded = self.store.get(spec.cell_id) if self.resume else None
-            if recorded is not None:
-                resumed[spec.cell_id] = CellResult.from_dict(recorded, resumed=True)
-            else:
-                pending.append(spec)
-
-        jobs = _repair_groups(pending)
-        job_results: Dict[str, CellResult] = {}
+        groups = _repair_groups(self.grid)
+        by_id: Dict[str, CellResult] = {}
         failures: List[str] = []
         llm_calls = 0
-        if jobs:
-            executor = ThreadPoolExecutor(
-                min(self.workers, len(jobs)), thread_name_prefix="repro-matrix"
-            )
+        for cells in groups:
             try:
-                futures = [executor.submit(self._run_job, cells) for cells in jobs]
-                executor.shutdown(wait=True)
-            except BaseException:
-                # An interrupt (Ctrl-C) drops the jobs not yet started, so the
-                # process exits once the running ones finish; the store keeps
-                # every cell already recorded for a resumed run.
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-            for cells, future in zip(jobs, futures):
-                error = future.exception()
-                if error is not None:
-                    trace = "".join(
-                        traceback.format_exception(type(error), error, error.__traceback__)
-                    )
-                    failures.append(f"cells {[c.cell_id for c in cells]}:\n{trace}")
-                    continue
-                results = future.result()
-                # One repair per job: cells sharing it carry the same
-                # llm_calls, so count each job once rather than per cell.
-                llm_calls += int(results[0].deterministic.get("llm_calls", 0))
-                for result in results:
-                    job_results[result.cell_id] = result
+                results = self._run_cells(cells)
+            except Exception:
+                failures.append(f"cells {[c.cell_id for c in cells]}:\n{traceback.format_exc()}")
+                continue
+            # One repair per group: cells sharing it carry the same
+            # llm_calls, so count each group once rather than per cell.
+            llm_calls += int(results[0].deterministic.get("llm_calls", 0))
+            for result in results:
+                by_id[result.cell_id] = result
 
         if failures:
             raise MatrixJobError(
-                f"{len(failures)} matrix job(s) failed:\n" + "\n".join(failures)
+                f"{len(failures)} repair group(s) failed:\n" + "\n".join(failures)
             )
-
-        cells: List[CellResult] = []
-        for spec in self.grid:
-            if spec.cell_id in resumed:
-                cells.append(resumed[spec.cell_id])
-            else:
-                cells.append(job_results[spec.cell_id])
 
         stats = MatrixStats(
             cells_total=len(self.grid),
-            cells_run=len(job_results),
-            cells_resumed=len(resumed),
-            repair_groups=len(jobs),
-            workers=self.workers,
+            repair_groups=len(groups),
             wall_seconds=time.perf_counter() - started,
-            job_seconds_total=sum(
-                result.timing.get("job_seconds", 0.0) for result in job_results.values()
-            ),
             llm_calls=llm_calls,
         )
+        cells = [by_id[spec.cell_id] for spec in self.grid]
         return MatrixRun(cells=cells, stats=stats, config=self.config_dict())
 
     # -- execution ---------------------------------------------------------------
-    def _run_job(self, cells: List[CellSpec]) -> List[CellResult]:
-        started = time.perf_counter()
-        results = self._run_cells(cells)
-        job_seconds = time.perf_counter() - started
-        for result in results:
-            result.timing["job_seconds"] = job_seconds / len(results)
-            self.store.record(result)
-        return results
-
     def _run_cells(self, cells: List[CellSpec]) -> List[CellResult]:
         first = cells[0]
         dataset = load_dataset(first.dataset, seed=first.seed, scale=first.scale)
@@ -512,25 +345,18 @@ class ExperimentMatrix:
                     scale=spec.scale,
                     deterministic=_deterministic_record(scored),
                     timing={"runtime_seconds": outcome.runtime_seconds},
+                    result=scored,
                 )
             )
         return results
 
 
-def _repair_groups(pending: List[CellSpec]) -> List[List[CellSpec]]:
-    """Group pending cells by repair unit, one job each, longest expected first."""
+def _repair_groups(grid: List[CellSpec]) -> List[List[CellSpec]]:
+    """Group cells by repair unit, in order of each group's first cell."""
     groups: Dict[str, List[CellSpec]] = {}
-    for spec in pending:
+    for spec in grid:
         groups.setdefault(spec.repair_key, []).append(spec)
-    return sorted(groups.values(), key=lambda cells: -_cost_hint(cells))
-
-
-def _cost_hint(cells: List[CellSpec]) -> int:
-    first = cells[0]
-    cost = _COST_HINT.get(first.dataset, 1000) * len(cells)
-    if first.system == "Cocoon":
-        cost *= 4  # LLM-bound cells are the long poles of the grid
-    return cost
+    return list(groups.values())
 
 
 # -- golden corpus ----------------------------------------------------------------

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.datasets import load_dataset, dataset_names
-from repro.evaluation.runner import ExperimentRunner, SystemResult
-from repro.experiments.matrix import validate_names
+from repro.evaluation.runner import SystemResult
 
 #: The paper's reported numbers, used by EXPERIMENTS.md and the shape checks.
 PAPER_TABLE1: Dict[str, Dict[str, tuple]] = {
@@ -23,28 +21,6 @@ PAPER_TABLE1: Dict[str, Dict[str, tuple]] = {
 }
 
 SYSTEM_ORDER = ["HoloClean", "Raha+Baran", "CleanAgent", "RetClean", "Cocoon"]
-
-
-def run_table1(
-    scale: float = 1.0,
-    seed: int = 0,
-    datasets: Optional[List[str]] = None,
-    systems: Optional[List[str]] = None,
-) -> List[SystemResult]:
-    """Run the Table 1 grid and return one result per (system, dataset)."""
-    names = datasets if datasets is not None else dataset_names()
-    runner = ExperimentRunner(seed=seed)
-    if systems is not None:
-        validate_names("system", systems, list(runner.system_factories))
-        runner.system_factories = {
-            name: factory for name, factory in runner.system_factories.items() if name in systems
-        }
-    results: List[SystemResult] = []
-    for name in names:
-        dataset = load_dataset(name, seed=seed, scale=scale)
-        for system_name in runner.system_factories:
-            results.append(runner.run_system(system_name, dataset))
-    return results
 
 
 def format_table1(results: List[SystemResult], include_paper: bool = True) -> str:

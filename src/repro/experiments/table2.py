@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.datasets import load_dataset
 from repro.datasets.base import BenchmarkDataset, ErrorType
 
 #: Paper-reported census for reference (dataset → error type → count).
@@ -15,20 +14,6 @@ PAPER_TABLE2: Dict[str, Dict[str, int]] = {
 
 _COLUMN_ORDER = [ErrorType.TYPO, ErrorType.FD_VIOLATION, ErrorType.COLUMN_TYPE,
                  ErrorType.INCONSISTENCY, ErrorType.DMV, ErrorType.MISPLACEMENT]
-
-
-def run_table2(scale: float = 1.0, seed: int = 0, datasets: Optional[List[str]] = None) -> Dict[str, Dict[str, object]]:
-    """Compute the error census for the Table 2 datasets (Hospital and Movies)."""
-    names = datasets if datasets is not None else ["hospital", "movies"]
-    rows: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        dataset = load_dataset(name, seed=seed, scale=scale)
-        census = dataset.error_census()
-        rows[name] = {
-            "size": dataset.shape_label,
-            **{etype.value: census.get(etype, 0) for etype in _COLUMN_ORDER},
-        }
-    return rows
 
 
 def census_of(dataset: BenchmarkDataset) -> Dict[str, int]:

@@ -10,12 +10,9 @@ on both Hospital and Movies).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.datasets import load_dataset
-from repro.evaluation.conventions import EvaluationConventions
-from repro.evaluation.runner import ExperimentRunner, SystemResult
-from repro.experiments.matrix import validate_names
+from repro.evaluation.runner import SystemResult
 
 #: Paper-reported numbers for reference.
 PAPER_TABLE3: Dict[str, Dict[str, tuple]] = {
@@ -27,29 +24,6 @@ PAPER_TABLE3: Dict[str, Dict[str, tuple]] = {
 }
 
 SYSTEM_ORDER = ["HoloClean", "Raha+Baran", "CleanAgent", "RetClean", "Cocoon"]
-
-
-def run_table3(
-    scale: float = 1.0,
-    seed: int = 0,
-    datasets: Optional[List[str]] = None,
-    systems: Optional[List[str]] = None,
-) -> List[SystemResult]:
-    """Score systems against the extended ground truth (casts + DMV → NULL)."""
-    names = datasets if datasets is not None else ["hospital", "movies"]
-    runner = ExperimentRunner(conventions=EvaluationConventions.paper_extended(), seed=seed)
-    if systems is not None:
-        validate_names("system", systems, list(runner.system_factories))
-        runner.system_factories = {
-            name: factory for name, factory in runner.system_factories.items() if name in systems
-        }
-    results: List[SystemResult] = []
-    for name in names:
-        dataset = load_dataset(name, seed=seed, scale=scale)
-        extended = dataset.extended_clean if dataset.extended_clean is not None else dataset.clean
-        for system_name in runner.system_factories:
-            results.append(runner.run_system(system_name, dataset, clean_override=extended))
-    return results
 
 
 def format_table3(results: List[SystemResult], include_paper: bool = True) -> str:

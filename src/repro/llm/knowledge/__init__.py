@@ -25,7 +25,7 @@ from repro.llm.knowledge.types import (
     looks_like_identifier_column,
     expected_numeric_range,
 )
-from repro.llm.knowledge.vocabulary import DOMAIN_VOCABULARY, is_known_word
+from repro.llm.knowledge.vocabulary import DOMAIN_VOCABULARY
 
 __all__ = [
     "LANGUAGE_CODES",
@@ -45,5 +45,4 @@ __all__ = [
     "looks_like_identifier_column",
     "expected_numeric_range",
     "DOMAIN_VOCABULARY",
-    "is_known_word",
 ]

@@ -56,7 +56,3 @@ _WORD_RE = re.compile(r"[a-zA-Z]+")
 def words_of(text: str) -> list:
     """Split a value into lowercase alphabetic words."""
     return [w.lower() for w in _WORD_RE.findall(str(text))]
-
-
-def is_known_word(word: str) -> bool:
-    return word.lower() in DOMAIN_VOCABULARY

@@ -68,7 +68,6 @@ __all__ = [
     "record_cache",
     "record_llm_call",
     "span",
-    "tracing_enabled",
     "validate_lineage_lines",
     "validate_lineage_record",
     "values_strictly_differ",
@@ -91,10 +90,6 @@ def configure(
             raise ValueError(f"max_traces must be >= 1, got {max_traces}")
         tracer.max_traces = max_traces
     return tracer
-
-
-def tracing_enabled() -> bool:
-    return get_tracer().enabled
 
 
 def span(

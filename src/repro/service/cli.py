@@ -16,8 +16,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.core.report import render_service_summary, write_report
+from repro.core.report import write_report
 from repro.dataframe.io import write_csv
+from repro.service.jobs import render_service_summary
 from repro.service.scheduler import CleaningService
 
 

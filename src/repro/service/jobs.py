@@ -4,7 +4,8 @@ A :class:`CleaningJob` is one unit of scheduled work: clean one table.  Jobs
 carry their own lifecycle (:class:`JobStatus`), timing marks, and a
 :class:`JobResult` once finished, and expose a :class:`threading.Event`-backed
 :meth:`CleaningJob.wait` so callers can block on individual jobs without
-polling the service.
+polling the service.  :func:`render_service_summary` summarises a batch of
+them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.result import CleaningResult
 from repro.dataframe.table import Table
+from repro.obs.metrics import percentile
 
 
 class JobStatus(enum.Enum):
@@ -95,6 +97,10 @@ class CleaningJob:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
 
+    #: Called once with the result when the job settles or is cancelled,
+    #: before waiters wake; the service counts every job through it.
+    on_settle: Optional[Callable[[JobResult], None]] = field(default=None, init=False, repr=False)
+
     def __post_init__(self) -> None:
         if not self.name:
             self.name = self.table.name or f"job-{self.job_id}"
@@ -123,7 +129,7 @@ class CleaningJob:
             columns=self.table.num_columns,
             wait_seconds=self.finished_at - self.submitted_at,
         )
-        self._done.set()
+        self._settle()
         return True
 
     def mark_running(self) -> bool:
@@ -140,6 +146,11 @@ class CleaningJob:
             self.status = result.status
         self.finished_at = time.perf_counter()
         self.result = result
+        self._settle()
+
+    def _settle(self) -> None:
+        if self.on_settle is not None:
+            self.on_settle(self.result)
         self._done.set()
 
     # -- waiting ---------------------------------------------------------------
@@ -154,3 +165,53 @@ class CleaningJob:
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
         return f"CleaningJob(id={self.job_id}, name={self.name!r}, status={self.status.value})"
+
+
+def render_service_summary(jobs: Sequence[CleaningJob], cache_stats: Mapping[str, float]) -> str:
+    """Human-readable summary of a batch-cleaning service run.
+
+    Aggregates the caller's jobs — counts by terminal status, the volume
+    and per-job latency of the succeeded ones — plus the shared prompt
+    cache's ``stats()``, as an aligned text block (the CLI prints this after
+    every batch).  Wall time runs from the first submission to the last
+    finish, and unsettled jobs count only as submitted.
+    """
+    succeeded = [job.result for job in jobs if job.result is not None and job.result.ok]
+    statuses = [job.result.status for job in jobs if job.result is not None]
+    failed = statuses.count(JobStatus.FAILED)
+    cancelled = statuses.count(JobStatus.CANCELLED)
+    finished = [job.finished_at for job in jobs if job.finished_at is not None]
+    wall = max(0.0, max(finished) - min(job.submitted_at for job in jobs)) if finished else 0.0
+    rows = sum(result.rows for result in succeeded)
+    run_times = sorted(result.run_seconds for result in succeeded)
+    run_total = sum(run_times)
+    run_avg = run_total / len(run_times) if run_times else 0.0
+    run_max = run_times[-1] if run_times else 0.0
+    wait_avg = sum(r.wait_seconds for r in succeeded) / len(succeeded) if succeeded else 0.0
+    hits, misses = int(cache_stats.get("hits", 0)), int(cache_stats.get("misses", 0))
+    lines = [
+        "Cleaning service summary",
+        "------------------------",
+        f"jobs        : {len(jobs)} submitted, {len(succeeded)} succeeded, "
+        f"{failed} failed, {cancelled} cancelled",
+        f"volume      : {rows} rows cleaned, "
+        f"{sum(r.cell_repairs for r in succeeded)} cells repaired, "
+        f"{sum(r.removed_rows for r in succeeded)} rows removed",
+        f"llm         : {sum(r.llm_calls for r in succeeded)} calls"
+        + (
+            f"; cache {hits} hits / {misses} misses "
+            f"({float(cache_stats.get('hit_rate', 0.0)):.0%} hit rate, "
+            f"{int(cache_stats.get('size', 0))} entries)"
+            if hits or misses
+            else ""
+        ),
+        f"throughput  : {len(succeeded) / wall if wall > 0 else 0.0:.2f} jobs/s, "
+        f"{rows / wall if wall > 0 else 0.0:.0f} rows/s over {wall:.2f}s wall time",
+        f"latency     : avg {run_avg:.2f}s, p50 {percentile(run_times, 0.5):.2f}s, "
+        f"max {run_max:.2f}s per job (avg queue wait {wait_avg:.2f}s)",
+    ]
+    if wall > 0 and len(succeeded) > 1:
+        lines.append(
+            f"concurrency : {run_total / wall:.2f}x speedup over summed job runtimes"
+        )
+    return "\n".join(lines)

@@ -188,6 +188,7 @@ class CleaningService:
             name=name or table.name or "",
             metadata=dict(metadata) if metadata else {},
         )
+        job.on_settle = self._record
         with self._lock:
             if self._closed:
                 raise RuntimeError("service has been shut down")
@@ -221,13 +222,15 @@ class CleaningService:
 
     def cancel(self, job: CleaningJob) -> bool:
         """Cancel a queued job; running jobs are not interrupted."""
-        cancelled = job.cancel()
-        if cancelled and job.result is not None:
-            self._record(job.result)
-        return cancelled
+        return job.cancel()
 
     def _record(self, result: JobResult) -> None:
-        """Count one settled or cancelled job into the registry."""
+        """Count one settled or cancelled job into the registry.
+
+        Every job the service creates settles through this hook exactly once,
+        whether it finished, failed or was cancelled through ``job.cancel()``,
+        :meth:`cancel` or an exception leaving the ``with`` block.
+        """
         self._finished.inc(status=result.status.value)
         if result.status is JobStatus.SUCCEEDED:
             self._rows.inc(result.rows)
@@ -324,7 +327,6 @@ class CleaningService:
         if result.error:
             sp.annotate(error=result.error.splitlines()[0])
         job.finish(result)
-        self._record(result)
 
     def _execute(self, job: CleaningJob) -> CleaningResult:
         llm = CachingLLMClient(self.llm_factory(), store=self.cache)

@@ -38,9 +38,14 @@ class TestArgumentValidation:
             main(["matrix", "--refresh"])
         assert excinfo.value.code == 2
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--workers", "0"])
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--no-resume"]])
+    def test_removed_grid_flags_rejected(self, flag, capsys):
+        # The grid runs sequentially and writes --out once; the pool and
+        # resume flags are gone, so argparse rejects them.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["matrix"] + flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_bad_scale_rejected(self, scale, capsys):
@@ -70,22 +75,28 @@ class TestArtifactOutput:
         assert main(["figure-f1"] + ARGS_FAST) == 0
         assert "F1 comparison across systems" in capsys.readouterr().out
 
-    def test_matrix_prints_summary_and_writes_store(self, tmp_path, capsys):
+    def test_matrix_prints_summary_and_writes_the_run_once(self, tmp_path, capsys):
         out_path = tmp_path / "results.json"
-        code = main(["matrix", "--workers", "2", "--out", str(out_path)] + ARGS_FAST)
+        # A stale document at the path is replaced, never resumed from.
+        out_path.write_text(json.dumps({"cells": {"table1/stale": {}}}))
+        code = main(["matrix", "--out", str(out_path)] + ARGS_FAST)
         captured = capsys.readouterr()
         assert code == 0
-        assert "matrix:" in captured.out
+        summary = captured.out.strip().splitlines()[-1]
+        assert summary.startswith("matrix: 5 cells in 3 repair groups; wall ")
+        assert summary.endswith(" 0 LLM calls")
         document = json.loads(out_path.read_text())
         assert document["schema_version"] == 1
-        assert len(document["cells"]) > 0
-
-    def test_matrix_resumes_from_the_store(self, tmp_path, capsys):
-        out_path = tmp_path / "results.json"
-        assert main(["matrix", "--out", str(out_path)] + ARGS_FAST) == 0
-        capsys.readouterr()
-        assert main(["matrix", "--out", str(out_path)] + ARGS_FAST) == 0
-        assert "0 run" in capsys.readouterr().out
+        assert document["config"]["datasets"] == ["hospital"]
+        assert sorted(document["cells"]) == [
+            "table1/hospital/CleanAgent/seed=0/scale=0.03",
+            "table1/hospital/RetClean/seed=0/scale=0.03",
+            "table2/hospital/census/seed=0/scale=0.03",
+            "table3/hospital/CleanAgent/seed=0/scale=0.03",
+            "table3/hospital/RetClean/seed=0/scale=0.03",
+        ]
+        for cell in document["cells"].values():
+            assert set(cell["timing"]) == {"runtime_seconds"}
 
 
 class TestGoldenWorkflow:
@@ -96,9 +107,12 @@ class TestGoldenWorkflow:
         assert "refreshed" in capsys.readouterr().out
 
         # The check reruns the config recorded in the corpus, whatever the CLI says.
-        check = ["matrix", "--golden", "--golden-path", str(golden_path), "--workers", "2"]
+        out_path = tmp_path / "results.json"
+        check = ["matrix", "--golden", "--golden-path", str(golden_path), "--out", str(out_path)]
         assert main(check) == 0
         assert "passed" in capsys.readouterr().out
+        # A golden check still writes the run it checked (CI uploads it).
+        assert json.loads(out_path.read_text())["cells"].keys() == json.loads(golden_path.read_text())["cells"].keys()
 
         document = json.loads(golden_path.read_text())
         cell_id = next(iter(document["cells"]))

@@ -1,10 +1,8 @@
-"""The experiment-matrix engine: grid building, dedup, resume, accounting."""
+"""The experiment-matrix engine: grid building, dedup, accounting."""
 
 from __future__ import annotations
 
-import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.experiments.matrix import (
     CellSpec,
     ExperimentMatrix,
     MatrixJobError,
-    ResultsStore,
     UnknownNameError,
     build_grid,
     canonical_json,
@@ -86,15 +83,10 @@ class TestGridBuilding:
 class TestMatrixRun:
     @pytest.fixture(scope="class")
     def run(self):
-        matrix = ExperimentMatrix(
-            datasets=["hospital"], seed=SEED, scale=SCALE, workers=2
-        )
-        return matrix.run()
+        return ExperimentMatrix(datasets=["hospital"], seed=SEED, scale=SCALE).run()
 
     def test_every_cell_completes(self, run):
         assert run.stats.cells_total == 5 + 1 + 5  # table1 + census + table3
-        assert run.stats.cells_run == run.stats.cells_total
-        assert run.stats.cells_resumed == 0
         assert [c.cell_id for c in run.cells] == [
             s.cell_id for s in build_grid(datasets=["hospital"], seed=SEED, scale=SCALE)
         ]
@@ -112,7 +104,6 @@ class TestMatrixRun:
         assert cocoon.deterministic["repaired"] > 0
         assert cocoon.timing["runtime_seconds"] > 0
         assert run.stats.llm_calls >= cocoon.deterministic["llm_calls"]
-        assert run.stats.job_seconds_total > 0
         assert run.stats.wall_seconds > 0
 
     def test_table3_scores_differ_from_table1_on_shared_repair(self, run):
@@ -121,67 +112,62 @@ class TestMatrixRun:
         # Same repair, different conventions: the error denominators differ.
         assert one.deterministic["total_errors"] != three.deterministic["total_errors"]
 
-    def test_as_system_result_roundtrip(self, run):
+    def test_cells_keep_the_result_they_scored(self, run):
         results = run.results_for("table1")
         assert [r.system for r in results] == [
             "HoloClean", "Raha+Baran", "CleanAgent", "RetClean", "Cocoon"
         ]
-        census = next(c for c in run.cells if c.table == "table2")
-        assert census.as_system_result() is None
-        assert census.deterministic["column_type"] > 0
+        for cell in run.cells:
+            if cell.table == "table2":
+                assert cell.result is None
+                assert cell.deterministic["column_type"] > 0
+            else:
+                record = cell.result.to_dict()
+                assert record.pop("runtime_seconds") == cell.timing["runtime_seconds"]
+                assert record == cell.deterministic
 
     def test_golden_payload_has_no_timing(self, run):
         payload = run.golden_payload()
         text = canonical_json(payload)
         assert "runtime_seconds" not in text
-        assert "job_seconds" not in text
         assert "wall" not in text
         assert set(payload["cells"]) == {c.cell_id for c in run.cells}
 
 
-class TestResume:
-    def test_interrupted_grid_resumes_from_store(self, tmp_path):
-        path = tmp_path / "results.json"
-        first = ExperimentMatrix(
-            tables=["table1"], datasets=["hospital"], systems=["CleanAgent", "RetClean"],
-            seed=SEED, scale=SCALE, results_path=path,
-        ).run()
-        assert first.stats.cells_run == 2
-        second = ExperimentMatrix(
-            tables=["table1"], datasets=["hospital"],
-            systems=["CleanAgent", "RetClean", "HoloClean"],
-            seed=SEED, scale=SCALE, results_path=path,
-        ).run()
-        assert second.stats.cells_resumed == 2
-        assert second.stats.cells_run == 1
-        resumed = [c for c in second.cells if c.resumed]
-        assert {c.system for c in resumed} == {"CleanAgent", "RetClean"}
-        # Resumed deterministic payloads are byte-identical to the originals.
-        by_id = {c.cell_id: c for c in first.cells}
-        for cell in resumed:
-            assert cell.deterministic == by_id[cell.cell_id].deterministic
+class TestSequentialRun:
+    @pytest.fixture
+    def recorded_groups(self, monkeypatch):
+        """(thread id, first cell id) of every repair group the matrix runs."""
+        calls = []
+        run_cells = ExperimentMatrix._run_cells
 
-    def test_no_resume_recomputes(self, tmp_path):
-        path = tmp_path / "results.json"
-        config = dict(tables=["table1"], datasets=["hospital"], systems=["RetClean"],
-                      seed=SEED, scale=SCALE, results_path=path)
-        ExperimentMatrix(**config).run()
-        rerun = ExperimentMatrix(resume=False, **config).run()
-        assert rerun.stats.cells_resumed == 0
-        assert rerun.stats.cells_run == 1
+        def recording(self, cells):
+            calls.append((threading.get_ident(), cells[0].cell_id))
+            return run_cells(self, cells)
 
-    def test_store_survives_and_orders_cells(self, tmp_path):
-        path = tmp_path / "results.json"
-        store = ResultsStore(path)
-        store.configure({"seed": 1})
-        store.record(CellResult("table1", "hospital", "Cocoon", 1, 0.1, {"f1": 0.5}))
-        store.record(CellResult("table1", "beers", "Cocoon", 1, 0.1, {"f1": 0.25}))
-        document = json.loads(path.read_text())
-        assert document["schema_version"] == 1
-        assert list(document["cells"]) == sorted(document["cells"])
-        reloaded = ResultsStore(path)
-        assert len(reloaded) == 2
-        assert reloaded.get("table1/hospital/Cocoon/seed=1/scale=0.1")["deterministic"] == {"f1": 0.5}
+        monkeypatch.setattr(ExperimentMatrix, "_run_cells", recording)
+        return calls
+
+    def test_every_repair_group_runs_on_the_calling_thread(self, recorded_groups):
+        run = ExperimentMatrix(
+            tables=["table1", "table2"], datasets=["hospital"], systems=["CleanAgent", "RetClean"],
+            seed=SEED, scale=SCALE,
+        ).run()
+        assert len(recorded_groups) == run.stats.repair_groups == 3
+        assert {thread for thread, _ in recorded_groups} == {threading.get_ident()}
+
+    def test_repair_groups_run_in_grid_order(self, recorded_groups):
+        matrix = ExperimentMatrix(
+            datasets=["hospital", "beers"], systems=["CleanAgent", "RetClean"],
+            seed=SEED, scale=SCALE,
+        )
+        matrix.run()
+        first_cells, seen = [], set()
+        for spec in matrix.grid:
+            if spec.repair_key not in seen:
+                seen.add(spec.repair_key)
+                first_cells.append(spec.cell_id)
+        assert [cell_id for _, cell_id in recorded_groups] == first_cells
 
 
 class TestFailuresAndDiff:
@@ -201,44 +187,31 @@ class TestFailuresAndDiff:
             matrix.run()
         assert "synthetic failure" in str(excinfo.value)
 
-    def test_interrupt_cancels_jobs_not_yet_started(self, monkeypatch):
-        gate, entered = threading.Event(), threading.Event()
-        started = []
-        executors = []
+    def test_every_failed_group_is_listed(self, monkeypatch):
+        from repro.experiments import matrix as matrix_module
 
-        def gated_job(self, cells):
-            started.append(cells)
-            entered.set()
-            assert gate.wait(timeout=30), "test gate was never opened"
-            return []
+        real_load = matrix_module.load_dataset
+        loaded = []
 
-        class InterruptedExecutor(ThreadPoolExecutor):
-            """Raises KeyboardInterrupt, as Ctrl-C would, while the grid runs."""
+        def fail_beers(name, **kwargs):
+            loaded.append(name)
+            if name == "beers":
+                raise RuntimeError(f"synthetic failure on {name}")
+            return real_load(name, **kwargs)
 
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                executors.append(self)
-
-            def shutdown(self, wait=True, **kwargs):
-                if wait and not gate.is_set():
-                    assert entered.wait(timeout=30)
-                    raise KeyboardInterrupt
-                super().shutdown(wait=wait, **kwargs)
-
-        monkeypatch.setattr("repro.experiments.matrix.ThreadPoolExecutor", InterruptedExecutor)
-        monkeypatch.setattr(ExperimentMatrix, "_run_job", gated_job)
+        monkeypatch.setattr(matrix_module, "load_dataset", fail_beers)
         matrix = ExperimentMatrix(
-            tables=["table1"], datasets=["hospital", "beers", "flights"], systems=["RetClean"],
-            seed=SEED, scale=SCALE, workers=1,
+            tables=["table1"], datasets=["beers", "hospital"], systems=["CleanAgent", "RetClean"],
+            seed=SEED, scale=SCALE,
         )
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                matrix.run()
-        finally:
-            gate.set()
-        (executor,) = executors
-        executor.shutdown(wait=True)
-        assert len(started) == 1
+        with pytest.raises(MatrixJobError) as excinfo:
+            matrix.run()
+        message = str(excinfo.value)
+        assert message.startswith("2 repair group(s) failed")
+        assert "table1/beers/CleanAgent" in message and "table1/beers/RetClean" in message
+        assert "hospital" not in message
+        # A failing group does not stop the groups after it.
+        assert loaded == ["beers", "beers", "hospital", "hospital"]
 
     def test_diff_golden_reports_field_level_changes(self):
         cells = [CellResult("table1", "hospital", "Cocoon", 0, 0.1, {"f1": 0.9, "notes": "x"})]

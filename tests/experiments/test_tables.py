@@ -7,10 +7,10 @@ import pytest
 from repro.evaluation.metrics import Scores
 from repro.evaluation.runner import SystemResult
 from repro.experiments.figures import ascii_bar_chart, f1_series
-from repro.experiments.matrix import UnknownNameError
-from repro.experiments.table1 import PAPER_TABLE1, format_table1, run_table1
+from repro.experiments.matrix import ExperimentMatrix, UnknownNameError, build_grid
+from repro.experiments.table1 import PAPER_TABLE1, format_table1
 from repro.experiments.table2 import PAPER_TABLE2, format_table2
-from repro.experiments.table3 import format_table3, run_table3
+from repro.experiments.table3 import format_table3
 
 
 def result(system, dataset, p, r, f, sampled=None, notes=""):
@@ -69,7 +69,7 @@ class TestFormatTable1:
 
     def test_unknown_system_restriction_raises(self):
         with pytest.raises(UnknownNameError, match="Imaginary"):
-            run_table1(scale=0.03, systems=["Imaginary"])
+            build_grid(tables=["table1"], systems=["Imaginary"], scale=0.03)
 
 
 class TestFormatTable2:
@@ -98,7 +98,7 @@ class TestFormatTable3:
 
     def test_unknown_system_restriction_raises(self):
         with pytest.raises(UnknownNameError, match="Imaginary"):
-            run_table3(scale=0.03, systems=["Imaginary"])
+            ExperimentMatrix(tables=["table3"], systems=["Imaginary"], scale=0.03)
 
 
 class TestFigures:

@@ -5,7 +5,7 @@ import pytest
 from repro.datasets import load_dataset
 from repro.evaluation import EvaluationConventions
 from repro.evaluation.runner import ExperimentRunner
-from repro.experiments import f1_series, format_table1, format_table2, format_table3, run_table2
+from repro.experiments import ExperimentMatrix, f1_series, format_table1, format_table2, format_table3
 from repro.experiments.figures import ascii_bar_chart, workflow_trace
 from repro.core import CocoonCleaner
 
@@ -70,7 +70,7 @@ class TestExtendedEvaluation:
 
 class TestExperimentFormatting:
     def test_table2_census(self):
-        rows = run_table2(scale=SCALE, seed=SEED)
+        rows = ExperimentMatrix(tables=["table2"], seed=SEED, scale=SCALE).run().table2_rows()
         assert set(rows) == {"hospital", "movies"}
         assert rows["hospital"]["column_type"] > 0
         text = format_table2(rows)

@@ -9,12 +9,14 @@ gate and reads the order back from ``started_at``.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
 
 from repro.dataframe import Table
 from repro.llm import SimulatedSemanticLLM
+from repro.obs.metrics import MetricsRegistry
 from repro.service import CleaningJob, CleaningService, JobStatus
 
 
@@ -124,6 +126,35 @@ class TestRunOrder:
             gate.set()
         assert blocker.wait(timeout=60).status is JobStatus.SUCCEEDED
         assert [job.started_at for job in queued] == [None, None]
+
+    @pytest.mark.parametrize("path", ["job.cancel", "service.cancel", "exception"])
+    def test_each_cancellation_is_counted_once(self, path):
+        registry = MetricsRegistry()
+        gate, entered = threading.Event(), threading.Event()
+        service = CleaningService(
+            workers=1, llm_factory=lambda: _GatedLLM(gate, entered), metrics_registry=registry
+        )
+        finished = registry.get("repro_service_jobs_total")
+        try:
+            with pytest.raises(KeyboardInterrupt) if path == "exception" else contextlib.nullcontext(), service:
+                blocker = service.submit(_table("blocker"))
+                queued = service.submit(_table("queued"))
+                assert entered.wait(timeout=30), "the blocker never reached the model"
+                if path == "job.cancel":
+                    assert queued.cancel()
+                elif path == "service.cancel":
+                    assert service.cancel(queued)
+                else:
+                    raise KeyboardInterrupt
+                gate.set()
+        finally:
+            gate.set()
+        assert blocker.wait(timeout=60).status is JobStatus.SUCCEEDED
+        assert queued.status is JobStatus.CANCELLED
+        # A second cancel, by either path, is refused and counts nothing.
+        assert not queued.cancel() and not service.cancel(queued)
+        assert finished.value(status="cancelled") == 1
+        assert finished.value(status="succeeded") == 1
 
     def test_shutdown_of_an_idle_service_returns(self):
         service = CleaningService(workers=2)

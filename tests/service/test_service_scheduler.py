@@ -13,10 +13,10 @@ import threading
 import pytest
 
 from repro import CleaningService, CocoonCleaner, JobStatus, dataset_names, load_dataset
-from repro.core.report import render_service_summary
 from repro.dataframe import Table
 from repro.llm import SimulatedSemanticLLM
 from repro.obs.metrics import MetricsRegistry
+from repro.service import render_service_summary
 
 SCALE = 0.05
 SEED = 0

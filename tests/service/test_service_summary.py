@@ -14,10 +14,9 @@ from typing import Dict, List
 
 import pytest
 
-from repro.core.report import render_service_summary
 from repro.dataframe import Table
 from repro.obs.metrics import percentile
-from repro.service.jobs import CleaningJob, JobResult, JobStatus
+from repro.service.jobs import CleaningJob, JobResult, JobStatus, render_service_summary
 
 _TABLE = Table.from_dict("t", {"a": ["1"]})
 
