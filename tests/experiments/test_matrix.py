@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import threading
 
 import pytest
@@ -74,6 +75,13 @@ class TestGridBuilding:
     def test_scale_must_be_finite_and_positive(self, scale):
         with pytest.raises(ValueError, match="scale must be a finite number > 0"):
             ExperimentMatrix(tables=["table2"], datasets=["hospital"], scale=scale)
+
+    def test_settable_values_are_the_grid_axes(self):
+        # The grid runs sequentially and in memory: no pool size, store or
+        # resume switch is settable.
+        assert list(inspect.signature(ExperimentMatrix).parameters) == [
+            "tables", "datasets", "systems", "seed", "scale"
+        ]
 
     def test_validate_names_passthrough(self):
         assert validate_names("dataset", None, ["a", "b"]) == ["a", "b"]
