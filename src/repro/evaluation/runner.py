@@ -171,11 +171,9 @@ class ExperimentRunner:
 
     def __init__(
         self,
-        conventions: Optional[EvaluationConventions] = None,
         systems: Optional[Dict[str, Callable[[], CleaningSystem]]] = None,
         seed: int = 0,
     ):
-        self.conventions = conventions or EvaluationConventions.paper_main()
         self.system_factories = systems or default_systems()
         self.seed = seed
 
@@ -242,13 +240,14 @@ class ExperimentRunner:
 
         ``clean_override`` substitutes the ground truth (used by the Table 3
         evaluation, which scores against the extended clean table);
-        ``conventions`` overrides the runner-level default, so one outcome
-        can be scored under both the lenient and the strict conventions.
+        ``conventions`` defaults to the paper's main (lenient) conventions,
+        so one outcome can be scored under both the lenient and the strict
+        conventions.
         """
         clean = clean_override if clean_override is not None else dataset.clean
         if outcome.sampled_rows is not None:
             clean = clean.head(outcome.sampled_rows)
-        conv = conventions or self.conventions
+        conv = conventions or EvaluationConventions.paper_main()
         scores = evaluate_repairs(outcome.dirty, clean, outcome.output.repairs, conv)
         return SystemResult(
             system=outcome.system,
@@ -262,15 +261,10 @@ class ExperimentRunner:
             llm_calls=outcome.output.llm_calls,
         )
 
-    def run_system(
-        self,
-        system_name: str,
-        dataset: BenchmarkDataset,
-        clean_override: Optional[Table] = None,
-    ) -> SystemResult:
-        """Run one system on one dataset and score it (repair + score)."""
-        outcome = self.run_repair(system_name, dataset)
-        return self.score_repair(outcome, dataset, clean_override=clean_override)
+    def run_system(self, system_name: str, dataset: BenchmarkDataset) -> SystemResult:
+        """Run one system on one dataset and score it against its clean
+        table under the main conventions (repair + score)."""
+        return self.score_repair(self.run_repair(system_name, dataset), dataset)
 
     @staticmethod
     def _restrict_context(context: SystemContext, rows: int) -> SystemContext:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.evaluation.runner import SystemResult
+from repro.evaluation.runner import SystemResult, default_systems
 
 #: The paper's reported numbers, used by EXPERIMENTS.md and the shape checks.
 PAPER_TABLE1: Dict[str, Dict[str, tuple]] = {
@@ -20,20 +20,44 @@ PAPER_TABLE1: Dict[str, Dict[str, tuple]] = {
                    "rayyan": (0.88, 0.84, 0.86), "movies": (0.91, 0.83, 0.87)},
 }
 
-SYSTEM_ORDER = ["HoloClean", "Raha+Baran", "CleanAgent", "RetClean", "Cocoon"]
+
+def result_grid(
+    results: List[SystemResult],
+) -> Tuple[List[str], List[str], Dict[Tuple[str, str], SystemResult]]:
+    """``(datasets, systems, results by (system, dataset))`` of a results table.
+
+    Datasets keep their first-seen order; systems follow
+    :func:`~repro.evaluation.runner.default_systems`, the paper's
+    presentation order, and a system outside it is not shown.
+    """
+    datasets: List[str] = []
+    for result in results:
+        if result.dataset not in datasets:
+            datasets.append(result.dataset)
+    present = {r.system for r in results}
+    systems = [s for s in default_systems() if s in present]
+    return datasets, systems, {(r.system, r.dataset): r for r in results}
+
+
+def paper_f1_lines(paper: Dict[str, Dict[str, tuple]], systems: List[str], datasets: List[str]) -> List[str]:
+    """The "Paper-reported F1" block under a table, F1 in each dataset's F column."""
+    lines = ["", "Paper-reported F1 for comparison:"]
+    for system in systems:
+        reported = paper.get(system, {})
+        row = system.ljust(12)
+        for dataset in datasets:
+            values = reported.get(dataset)
+            row += f"{'':7}{'':7}{values[2]:6.2f} " if values else " " * 21
+        lines.append(row)
+    return lines
 
 
 def format_table1(results: List[SystemResult], include_paper: bool = True) -> str:
     """Render results in the layout of the paper's Table 1."""
-    datasets = []
-    for result in results:
-        if result.dataset not in datasets:
-            datasets.append(result.dataset)
-    by_key = {(r.system, r.dataset): r for r in results}
+    datasets, systems, by_key = result_grid(results)
     header = "System".ljust(12) + "".join(f"{d:^21}" for d in datasets)
     subheader = " " * 12 + "".join(f"{'P':^7}{'R':^7}{'F':^7}" for _ in datasets)
     lines = ["Table 1: data cleaning performance (precision, recall, F1)", header, subheader, "-" * len(subheader)]
-    systems = [s for s in SYSTEM_ORDER if any(r.system == s for r in results)]
     for system in systems:
         row = system.ljust(12)
         for dataset in datasets:
@@ -46,14 +70,6 @@ def format_table1(results: List[SystemResult], include_paper: bool = True) -> st
             row += f"{p:6.2f}{star}{r:6.2f} {f:6.2f} "
         lines.append(row)
     if include_paper:
-        lines.append("")
-        lines.append("Paper-reported F1 for comparison:")
-        for system in systems:
-            paper = PAPER_TABLE1.get(system, {})
-            row = system.ljust(12)
-            for dataset in datasets:
-                values = paper.get(dataset)
-                row += f"{'':7}{'':7}{values[2]:6.2f} " if values else " " * 21
-            lines.append(row)
+        lines.extend(paper_f1_lines(PAPER_TABLE1, systems, datasets))
     lines.append("* evaluated on the first 1000 rows (memory / file-size limit), as in the paper")
     return "\n".join(lines)

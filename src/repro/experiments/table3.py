@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.evaluation.runner import SystemResult
+from repro.experiments.table1 import paper_f1_lines, result_grid
 
 #: Paper-reported numbers for reference.
 PAPER_TABLE3: Dict[str, Dict[str, tuple]] = {
@@ -23,20 +24,14 @@ PAPER_TABLE3: Dict[str, Dict[str, tuple]] = {
     "Cocoon": {"hospital": (0.99, 0.99, 0.99), "movies": (0.96, 0.91, 0.93)},
 }
 
-SYSTEM_ORDER = ["HoloClean", "Raha+Baran", "CleanAgent", "RetClean", "Cocoon"]
-
 
 def format_table3(results: List[SystemResult], include_paper: bool = True) -> str:
-    datasets: List[str] = []
-    for result in results:
-        if result.dataset not in datasets:
-            datasets.append(result.dataset)
-    by_key = {(r.system, r.dataset): r for r in results}
+    """Render results in the layout of the paper's Table 3."""
+    datasets, systems, by_key = result_grid(results)
     header = "Approach".ljust(12) + "".join(f"{d:^21}" for d in datasets)
     subheader = " " * 12 + "".join(f"{'P':^7}{'R':^7}{'F':^7}" for _ in datasets)
     lines = ["Table 3: comparison when column-type and DMV errors are counted",
              header, subheader, "-" * len(subheader)]
-    systems = [s for s in SYSTEM_ORDER if any(r.system == s for r in results)]
     for system in systems:
         row = system.ljust(12)
         for dataset in datasets:
@@ -48,13 +43,5 @@ def format_table3(results: List[SystemResult], include_paper: bool = True) -> st
             row += f"{p:6.2f} {r:6.2f} {f:6.2f} "
         lines.append(row)
     if include_paper:
-        lines.append("")
-        lines.append("Paper-reported F1 for comparison:")
-        for system in systems:
-            paper = PAPER_TABLE3.get(system, {})
-            row = system.ljust(12)
-            for dataset in datasets:
-                values = paper.get(dataset)
-                row += f"{'':7}{'':7}{values[2]:6.2f} " if values else " " * 21
-            lines.append(row)
+        lines.extend(paper_f1_lines(PAPER_TABLE3, systems, datasets))
     return "\n".join(lines)

@@ -111,6 +111,9 @@ class CleaningService:
         # settled ones are retained (oldest-first eviction beyond
         # ``MAX_RETAINED_JOBS``) so network callers can fetch results later.
         self._jobs_by_id: "OrderedDict[int, CleaningJob]" = OrderedDict()
+        # Jobs accepted and not yet settled: ``submit`` adds one, ``_record``
+        # takes it back off.  Guarded by ``_lock``.
+        self._unfinished = 0
         self._lock = threading.Lock()
         registry = metrics_registry if metrics_registry is not None else MetricsRegistry()
         self._submitted = registry.counter(
@@ -192,13 +195,12 @@ class CleaningService:
         with self._lock:
             if self._closed:
                 raise RuntimeError("service has been shut down")
-            if self.max_pending_jobs is not None:
-                pending = sum(1 for tracked in self._jobs_by_id.values() if not tracked.done)
-                if pending >= self.max_pending_jobs:
-                    raise ServiceSaturated(
-                        f"service already has {pending} unfinished jobs "
-                        f"(max_pending_jobs={self.max_pending_jobs})"
-                    )
+            if self.max_pending_jobs is not None and self._unfinished >= self.max_pending_jobs:
+                raise ServiceSaturated(
+                    f"service already has {self._unfinished} unfinished jobs "
+                    f"(max_pending_jobs={self.max_pending_jobs})"
+                )
+            self._unfinished += 1
             self._jobs_by_id[job.job_id] = job
             # Unsettled jobs are never evicted, so the registry can only
             # exceed the cap by the (admission-bounded) in-flight count.
@@ -231,6 +233,8 @@ class CleaningService:
         whether it finished, failed or was cancelled through ``job.cancel()``,
         :meth:`cancel` or an exception leaving the ``with`` block.
         """
+        with self._lock:
+            self._unfinished -= 1
         self._finished.inc(status=result.status.value)
         if result.status is JobStatus.SUCCEEDED:
             self._rows.inc(result.rows)
@@ -257,9 +261,9 @@ class CleaningService:
 
     @property
     def pending_jobs(self) -> int:
-        """Number of tracked jobs that have not reached a terminal state."""
+        """Number of accepted jobs that have not reached a terminal state."""
         with self._lock:
-            return sum(1 for job in self._jobs_by_id.values() if not job.done)
+            return self._unfinished
 
     @property
     def queue_depth(self) -> int:

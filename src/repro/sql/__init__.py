@@ -8,19 +8,16 @@ cleaner renders.  It has two consumers in the cleaning path, and both run
 :meth:`repro.core.plan.PlanStep.render` output and nothing else:
 ``CleaningOperator.apply_step`` executes each step as an operator applies
 it, and ``CleaningPlan.replay`` re-runs the row-local steps on new rows.
-The test suite's pattern-count oracle adds one query shape, a filtered
-``COUNT(*)``.  The surface is:
+The surface is:
 
 * ``CREATE [OR REPLACE] TABLE name AS SELECT`` and bare ``SELECT``
-* ``*`` or ``expr [AS alias]`` select items, or a lone ``COUNT(*)``
+* ``*`` or ``expr [AS alias]`` select items
 * ``FROM`` one table name, or no ``FROM`` at all
-* ``WHERE`` and ``QUALIFY ROW_NUMBER() OVER (PARTITION BY … ORDER BY expr
-  [DESC]) = 1``
+* ``QUALIFY ROW_NUMBER() OVER (PARTITION BY … ORDER BY expr [DESC]) = 1``
 * integer, float, string, ``NULL``, ``TRUE`` and ``FALSE`` literals, unary
   minus, bare and double-quoted identifiers
-* simple and searched ``CASE``, ``CAST(expr AS type)``, ``[NOT] IN``
-* the comparison operators, ``AND``, ``OR``, ``NOT`` and
-  ``REGEXP_FULL_MATCH``
+* simple and searched ``CASE``, ``CAST(expr AS type)`` and ``IN``
+* the comparison operators and ``OR``
 
 Anything else raises :class:`ParseError`.  The entry point is
 :class:`repro.sql.database.Database`, whose ``sql`` runs statement text or a

@@ -31,19 +31,14 @@ class Star(Expression):
 
 
 @dataclass
-class CountStar(Expression):
-    """``COUNT(*)``, the whole select list of a counting query."""
-
-
-@dataclass
 class UnaryOp(Expression):
-    op: str          # 'NOT', '-'
+    op: str          # '-'
     operand: Expression
 
 
 @dataclass
 class BinaryOp(Expression):
-    op: str          # '=', '<>', '<', '>', '<=', '>=', 'AND', 'OR'
+    op: str          # '=', '<>', '<', '>', '<=', '>=', 'OR'
     left: Expression
     right: Expression
 
@@ -52,7 +47,6 @@ class BinaryOp(Expression):
 class InList(Expression):
     operand: Expression
     items: List[Expression]
-    negated: bool = False
 
 
 @dataclass
@@ -67,12 +61,6 @@ class CaseWhen(Expression):
 class Cast(Expression):
     operand: Expression
     target: ColumnType
-
-
-@dataclass
-class FunctionCall(Expression):
-    name: str
-    args: List[Expression]
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +84,6 @@ class FirstPerPartition:
 class Select:
     items: List[SelectItem]
     from_table: Optional[str] = None
-    where: Optional[Expression] = None
     qualify: Optional[FirstPerPartition] = None
 
 

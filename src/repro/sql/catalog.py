@@ -3,9 +3,11 @@
 A :class:`Catalog` is the single source of truth for which
 :class:`~repro.dataframe.table.Table` objects a query can see.  The
 :class:`~repro.sql.executor.Executor` resolves every ``FROM`` name through
-it, ``CREATE TABLE … AS`` registers into it, and
-:meth:`~repro.sql.database.Database.drop_table` removes from it.  Each :class:`~repro.sql.database.Database` owns exactly one
-catalog; nothing here is shared across databases.
+it, and both :meth:`~repro.sql.database.Database.register` and
+``CREATE [OR REPLACE] TABLE … AS`` register into it; a table leaves it only
+by being replaced under its name.  Each
+:class:`~repro.sql.database.Database` owns exactly one catalog; nothing
+here is shared across databases.
 """
 
 from __future__ import annotations
@@ -51,15 +53,6 @@ class Catalog:
     def has(self, name: str) -> bool:
         """Whether a table of this name is registered."""
         return self._key(name) in self._tables
-
-    def drop(self, name: str, if_exists: bool = False) -> None:
-        """Remove a table; with ``if_exists`` a missing name is a no-op."""
-        key = self._key(name)
-        if key not in self._tables:
-            if if_exists:
-                return
-            raise CatalogError(f"Cannot drop missing table {name!r}")
-        del self._tables[key]
 
     def table_names(self) -> List[str]:
         """Registered table names (original casing), sorted."""

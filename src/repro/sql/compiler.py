@@ -15,7 +15,7 @@ Compile-time work never changes what a statement means:
 
 * every null/short-circuit/error behaviour follows SQL's three-valued logic
   through the same shared helpers (``sql_equal``, ``compare_values``,
-  ``coerce_value``, ``call_scalar``);
+  ``coerce_value``);
 * errors stay **eval-time**: an unknown column, or an expression node the
   compiler does not know, compiles into a *raising closure*, so a query
   over an empty table raises exactly when a row is evaluated (never).
@@ -37,14 +37,12 @@ from repro.sql.ast_nodes import (
     Cast,
     ColumnRef,
     Expression,
-    FunctionCall,
     InList,
     Literal,
     UnaryOp,
 )
 from repro.sql.comparison import compare_values, parse_num, sql_equal
 from repro.sql.errors import ExecutionError
-from repro.sql.functions import call_scalar
 
 ScalarFn = Callable[[int], Any]
 
@@ -94,27 +92,10 @@ class ColumnarBinding:
 
         if isinstance(expr, UnaryOp):
             operand_fn = self.compile(expr.operand)
-            op = expr.op
-            return lambda i: _apply_unary(op, operand_fn(i))
+            return lambda i: _negate(operand_fn(i))
 
         if isinstance(expr, BinaryOp):
             op = expr.op
-            if op == "AND":
-                left_fn = self.compile(expr.left)
-                right_fn = self.compile(expr.right)
-
-                def and_fn(i: int) -> Any:
-                    left = left_fn(i)
-                    if left is False:
-                        return False
-                    right = right_fn(i)
-                    if right is False:
-                        return False
-                    if is_null(left) or is_null(right):
-                        return None
-                    return _truthy(left) and _truthy(right)
-
-                return and_fn
             if op == "OR":
                 left_fn = self.compile(expr.left)
                 right_fn = self.compile(expr.right)
@@ -174,7 +155,6 @@ class ColumnarBinding:
 
         if isinstance(expr, InList):
             operand_fn = self.compile(expr.operand)
-            negated = expr.negated
             if all(isinstance(item, Literal) for item in expr.items):
                 # Constant fold: drop NULL literals (they can never match).
                 candidates = [item.value for item in expr.items if not is_null(item.value)]
@@ -183,8 +163,7 @@ class ColumnarBinding:
                     value = operand_fn(i)
                     if is_null(value):
                         return None
-                    found = any(sql_equal(value, item) for item in candidates)
-                    return (not found) if negated else found
+                    return any(sql_equal(value, item) for item in candidates)
 
                 return in_literals_fn
             item_fns = [self.compile(item) for item in expr.items]
@@ -196,8 +175,7 @@ class ColumnarBinding:
                 # Evaluate every item: an item that raises must raise even
                 # after a match.
                 items = [fn(i) for fn in item_fns]
-                found = any((not is_null(item)) and sql_equal(value, item) for item in items)
-                return (not found) if negated else found
+                return any((not is_null(item)) and sql_equal(value, item) for item in items)
 
             return in_fn
 
@@ -208,11 +186,6 @@ class ColumnarBinding:
             operand_fn = self.compile(expr.operand)
             target = expr.target
             return lambda i: coerce_value(operand_fn(i), target)
-
-        if isinstance(expr, FunctionCall):
-            name = expr.name
-            arg_fns = [self.compile(a) for a in expr.args]
-            return lambda i: call_scalar(name, [fn(i) for fn in arg_fns])
 
         message = f"Unsupported expression node: {type(expr).__name__}"
 
@@ -279,11 +252,10 @@ def _truthy(value: Any) -> bool:
     return bool(value)
 
 
-def _apply_unary(op: str, value: Any) -> Any:
+def _negate(value: Any) -> Any:
+    """Unary minus, the one unary operator; NULL stays NULL."""
     if is_null(value):
         return None
-    if op == "NOT":
-        return not _truthy(value)
     return -value
 
 

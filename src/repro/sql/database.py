@@ -38,9 +38,6 @@ class Database:
     def has_table(self, name: str) -> bool:
         return self.catalog.has(name)
 
-    def drop_table(self, name: str, if_exists: bool = True) -> None:
-        self.catalog.drop(name, if_exists=if_exists)
-
     def table_names(self) -> List[str]:
         return self.catalog.table_names()
 

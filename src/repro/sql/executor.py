@@ -9,16 +9,16 @@ Prepare once, run many times
 Every statement runs as a :class:`PreparedStatement`: its text is parsed
 once, and its SELECT's expressions compile once per source schema into
 closures (:mod:`repro.sql.compiler`).  The SELECT runs as one stage
-pipeline — scan → filter → qualify → count | project — with each stage
-present only when the statement asks for it.  A one-shot query is prepared
-and run once; a plan replaying the same statements batch after batch
-prepares them once and each batch only scans its table and evaluates the
-closures over its column vectors.  The filter and the qualify stage gather
-vectors by index, and projection reuses source vectors where it can; no
-stage builds a row dict.  Every table the executor builds types each column
-from its values, so a projection over such a table passes an unchanged
-column through as the same (immutable) ``Column`` object.  A SELECT without
-``FROM`` runs the same pipeline over one zero-column row.
+pipeline — scan → qualify → project — with the qualify stage present only
+when the statement has a ``QUALIFY``.  A one-shot query is prepared and run
+once; a plan replaying the same statements batch after batch prepares them
+once and each batch only scans its table and evaluates the closures over
+its column vectors.  The qualify stage gathers vectors by index, and
+projection reuses source vectors where it can; no stage builds a row dict.
+Every table the executor builds types each column from its values, so a
+projection over such a table passes an unchanged column through as the
+same (immutable) ``Column`` object.  A SELECT without ``FROM`` runs the
+same pipeline over one zero-column row.
 """
 
 from __future__ import annotations
@@ -35,17 +35,15 @@ from repro.sql.ast_nodes import (
     CaseWhen,
     Cast,
     ColumnRef,
-    CountStar,
     CreateTableAs,
     Expression,
-    FunctionCall,
     Select,
     Star,
     Statement,
 )
 from repro.obs import span as obs_span
 from repro.sql.catalog import Catalog
-from repro.sql.compiler import ColumnarBinding, ScalarFn, _truthy
+from repro.sql.compiler import ColumnarBinding, ScalarFn
 from repro.sql.parser import parse
 
 
@@ -99,16 +97,14 @@ class PreparedStatement:
 class _Program:
     """A SELECT compiled against one source schema.
 
-    A lone ``COUNT(*)`` item makes the count form, which projects nothing.
-    Otherwise each project item is ``None`` for ``*``, the slot of a column
-    passed through, or a closure.  ``lock`` serialises runs, because the
+    Each project item is ``None`` for ``*``, the slot of a column passed
+    through, or a closure.  ``lock`` serialises runs, because the
     binding holds the vectors of one run at a time.
     """
 
     def __init__(self, select: Select, names: Sequence[str]):
         binding = self.binding = ColumnarBinding(names)
         self.lock = threading.Lock()
-        self.filter = binding.compile(select.where) if select.where is not None else None
         self.partition: List[ScalarFn] = []
         self.order: Optional[ScalarFn] = None
         self.descending = False
@@ -117,10 +113,9 @@ class _Program:
             self.partition = [binding.compile(e) for e in first.partition_by]
             self.order = binding.compile(first.order_by)
             self.descending = first.descending
-        self.counts = isinstance(select.items[0].expression, CountStar)
         self.out_names = _output_names(select, names)
         self.items: List[Union[None, int, ScalarFn]] = []
-        for item in () if self.counts else select.items:
+        for item in select.items:
             expression = item.expression
             if isinstance(expression, Star):
                 self.items.append(None)
@@ -175,25 +170,12 @@ class Executor:
         Rows are represented as an index into parallel vectors until the
         very end; every stage emits its observability span.
         """
-        binding = program.binding
-        if program.filter is not None:
-            predicate = program.filter
-            with obs_span("sql.filter", rows_in=n) as sp:
-                keep = [i for i in range(n) if _truthy(predicate(i))]
-                vectors, n = _gather(vectors, keep, n)
-                binding.load(vectors)
-                sp.annotate(rows_out=n)
-
         if program.order is not None:
             with obs_span("sql.qualify", rows_in=n) as sp:
                 keep = _first_per_partition(program, n)
                 vectors, n = _gather(vectors, keep, n)
-                binding.load(vectors)
+                program.binding.load(vectors)
                 sp.annotate(rows_out=n)
-
-        if program.counts:
-            with obs_span("sql.aggregate", rows_in=n):
-                return self._emit(Table(result_name, [Column(program.out_names[0], [n])]))
 
         with obs_span("sql.project", rows_in=n) as sp:
             out_vectors: List[List[Any]] = []
@@ -215,9 +197,7 @@ class Executor:
                 columns.append(Column(name, vec))
             else:
                 columns.append(source if source.name == name else Column(name, vec, source.dtype))
-        return self._emit(Table(result_name, columns))
-
-    def _emit(self, table: Table) -> Table:
+        table = Table(result_name, columns)
         self._emitted[id(table)] = table
         return table
 
@@ -338,10 +318,6 @@ def _output_names(select: Select, source_columns: Sequence[str]) -> List[str]:
 
 
 def _expression_label(expr: Expression, index: int) -> str:
-    if isinstance(expr, FunctionCall):
-        return expr.name.lower()
-    if isinstance(expr, CountStar):
-        return "count"
     if isinstance(expr, Cast):
         inner = expr.operand
         if isinstance(inner, ColumnRef):

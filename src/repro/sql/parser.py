@@ -1,17 +1,15 @@
 """Recursive-descent parser producing :mod:`repro.sql.ast_nodes` trees.
 
-The grammar is what the cleaner renders plus the filtered count query of
-the test suite's pattern-count oracle::
+The grammar is what the cleaner renders::
 
     statement  := [CREATE [OR REPLACE] TABLE name AS] select [;]
-    select     := SELECT (COUNT(*) [AS name] | item {, item})
-                  [FROM name] [WHERE expr]
+    select     := SELECT item {, item} [FROM name]
                   [QUALIFY ROW_NUMBER() OVER (PARTITION BY expr {, expr}
                                               ORDER BY expr [DESC]) = 1]
     item       := * | expr [AS name]
-    expr       := OR / AND / NOT over comparisons (= <> != < > <= >=) and
-                  [NOT] IN (…), unary minus, literals, column names,
-                  CASE, CAST(expr AS type) and REGEXP_FULL_MATCH(expr, expr)
+    expr       := OR over comparisons (= <> != < > <= >=) and IN (…),
+                  unary minus, literals, column names, CASE and
+                  CAST(expr AS type)
 
 Anything else (another statement, clause, operator or function) raises
 :class:`~repro.sql.errors.ParseError` with the offending position.  The
@@ -31,11 +29,9 @@ from repro.sql.ast_nodes import (
     CaseWhen,
     Cast,
     ColumnRef,
-    CountStar,
     CreateTableAs,
     Expression,
     FirstPerPartition,
-    FunctionCall,
     InList,
     Literal,
     Select,
@@ -45,12 +41,11 @@ from repro.sql.ast_nodes import (
     UnaryOp,
 )
 from repro.sql.errors import ParseError
-from repro.sql.functions import SCALAR_FUNCTIONS
 from repro.sql.tokenizer import Token, TokenType, tokenize
 
 
-#: Tokens that are a whole primary expression on their own (an identifier
-#: followed by ``(`` is a call, but ``(`` never ends an expression).
+#: Tokens that are a whole primary expression on their own (``(`` never
+#: ends an expression, so ``name(`` takes the full climb and fails there).
 _LONE_TYPES = frozenset({TokenType.NUMBER, TokenType.STRING, TokenType.IDENTIFIER})
 _LONE_KEYWORDS = frozenset({"NULL", "TRUE", "FALSE"})
 #: Tokens after which no operator level continues an expression.
@@ -190,31 +185,22 @@ class Parser:
     # -- SELECT ----------------------------------------------------------------
     def _parse_select(self) -> Select:
         self._expect_keyword("SELECT")
-        if self._match_call("COUNT"):
-            self._expect_operator("*")
-            self._expect_punct(")")
-            items = [SelectItem(CountStar(), self._parse_alias())]
-        else:
-            items = [self._parse_select_item()]
-            while self._match_punct(","):
-                items.append(self._parse_select_item())
+        items = [self._parse_select_item()]
+        while self._match_punct(","):
+            items.append(self._parse_select_item())
         select = Select(items=items)
         if self._match_keyword("FROM"):
             select.from_table = self._expect_identifier()
-        if self._match_keyword("WHERE"):
-            select.where = self._parse_expression()
         if self._match_keyword("QUALIFY"):
             select.qualify = self._parse_first_per_partition()
         return select
-
-    def _parse_alias(self) -> Optional[str]:
-        return self._expect_identifier() if self._match_keyword("AS") else None
 
     def _parse_select_item(self) -> SelectItem:
         if self._match_operator("*"):
             return SelectItem(Star())
         expr = self._parse_expression()
-        return SelectItem(expr, self._parse_alias())
+        alias = self._expect_identifier() if self._match_keyword("AS") else None
+        return SelectItem(expr, alias)
 
     def _parse_first_per_partition(self) -> FirstPerPartition:
         if not self._match_call("ROW_NUMBER"):
@@ -258,21 +244,10 @@ class Parser:
         return self._parse_or()
 
     def _parse_or(self) -> Expression:
-        left = self._parse_and()
+        left = self._parse_comparison()
         while self._match_keyword("OR"):
-            left = BinaryOp("OR", left, self._parse_and())
+            left = BinaryOp("OR", left, self._parse_comparison())
         return left
-
-    def _parse_and(self) -> Expression:
-        left = self._parse_not()
-        while self._match_keyword("AND"):
-            left = BinaryOp("AND", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> Expression:
-        if self._match_keyword("NOT"):
-            return UnaryOp("NOT", self._parse_not())
-        return self._parse_comparison()
 
     def _parse_comparison(self) -> Expression:
         left = self._parse_unary()
@@ -282,9 +257,6 @@ class Parser:
                 op = "<>" if op == "!=" else op
                 left = BinaryOp(op, left, self._parse_unary())
                 continue
-            negated = self._check_keyword("NOT") and self._peek(1).is_keyword("IN")
-            if negated:
-                self._advance()
             if not self._match_keyword("IN"):
                 return left
             self._expect_punct("(")
@@ -292,7 +264,7 @@ class Parser:
             while self._match_punct(","):
                 items.append(self._parse_expression())
             self._expect_punct(")")
-            left = InList(left, items, negated)
+            left = InList(left, items)
 
     def _parse_unary(self) -> Expression:
         if self._match_operator("-"):
@@ -328,7 +300,8 @@ class Parser:
             self._expect_punct(")")
             return expr
         if token.type is TokenType.IDENTIFIER:
-            return self._parse_identifier_expression()
+            self._advance()
+            return ColumnRef(token.value)
         raise ParseError(f"Unexpected token {token.value!r} in expression", token.position, self.sql)
 
     def _parse_case(self) -> CaseWhen:
@@ -358,18 +331,3 @@ class Parser:
         target = parse_type(self._expect_identifier())
         self._expect_punct(")")
         return Cast(operand, target)
-
-    def _parse_identifier_expression(self) -> Expression:
-        token = self._advance()
-        if not self._match_punct("("):
-            return ColumnRef(token.value)
-        name = token.value.upper()
-        if name not in SCALAR_FUNCTIONS:
-            raise ParseError(f"Unknown function {token.value!r}", token.position, self.sql)
-        args: List[Expression] = []
-        if not self._match_punct(")"):
-            args.append(self._parse_expression())
-            while self._match_punct(","):
-                args.append(self._parse_expression())
-            self._expect_punct(")")
-        return FunctionCall(name, args)

@@ -196,7 +196,7 @@ class TestMissingRowIds:
 def _passthrough_columns(statement: CreateTableAs, before: Table):
     """Output columns the statement passes through by name, or None when it may move rows."""
     query = statement.query
-    if query.where is not None or query.qualify is not None:
+    if query.qualify is not None:
         return None
     names = set()
     for item in query.items:

@@ -3,8 +3,8 @@
 The matrix repairs each (dataset, system) once and scores that one repair
 for both Table 1 (lenient conventions) and Table 3 (strict conventions,
 extended ground truth).  The reference here repairs every (dataset, system)
-cell on its own with :meth:`ExperimentRunner.run_system`, and every scored
-field must agree.
+cell on its own with :meth:`ExperimentRunner.run_repair` and scores it with
+:meth:`ExperimentRunner.score_repair`, and every scored field must agree.
 
 Groups share no state (see ``repro/experiments/matrix.py``), so a cell's
 scores must not depend on which groups ran before it: a rerun, a reordered
@@ -28,7 +28,7 @@ DATASETS = ["hospital", "flights"]
 def _separate_repairs(extended: bool):
     """One repair per (dataset, system) cell, scored as its table scores it."""
     conventions = EvaluationConventions.paper_extended() if extended else None
-    runner = ExperimentRunner(conventions=conventions, seed=SEED)
+    runner = ExperimentRunner(seed=SEED)
     results = []
     for name in DATASETS:
         dataset = load_dataset(name, seed=SEED, scale=SCALE)
@@ -36,7 +36,10 @@ def _separate_repairs(extended: bool):
         if extended:
             clean_override = dataset.extended_clean if dataset.extended_clean is not None else dataset.clean
         for system in runner.system_factories:
-            results.append(runner.run_system(system, dataset, clean_override=clean_override))
+            outcome = runner.run_repair(system, dataset)
+            results.append(
+                runner.score_repair(outcome, dataset, clean_override=clean_override, conventions=conventions)
+            )
     return results
 
 

@@ -61,9 +61,16 @@ class TestCocoonOnBenchmarks:
 
 class TestExtendedEvaluation:
     def test_table3_cocoon_handles_type_and_dmv_errors(self, hospital):
-        runner = ExperimentRunner(conventions=EvaluationConventions.paper_extended(), seed=SEED)
-        cocoon = runner.run_system("Cocoon", hospital, clean_override=hospital.extended_clean)
-        cleanagent = runner.run_system("CleanAgent", hospital, clean_override=hospital.extended_clean)
+        runner = ExperimentRunner(seed=SEED)
+        cocoon, cleanagent = (
+            runner.score_repair(
+                runner.run_repair(system, hospital),
+                hospital,
+                clean_override=hospital.extended_clean,
+                conventions=EvaluationConventions.paper_extended(),
+            )
+            for system in ("Cocoon", "CleanAgent")
+        )
         assert cocoon.scores.f1 > 0.8
         assert cocoon.scores.f1 > cleanagent.scores.f1
 
@@ -84,7 +91,8 @@ class TestExperimentFormatting:
         assert "Cocoon" in chart
 
     def test_table3_formatting(self, runner, hospital):
-        results = [runner.run_system("Cocoon", hospital, clean_override=hospital.extended_clean)]
+        outcome = runner.run_repair("Cocoon", hospital)
+        results = [runner.score_repair(outcome, hospital, clean_override=hospital.extended_clean)]
         assert "Table 3" in format_table3(results)
 
 

@@ -19,7 +19,7 @@ def _sample_trace():
             with tracer.span("sql.query", statement="SELECT * FROM t"):
                 with tracer.span("sql.scan", source="t", rows_out=10):
                     pass
-                with tracer.span("sql.filter", rows_in=10, rows_out=7):
+                with tracer.span("sql.qualify", rows_in=10, rows_out=7):
                     pass
     return root.to_dict()
 
@@ -31,7 +31,7 @@ class TestRenderings:
         assert lines[0].startswith("service.job")
         assert any(line.strip().startswith("pipeline.clean") for line in lines)
         assert any("operator.disguised_missing_value" in line for line in lines)
-        assert any("sql.filter" in line for line in lines)
+        assert any("sql.qualify" in line for line in lines)
         assert "100.0%" in lines[0]
         assert "[llm=2, hit=1, miss=1]" in text
 
@@ -44,14 +44,14 @@ class TestRenderings:
         assert summary["traces"] == 2
         assert summary["llm_by_purpose"] == {"dmv_detection": 4}
         assert summary["cache"] == {"hits": 2, "misses": 2, "hit_rate": 0.5}
-        assert summary["by_name"]["sql.filter"]["count"] == 2
-        # sql.query itself is not a plan node; scan/filter are.
+        assert summary["by_name"]["sql.qualify"]["count"] == 2
+        # sql.query itself is not a plan node; scan/qualify are.
         assert {label.split()[0] for _, label in summary["sql_nodes"]} == {
             "sql.scan",
-            "sql.filter",
+            "sql.qualify",
         }
         labels = {label for _, label in summary["sql_nodes"]}
-        assert labels == {"sql.scan rows=10", "sql.filter rows 10 -> 7"}
+        assert labels == {"sql.scan rows=10", "sql.qualify rows 10 -> 7"}
 
     def test_file_summary_mentions_top_spans(self):
         text = render_file_summary([_sample_trace()])

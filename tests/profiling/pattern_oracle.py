@@ -4,8 +4,10 @@ The pattern-outlier operator counts how many values each model-proposed
 pattern covers with :func:`repro.profiling.patterns.pattern_counts`.
 :func:`pattern_counts_sql` is the SQL verification it replaced, its query
 loop copied unchanged: one ``COUNT(*)`` per pattern, each excluding the rows
-an earlier pattern matched.  ``test_pattern_counts.py`` holds
-``pattern_counts`` to it.
+an earlier pattern matched.  It runs on stdlib :mod:`sqlite3`, with
+``REGEXP_FULL_MATCH`` registered as a user function, because the cleaner
+renders no filtered count and the repo's own engine no longer parses one.
+``test_pattern_counts.py`` holds ``pattern_counts`` to it.
 
 The three helpers now match each distinct checked text once.  The
 ``*_per_row`` functions are the helpers before that change, copied
@@ -16,33 +18,59 @@ holds the helpers to them.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, Sequence, Tuple
+import sqlite3
+from typing import Any, Iterator, List, Sequence, Tuple
 
-from repro.core.dialects import ReproDialect
+from repro.core.dialects import SqliteDialect
 from repro.dataframe.schema import is_null
-from repro.sql import Database
 
-REPRO = ReproDialect()
+SQLITE = SqliteDialect()
 
 
-def pattern_counts_sql(db: Database, table_name: str, column: str, patterns: List[str]) -> List[Tuple[str, int]]:
-    """Verify candidate patterns with SQL, as the paper prescribes."""
-    counts: List[Tuple[str, int]] = []
-    matched_clauses: List[str] = []
-    col = REPRO.quote_identifier(column)
-    for pattern in patterns:
-        clause = f"REGEXP_FULL_MATCH({col}, {REPRO.quote_literal(pattern)})"
-        exclusion = " AND ".join(f"NOT {c}" for c in matched_clauses)
-        where = clause if not matched_clauses else f"{clause} AND {exclusion}"
-        try:
-            count = db.scalar(
-                f"SELECT COUNT(*) FROM {REPRO.quote_identifier(table_name)} WHERE {where}"
-            )
-        except Exception:
-            count = 0
-        counts.append((pattern, int(count or 0)))
-        matched_clauses.append(clause)
-    return counts
+def _regexp_full_match(value: Any, pattern: Any) -> Any:
+    """Whether the whole text of ``value`` matches ``pattern``; NULL in, NULL out."""
+    if value is None or pattern is None:
+        return None
+    return re.fullmatch(pattern, str(value)) is not None
+
+
+def connect() -> sqlite3.Connection:
+    """An in-memory sqlite3 database with ``REGEXP_FULL_MATCH`` registered."""
+    connection = sqlite3.connect(":memory:")
+    connection.create_function("REGEXP_FULL_MATCH", 2, _regexp_full_match)
+    return connection
+
+
+def pattern_counts_sql(values: Sequence[object], patterns: List[str]) -> List[Tuple[str, int]]:
+    """Verify candidate patterns with SQL, as the paper prescribes.
+
+    ``values`` load into the one column of an in-memory sqlite3 table (NULL
+    and NaN both store as NULL).  A pattern that raises in the user function
+    fails its query, and every later query that excludes it, with count 0.
+    """
+    table_name, column = "t", "c"
+    connection = connect()
+    try:
+        connection.execute(f"CREATE TABLE {table_name} ({column})")
+        connection.executemany(f"INSERT INTO {table_name} VALUES (?)", [(v,) for v in values])
+        counts: List[Tuple[str, int]] = []
+        matched_clauses: List[str] = []
+        col = SQLITE.quote_identifier(column)
+        for pattern in patterns:
+            clause = f"REGEXP_FULL_MATCH({col}, {SQLITE.quote_literal(pattern)})"
+            exclusion = " AND ".join(f"NOT {c}" for c in matched_clauses)
+            where = clause if not matched_clauses else f"{clause} AND {exclusion}"
+            try:
+                (count,) = connection.execute(
+                    f"SELECT COUNT(*) FROM {SQLITE.quote_identifier(table_name)} WHERE {where}"
+                ).fetchone()
+            except sqlite3.Error:
+                count = 0
+            counts.append((pattern, int(count or 0)))
+            matched_clauses.append(clause)
+        return counts
+    finally:
+        connection.close()
 
 
 def _checked_texts_per_row(values: Sequence[object]) -> Iterator[str]:

@@ -49,22 +49,23 @@ class TestCsvRoundTrip:
 class TestSqlOracle:
     @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=30))
     @settings(max_examples=40, deadline=None)
-    def test_count_matches_python(self, values):
+    def test_projection_keeps_every_row(self, values):
         db = Database()
         db.register(Table.from_dict("t", {"v": values}))
-        assert db.scalar("SELECT COUNT(*) FROM t") == len(values)
-        assert db.scalar("SELECT COUNT(*) FROM t WHERE v > 0") == sum(v > 0 for v in values)
+        assert db.column_values("SELECT v FROM t") == values
+        assert db.column_values("SELECT v > 0 AS p FROM t") == [v > 0 for v in values]
 
     @given(
         st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=30),
         st.integers(min_value=-50, max_value=50),
     )
     @settings(max_examples=40, deadline=None)
-    def test_where_filter_matches_python(self, values, threshold):
+    def test_comparison_matches_python(self, values, threshold):
         db = Database()
         db.register(Table.from_dict("t", {"v": values}))
-        result = db.sql(f"SELECT v FROM t WHERE v > {threshold}")
-        assert sorted(result.column("v").values) == sorted(v for v in values if v > threshold)
+        result = db.sql(f"SELECT v > {threshold} AS gt, v = {threshold} OR v < {threshold} AS le FROM t")
+        assert result.column("gt").values == [v > threshold for v in values]
+        assert result.column("le").values == [v <= threshold for v in values]
 
 
 # -- metric identities -----------------------------------------------------------------

@@ -18,6 +18,7 @@ from repro.dataframe import Table
 from repro.llm import SimulatedSemanticLLM
 from repro.obs.metrics import MetricsRegistry
 from repro.service import CleaningJob, CleaningService, JobStatus
+from repro.service.scheduler import MAX_RETAINED_JOBS, ServiceSaturated
 
 
 def _job(name: str, priority: int = 0) -> CleaningJob:
@@ -163,6 +164,73 @@ class TestRunOrder:
         closer.start()
         closer.join(timeout=10)
         assert not closer.is_alive()
+
+
+def _recount(service: CleaningService) -> int:
+    """The unsettled jobs the service tracks, counted one by one."""
+    return sum(1 for job in service._jobs_by_id.values() if not job.done)
+
+
+class TestUnfinishedCount:
+    """``pending_jobs`` and admission read one running count of unsettled jobs."""
+
+    @pytest.mark.parametrize("path", ["succeed", "fail", "job.cancel", "service.cancel", "exception"])
+    def test_count_equals_a_recount(self, path):
+        gate, entered = threading.Event(), threading.Event()
+        service = CleaningService(workers=1, llm_factory=lambda: _GatedLLM(gate, entered))
+        execute = service._execute
+
+        def execute_or_fail(job):
+            if job.name == "fail":
+                raise RuntimeError("planted failure")
+            return execute(job)
+
+        service._execute = execute_or_fail
+        try:
+            with pytest.raises(KeyboardInterrupt) if path == "exception" else contextlib.nullcontext(), service:
+                blocker = service.submit(_table("blocker"))
+                target = service.submit(_table("fail" if path == "fail" else "target"))
+                assert entered.wait(timeout=30), "the blocker never reached the model"
+                assert service.pending_jobs == _recount(service) == 2
+                if path == "job.cancel":
+                    assert target.cancel()
+                elif path == "service.cancel":
+                    assert service.cancel(target)
+                elif path == "exception":
+                    raise KeyboardInterrupt
+                if target.done:
+                    assert service.pending_jobs == _recount(service) == 1
+                gate.set()
+        finally:
+            gate.set()
+        assert blocker.wait(timeout=60).status is JobStatus.SUCCEEDED
+        expected = {"succeed": JobStatus.SUCCEEDED, "fail": JobStatus.FAILED}
+        assert target.wait(timeout=60).status is expected.get(path, JobStatus.CANCELLED)
+        assert service.pending_jobs == _recount(service) == 0
+
+    def test_admission_counts_only_unfinished_jobs_among_many_settled(self):
+        gate, entered = threading.Event(), threading.Event()
+        limit = 3
+        service = CleaningService(
+            workers=1, llm_factory=lambda: _GatedLLM(gate, entered), max_pending_jobs=limit
+        )
+        try:
+            blocker = service.submit(_table("blocker"))
+            assert entered.wait(timeout=30), "the blocker never reached the model"
+            for i in range(MAX_RETAINED_JOBS):
+                assert service.submit(_table(f"settled-{i}")).cancel()
+            assert len(service._jobs_by_id) == MAX_RETAINED_JOBS
+            assert service.pending_jobs == _recount(service) == 1
+            admitted = [service.submit(_table(f"open-{i}")) for i in range(limit - 1)]
+            assert service.pending_jobs == _recount(service) == limit
+            with pytest.raises(ServiceSaturated, match=f"{limit} unfinished jobs"):
+                service.submit(_table("one-too-many"))
+            assert service.pending_jobs == limit
+        finally:
+            gate.set()
+            service.shutdown()
+        assert [job.wait(timeout=60).status for job in [blocker, *admitted]] == [JobStatus.SUCCEEDED] * limit
+        assert service.pending_jobs == _recount(service) == 0
 
 
 class TestCleaningJob:

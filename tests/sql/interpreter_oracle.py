@@ -29,15 +29,13 @@ from repro.sql.ast_nodes import (
     Cast,
     ColumnRef,
     Expression,
-    FunctionCall,
     InList,
     Literal,
     UnaryOp,
 )
 from repro.sql.comparison import compare_values, sql_equal
-from repro.sql.compiler import ColumnarBinding, ScalarFn, _apply_unary, _truthy
+from repro.sql.compiler import ColumnarBinding, ScalarFn, _negate, _truthy
 from repro.sql.errors import ExecutionError
-from repro.sql.functions import call_scalar
 
 Row = Dict[str, Any]
 
@@ -55,18 +53,8 @@ def _eval(expr: Expression, row: Row) -> Any:
             return row[expr.name]
         raise ExecutionError(f"Unknown column {expr.name!r}; available: {sorted(row)}")
     if isinstance(expr, UnaryOp):
-        return _apply_unary(expr.op, _eval(expr.operand, row))
+        return _negate(_eval(expr.operand, row))
     if isinstance(expr, BinaryOp):
-        if expr.op == "AND":
-            left = _eval(expr.left, row)
-            if left is False:
-                return False
-            right = _eval(expr.right, row)
-            if right is False:
-                return False
-            if is_null(left) or is_null(right):
-                return None
-            return _truthy(left) and _truthy(right)
         if expr.op == "OR":
             left = _eval(expr.left, row)
             if _truthy(left):
@@ -83,14 +71,11 @@ def _eval(expr: Expression, row: Row) -> Any:
         if is_null(value):
             return None
         items = [_eval(i, row) for i in expr.items]
-        found = any((not is_null(i)) and sql_equal(value, i) for i in items)
-        return (not found) if expr.negated else found
+        return any((not is_null(i)) and sql_equal(value, i) for i in items)
     if isinstance(expr, CaseWhen):
         return _eval_case(expr, row)
     if isinstance(expr, Cast):
         return coerce_value(_eval(expr.operand, row), expr.target)
-    if isinstance(expr, FunctionCall):
-        return call_scalar(expr.name, [_eval(a, row) for a in expr.args])
     raise ExecutionError(f"Unsupported expression node: {type(expr).__name__}")
 
 

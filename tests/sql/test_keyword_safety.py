@@ -92,5 +92,5 @@ class TestKeywordRoundTrip:
             replacements={"select": REPRO.case_when_null("select", ["N/A"])},
         )
         db.sql(statement)
-        result = db.sql('SELECT "select", "group" FROM dst WHERE "order" < 2')
-        assert result.to_dict() == {"select": [None], "group": ["y"]}
+        result = db.sql('SELECT "select", "group", "order" < 2 AS "first" FROM dst')
+        assert result.to_dict() == {"select": ["a", None], "group": ["x", "y"], "first": [False, True]}

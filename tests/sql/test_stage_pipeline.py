@@ -1,8 +1,8 @@
 """The SELECT stage pipeline: which ``sql.*`` stage spans a statement opens.
 
-A statement runs scan → filter → qualify → count | project, each stage
-present only when the statement asks for it, and each stage opens its own
-span under the statement's ``sql.query`` span.
+A statement runs scan → qualify → project: the scan only when it has a
+``FROM``, the qualify stage only when it has a ``QUALIFY``.  Each stage
+opens its own span under the statement's ``sql.query`` span.
 """
 
 import pytest
@@ -25,24 +25,18 @@ def stage_spans(db, sql):
     "sql, stages",
     [
         ("SELECT name FROM people", ["sql.scan", "sql.project"]),
-        (
-            f"SELECT name FROM people WHERE age > 10 {QUALIFY}",
-            ["sql.scan", "sql.filter", "sql.qualify", "sql.project"],
-        ),
-        ("SELECT COUNT(*) FROM people WHERE age > 1", ["sql.scan", "sql.filter", "sql.aggregate"]),
+        (f"SELECT name FROM people {QUALIFY}", ["sql.scan", "sql.qualify", "sql.project"]),
         ("SELECT 1", ["sql.project"]),
     ],
-    ids=["scan-project", "full-pipeline", "count-replaces-project", "no-from-no-scan"],
+    ids=["scan-project", "full-pipeline", "no-from-no-scan"],
 )
 def test_stage_spans(db, sql, stages):
     assert [span.name for span in stage_spans(db, sql)] == stages
 
 
 def test_stages_report_the_rows_they_pass_on(db):
-    spans = {s.name: s.attrs for s in stage_spans(db, f"SELECT name, age FROM people WHERE age > 10 {QUALIFY}")}
+    spans = {s.name: s.attrs for s in stage_spans(db, f"SELECT name, age FROM people {QUALIFY}")}
     assert spans["sql.scan"] == {"source": "people", "rows_out": 5}
-    # Ann, Bob, ann and Eve are older than 10 ...
-    assert spans["sql.filter"] == {"rows_in": 5, "rows_out": 4}
-    # ... and NY, New York and LA each keep their youngest row.
-    assert spans["sql.qualify"] == {"rows_in": 4, "rows_out": 3}
+    # NY, New York and LA each keep their youngest row.
+    assert spans["sql.qualify"] == {"rows_in": 5, "rows_out": 3}
     assert spans["sql.project"] == {"rows_in": 3, "columns": 2}

@@ -9,7 +9,6 @@ from repro.sql.ast_nodes import (
     Cast,
     ColumnRef,
     CreateTableAs,
-    FunctionCall,
     InList,
     Literal,
     Select,
@@ -65,11 +64,11 @@ class TestTokenizer:
 
 class TestExpressionParsing:
     def test_precedence(self):
-        expr = parse_expression("a = 1 OR b = 2 AND c = 3")
+        expr = parse_expression("a = 1 OR b = 2 OR c IN (3)")
         assert isinstance(expr, BinaryOp)
         assert expr.op == "OR"
-        assert isinstance(expr.right, BinaryOp)
-        assert expr.right.op == "AND"
+        assert expr.left.op == "OR" and expr.left.right.op == "="
+        assert isinstance(expr.right, InList)
 
     def test_case_when(self):
         expr = parse_expression("CASE WHEN a = 1 THEN 'x' ELSE 'y' END")
@@ -87,19 +86,13 @@ class TestExpressionParsing:
         assert isinstance(expr, Cast)
         assert expr.target is ColumnType.INTEGER
 
-    def test_function_call(self):
-        expr = parse_expression("REGEXP_FULL_MATCH(name, 'x')")
-        assert isinstance(expr, FunctionCall)
-        assert expr.name == "REGEXP_FULL_MATCH"
-
     def test_window_function(self):
         stmt = parse("SELECT * FROM t QUALIFY ROW_NUMBER() OVER (PARTITION BY a ORDER BY b DESC) = 1")
         assert len(stmt.qualify.partition_by) == 1
         assert stmt.qualify.descending is True
 
     def test_in_list(self):
-        assert isinstance(parse_expression("a IN (1, 2, 3)"), InList)
-        assert parse_expression("a NOT IN ('x')").negated is True
+        assert parse_expression("a IN (1, 2, 3)").items == [Literal(1), Literal(2), Literal(3)]
 
     def test_negative_literal(self):
         expr = parse_expression("a < -2.5e-3")
@@ -113,7 +106,7 @@ class TestExpressionParsing:
 
 class TestStatementParsing:
     def test_simple_select(self):
-        stmt = parse("SELECT a, b FROM t WHERE a > 1")
+        stmt = parse("SELECT a, b > 1 AS c FROM t")
         assert isinstance(stmt, Select)
         assert stmt.from_table == "t"
         assert len(stmt.items) == 2
@@ -189,6 +182,21 @@ REMOVED_CONSTRUCTS = {
             "STDDEV_SAMP(a)", "STRING_AGG(a, ',')", "GROUP_CONCAT(a)", "COUNT(*) + 1", "a, COUNT(*)",
         )
     ] + ["SELECT a FROM t WHERE COUNT(*) > 1"],
+    "where": [
+        "SELECT a FROM t WHERE a = 1",
+        "SELECT a FROM t WHERE TRUE",
+        "SELECT * FROM t WHERE a = 1 QUALIFY ROW_NUMBER() OVER (PARTITION BY a ORDER BY b) = 1",
+        "CREATE TABLE u AS SELECT * FROM t WHERE a IN (1)",
+    ],
+    "count_star": ["SELECT COUNT(*) FROM t", "SELECT COUNT(*) AS n FROM t", "SELECT COUNT(*)"],
+    "and": ["SELECT a = 1 AND b = 2 FROM t", "SELECT CASE WHEN a AND b THEN 1 END FROM t", "SELECT TRUE AND FALSE"],
+    "not": ["SELECT NOT a FROM t", "SELECT NOT (a = 1) FROM t", "SELECT CASE WHEN NOT a THEN 1 END FROM t"],
+    "not_in": ["SELECT a NOT IN (1, 2) FROM t", "SELECT CASE WHEN a NOT IN ('x') THEN 1 END FROM t"],
+    "regexp_full_match": [
+        "SELECT REGEXP_FULL_MATCH(a, 'x') FROM t",
+        "SELECT regexp_full_match(a, 'x') AS m FROM t",
+        "SELECT REGEXP_FULL_MATCH('123', '\\d+')",
+    ],
     "windows": [
         "SELECT RANK() OVER (ORDER BY a) FROM t",
         "SELECT DENSE_RANK() OVER (ORDER BY a) FROM t",
