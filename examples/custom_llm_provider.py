@@ -58,7 +58,7 @@ def main() -> None:
 
     print()
     print(result.summary_text())
-    print(f"prompt cache hit rate: {llm.hit_rate:.0%}")
+    print(f"prompt cache hit rate: {llm.store.stats()['hit_rate']:.0%}")
     print()
     print(result.cleaned_table.to_display())
 

@@ -84,11 +84,6 @@ class PromptCacheStore:
         if needs_flush:
             self._persist()
 
-    def peek(self, key: str) -> Optional[str]:
-        """Look up a response without touching the hit/miss counters."""
-        with self._lock:
-            return self._cache.get(key)
-
     def flush(self) -> None:
         """Force any unflushed entries to disk."""
         with self._lock:
@@ -126,12 +121,6 @@ class PromptCacheStore:
                 "hit_rate": self.hits / total if total else 0.0,
                 "size": len(self._cache),
             }
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         with self._lock:
@@ -171,23 +160,3 @@ class CachingLLMClient(LLMClient):
         text = self.inner.complete(prompt, system=system).text
         self.store.put(key, text)
         return text
-
-    # -- observability ---------------------------------------------------------
-    @property
-    def hits(self) -> int:
-        return self.store.stats()["hits"]
-
-    @property
-    def misses(self) -> int:
-        return self.store.stats()["misses"]
-
-    @property
-    def hit_rate(self) -> float:
-        return self.store.hit_rate
-
-    def stats(self) -> Dict[str, Union[int, float]]:
-        """Hit/miss/size counters of the backing store."""
-        return self.store.stats()
-
-    def flush(self) -> None:
-        self.store.flush()

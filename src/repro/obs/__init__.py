@@ -33,7 +33,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     percentile,
-    prometheus_gauges_from,
 )
 from repro.obs.lineage import (
     LineageRecorder,
@@ -64,7 +63,6 @@ __all__ = [
     "get_tracer",
     "lineage_step_id",
     "percentile",
-    "prometheus_gauges_from",
     "record_cache",
     "record_llm_call",
     "span",

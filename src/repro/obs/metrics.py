@@ -404,19 +404,3 @@ def get_registry() -> MetricsRegistry:
     """The process-wide default registry (LLM/cache counters live here)."""
     return _default_registry
 
-
-def prometheus_gauges_from(
-    registry: MetricsRegistry, prefix: str, values: Mapping[str, Any], help: str = ""  # noqa: A002
-) -> None:
-    """Mirror a flat mapping of numbers into ``<prefix>_<key>`` gauges.
-
-    The bridge for snapshot-shaped stats (cache stats, queue depths) that
-    are computed at scrape time rather than incremented at event time.
-    Non-numeric values are skipped; booleans become 0/1.
-    """
-    for key, value in values.items():
-        if isinstance(value, bool):
-            value = int(value)
-        if not isinstance(value, (int, float)):
-            continue
-        registry.gauge(f"{prefix}_{key}", help=help).set(value)

@@ -18,10 +18,9 @@ Two modes over one report shape:
   ``batch_parity`` scenarios the stream CSV must equal the job CSV — the
   streaming path and the batch path agreeing on the same bytes over HTTP.
 
-Every replay records per-scenario metrics
-(``repro_scenario_events_total{scenario,event}``) on the
-:mod:`repro.obs` registry, so scenario traffic shows up on the same
-Prometheus surface as everything else.
+The harness keeps no metrics of its own: the :class:`ReplayReport` says
+what one replay did, and in ``http`` mode the gateway's registry counts
+the requests, jobs and batches it served, as for any other client.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from repro.core.pipeline import CocoonCleaner
 from repro.dataframe.io import read_csv_text, to_csv_text
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import get_tracer
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.metrics import get_registry as get_default_registry
 from repro.scenarios.models import ScenarioError
 from repro.scenarios.spec import GeneratedScenario, ScenarioSpec, generate
 from repro.server.gateway import CleaningGateway
@@ -134,14 +131,6 @@ def _span_names(trace_ids: List[str]) -> Set[str]:
     return names
 
 
-def _count(registry: MetricsRegistry, scenario: str, event: str, delta: int = 1) -> None:
-    registry.counter(
-        "repro_scenario_events_total",
-        help="Scenario replay events (batches, jobs, retries, replans)",
-        label_names=("scenario", "event"),
-    ).inc(delta, scenario=scenario, event=event)
-
-
 def _check_drift_expectation(generated: GeneratedScenario, report: ReplayReport) -> None:
     """Enforce the spec's drift claim.
 
@@ -168,9 +157,7 @@ def _check_drift_expectation(generated: GeneratedScenario, report: ReplayReport)
 
 
 def replay_inprocess(
-    scenario: Union[ScenarioSpec, GeneratedScenario],
-    metrics_registry: Optional[MetricsRegistry] = None,
-    check: bool = True,
+    scenario: Union[ScenarioSpec, GeneratedScenario], check: bool = True
 ) -> ReplayReport:
     """Stream the scenario through a :class:`StreamingCleaner`, no sockets.
 
@@ -181,7 +168,6 @@ def replay_inprocess(
     """
     generated = _resolve(scenario)
     spec = generated.spec
-    registry = metrics_registry if metrics_registry is not None else get_default_registry()
     config = _scenario_config(generated)
     report = ReplayReport(scenario=spec.name, mode="inprocess")
     started = time.perf_counter()
@@ -202,7 +188,6 @@ def replay_inprocess(
             drifted.extend(result.drifted_columns)
             report.batches += 1
             report.rows_streamed += batch.num_rows
-            _count(registry, spec.name, "batches")
     report.span_names = sorted(_span_names([trace_id]))
     report.primes = cleaner.stats.primes
     report.replans = cleaner.stats.replans
@@ -210,8 +195,6 @@ def replay_inprocess(
     report.stream_llm_calls = cleaner.stats.llm_calls
     report.retractions = cleaner.stats.retractions
     report.drifted_columns = sorted(set(drifted))
-    if report.replans:
-        _count(registry, spec.name, "replans", report.replans)
 
     if spec.batch_parity:
         reference = CocoonCleaner(llm=SimulatedSemanticLLM(), config=config).clean(
@@ -291,7 +274,6 @@ def replay_http(
         config=config,
         stream_prime_rows=generated.prime_rows,
     )
-    registry = gateway.registry
     server = make_server(gateway, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -309,7 +291,6 @@ def replay_http(
         dirty_csv = to_csv_text(generated.dataset.dirty)
         # The mixed workload: the batch job races the stream batches.
         job = client.call("/v1/jobs", {"csv": dirty_csv, "name": spec.table_name})
-        _count(registry, spec.name, "jobs")
         for batch in batches:
             payload = {"csv": to_csv_text(batch), "name": spec.table_name}
             while True:
@@ -321,13 +302,11 @@ def replay_http(
                         raise
                     error.read()
                     report.backpressure_retries += 1
-                    _count(registry, spec.name, "backpressure_retries")
                     if time.perf_counter() > deadline:
                         raise ReplayMismatch(f"{spec.name}: stuck in backpressure")
                     time.sleep(0.05)
             report.batches += 1
             report.rows_streamed += batch.num_rows
-            _count(registry, spec.name, "batches")
 
         wait_until(
             lambda: client.call(f"/v1/jobs/{job['job_id']}")["done"], "the batch job"
@@ -338,7 +317,7 @@ def replay_http(
 
         wait_until(
             lambda: (
-                lambda s: s["completed_batches"] == s["submitted_batches"] and not s["failed"]
+                lambda s: s["pending_batches"] == 0 and not s["failed"]
             )(client.call(f"/v1/streams/{spec.table_name}")),
             "the stream to drain",
         )

@@ -24,7 +24,6 @@ Wiring (the point of the layer):
 
 from __future__ import annotations
 
-import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
@@ -36,20 +35,15 @@ from repro.llm.cache import CachingLLMClient, PromptCacheStore
 from repro.llm.simulated import SimulatedSemanticLLM
 from repro.obs import current_ref, get_tracer
 from repro.obs.lineage import json_safe_record
-from repro.obs.metrics import MetricsRegistry, prometheus_gauges_from
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.metrics import get_registry as get_default_registry
 from repro.service.jobs import JobStatus
 from repro.service.scheduler import CleaningService
 from repro.stream.service import StreamService
 
-#: Request-level events the gateway always reports, even at zero.
-_EVENT_KEYS = (
-    "requests",
-    "jobs_submitted",
-    "batches_submitted",
-    "rejected_saturated",
-    "rejected_backpressure",
-)
+#: Request-level events the gateway always reports, even at zero.  Jobs and
+#: batches are counted by the services that accept them.
+_EVENT_KEYS = ("requests", "rejected_saturated", "rejected_backpressure")
 
 #: The fields ``POST /v1/jobs`` accepts; any other field answers 400.
 _JOB_FIELDS = frozenset({"csv", "columns", "name", "priority"})
@@ -116,11 +110,9 @@ class CleaningGateway:
         )
         self.started_at = time.time()
         self._draining = False
-        self._counter_lock = threading.Lock()
-        self._event_keys = set(_EVENT_KEYS)
         self._events = self.registry.counter(
             "repro_gateway_events_total",
-            help="Gateway request-level events (requests, submissions, rejections)",
+            help="Gateway request-level events (requests, rejections)",
             label_names=("event",),
         )
 
@@ -146,10 +138,8 @@ class CleaningGateway:
     def draining(self) -> bool:
         return self._draining
 
-    def count(self, key: str, delta: int = 1) -> None:
-        with self._counter_lock:
-            self._event_keys.add(key)
-        self._events.inc(delta, event=key)
+    def count(self, key: str) -> None:
+        self._events.inc(event=key)
 
     # -- payload parsing -----------------------------------------------------------
     @staticmethod
@@ -212,7 +202,6 @@ class CleaningGateway:
         if parent is not None:
             metadata["trace_parent"] = parent
         job = self.service.submit(table, priority=priority, metadata=metadata)
-        self.count("jobs_submitted")
         return {
             "job_id": job.job_id,
             "name": job.name,
@@ -276,7 +265,6 @@ class CleaningGateway:
         table = self.parse_table(payload, default_name=stream_name)
         stream = self.streams.get_or_create_stream(stream_name)
         job = self.streams.submit(stream_name, table, block=False)
-        self.count("batches_submitted")
         return {
             "stream": stream_name,
             "sequence": job.sequence,
@@ -286,13 +274,13 @@ class CleaningGateway:
         }
 
     def stream_status(self, stream_name: str) -> Dict[str, Any]:
-        """``GET /v1/streams/{name}``: per-stream progress counters."""
+        """``GET /v1/streams/{name}``: unfinished batches and failure state.
+
+        Batch counts are at ``/metrics``.
+        """
         stream = self.streams.stream(stream_name)
         return {
             "stream": stream_name,
-            "submitted_batches": stream.submitted_batches,
-            "completed_batches": stream.completed_batches,
-            "failed_batches": stream.failed_batches,
             "pending_batches": stream.pending_batches,
             "failed": stream.failed,
             "failure": stream.failure,
@@ -396,21 +384,21 @@ class CleaningGateway:
             },
         }
 
-    def _gateway_counters(self) -> Dict[str, int]:
-        """The request-event counter as a plain dict (known keys always present)."""
-        with self._counter_lock:
-            keys = sorted(self._event_keys)
-        return {key: int(self._events.value(event=key)) for key in keys}
-
     def metrics(self) -> Dict[str, Any]:
-        """``GET /metrics``: JSON counters across both services + the cache."""
+        """``GET /metrics``: JSON counters across both services + the cache.
+
+        The job, batch and gateway counts are the registry counters the
+        Prometheus scrape renders.
+        """
         submitted = self.registry.get("repro_service_jobs_submitted_total")
         finished = self.registry.get("repro_service_jobs_total")
-        stream_stats = self.streams.stats()
+        batches_submitted = self.registry.get("repro_stream_batches_submitted_total")
+        batches = self.registry.get("repro_stream_batches_total")
+        streams = self.streams.list_streams()
         return {
             "generated_at": time.time(),
             "uptime_seconds": round(time.time() - self.started_at, 3),
-            "gateway": self._gateway_counters(),
+            "gateway": {key: int(self._events.value(event=key)) for key in _EVENT_KEYS},
             "jobs": {
                 "submitted": int(submitted.total()),
                 "succeeded": int(finished.value(status=JobStatus.SUCCEEDED.value)),
@@ -421,15 +409,13 @@ class CleaningGateway:
             },
             "cache": self.cache.stats(),
             "streams": {
-                "count": stream_stats.streams,
-                "batches_submitted": stream_stats.batches_submitted,
-                "batches_completed": stream_stats.batches_completed,
-                "batches_failed": stream_stats.batches_failed,
+                "count": len(streams),
+                "submitted": int(batches_submitted.total()),
+                "succeeded": int(batches.value(status="succeeded")),
+                "failed": int(batches.value(status="failed")),
+                "cancelled": int(batches.value(status="cancelled")),
                 "queue_depth": self.streams.queue_depth,
-                "pending_per_stream": {
-                    name: info.get("pending", 0)
-                    for name, info in stream_stats.per_stream.items()
-                },
+                "pending_per_stream": {stream.name: stream.pending_batches for stream in streams},
             },
         }
 
@@ -439,8 +425,9 @@ class CleaningGateway:
         Renders the gateway's registry (gateway events + both services)
         followed by the process-default registry (LLM and cache metrics) —
         the family names are disjoint, so the concatenation is one valid
-        exposition.  Point-in-time state (uptime, queue depths, cache
-        effectiveness) is refreshed into gauges at scrape time.
+        exposition.  Point-in-time state (uptime, queue depths, cache size)
+        is refreshed into gauges at scrape time; cache hits and misses are
+        the default registry's ``repro_cache_requests_total``.
         """
         self.registry.gauge(
             "repro_gateway_uptime_seconds", help="Seconds since the gateway started"
@@ -454,12 +441,9 @@ class CleaningGateway:
         self.registry.gauge(
             "repro_stream_queue_depth", help="Stream micro-batches waiting to start"
         ).set(self.streams.queue_depth)
-        prometheus_gauges_from(
-            self.registry,
-            "repro_cache",
-            self.cache.stats(),
-            help="Shared prompt-cache statistics",
-        )
+        self.registry.gauge(
+            "repro_cache_size", help="Entries in the shared prompt cache"
+        ).set(len(self.cache))
         default = get_default_registry()
         if default is self.registry:
             return self.registry.render_prometheus()

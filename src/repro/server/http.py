@@ -8,7 +8,9 @@ worker pools; the cleaning itself runs on the services' own threads.
 Routing table::
 
     GET  /healthz                     liveness + drain state + queue saturation
-    GET  /metrics                     JSON counters (jobs, cache, queues);
+    GET  /metrics                     JSON counts (jobs, stream batches, gateway
+                                      events: the registry's counters), cache
+                                      stats and queue depths;
                                       ?format=prometheus (or Accept: text/plain)
                                       for Prometheus text exposition
     POST /v1/jobs                     submit a table, -> {"job_id": ...}
@@ -18,7 +20,7 @@ Routing table::
     GET  /v1/jobs/{id}/lineage        cell-level audit trail (409 until done);
                                       ?row=&column= for one cell's explain chain
     POST /v1/streams/{name}/batches   feed one micro-batch (429 on backpressure)
-    GET  /v1/streams/{name}           per-stream counters
+    GET  /v1/streams/{name}           pending batches + failure state
     GET  /v1/streams/{name}/result    cumulative cleaned CSV + stream stats
                                       (409 while batches are pending)
 

@@ -156,14 +156,16 @@ class ColumnarBinding:
         if isinstance(expr, InList):
             operand_fn = self.compile(expr.operand)
             if all(isinstance(item, Literal) for item in expr.items):
-                # Constant fold: drop NULL literals (they can never match).
+                # Constant fold: drop NULL literals (they can never match), but
+                # keep that one was there: with no match the answer is NULL.
                 candidates = [item.value for item in expr.items if not is_null(item.value)]
+                miss = None if len(candidates) < len(expr.items) else False
 
                 def in_literals_fn(i: int) -> Any:
                     value = operand_fn(i)
                     if is_null(value):
                         return None
-                    return any(sql_equal(value, item) for item in candidates)
+                    return True if any(sql_equal(value, item) for item in candidates) else miss
 
                 return in_literals_fn
             item_fns = [self.compile(item) for item in expr.items]
@@ -175,7 +177,9 @@ class ColumnarBinding:
                 # Evaluate every item: an item that raises must raise even
                 # after a match.
                 items = [fn(i) for fn in item_fns]
-                return any((not is_null(item)) and sql_equal(value, item) for item in items)
+                if any((not is_null(item)) and sql_equal(value, item) for item in items):
+                    return True
+                return None if any(is_null(item) for item in items) else False
 
             return in_fn
 

@@ -33,7 +33,6 @@ from repro.stream.service import (
     StreamBackpressure,
     StreamBatchJob,
     StreamService,
-    StreamServiceStats,
 )
 from repro.stream.source import (
     DirectoryTailer,
@@ -49,7 +48,6 @@ __all__ = [
     "StreamBatchResult",
     "StreamStats",
     "StreamService",
-    "StreamServiceStats",
     "StreamBatchJob",
     "StreamBackpressure",
     "ManagedStream",

@@ -17,16 +17,24 @@ wants them cleaned concurrently.  :class:`StreamService` does exactly that:
   producer (or raises :class:`StreamBackpressure` with ``block=False`` /
   on timeout), so a fast producer cannot grow the queue without bound —
   the ingestion contract a production service needs.
+
+Each batch is counted once, in the service's
+:class:`~repro.obs.metrics.MetricsRegistry`: ``submit`` counts it in
+``repro_stream_batches_submitted_total``, and it settles through
+:meth:`StreamBatchJob.finish`, whose ``on_settle`` hook counts it in
+``repro_stream_batches_total{status}`` as ``succeeded``, ``failed`` or
+``cancelled``.  A stream keeps only its unfinished-batch count, for
+``pending_batches`` and ``wait_idle``.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.context import CleaningConfig
 from repro.dataframe.table import Table
@@ -49,9 +57,17 @@ class StreamBatchJob:
         self.error: Optional[str] = None
         self._done = threading.Event()
 
-    def finish(self, result: Optional[StreamBatchResult], error: Optional[str]) -> None:
+    def finish(
+        self, result: Optional[StreamBatchResult], error: Optional[str], status: str
+    ) -> None:
+        """Settle the batch once: count it under ``status``, then wake waiters."""
         self.result = result
         self.error = error
+        # The input table is no longer needed once settled; dropping the
+        # reference keeps long-running streams from pinning every batch.
+        self.batch = None
+        if self.stream.on_settle is not None:
+            self.stream.on_settle(self, status)
         self._done.set()
 
     def wait(self, timeout: Optional[float] = None) -> Optional[StreamBatchResult]:
@@ -75,9 +91,12 @@ class ManagedStream:
         self._waiting: Deque[StreamBatchJob] = deque()
         # True while an executor task for this stream is queued or running.
         self._scheduled = False
-        self._submitted = 0
-        self._completed = 0
-        self._failed_count = 0
+        # Numbers each batch's ``StreamBatchJob.sequence``, its HTTP index.
+        self._sequence = itertools.count()
+        # Batches enqueued and not yet settled.  Guarded by ``_lock``.
+        self._unfinished = 0
+        #: Set by :class:`StreamService`; every batch settles through it once.
+        self.on_settle: Optional[Callable[[StreamBatchJob, str], None]] = None
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
         self._capacity = threading.Semaphore(max_pending_batches)
@@ -97,8 +116,8 @@ class ManagedStream:
     def enqueue(self, batch: Table) -> Tuple[StreamBatchJob, bool]:
         """Append one batch; True when the stream needs an executor task."""
         with self._lock:
-            job = StreamBatchJob(self, batch, self._submitted)
-            self._submitted += 1
+            job = StreamBatchJob(self, batch, next(self._sequence))
+            self._unfinished += 1
             self._waiting.append(job)
             needs_task = not self._scheduled
             self._scheduled = True
@@ -127,14 +146,9 @@ class ManagedStream:
                 error = f"{type(exc).__name__}: {exc}"
                 self.failed = True
                 self.failure = error
-        job.finish(result, error)
-        # The input table is no longer needed once processed; dropping the
-        # reference keeps long-running streams from pinning every batch.
-        job.batch = None
+        job.finish(result, error, "failed" if error else "succeeded")
         with self._settled:
-            self._completed += 1
-            if error:
-                self._failed_count += 1
+            self._unfinished -= 1
             more = bool(self._waiting)
             self._scheduled = more
             self._settled.notify_all()
@@ -142,14 +156,14 @@ class ManagedStream:
         return job, more
 
     def cancel_waiting(self) -> None:
-        """Settle every batch not yet started as failed, without running it."""
-        with self._settled:
+        """Settle every batch not yet started as cancelled, without running it."""
+        with self._lock:
             cancelled = list(self._waiting)
             self._waiting.clear()
-            for job in cancelled:
-                job.finish(None, "cancelled: stream service shut down")
-            self._completed += len(cancelled)
-            self._failed_count += len(cancelled)
+        for job in cancelled:
+            job.finish(None, "cancelled: stream service shut down", "cancelled")
+        with self._settled:
+            self._unfinished -= len(cancelled)
             self._settled.notify_all()
         for _ in cancelled:
             self._capacity.release()
@@ -163,53 +177,19 @@ class ManagedStream:
 
     @property
     def pending_batches(self) -> int:
+        """Batches submitted and not yet settled."""
         with self._lock:
-            return self._submitted - self._completed
-
-    @property
-    def submitted_batches(self) -> int:
-        with self._lock:
-            return self._submitted
-
-    @property
-    def completed_batches(self) -> int:
-        with self._lock:
-            return self._completed
-
-    @property
-    def failed_batches(self) -> int:
-        with self._lock:
-            return self._failed_count
+            return self._unfinished
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.perf_counter() + timeout
         with self._settled:
-            while self._completed < self._submitted:
+            while self._unfinished:
                 remaining = None if deadline is None else deadline - time.perf_counter()
                 if remaining is not None and remaining <= 0:
                     return False
                 self._settled.wait(timeout=remaining)
             return True
-
-
-@dataclass
-class StreamServiceStats:
-    """Service-level snapshot across all streams."""
-
-    streams: int = 0
-    batches_submitted: int = 0
-    batches_completed: int = 0
-    batches_failed: int = 0
-    per_stream: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "streams": self.streams,
-            "batches_submitted": self.batches_submitted,
-            "batches_completed": self.batches_completed,
-            "batches_failed": self.batches_failed,
-            "per_stream": self.per_stream,
-        }
 
 
 class StreamService:
@@ -235,7 +215,7 @@ class StreamService:
         )
         self._batches_counter = self.registry.counter(
             "repro_stream_batches_total",
-            help="Finished micro-batches by outcome",
+            help="Settled micro-batches by status (succeeded, failed, cancelled)",
             label_names=("status",),
         )
         self._batch_seconds = self.registry.histogram(
@@ -251,6 +231,10 @@ class StreamService:
         self._executor = ThreadPoolExecutor(workers, thread_name_prefix="repro-stream")
 
     # -- stream management ----------------------------------------------------------
+    def list_streams(self) -> List[ManagedStream]:
+        with self._lock:
+            return list(self._streams.values())
+
     def stream(self, name: str) -> ManagedStream:
         with self._lock:
             if name not in self._streams:
@@ -276,6 +260,7 @@ class StreamService:
                     prime_rows=self.prime_rows,
                 )
                 stream = ManagedStream(name, cleaner, self.max_pending_batches)
+                stream.on_settle = self._record
                 self._streams[name] = stream
             return stream
 
@@ -313,8 +298,7 @@ class StreamService:
     # -- lifecycle ----------------------------------------------------------------------
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until every stream has drained its pending batches."""
-        with self._lock:
-            streams = list(self._streams.values())
+        streams = self.list_streams()
         deadline = None if timeout is None else time.perf_counter() + timeout
         for stream in streams:
             remaining = None if deadline is None else max(0.0, deadline - time.perf_counter())
@@ -337,35 +321,22 @@ class StreamService:
             # An exception (Ctrl-C included) is unwinding the block: cancel
             # the batches not yet started, so only the running ones hold up
             # the process's exit (executor threads are joined at exit).
-            with self._lock:
-                streams = list(self._streams.values())
-            for stream in streams:
+            for stream in self.list_streams():
                 stream.cancel_waiting()
 
     # -- introspection ---------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
         """Batches waiting across all streams, not yet started by a worker."""
-        with self._lock:
-            streams = list(self._streams.values())
-        return sum(stream.waiting_batches for stream in streams)
-
-    def stats(self) -> StreamServiceStats:
-        with self._lock:
-            streams = dict(self._streams)
-        snapshot = StreamServiceStats(streams=len(streams))
-        for name, stream in streams.items():
-            snapshot.batches_submitted += stream.submitted_batches
-            snapshot.batches_completed += stream.completed_batches
-            snapshot.batches_failed += stream.failed_batches
-            snapshot.per_stream[name] = {
-                "pending": stream.pending_batches,
-                "failed": stream.failed,
-                **stream.cleaner.stats.to_dict(),
-            }
-        return snapshot
+        return sum(stream.waiting_batches for stream in self.list_streams())
 
     # -- execution ---------------------------------------------------------------------------
+    def _record(self, job: StreamBatchJob, status: str) -> None:
+        """Count one settled batch: run, failed fast or cancelled by ``__exit__``."""
+        self._batches_counter.inc(status=status)
+        if job.result is not None:
+            self._batch_seconds.observe(job.result.seconds)
+
     def _run_stream(self, stream: ManagedStream) -> None:
         """Run one batch, then hand the stream back to the pool if more wait.
 
@@ -378,9 +349,6 @@ class StreamService:
             job, more = stream.run_next()
             if job is None:
                 return
-            self._batches_counter.inc(status="failed" if job.error else "succeeded")
-            if job.result is not None:
-                self._batch_seconds.observe(job.result.seconds)
             if more:
                 try:
                     self._executor.submit(self._run_stream, stream)

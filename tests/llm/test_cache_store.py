@@ -20,20 +20,13 @@ class TestPromptCacheStore:
         assert stats == {"hits": 1, "misses": 1, "hit_rate": 0.5, "size": 1}
         assert "k1" in store and len(store) == 1
 
-    def test_peek_does_not_count(self):
-        store = PromptCacheStore()
-        store.put("k", "v")
-        assert store.peek("k") == "v"
-        assert store.peek("absent") is None
-        assert store.stats()["hits"] == 0 and store.stats()["misses"] == 0
-
     def test_persistence_round_trip(self, tmp_path):
         path = tmp_path / "cache.json"
         store = PromptCacheStore(path)
         store.put("a", "1")
         store.put("b", "2")
         reloaded = PromptCacheStore(path)
-        assert reloaded.peek("a") == "1" and reloaded.peek("b") == "2"
+        assert reloaded.get("a") == "1" and reloaded.get("b") == "2"
 
     def test_flush_every_batches_writes(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -108,7 +101,7 @@ class TestCachingLLMClient:
         prompt = prompts.dmv_detection("c", [("N/A", 1)])
         llm.complete(prompt)
         llm.complete(prompt)
-        assert llm.stats() == {"hits": 1, "misses": 1, "hit_rate": 0.5, "size": 1}
+        assert llm.store.stats() == {"hits": 1, "misses": 1, "hit_rate": 0.5, "size": 1}
 
     def test_shared_store_across_clients(self):
         store = PromptCacheStore()
@@ -153,5 +146,5 @@ class TestCachingLLMClient:
         llm = CachingLLMClient(SimulatedSemanticLLM(), store=PromptCacheStore(path, flush_every=100))
         llm.complete(prompts.dmv_detection("c", [("N/A", 1)]))
         assert not path.exists()
-        llm.flush()
+        llm.store.flush()
         assert len(json.loads(path.read_text())) == 1

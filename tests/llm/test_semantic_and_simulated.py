@@ -199,8 +199,9 @@ class TestSimulatedLLM:
         first = llm.complete(prompt).text
         second = llm.complete(prompt).text
         assert first == second
-        assert llm.hits == 1 and llm.misses == 1
-        assert 0 < llm.hit_rate < 1
+        stats = llm.store.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        assert 0 < stats["hit_rate"] < 1
 
     def test_provider_clients_fail_cleanly_offline(self):
         from repro.llm.providers import AnthropicClient, ProviderError

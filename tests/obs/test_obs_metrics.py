@@ -5,12 +5,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    percentile,
-    prometheus_gauges_from,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry, percentile
 
 
 class TestPercentile:
@@ -169,19 +164,6 @@ class TestPrometheusRendering:
         registry = MetricsRegistry()
         registry.counter("untouched_total", help="never incremented")
         assert "untouched_total 0" in registry.render_prometheus()
-
-    def test_gauges_from_mapping_bridge(self):
-        registry = MetricsRegistry()
-        prometheus_gauges_from(
-            registry,
-            "repro_cache",
-            {"hits": 5, "hit_rate": 0.5, "enabled": True, "name": "skipped"},
-        )
-        text = registry.render_prometheus()
-        assert "repro_cache_hits 5" in text
-        assert "repro_cache_hit_rate 0.5" in text
-        assert "repro_cache_enabled 1" in text
-        assert "name" not in text  # non-numeric values are skipped
 
     def test_default_buckets_cover_subsecond_to_minutes(self):
         assert DEFAULT_BUCKETS[0] <= 0.001

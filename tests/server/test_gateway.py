@@ -119,8 +119,10 @@ class TestStreams:
         assert gateway.streams.stream("tenant-a").name == "tenant-a"
         gateway.streams.wait_idle()
         status = gateway.stream_status("tenant-a")
-        assert status["completed_batches"] == 1
+        assert status["pending_batches"] == 0
         assert status["failed"] is False
+        finished = gateway.registry.get("repro_stream_batches_total")
+        assert finished.value(status="succeeded") == 1
 
     def test_backpressure_raises(self):
         gw = CleaningGateway(
@@ -151,7 +153,7 @@ class TestObservability:
         submitted = gateway.submit_job({"csv": DIRTY_CSV})
         gateway.service.job(submitted["job_id"]).wait()
         metrics = gateway.metrics()
-        assert metrics["gateway"]["jobs_submitted"] == 1
+        assert metrics["jobs"]["submitted"] == 1
         assert metrics["jobs"]["succeeded"] == 1
         assert metrics["jobs"]["pending"] == 0
         assert set(metrics["cache"]) == {"hits", "misses", "hit_rate", "size"}

@@ -126,13 +126,7 @@ class TestMetricsExposition:
         assert headers["Content-Type"].startswith("application/json")
         assert "generated_at" in doc
         assert doc["generated_at"] == pytest.approx(time.time(), abs=60)
-        assert set(doc["gateway"]) >= {
-            "requests",
-            "jobs_submitted",
-            "batches_submitted",
-            "rejected_saturated",
-            "rejected_backpressure",
-        }
+        assert set(doc["gateway"]) == {"requests", "rejected_saturated", "rejected_backpressure"}
 
     def test_prometheus_via_query_parameter(self, server):
         _submit_and_wait(server, name="prom-sample")
@@ -143,7 +137,8 @@ class TestMetricsExposition:
         assert 'repro_service_jobs_total{status="succeeded"}' in text
         assert "repro_service_job_run_seconds_bucket" in text
         assert "repro_gateway_uptime_seconds" in text
-        assert "repro_cache_hits" in text
+        assert "repro_cache_size" in text
+        assert 'repro_cache_requests_total{result="miss"}' in text
         # The process-default registry rides along (LLM + cache counters).
         assert "repro_llm_calls_total" in text
 

@@ -50,7 +50,7 @@ def _drain(base, name, timeout=30.0):
     while time.time() < deadline:
         status, doc = _request(base, f"/v1/streams/{name}")
         assert status == 200
-        if doc["completed_batches"] == doc["submitted_batches"]:
+        if doc["pending_batches"] == 0:
             return doc
         time.sleep(0.05)
     raise AssertionError(f"stream {name} did not drain")

@@ -71,7 +71,10 @@ def _eval(expr: Expression, row: Row) -> Any:
         if is_null(value):
             return None
         items = [_eval(i, row) for i in expr.items]
-        return any((not is_null(i)) and sql_equal(value, i) for i in items)
+        if any((not is_null(i)) and sql_equal(value, i) for i in items):
+            return True
+        # No item matches: NULL when an item is NULL (it might have).
+        return None if any(is_null(i) for i in items) else False
     if isinstance(expr, CaseWhen):
         return _eval_case(expr, row)
     if isinstance(expr, Cast):

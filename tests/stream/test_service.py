@@ -38,14 +38,14 @@ class TestDispatchAndOrdering:
                 jobs.extend(service.submit(name, b) for b in iter_table_batches(table, 10))
             assert service.wait_idle(timeout=60)
             assert all(job.done and job.error is None for job in jobs)
-            stats = service.stats()
-            assert stats.streams == 2
-            assert stats.batches_completed == len(jobs)
-            assert stats.batches_failed == 0
+            finished = service.registry.get("repro_stream_batches_total")
+            assert len(service.list_streams()) == 2
+            assert finished.value(status="succeeded") == len(jobs)
+            assert finished.total() == len(jobs)
             for name in ("alpha", "beta"):
-                per = stats.per_stream[name]
-                assert per["rows_ingested"] == 40
-                assert per["replayed_batches"] == 3  # 4 batches: 1 prime + 3 replays
+                stats = service.stream(name).cleaner.stats
+                assert stats.rows_ingested == 40
+                assert stats.replayed_batches == 3  # 4 batches: 1 prime + 3 replays
 
     def test_batches_process_in_submission_order(self):
         with StreamService(workers=4) as service:
@@ -80,9 +80,9 @@ class TestDispatchAndOrdering:
                 t.join(timeout=30)
             assert not errors
             assert service.wait_idle(timeout=60)
-            stream = service.stream("raced")
-            assert stream.completed_batches == 12
-            assert stream.failed_batches == 0
+            finished = service.registry.get("repro_stream_batches_total")
+            assert finished.value(status="succeeded") == 12
+            assert finished.total() == 12
 
     def test_a_blocked_stream_does_not_hold_back_another(self):
         # a0 blocks one worker and a1 must wait for it; the other worker must
@@ -255,6 +255,11 @@ class TestBackpressure:
         assert stream.wait_idle(timeout=60)
         assert jobs[0].error is None and jobs[0].result.batch_index == 0
         assert len(processed) == 1
+        # Each batch is counted once, the cancelled ones under their own status.
+        finished = service.registry.get("repro_stream_batches_total")
+        assert finished.value(status="cancelled") == 2
+        assert finished.value(status="succeeded") == 1
+        assert finished.total() == 3
         stream.reserve(block=False, timeout=None)  # the slots were handed back
 
     def test_invalid_max_pending_rejected(self):
@@ -277,7 +282,7 @@ class TestFailureIsolation:
             assert broken.error is not None and "schema" in broken.error
             # Later batches on the failed stream fail fast with the cause.
             assert after.error is not None and "already failed" in after.error
-            stats = service.stats()
-            assert stats.per_stream["bad"]["failed"] is True
-            assert stats.per_stream["good"]["failed"] is False
-            assert stats.batches_failed == 2
+            assert service.stream("bad").failed is True
+            assert service.stream("good").failed is False
+            finished = service.registry.get("repro_stream_batches_total")
+            assert finished.value(status="failed") == 2
